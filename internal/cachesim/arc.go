@@ -21,16 +21,21 @@ package cachesim
 // The reference implementation in replacertest mirrors exactly this
 // variant, and the conformance + differential tests pin it.
 
+// Segment tags. B1 and B2 are ghost lists: their IDs are not resident,
+// so they reuse the frame links the resident lists T1 and T2 would use.
 const (
-	aT1 = iota
+	aT1 = segNone + 1 + iota
 	aT2
+	aB1
+	aB2
 )
 
 type arcPolicy struct {
-	t1, t2 blockList // resident: front = most recent
-	b1, b2 ghostList
-	c      int // capacity in blocks
-	p      int // target size of T1, 0..c
+	bound
+	t1, t2 idList // resident: front = most recent
+	b1, b2 idList // ghosts: front = most recently departed
+	c      int    // capacity in blocks
+	p      int    // target size of T1, 0..c
 }
 
 func newARCPolicy(capacity int) *arcPolicy {
@@ -40,37 +45,38 @@ func newARCPolicy(capacity int) *arcPolicy {
 	return &arcPolicy{c: capacity}
 }
 
-func (a *arcPolicy) insert(b *block) {
-	switch {
-	case a.b1.has(b.id):
+func (a *arcPolicy) insert(id int32) {
+	fr := &a.f[id]
+	switch fr.seg {
+	case aB1:
 		// B1 hit: recency side deserves more room.
 		delta := 1
-		if a.b2.len() > a.b1.len() {
-			delta = a.b2.len() / a.b1.len()
+		if a.b2.n > a.b1.n {
+			delta = a.b2.n / a.b1.n
 		}
 		a.p += delta
 		if a.p > a.c {
 			a.p = a.c
 		}
-		a.b1.remove(b.id)
-		b.slot = aT2
-		a.t2.pushFront(b)
-	case a.b2.has(b.id):
+		a.b1.remove(a.f, id)
+		fr.seg = aT2
+		a.t2.pushFront(a.f, id)
+	case aB2:
 		// B2 hit: frequency side deserves more room.
 		delta := 1
-		if a.b1.len() > a.b2.len() {
-			delta = a.b1.len() / a.b2.len()
+		if a.b1.n > a.b2.n {
+			delta = a.b1.n / a.b2.n
 		}
 		a.p -= delta
 		if a.p < 0 {
 			a.p = 0
 		}
-		a.b2.remove(b.id)
-		b.slot = aT2
-		a.t2.pushFront(b)
+		a.b2.remove(a.f, id)
+		fr.seg = aT2
+		a.t2.pushFront(a.f, id)
 	default:
-		b.slot = aT1
-		a.t1.pushFront(b)
+		fr.seg = aT1
+		a.t1.pushFront(a.f, id)
 	}
 	a.trimGhosts()
 }
@@ -78,51 +84,55 @@ func (a *arcPolicy) insert(b *block) {
 // trimGhosts bounds the history: |T1|+|B1| <= c (the paper's L1 bound)
 // and total directory size <= 2c.
 func (a *arcPolicy) trimGhosts() {
-	for a.t1.n+a.b1.len() > a.c && a.b1.len() > 0 {
-		a.b1.dropOldest()
+	for a.t1.n+a.b1.n > a.c && a.b1.n > 0 {
+		a.b1.dropBack(a.f)
 	}
-	for a.t1.n+a.t2.n+a.b1.len()+a.b2.len() > 2*a.c {
-		if a.b2.len() > 0 {
-			a.b2.dropOldest()
-		} else if a.b1.len() > 0 {
-			a.b1.dropOldest()
+	for a.t1.n+a.t2.n+a.b1.n+a.b2.n > 2*a.c {
+		if a.b2.n > 0 {
+			a.b2.dropBack(a.f)
+		} else if a.b1.n > 0 {
+			a.b1.dropBack(a.f)
 		} else {
 			break
 		}
 	}
 }
 
-func (a *arcPolicy) access(b *block) {
-	if b.slot == aT1 {
-		a.t1.remove(b)
-		b.slot = aT2
-		a.t2.pushFront(b)
+func (a *arcPolicy) access(id int32) {
+	fr := &a.f[id]
+	if fr.seg == aT1 {
+		a.t1.remove(a.f, id)
+		fr.seg = aT2
+		a.t2.pushFront(a.f, id)
 		return
 	}
-	a.t2.moveToFront(b)
+	a.t2.moveToFront(a.f, id)
 }
 
-func (a *arcPolicy) remove(b *block) {
-	if b.slot == aT1 {
-		a.t1.remove(b)
-		a.b1.pushFront(b.id)
+func (a *arcPolicy) remove(id int32) {
+	fr := &a.f[id]
+	if fr.seg == aT1 {
+		a.t1.remove(a.f, id)
+		fr.seg = aB1
+		a.b1.pushFront(a.f, id)
 	} else {
-		a.t2.remove(b)
-		a.b2.pushFront(b.id)
+		a.t2.remove(a.f, id)
+		fr.seg = aB2
+		a.b2.pushFront(a.f, id)
 	}
 	a.trimGhosts()
 }
 
 // victim evicts the T1 tail while T1 exceeds its target p (or T2 is
 // empty), otherwise the T2 tail.
-func (a *arcPolicy) victim() *block {
+func (a *arcPolicy) victim() int32 {
 	if a.t1.n > 0 && (a.t1.n > a.p || a.t2.n == 0) {
 		return a.t1.tail
 	}
-	if a.t2.tail != nil {
+	if a.t2.n > 0 {
 		return a.t2.tail
 	}
-	return a.t1.tail
+	return a.t1.back()
 }
 
 func (a *arcPolicy) len() int { return a.t1.n + a.t2.n }

@@ -37,11 +37,32 @@
 // scanning, no hashing. MultiSimulate runs many configurations over one
 // tape on parallel workers; Simulate remains as the convenience wrapper
 // that builds a throwaway tape from raw events.
+//
+// # Frames
+//
+// A replay keeps one frame per dense block ID in a single slice: the
+// residency and dirty bits, the time the block entered the cache, and
+// the replacement policy's list links. The links are block IDs, not
+// pointers, so the slice is pointer-free (the garbage collector neither
+// scans it nor runs write barriers on it) and a replay allocates nothing
+// per block. Every policy list — LRU's recency list, FIFO, Clock's ring,
+// the SLRU and TinyLFU segments, LIRS's queue — threads through those
+// links. History of departed blocks (ARC's B1/B2, 2Q's A1out, LIRS's
+// ghost FIFO) threads through them too: a ghost is never resident, so it
+// can reuse the frame's links, and the frame's segment byte says which
+// list it is on. LIRS keeps its stack S in a per-ID array beside the
+// frames.
+//
+// Flush-back scans write blocks in the order they were dirtied. Each
+// scan candidate records the block ID and the dirty episode it was
+// appended for, so a candidate whose block has since been evicted (and
+// perhaps re-inserted and re-dirtied, appending a fresh candidate) is
+// skipped rather than flushed out of order.
 package cachesim
 
 import (
 	"fmt"
-	"sort"
+	"math"
 
 	"bsdtrace/internal/stats"
 	"bsdtrace/internal/trace"
@@ -197,22 +218,35 @@ func (r *Result) NeverWrittenFraction() float64 {
 	return float64(r.DirtyDiscarded) / float64(total)
 }
 
-// blockKey identifies one block of one file; the resolution maps these
-// to dense integer IDs, which is what the replay engine works in.
-type blockKey struct {
-	file trace.FileID
-	idx  int64
+// nilID marks the absence of a block ID: an empty list end, or no
+// victim.
+const nilID int32 = -1
+
+// segNone tags a frame on no policy list.
+const segNone uint8 = 0
+
+// frame is one block ID's replay state. The cache owns enteredAt, epoch,
+// resident and dirty; the replacement policy owns the links, seg and ref
+// (see the package comment).
+type frame struct {
+	enteredAt trace.Time
+	// prev and next link the frame into one policy list (nilID ends).
+	prev, next int32
+	// epoch counts the block's flush-back dirty episodes.
+	epoch    uint32
+	resident bool
+	dirty    bool
+	// seg tags which of its policy's lists the frame is on.
+	seg uint8
+	// ref is Clock's reference bit.
+	ref bool
 }
 
-// block is one cache frame. The intrusive fields (prev/next/slot/
-// referenced) belong to the replacement policy.
-type block struct {
-	id         int32
-	dirty      bool
-	referenced bool
-	slot       int
-	enteredAt  trace.Time
-	prev, next *block
+// dirtyEntry is a flush-back scan candidate: a block and the dirty
+// episode it was appended for.
+type dirtyEntry struct {
+	id    int32
+	epoch uint32
 }
 
 // cache is the live replay state of one configuration over one resolved
@@ -224,30 +258,33 @@ type cache struct {
 	capacity int
 	res      *Result
 
-	// blocks is the cache directory, indexed by dense block ID (nil =
-	// not cached).
-	blocks []*block
-	pol    replacer
+	// f holds one frame per dense block ID; f[id].resident is the cache
+	// directory.
+	f   []frame
+	pol replacer
 	// dirties are flush-back scan candidates in the order they were
-	// dirtied. Entries can go stale (the block was evicted or purged, and
-	// its frame possibly recycled); the authoritative bit is b.dirty, so
-	// a scan flushes each dirty frame exactly once and skips the rest.
-	// Maintained only under FlushBack.
-	dirties []*block
+	// dirtied; a scan flushes the entries whose block is still in the
+	// episode they were appended for. Maintained only under FlushBack.
+	dirties []dirtyEntry
 
-	now       trace.Time
+	now trace.Time
+	// nextFlush is the next flush-back scan's time (never, for the
+	// other write policies).
 	nextFlush trace.Time
 	// onDisk observes every disk operation (used by the two-level
 	// simulation, where a client's "disk" is the server).
 	onDisk func(id int32, write bool, t trace.Time)
+	// onPurge observes every purge of a file slot with blocks on the
+	// tape (the two-level client pass forwards them to the server).
+	onPurge func(fs int32, size int64, t trace.Time)
 	// obs observes the dirty-set lifecycle (used by the crash-injection
 	// layer in internal/fault). Nil for plain simulations.
 	obs Observer
-	// freeList recycles evicted block frames; the simulator allocates at
-	// most capacity+1 frames over its whole run, keeping long sweeps off
-	// the garbage collector's back.
-	freeList  *block
-	residency *stats.Histogram
+
+	// residency counts drops per residency bucket (see residencyBucket);
+	// resMax is the longest residency seen in the overflow bucket.
+	residency [numResidencyBuckets]int64
+	resMax    trace.Time
 	resOver   int64
 	resTotal  int64
 }
@@ -263,11 +300,11 @@ func newCache(tape *xfer.Tape, r *resolved, cfg Config) *cache {
 		r:        r,
 		capacity: capacity,
 		res:      &Result{Config: cfg},
-		blocks:   make([]*block, r.nBlocks()),
+		f:        make([]frame, r.nBlocks()),
 		pol:      newReplacer(cfg.Replacement, capacity, cfg.Seed),
-		// Residency spans 10 ms to days.
-		residency: stats.NewLogHistogram(0.01, 1.35, 60),
 	}
+	c.pol.bind(c.f, nil)
+	c.nextFlush = math.MaxInt64 // no scans
 	if cfg.Write == FlushBack {
 		c.nextFlush = cfg.FlushInterval
 	}
@@ -282,32 +319,41 @@ func newCache(tape *xfer.Tape, r *resolved, cfg Config) *cache {
 // backwards (the BillAtStart ablation can present slightly out-of-order
 // times; they are processed at the current clock).
 func (c *cache) advance(t trace.Time) {
-	if c.cfg.Write == FlushBack {
-		for c.nextFlush <= t {
-			if c.nextFlush > c.now {
-				c.now = c.nextFlush
-			}
-			for _, b := range c.dirties {
-				if b.dirty {
-					b.dirty = false
-					c.diskWrite(b.id)
-					if c.obs != nil {
-						c.obs.BlockCleaned(b.id, c.now, CleanFlushed)
-					}
-				}
-			}
-			c.dirties = c.dirties[:0]
-			c.nextFlush += c.cfg.FlushInterval
-		}
+	if t >= c.nextFlush {
+		c.flush(t)
 	}
 	if t > c.now {
 		c.now = t
 	}
 }
 
-func (c *cache) recordResidency(b *block) {
-	d := c.now - b.enteredAt
-	c.residency.Add(d.Seconds(), 1)
+// flush runs the flush-back scans due at or before t, each writing the
+// dirty blocks in the order they were dirtied.
+func (c *cache) flush(t trace.Time) {
+	for c.nextFlush <= t {
+		if c.nextFlush > c.now {
+			c.now = c.nextFlush
+		}
+		for _, e := range c.dirties {
+			if fr := &c.f[e.id]; fr.dirty && fr.epoch == e.epoch {
+				fr.dirty = false
+				c.diskWrite(e.id)
+				if c.obs != nil {
+					c.obs.BlockCleaned(e.id, c.now, CleanFlushed)
+				}
+			}
+		}
+		c.dirties = c.dirties[:0]
+		c.nextFlush += c.cfg.FlushInterval
+	}
+}
+
+func (c *cache) recordResidency(d trace.Time) {
+	i := residencyBucket(d)
+	c.residency[i]++
+	if i == numResidencyBuckets-1 && d > c.resMax {
+		c.resMax = d
+	}
 	c.resTotal++
 	if d > c.cfg.ResidencyThreshold {
 		c.resOver++
@@ -333,26 +379,25 @@ func (c *cache) diskRead(id int32) {
 // drop removes a block from the cache. If writeBack is true and the
 // block is dirty it costs a disk write; otherwise a dirty block is
 // discarded and counted in DirtyDiscarded.
-func (c *cache) drop(b *block, writeBack bool) {
-	if b.dirty {
+func (c *cache) drop(id int32, writeBack bool) {
+	fr := &c.f[id]
+	if fr.dirty {
 		if writeBack {
-			c.diskWrite(b.id)
+			c.diskWrite(id)
 			if c.obs != nil {
-				c.obs.BlockCleaned(b.id, c.now, CleanWriteBack)
+				c.obs.BlockCleaned(id, c.now, CleanWriteBack)
 			}
 		} else {
 			c.res.DirtyDiscarded++
 			if c.obs != nil {
-				c.obs.BlockCleaned(b.id, c.now, CleanDiscarded)
+				c.obs.BlockCleaned(id, c.now, CleanDiscarded)
 			}
 		}
-		b.dirty = false
+		fr.dirty = false
 	}
-	c.recordResidency(b)
-	c.blocks[b.id] = nil
-	c.pol.remove(b)
-	b.next = c.freeList
-	c.freeList = b
+	c.recordResidency(c.now - fr.enteredAt)
+	fr.resident = false
+	c.pol.remove(id)
 }
 
 // purge removes every cached block of the file slot whose byte range
@@ -366,50 +411,54 @@ func (c *cache) purge(fs int32, size int64) {
 	// Doomed blocks satisfy idx*blockSize >= size, i.e. idx >=
 	// ceil(size/blockSize); they form a suffix of the sorted ID list.
 	bound := (size + c.cfg.BlockSize - 1) / c.cfg.BlockSize
-	lo := sort.Search(len(ids), func(k int) bool { return c.r.blockIdx[ids[k]] >= bound })
+	lo, hi := 0, len(ids)
+	for lo < hi && bound > 0 {
+		mid := int(uint(lo+hi) >> 1)
+		if c.r.blockIdx[ids[mid]] < bound {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
 	for _, id := range ids[lo:] {
-		if b := c.blocks[id]; b != nil {
+		if c.f[id].resident {
 			c.res.Purged++
-			c.drop(b, false)
+			c.drop(id, false)
 		}
 	}
 }
 
-// insert adds a block, evicting a victim if the cache is full.
-func (c *cache) insert(id int32) *block {
+// insert adds a block, evicting victims while the cache is full.
+func (c *cache) insert(id int32) {
 	for c.pol.len() >= c.capacity {
 		v := c.pol.victim()
-		if v == nil {
+		if v == nilID {
 			break
 		}
 		c.res.Evictions++
 		c.drop(v, true)
 	}
-	b := c.freeList
-	if b != nil {
-		c.freeList = b.next
-		*b = block{id: id, enteredAt: c.now}
-	} else {
-		b = &block{id: id, enteredAt: c.now}
-	}
-	c.blocks[id] = b
-	c.pol.insert(b)
-	return b
+	fr := &c.f[id]
+	fr.resident = true
+	fr.enteredAt = c.now
+	c.pol.insert(id)
 }
 
 // markDirty applies the write policy to a modified block.
-func (c *cache) markDirty(b *block) {
+func (c *cache) markDirty(id int32) {
 	if c.cfg.Write == WriteThrough {
-		c.diskWrite(b.id)
+		c.diskWrite(id)
 		return
 	}
-	if !b.dirty {
-		b.dirty = true
+	fr := &c.f[id]
+	if !fr.dirty {
+		fr.dirty = true
 		if c.cfg.Write == FlushBack {
-			c.dirties = append(c.dirties, b)
+			fr.epoch++
+			c.dirties = append(c.dirties, dirtyEntry{id: id, epoch: fr.epoch})
 		}
 		if c.obs != nil {
-			c.obs.BlockDirtied(b.id, c.now)
+			c.obs.BlockDirtied(id, c.now)
 		}
 	}
 }
@@ -423,20 +472,21 @@ func (c *cache) transfer(xi int32) {
 	}
 	c.advance(when)
 
+	ids := c.r.accessIDs[c.r.accessOff[xi]:c.r.accessOff[xi+1]]
+	n := int64(len(ids))
+	c.res.LogicalAccesses += n
+	if t.Write {
+		c.res.WriteAccesses += n
+	} else {
+		c.res.ReadAccesses += n
+	}
 	bs := c.cfg.BlockSize
 	oldSize := c.tape.OldSizes[xi]
-	ids := c.r.accessIDs[c.r.accessOff[xi]:c.r.accessOff[xi+1]]
 	for _, id := range ids {
-		c.res.LogicalAccesses++
-		if t.Write {
-			c.res.WriteAccesses++
-		} else {
-			c.res.ReadAccesses++
-		}
-		if b := c.blocks[id]; b != nil {
-			c.pol.access(b)
+		if c.f[id].resident {
+			c.pol.access(id)
 			if t.Write {
-				c.markDirty(b)
+				c.markDirty(id)
 			}
 			continue
 		}
@@ -456,9 +506,9 @@ func (c *cache) transfer(xi int32) {
 		if fetch {
 			c.diskRead(id)
 		}
-		b := c.insert(id)
+		c.insert(id)
 		if t.Write {
-			c.markDirty(b)
+			c.markDirty(id)
 		}
 	}
 }
@@ -471,7 +521,11 @@ func (c *cache) run() {
 		c.advance(op.Time)
 		switch op.Kind {
 		case xfer.OpPurge:
-			c.purge(c.r.opFile[i], op.Size)
+			fs := c.r.opFile[i]
+			c.purge(fs, op.Size)
+			if c.onPurge != nil && fs >= 0 {
+				c.onPurge(fs, op.Size, op.Time)
+			}
 		case xfer.OpTransfer:
 			c.transfer(op.Xfer)
 		case xfer.OpExec:
@@ -485,16 +539,17 @@ func (c *cache) run() {
 // finish closes out the simulation, recording residency for blocks still
 // cached and counting blocks still dirty.
 func (c *cache) finish() *Result {
-	for _, b := range c.blocks {
-		if b == nil {
+	for i := range c.f {
+		fr := &c.f[i]
+		if !fr.resident {
 			continue
 		}
-		if b.dirty {
+		if fr.dirty {
 			c.res.DirtyAtEnd++
 		}
-		c.recordResidency(b)
+		c.recordResidency(c.now - fr.enteredAt)
 	}
-	c.res.Residency = c.residency.CDF()
+	c.res.Residency = residencyCDF(&c.residency, c.resMax)
 	if c.resTotal > 0 {
 		c.res.ResidencyOver = float64(c.resOver) / float64(c.resTotal)
 	}

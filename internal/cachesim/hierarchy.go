@@ -197,8 +197,8 @@ func replayTierOps(ops []serverOp, r *resolved, cfg Config,
 		case opRead:
 			c.res.LogicalAccesses++
 			c.res.ReadAccesses++
-			if b := c.blocks[op.id]; b != nil {
-				c.pol.access(b)
+			if c.f[op.id].resident {
+				c.pol.access(op.id)
 				continue
 			}
 			c.diskRead(op.id)
@@ -206,13 +206,12 @@ func replayTierOps(ops []serverOp, r *resolved, cfg Config,
 		case opWrite:
 			c.res.LogicalAccesses++
 			c.res.WriteAccesses++
-			if b := c.blocks[op.id]; b != nil {
-				c.pol.access(b)
-				c.markDirty(b)
-				continue
+			if c.f[op.id].resident {
+				c.pol.access(op.id)
+			} else {
+				c.insert(op.id)
 			}
-			b := c.insert(op.id)
-			c.markDirty(b)
+			c.markDirty(op.id)
 		}
 	}
 	return c.finish()

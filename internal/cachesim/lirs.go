@@ -12,43 +12,48 @@ package cachesim
 // Sizing follows the paper: Q holds 1% of the capacity (at least one
 // block), the LIR set the rest. Ghost entries (non-resident HIR) are
 // bounded at 2x capacity; because a ghost never moves within S while it
-// remains a ghost, a separate FIFO threaded through the entries yields
-// the oldest ghost in O(1) without scanning S.
+// remains a ghost, a separate FIFO yields the oldest ghost in O(1)
+// without scanning S.
+//
+// Each ID's standing (state, stack links, in-S flag) lives in a per-ID
+// array beside the frames. Q holds only resident HIR blocks and the
+// ghost FIFO only non-resident ones, so both thread through the frame
+// links.
 //
 // Victims come from the front (oldest end) of Q; if purges have emptied
 // Q, the bottommost LIR block on S stands in.
 
+// An ID's state; lirsNone means it has no standing (neither on S nor
+// in Q).
 const (
-	lirBlock uint8 = iota
+	lirsNone uint8 = iota
+	lirBlock
 	hirResident
 	hirGhost
 )
 
-// lirsEntry is one identity's standing in the LIRS history: every block
-// on stack S or queue Q has one, including non-resident ghosts.
-type lirsEntry struct {
-	id           int32
+// lirsNode is one ID's standing in the LIRS history.
+type lirsNode struct {
+	sPrev, sNext int32 // stack S links; sPrev = toward the top
 	state        uint8
-	b            *block // resident frame; nil for ghosts
 	inS          bool
-	sPrev, sNext *lirsEntry // stack S links; sPrev = toward the top
-	gPrev, gNext *lirsEntry // ghost FIFO links (hirGhost only)
 }
 
 type lirsPolicy struct {
-	byID map[int32]*lirsEntry
-	// Stack S: sTop is the most recently referenced entry.
-	sTop, sBot *lirsEntry
-	// Queue Q of resident HIR blocks, as an intrusive block list:
-	// front = most recently queued, tail = eviction candidate.
-	q blockList
-	// Ghost FIFO: gHead is the oldest ghost.
-	gHead, gTail *lirsEntry
+	bound
+	n []lirsNode // indexed by ID, parallel to the frames
+	// Stack S: sTop is the most recently referenced entry (nilID when
+	// S is empty).
+	sTop, sBot int32
+	// Queue Q of resident HIR blocks: front = most recently queued, tail
+	// = eviction candidate.
+	q idList
+	// Ghost FIFO of non-resident HIR blocks: tail = oldest.
+	ghosts idList
 
 	lirCap   int // target LIR population (capacity - Q share)
 	nLIR     int
 	ghostCap int
-	nGhost   int
 	resident int
 }
 
@@ -61,168 +66,139 @@ func newLIRSPolicy(capacity int) *lirsPolicy {
 		hirCap = 1
 	}
 	return &lirsPolicy{
-		byID:     make(map[int32]*lirsEntry),
+		sTop:     nilID,
+		sBot:     nilID,
 		lirCap:   capacity - hirCap,
 		ghostCap: 2 * capacity,
 	}
 }
 
+func (p *lirsPolicy) bind(f []frame, _ []int32) {
+	p.f = f
+	p.n = append(p.n, make([]lirsNode, len(f)-len(p.n))...)
+}
+
 // Stack S primitives.
 
-func (p *lirsPolicy) stackPush(e *lirsEntry) {
-	e.sPrev = nil
+func (p *lirsPolicy) stackPush(id int32) {
+	e := &p.n[id]
+	e.sPrev = nilID
 	e.sNext = p.sTop
-	if p.sTop != nil {
-		p.sTop.sPrev = e
+	if p.sTop != nilID {
+		p.n[p.sTop].sPrev = id
 	}
-	p.sTop = e
-	if p.sBot == nil {
-		p.sBot = e
+	p.sTop = id
+	if p.sBot == nilID {
+		p.sBot = id
 	}
 	e.inS = true
 }
 
-func (p *lirsPolicy) stackRemove(e *lirsEntry) {
-	if e.sPrev != nil {
-		e.sPrev.sNext = e.sNext
+func (p *lirsPolicy) stackRemove(id int32) {
+	e := &p.n[id]
+	if e.sPrev != nilID {
+		p.n[e.sPrev].sNext = e.sNext
 	} else {
 		p.sTop = e.sNext
 	}
-	if e.sNext != nil {
-		e.sNext.sPrev = e.sPrev
+	if e.sNext != nilID {
+		p.n[e.sNext].sPrev = e.sPrev
 	} else {
 		p.sBot = e.sPrev
 	}
-	e.sPrev, e.sNext = nil, nil
 	e.inS = false
 }
 
-func (p *lirsPolicy) stackMoveToTop(e *lirsEntry) {
-	if e.inS {
-		if p.sTop == e {
+func (p *lirsPolicy) stackMoveToTop(id int32) {
+	if p.n[id].inS {
+		if p.sTop == id {
 			return
 		}
-		p.stackRemove(e)
+		p.stackRemove(id)
 	}
-	p.stackPush(e)
+	p.stackPush(id)
 }
 
 // prune pops non-LIR entries off the stack bottom until a LIR block (or
 // nothing) anchors it — the stack-bottom LIR block defines the maximum
 // IRR worth remembering, so deeper history is useless.
 func (p *lirsPolicy) prune() {
-	for p.sBot != nil && p.sBot.state != lirBlock {
-		e := p.sBot
-		p.stackRemove(e)
-		if e.state == hirGhost {
-			p.ghostUnlink(e)
-			delete(p.byID, e.id)
+	for p.sBot != nilID && p.n[p.sBot].state != lirBlock {
+		id := p.sBot
+		p.stackRemove(id)
+		if p.n[id].state == hirGhost {
+			p.ghosts.remove(p.f, id)
+			p.n[id].state = lirsNone
 		}
-		// A resident HIR entry stays in Q and byID; it merely loses its
-		// chance at promotion.
+		// A resident HIR entry stays in Q; it merely loses its chance
+		// at promotion.
 	}
-}
-
-// Ghost FIFO primitives.
-
-func (p *lirsPolicy) ghostPush(e *lirsEntry) {
-	e.gPrev = p.gTail
-	e.gNext = nil
-	if p.gTail != nil {
-		p.gTail.gNext = e
-	}
-	p.gTail = e
-	if p.gHead == nil {
-		p.gHead = e
-	}
-	p.nGhost++
-}
-
-func (p *lirsPolicy) ghostUnlink(e *lirsEntry) {
-	if e.gPrev != nil {
-		e.gPrev.gNext = e.gNext
-	} else {
-		p.gHead = e.gNext
-	}
-	if e.gNext != nil {
-		e.gNext.gPrev = e.gPrev
-	} else {
-		p.gTail = e.gPrev
-	}
-	e.gPrev, e.gNext = nil, nil
-	p.nGhost--
 }
 
 func (p *lirsPolicy) dropOldestGhost() {
-	e := p.gHead
-	if e == nil {
+	id := p.ghosts.back()
+	if id == nilID {
 		return
 	}
-	p.ghostUnlink(e)
-	if e.inS {
-		p.stackRemove(e)
+	p.ghosts.remove(p.f, id)
+	if p.n[id].inS {
+		p.stackRemove(id)
 	}
-	delete(p.byID, e.id)
+	p.n[id].state = lirsNone
 	p.prune()
 }
 
 // demoteBottomLIR turns the stack-bottom LIR block into a resident HIR
 // block at the fresh end of Q.
 func (p *lirsPolicy) demoteBottomLIR() {
-	e := p.sBot
-	for e != nil && e.state != lirBlock {
-		e = e.sPrev
+	id := p.sBot
+	for id != nilID && p.n[id].state != lirBlock {
+		id = p.n[id].sPrev
 	}
-	if e == nil {
+	if id == nilID {
 		return
 	}
-	p.stackRemove(e)
-	e.state = hirResident
+	p.stackRemove(id)
+	p.n[id].state = hirResident
 	p.nLIR--
-	p.q.pushFront(e.b)
+	p.q.pushFront(p.f, id)
 	p.prune()
 }
 
-func (p *lirsPolicy) insert(b *block) {
-	if e := p.byID[b.id]; e != nil && e.state == hirGhost {
+func (p *lirsPolicy) insert(id int32) {
+	e := &p.n[id]
+	p.resident++
+	if e.state == hirGhost {
 		// Ghost hit: the re-reference happened within stack history, so
 		// the block's IRR is low — it enters as LIR.
-		p.ghostUnlink(e)
-		e.b = b
+		p.ghosts.remove(p.f, id)
 		e.state = lirBlock
 		p.nLIR++
-		p.resident++
-		p.stackMoveToTop(e)
+		p.stackMoveToTop(id)
 		if p.nLIR > p.lirCap {
 			p.demoteBottomLIR()
 		}
 		p.prune()
 		return
 	}
-	e := &lirsEntry{id: b.id, b: b}
-	p.byID[b.id] = e
-	p.resident++
 	if p.nLIR < p.lirCap {
 		// Warmup: the LIR set fills first.
 		e.state = lirBlock
 		p.nLIR++
-		p.stackPush(e)
+		p.stackPush(id)
 		return
 	}
 	e.state = hirResident
-	p.stackPush(e)
-	p.q.pushFront(b)
+	p.stackPush(id)
+	p.q.pushFront(p.f, id)
 }
 
-func (p *lirsPolicy) access(b *block) {
-	e := p.byID[b.id]
-	if e == nil {
-		return
-	}
+func (p *lirsPolicy) access(id int32) {
+	e := &p.n[id]
 	switch e.state {
 	case lirBlock:
-		wasBottom := e == p.sBot
-		p.stackMoveToTop(e)
+		wasBottom := id == p.sBot
+		p.stackMoveToTop(id)
 		if wasBottom {
 			p.prune()
 		}
@@ -231,8 +207,8 @@ func (p *lirsPolicy) access(b *block) {
 			// IRR below the LIR threshold: promote.
 			e.state = lirBlock
 			p.nLIR++
-			p.stackMoveToTop(e)
-			p.q.remove(b)
+			p.stackMoveToTop(id)
+			p.q.remove(p.f, id)
 			if p.nLIR > p.lirCap {
 				p.demoteBottomLIR()
 			}
@@ -240,54 +216,51 @@ func (p *lirsPolicy) access(b *block) {
 			return
 		}
 		// Referenced but with high IRR: refresh both recency orders.
-		p.stackPush(e)
-		p.q.moveToFront(b)
+		p.stackPush(id)
+		p.q.moveToFront(p.f, id)
 	}
 }
 
-func (p *lirsPolicy) remove(b *block) {
-	e := p.byID[b.id]
-	if e == nil {
-		return
-	}
-	if e.state == hirResident {
-		p.q.remove(b)
+func (p *lirsPolicy) remove(id int32) {
+	e := &p.n[id]
+	switch e.state {
+	case hirResident:
+		p.q.remove(p.f, id)
 		p.resident--
 		if e.inS {
 			// Keep the identity as a ghost: a quick re-reference still
 			// proves low IRR.
 			e.state = hirGhost
-			e.b = nil
-			p.ghostPush(e)
-			if p.nGhost > p.ghostCap {
+			p.ghosts.pushFront(p.f, id)
+			if p.ghosts.n > p.ghostCap {
 				p.dropOldestGhost()
 			}
 			return
 		}
-		delete(p.byID, b.id)
-		return
+		e.state = lirsNone
+	case lirBlock:
+		// A LIR block leaving the cache (purge, or the empty-Q fallback
+		// eviction) takes its history with it.
+		p.stackRemove(id)
+		e.state = lirsNone
+		p.nLIR--
+		p.resident--
+		p.prune()
 	}
-	// A LIR block leaving the cache (purge, or the empty-Q fallback
-	// eviction) takes its history with it.
-	p.stackRemove(e)
-	delete(p.byID, b.id)
-	p.nLIR--
-	p.resident--
-	p.prune()
 }
 
-func (p *lirsPolicy) victim() *block {
-	if p.q.tail != nil {
+func (p *lirsPolicy) victim() int32 {
+	if p.q.n > 0 {
 		return p.q.tail
 	}
 	// Q drained (purges, or a tiny cache that is all LIR): fall back to
 	// the coldest LIR block.
-	for e := p.sBot; e != nil; e = e.sPrev {
-		if e.state == lirBlock {
-			return e.b
+	for id := p.sBot; id != nilID; id = p.n[id].sPrev {
+		if p.n[id].state == lirBlock {
+			return id
 		}
 	}
-	return nil
+	return nilID
 }
 
 func (p *lirsPolicy) len() int { return p.resident }

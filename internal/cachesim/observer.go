@@ -1,6 +1,8 @@
 package cachesim
 
 import (
+	"slices"
+
 	"bsdtrace/internal/trace"
 	"bsdtrace/internal/xfer"
 )
@@ -90,6 +92,19 @@ func MultiSimulateObserved(tape *xfer.Tape, cfgs []Config, obs func(i int) Obser
 			observers[i] = obs(i)
 		}
 	}
+	// Sweeps list their configurations block-size-major, so resolving
+	// on demand would park every worker on the first size's resolution.
+	// Resolve each distinct size up front, concurrently.
+	var sizes []int64
+	for _, cfg := range filled {
+		if !slices.Contains(sizes, cfg.BlockSize) {
+			sizes = append(sizes, cfg.BlockSize)
+		}
+	}
+	runParallel(len(sizes), func(i int) error {
+		resolvedFor(tape, sizes[i])
+		return nil
+	})
 	out := make([]*Result, len(cfgs))
 	runParallel(len(filled), func(i int) error {
 		c := newCache(tape, resolvedFor(tape, filled[i].BlockSize), filled[i])

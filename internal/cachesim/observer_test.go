@@ -236,3 +236,51 @@ func TestFillRejectsStrayFlushInterval(t *testing.T) {
 		t.Errorf("valid flush-back rejected: %v", err)
 	}
 }
+
+// flushedOrder replays the events into a 2-block flush-back cache and
+// returns the IDs its flush-back scans wrote, in order.
+func flushedOrder(t *testing.T, b *tb) []int32 {
+	t.Helper()
+	rec := &recorder{}
+	if _, err := SimulateTapeObserved(mustTape(t, b.events), Config{
+		BlockSize: 4096, CacheSize: 2 * 4096,
+		Write: FlushBack, FlushInterval: 30 * trace.Second,
+	}, rec); err != nil {
+		t.Fatal(err)
+	}
+	var out []int32
+	for _, e := range rec.events {
+		if e.clean && e.reason == CleanFlushed {
+			out = append(out, e.id)
+		}
+	}
+	return out
+}
+
+// A flush-back scan writes blocks in the order they were dirtied, even
+// when an evicted block's place is taken by a later arrival, and a block
+// evicted and re-dirtied before the scan is written at its new position.
+func TestFlushBackCleansInDirtiedOrder(t *testing.T) {
+	// Block IDs follow first touch: X=0, Z=1, Y=2.
+	const x, z, y = 1, 2, 3
+	b := newTB()
+	b.write(x, 4096)
+	b.write(z, 4096)
+	b.write(y, 4096) // evicts X; Y takes its place
+	b.now = 31 * trace.Second
+	b.read(9, 4096) // the scan at 30 s
+	if got, want := flushedOrder(t, b), []int32{1, 2}; !reflect.DeepEqual(got, want) {
+		t.Errorf("flushed %v, want Z then Y %v", got, want)
+	}
+
+	b = newTB()
+	b.write(x, 4096)
+	b.write(z, 4096)
+	b.write(y, 4096) // evicts X
+	b.write(x, 4096) // evicts Z; X is dirty again, after Y
+	b.now = 31 * trace.Second
+	b.read(9, 4096)
+	if got, want := flushedOrder(t, b), []int32{2, 0}; !reflect.DeepEqual(got, want) {
+		t.Errorf("flushed %v, want Y then X %v", got, want)
+	}
+}

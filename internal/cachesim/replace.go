@@ -117,18 +117,26 @@ func replacementNames() string {
 	return strings.Join(names, ", ")
 }
 
-// replacer is the internal interface a replacement policy implements. The
-// cache calls insert on fill, access on every hit, remove on both purges
-// and evictions (a policy cannot tell the two apart), and victim to choose
-// an eviction candidate (which the cache then removes). victim may
-// rearrange internal state (TinyLFU moves an admitted window block into
-// the main cache) but must never change len or residency, and must return
-// a currently resident block whenever len > 0.
+// replacer is the internal interface a replacement policy implements.
+// Policies work in dense block IDs and keep their lists in the frame
+// slice they are bound to (see frame). The cache calls insert on fill,
+// access on every hit, remove on both purges and evictions (a policy
+// cannot tell the two apart), and victim to choose an eviction candidate
+// (which the cache then removes). victim may rearrange internal state
+// (TinyLFU moves an admitted window block into the main cache) but must
+// never change len or residency, and must return a currently resident
+// ID whenever len > 0 (nilID otherwise).
 type replacer interface {
-	insert(b *block)
-	access(b *block)
-	remove(b *block)
-	victim() *block
+	// bind attaches the policy to the frame slice, which holds one frame
+	// per ID the policy may see; it is called before the first operation
+	// and again whenever the slice grows. keys, when non-nil, maps each
+	// dense ID to the caller's own ID, for policies whose decisions
+	// depend on ID values (TinyLFU hashes them).
+	bind(f []frame, keys []int32)
+	insert(id int32)
+	access(id int32)
+	remove(id int32)
+	victim() int32
 	len() int
 }
 
@@ -142,9 +150,9 @@ func newReplacer(r Replacement, capacity int, seed int64) replacer {
 	case FIFO:
 		return &listPolicy{}
 	case Clock:
-		return &clockPolicy{}
+		return &clockPolicy{hand: nilID}
 	case Random:
-		return &randomPolicy{src: dist.NewSource(seed)}
+		return &randomPolicy{src: dist.NewSource(seed), capacity: capacity}
 	case ARC:
 		return newARCPolicy(capacity)
 	case TwoQ:
@@ -160,174 +168,139 @@ func newReplacer(r Replacement, capacity int, seed int64) replacer {
 	}
 }
 
-// ghostList is a bounded recency list of block IDs that are no longer
-// resident — the "history" state the zoo policies consult on re-insertion
-// (ARC's B1/B2, 2Q's A1out). Entries are kept in insertion order with a
-// map for O(1) membership and removal.
-type ghostEntry struct {
-	id         int32
-	prev, next *ghostEntry // prev = toward most recent
-}
+// bound is the frame binding most policies need: the slice, and nothing
+// derived from it.
+type bound struct{ f []frame }
 
-type ghostList struct {
-	byID       map[int32]*ghostEntry
-	head, tail *ghostEntry // head = most recent, tail = oldest
-}
+func (b *bound) bind(f []frame, _ []int32) { b.f = f }
 
-func (g *ghostList) len() int { return len(g.byID) }
-
-func (g *ghostList) has(id int32) bool {
-	_, ok := g.byID[id]
-	return ok
-}
-
-func (g *ghostList) pushFront(id int32) {
-	if g.byID == nil {
-		g.byID = make(map[int32]*ghostEntry)
-	}
-	e := &ghostEntry{id: id}
-	e.next = g.head
-	if g.head != nil {
-		g.head.prev = e
-	}
-	g.head = e
-	if g.tail == nil {
-		g.tail = e
-	}
-	g.byID[id] = e
-}
-
-// remove deletes id from the list, reporting whether it was present.
-func (g *ghostList) remove(id int32) bool {
-	e, ok := g.byID[id]
-	if !ok {
-		return false
-	}
-	g.unlink(e)
-	return true
-}
-
-func (g *ghostList) unlink(e *ghostEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		g.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		g.tail = e.prev
-	}
-	delete(g.byID, e.id)
-}
-
-// dropOldest evicts the least recently inserted ghost.
-func (g *ghostList) dropOldest() {
-	if g.tail != nil {
-		g.unlink(g.tail)
-	}
-}
-
-// blockList is an intrusive doubly-linked list of cache blocks with a
-// sentinel-free head/tail representation. Intrusive links avoid a separate
-// allocation per cached block on the simulator's hottest path.
-type blockList struct {
-	head, tail *block
+// idList is a doubly-linked list of block IDs threaded through the
+// frames' prev/next links. A frame sits on at most one list at a time,
+// whether it is resident (a policy segment) or a ghost (history of a
+// departed block), and its seg byte says which. The zero value is an
+// empty list.
+type idList struct {
+	head, tail int32 // head = most recent; meaningful only when n > 0
 	n          int
 }
 
-func (l *blockList) pushFront(b *block) {
-	b.prev = nil
-	b.next = l.head
-	if l.head != nil {
-		l.head.prev = b
+func (l *idList) pushFront(f []frame, id int32) {
+	fr := &f[id]
+	fr.prev = nilID
+	if l.n == 0 {
+		fr.next = nilID
+		l.tail = id
+	} else {
+		fr.next = l.head
+		f[l.head].prev = id
 	}
-	l.head = b
-	if l.tail == nil {
-		l.tail = b
-	}
+	l.head = id
 	l.n++
 }
 
-func (l *blockList) remove(b *block) {
-	if b.prev != nil {
-		b.prev.next = b.next
+func (l *idList) remove(f []frame, id int32) {
+	fr := &f[id]
+	if fr.prev == nilID {
+		l.head = fr.next
 	} else {
-		l.head = b.next
+		f[fr.prev].next = fr.next
 	}
-	if b.next != nil {
-		b.next.prev = b.prev
+	if fr.next == nilID {
+		l.tail = fr.prev
 	} else {
-		l.tail = b.prev
+		f[fr.next].prev = fr.prev
 	}
-	b.prev, b.next = nil, nil
 	l.n--
 }
 
-func (l *blockList) moveToFront(b *block) {
-	if l.head == b {
+func (l *idList) moveToFront(f []frame, id int32) {
+	if l.head == id {
 		return
 	}
-	l.remove(b)
-	l.pushFront(b)
+	l.remove(f, id)
+	l.pushFront(f, id)
+}
+
+// back returns the least recent ID, or nilID on an empty list.
+func (l *idList) back() int32 {
+	if l.n == 0 {
+		return nilID
+	}
+	return l.tail
+}
+
+// dropBack removes the least recent ID of a ghost list and clears its
+// segment tag.
+func (l *idList) dropBack(f []frame) {
+	if l.n > 0 {
+		id := l.tail
+		l.remove(f, id)
+		f[id].seg = segNone
+	}
 }
 
 // listPolicy implements LRU (moveOnAccess) and FIFO (insertion order).
 // The victim is always the list tail.
 type listPolicy struct {
-	list         blockList
+	bound
+	list         idList
 	moveOnAccess bool
 }
 
-func (p *listPolicy) insert(b *block) { p.list.pushFront(b) }
-func (p *listPolicy) access(b *block) {
+func (p *listPolicy) insert(id int32) { p.list.pushFront(p.f, id) }
+func (p *listPolicy) access(id int32) {
 	if p.moveOnAccess {
-		p.list.moveToFront(b)
+		p.list.moveToFront(p.f, id)
 	}
 }
-func (p *listPolicy) remove(b *block) { p.list.remove(b) }
-func (p *listPolicy) victim() *block  { return p.list.tail }
+func (p *listPolicy) remove(id int32) { p.list.remove(p.f, id) }
+func (p *listPolicy) victim() int32   { return p.list.back() }
 func (p *listPolicy) len() int        { return p.list.n }
 
 // clockPolicy approximates LRU with a reference bit per block and a
-// sweeping hand. Blocks live on the same intrusive list; the hand walks
-// from the tail toward the head, giving referenced blocks a second chance.
+// sweeping hand. Blocks live on one ID list; the hand walks from the
+// tail toward the head, giving referenced blocks a second chance.
 type clockPolicy struct {
-	list blockList
-	hand *block
+	bound
+	list idList
+	hand int32 // nilID: start at the tail
 }
 
-func (p *clockPolicy) insert(b *block) { p.list.pushFront(b) }
-func (p *clockPolicy) access(b *block) { b.referenced = true }
-func (p *clockPolicy) remove(b *block) {
-	if p.hand == b {
-		p.hand = b.prev
-		if p.hand == nil {
+func (p *clockPolicy) insert(id int32) {
+	p.f[id].ref = false
+	p.list.pushFront(p.f, id)
+}
+func (p *clockPolicy) access(id int32) { p.f[id].ref = true }
+func (p *clockPolicy) remove(id int32) {
+	if p.hand == id {
+		p.hand = p.f[id].prev
+		if p.hand == nilID {
 			p.hand = p.list.tail
 		}
-		if p.hand == b {
-			p.hand = nil
+		if p.hand == id {
+			p.hand = nilID
 		}
 	}
-	p.list.remove(b)
+	p.list.remove(p.f, id)
 }
-func (p *clockPolicy) victim() *block {
+func (p *clockPolicy) victim() int32 {
 	if p.list.n == 0 {
-		return nil
+		return nilID
 	}
-	if p.hand == nil {
+	if p.hand == nilID {
 		p.hand = p.list.tail
 	}
 	// Two sweeps suffice: the first clears every referenced bit on the
 	// way, so the second finds an unreferenced block.
 	for i := 0; i < 2*p.list.n; i++ {
-		b := p.hand
-		if !b.referenced {
-			return b
+		id := p.hand
+		fr := &p.f[id]
+		if !fr.ref {
+			return id
 		}
-		b.referenced = false
-		p.hand = b.prev
-		if p.hand == nil {
+		fr.ref = false
+		p.hand = fr.prev
+		if p.hand == nilID {
 			p.hand = p.list.tail
 		}
 	}
@@ -335,29 +308,41 @@ func (p *clockPolicy) victim() *block {
 }
 func (p *clockPolicy) len() int { return p.list.n }
 
-// randomPolicy evicts a uniformly random block. Blocks are kept in a
-// slice with back-swap deletion; each block remembers its slot.
+// randomPolicy evicts a uniformly random block. Resident IDs are kept
+// in a slice with back-swap deletion; pos maps each resident ID to its
+// slot.
 type randomPolicy struct {
-	blocks []*block
-	src    *dist.Source
+	ids      []int32
+	pos      []int32
+	src      *dist.Source
+	capacity int
 }
 
-func (p *randomPolicy) insert(b *block) {
-	b.slot = len(p.blocks)
-	p.blocks = append(p.blocks, b)
-}
-func (p *randomPolicy) access(*block) {}
-func (p *randomPolicy) remove(b *block) {
-	last := len(p.blocks) - 1
-	p.blocks[b.slot] = p.blocks[last]
-	p.blocks[b.slot].slot = b.slot
-	p.blocks[last] = nil
-	p.blocks = p.blocks[:last]
-}
-func (p *randomPolicy) victim() *block {
-	if len(p.blocks) == 0 {
-		return nil
+func (p *randomPolicy) bind(f []frame, _ []int32) {
+	p.pos = append(p.pos, make([]int32, len(f)-len(p.pos))...)
+	// Residency never exceeds the capacity or the ID count, so sizing
+	// ids once here keeps every later insert allocation-free.
+	if n := min(p.capacity, len(f)); cap(p.ids) < n {
+		p.ids = append(make([]int32, 0, n), p.ids...)
 	}
-	return p.blocks[p.src.Intn(len(p.blocks))]
 }
-func (p *randomPolicy) len() int { return len(p.blocks) }
+func (p *randomPolicy) insert(id int32) {
+	p.pos[id] = int32(len(p.ids))
+	p.ids = append(p.ids, id)
+}
+func (p *randomPolicy) access(int32) {}
+func (p *randomPolicy) remove(id int32) {
+	last := len(p.ids) - 1
+	slot := p.pos[id]
+	moved := p.ids[last]
+	p.ids[slot] = moved
+	p.pos[moved] = slot
+	p.ids = p.ids[:last]
+}
+func (p *randomPolicy) victim() int32 {
+	if len(p.ids) == 0 {
+		return nilID
+	}
+	return p.ids[p.src.Intn(len(p.ids))]
+}
+func (p *randomPolicy) len() int { return len(p.ids) }

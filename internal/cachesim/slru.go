@@ -9,18 +9,17 @@ package cachesim
 // of probation (it keeps a second chance, but competes with new arrivals
 // again).
 //
-// Segment membership is tagged in the block's slot field (the intrusive
-// field the random policy uses as a slice index; a block belongs to one
-// policy at a time).
+// Segment membership is tagged in the frame's seg byte.
 
 const (
-	segProbation = iota
+	segProbation = segNone + 1 + iota
 	segProtected
 )
 
 type slruPolicy struct {
-	probation blockList
-	protected blockList
+	bound
+	probation idList
+	protected idList
 	// protCap bounds the protected segment; capacity*4/5, and always at
 	// least one below the total capacity so probation can hold a new
 	// arrival.
@@ -38,44 +37,45 @@ func newSLRUPolicy(capacity int) *slruPolicy {
 	return &slruPolicy{protCap: pc}
 }
 
-func (p *slruPolicy) insert(b *block) {
-	b.slot = segProbation
-	p.probation.pushFront(b)
+func (p *slruPolicy) insert(id int32) {
+	p.f[id].seg = segProbation
+	p.probation.pushFront(p.f, id)
 }
 
-func (p *slruPolicy) access(b *block) {
-	if b.slot == segProtected {
-		p.protected.moveToFront(b)
+func (p *slruPolicy) access(id int32) {
+	fr := &p.f[id]
+	if fr.seg == segProtected {
+		p.protected.moveToFront(p.f, id)
 		return
 	}
 	// Promotion: probation hit moves to the protected head; protected
 	// overflow demotes its tail to the probation head.
-	p.probation.remove(b)
-	b.slot = segProtected
-	p.protected.pushFront(b)
+	p.probation.remove(p.f, id)
+	fr.seg = segProtected
+	p.protected.pushFront(p.f, id)
 	for p.protected.n > p.protCap {
 		d := p.protected.tail
-		p.protected.remove(d)
-		d.slot = segProbation
-		p.probation.pushFront(d)
+		p.protected.remove(p.f, d)
+		p.f[d].seg = segProbation
+		p.probation.pushFront(p.f, d)
 	}
 }
 
-func (p *slruPolicy) remove(b *block) {
-	if b.slot == segProtected {
-		p.protected.remove(b)
+func (p *slruPolicy) remove(id int32) {
+	if p.f[id].seg == segProtected {
+		p.protected.remove(p.f, id)
 	} else {
-		p.probation.remove(b)
+		p.probation.remove(p.f, id)
 	}
 }
 
 // victim prefers the probation tail; an empty probation (everything
 // promoted) falls back to the protected tail.
-func (p *slruPolicy) victim() *block {
-	if p.probation.tail != nil {
+func (p *slruPolicy) victim() int32 {
+	if p.probation.n > 0 {
 		return p.probation.tail
 	}
-	return p.protected.tail
+	return p.protected.back()
 }
 
 func (p *slruPolicy) len() int { return p.probation.n + p.protected.n }

@@ -26,19 +26,23 @@ package cachesim
 // popularity decays (the "reset" operation of the paper).
 
 const (
-	tWindow = iota
+	tWindow = segNone + 1 + iota
 	tProbation
 	tProtected
 )
 
 type tinyLFUPolicy struct {
-	window    blockList
-	probation blockList
-	protected blockList
+	bound
+	window    idList
+	probation idList
+	protected idList
 	winCap    int
 	mainCap   int
 	protCap   int
 	sketch    cmSketch
+	// keys maps dense IDs to the caller's IDs, which are what the sketch
+	// hashes (nil: the dense IDs are the caller's).
+	keys []int32
 }
 
 func newTinyLFUPolicy(capacity int) *tinyLFUPolicy {
@@ -56,83 +60,96 @@ func newTinyLFUPolicy(capacity int) *tinyLFUPolicy {
 	return p
 }
 
-func (p *tinyLFUPolicy) insert(b *block) {
-	p.sketch.add(b.id)
-	b.slot = tWindow
-	p.window.pushFront(b)
+func (p *tinyLFUPolicy) bind(f []frame, keys []int32) { p.f, p.keys = f, keys }
+
+func (p *tinyLFUPolicy) key(id int32) int32 {
+	if p.keys != nil {
+		return p.keys[id]
+	}
+	return id
 }
 
-func (p *tinyLFUPolicy) access(b *block) {
-	p.sketch.add(b.id)
-	switch b.slot {
+func (p *tinyLFUPolicy) insert(id int32) {
+	p.sketch.add(p.key(id))
+	p.f[id].seg = tWindow
+	p.window.pushFront(p.f, id)
+}
+
+func (p *tinyLFUPolicy) access(id int32) {
+	p.sketch.add(p.key(id))
+	fr := &p.f[id]
+	switch fr.seg {
 	case tWindow:
-		p.window.moveToFront(b)
+		p.window.moveToFront(p.f, id)
 	case tProtected:
-		p.protected.moveToFront(b)
+		p.protected.moveToFront(p.f, id)
 	default:
 		// Probation hit: promote, demoting protected overflow back to
 		// probation (same discipline as the standalone SLRU policy).
-		p.probation.remove(b)
-		b.slot = tProtected
-		p.protected.pushFront(b)
+		p.probation.remove(p.f, id)
+		fr.seg = tProtected
+		p.protected.pushFront(p.f, id)
 		for p.protected.n > p.protCap {
 			d := p.protected.tail
-			p.protected.remove(d)
-			d.slot = tProbation
-			p.probation.pushFront(d)
+			p.protected.remove(p.f, d)
+			p.f[d].seg = tProbation
+			p.probation.pushFront(p.f, d)
 		}
 	}
 }
 
-func (p *tinyLFUPolicy) remove(b *block) {
-	switch b.slot {
+func (p *tinyLFUPolicy) remove(id int32) {
+	switch p.f[id].seg {
 	case tWindow:
-		p.window.remove(b)
+		p.window.remove(p.f, id)
 	case tProtected:
-		p.protected.remove(b)
+		p.protected.remove(p.f, id)
 	default:
-		p.probation.remove(b)
+		p.probation.remove(p.f, id)
 	}
 }
 
-func (p *tinyLFUPolicy) mainVictim() *block {
-	if p.probation.tail != nil {
+func (p *tinyLFUPolicy) mainVictim() int32 {
+	if p.probation.n > 0 {
 		return p.probation.tail
 	}
-	return p.protected.tail
+	return p.protected.back()
 }
 
-func (p *tinyLFUPolicy) victim() *block {
+// admit moves the window tail into the main cache's probation segment.
+func (p *tinyLFUPolicy) admit() {
+	w := p.window.tail
+	p.window.remove(p.f, w)
+	p.f[w].seg = tProbation
+	p.probation.pushFront(p.f, w)
+}
+
+func (p *tinyLFUPolicy) victim() int32 {
 	// Window overflow drains into spare main capacity without a duel
 	// (this is how the main cache bootstraps: before the first eviction
 	// every block sits in the window).
 	for p.window.n > p.winCap && p.probation.n+p.protected.n < p.mainCap {
-		w := p.window.tail
-		p.window.remove(w)
-		w.slot = tProbation
-		p.probation.pushFront(w)
+		p.admit()
 	}
-	if p.window.n >= p.winCap && p.window.tail != nil {
+	if p.window.n >= p.winCap && p.window.n > 0 {
 		w := p.window.tail
 		m := p.mainVictim()
-		if m == nil {
+		if m == nilID {
 			return w
 		}
 		// The admission duel. Strict inequality: on a tie the incumbent
 		// wins, keeping a scan of never-repeated blocks out of the main
 		// cache.
-		if p.sketch.estimate(w.id) > p.sketch.estimate(m.id) {
-			p.window.remove(w)
-			w.slot = tProbation
-			p.probation.pushFront(w)
+		if p.sketch.estimate(p.key(w)) > p.sketch.estimate(p.key(m)) {
+			p.admit()
 			return m
 		}
 		return w
 	}
-	if m := p.mainVictim(); m != nil {
+	if m := p.mainVictim(); m != nilID {
 		return m
 	}
-	return p.window.tail
+	return p.window.back()
 }
 
 func (p *tinyLFUPolicy) len() int { return p.window.n + p.probation.n + p.protected.n }

@@ -119,20 +119,10 @@ func runClient(tape *xfer.Tape, r *resolved, cfg Config, blockBase, fileBase int
 		}
 		p.ops = append(p.ops, serverOp{time: t, kind: kind, id: blockBase + id})
 	}
-	ops := tape.Ops
-	for i := range ops {
-		op := &ops[i]
-		c.advance(op.Time)
-		switch op.Kind {
-		case xfer.OpPurge:
-			c.purge(r.opFile[i], op.Size)
-			if fs := r.opFile[i]; fs >= 0 {
-				p.ops = append(p.ops, serverOp{time: op.Time, kind: opPurge, fs: fileBase + fs, size: op.Size})
-			}
-		case xfer.OpTransfer:
-			c.transfer(op.Xfer)
-		}
+	c.onPurge = func(fs int32, size int64, t trace.Time) {
+		p.ops = append(p.ops, serverOp{time: t, kind: opPurge, fs: fileBase + fs, size: size})
 	}
+	c.run()
 	p.res = c.res
 	return p
 }

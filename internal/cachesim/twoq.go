@@ -16,15 +16,19 @@ package cachesim
 // (dead-data) blocks the ghost is useless but harmless: the dense block
 // IDs of deleted file data are never referenced again.
 
+// Segment tags; A1out is a ghost list through the departed IDs' frame
+// links.
 const (
-	qA1in = iota
+	qA1in = segNone + 1 + iota
 	qAm
+	qA1out
 )
 
 type twoQPolicy struct {
-	a1in  blockList // probationary FIFO: front = newest
-	am    blockList // main LRU list
-	a1out ghostList // identities of departed A1in blocks
+	bound
+	a1in  idList // probationary FIFO: front = newest
+	am    idList // main LRU list
+	a1out idList // identities of departed A1in blocks
 	kin   int
 	kout  int
 }
@@ -44,45 +48,50 @@ func newTwoQPolicy(capacity int) *twoQPolicy {
 	return &twoQPolicy{kin: kin, kout: kout}
 }
 
-func (p *twoQPolicy) insert(b *block) {
-	if p.a1out.remove(b.id) {
-		b.slot = qAm
-		p.am.pushFront(b)
+func (p *twoQPolicy) insert(id int32) {
+	fr := &p.f[id]
+	if fr.seg == qA1out {
+		p.a1out.remove(p.f, id)
+		fr.seg = qAm
+		p.am.pushFront(p.f, id)
 		return
 	}
-	b.slot = qA1in
-	p.a1in.pushFront(b)
+	fr.seg = qA1in
+	p.a1in.pushFront(p.f, id)
 }
 
-func (p *twoQPolicy) access(b *block) {
-	if b.slot == qAm {
-		p.am.moveToFront(b)
+func (p *twoQPolicy) access(id int32) {
+	if p.f[id].seg == qAm {
+		p.am.moveToFront(p.f, id)
 	}
 	// A1in hits do not reorder the FIFO (see the package comment).
 }
 
-func (p *twoQPolicy) remove(b *block) {
-	if b.slot == qA1in {
-		p.a1in.remove(b)
-		p.a1out.pushFront(b.id)
-		for p.a1out.len() > p.kout {
-			p.a1out.dropOldest()
+func (p *twoQPolicy) remove(id int32) {
+	fr := &p.f[id]
+	if fr.seg == qA1in {
+		p.a1in.remove(p.f, id)
+		fr.seg = qA1out
+		p.a1out.pushFront(p.f, id)
+		for p.a1out.n > p.kout {
+			p.a1out.dropBack(p.f)
 		}
 		return
 	}
-	p.am.remove(b)
+	p.am.remove(p.f, id)
+	fr.seg = segNone
 }
 
 // victim drains A1in while it holds more than its Kin share (or while Am
 // is empty), otherwise evicts the Am tail.
-func (p *twoQPolicy) victim() *block {
-	if (p.a1in.n > p.kin || p.am.n == 0) && p.a1in.tail != nil {
+func (p *twoQPolicy) victim() int32 {
+	if (p.a1in.n > p.kin || p.am.n == 0) && p.a1in.n > 0 {
 		return p.a1in.tail
 	}
-	if p.am.tail != nil {
+	if p.am.n > 0 {
 		return p.am.tail
 	}
-	return p.a1in.tail
+	return p.a1in.back()
 }
 
 func (p *twoQPolicy) len() int { return p.a1in.n + p.am.n }

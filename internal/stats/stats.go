@@ -214,12 +214,17 @@ func (h *Histogram) Add(x, weight float64) {
 		h.maxSeen = x
 		h.anySeen = true
 	}
-	i := sort.SearchFloat64s(h.bounds, x)
+	i := h.BucketOf(x)
+	h.weights[i] += weight
+	h.total += weight
+}
+
+// BucketOf returns the index of the bucket Add files x under.
+func (h *Histogram) BucketOf(x float64) int {
 	// SearchFloat64s returns the first index with bounds[i] >= x, which is
 	// exactly the bucket for (bounds[i-1], bounds[i]]; x beyond the last
 	// bound lands in the overflow bucket at index len(bounds).
-	h.weights[i] += weight
-	h.total += weight
+	return sort.SearchFloat64s(h.bounds, x)
 }
 
 // Total returns the total weight added.
