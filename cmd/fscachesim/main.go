@@ -32,6 +32,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -193,17 +194,29 @@ func main() {
 		os.Exit(1)
 	}
 	cachesim.PublishResults(reg, "sim", r)
-	fmt.Fprintf(w, "cache %s, blocks %s, %v, %v replacement\n",
+	if err := writeSummary(w, cfg, r); err != nil {
+		prog.Stop()
+		fmt.Fprintln(os.Stderr, "fscachesim:", err)
+		os.Exit(1)
+	}
+	finish()
+}
+
+// writeSummary prints the single-run summary.
+func writeSummary(w io.Writer, cfg cachesim.Config, r *cachesim.Result) error {
+	var b strings.Builder
+	fmt.Fprintf(&b, "cache %s, blocks %s, %v, %v replacement\n",
 		report.Size(cfg.CacheSize), report.Size(cfg.BlockSize), cfg.Write, cfg.Replacement)
-	fmt.Fprintf(w, "logical block accesses: %s (%s writes)\n",
+	fmt.Fprintf(&b, "logical block accesses: %s (%s writes)\n",
 		report.Count(r.LogicalAccesses), report.Pct(r.WriteFraction()))
-	fmt.Fprintf(w, "disk I/Os: %s (%s reads + %s writes), miss ratio %s\n",
+	fmt.Fprintf(&b, "disk I/Os: %s (%s reads + %s writes), miss ratio %s\n",
 		report.Count(r.DiskIOs()), report.Count(r.DiskReads), report.Count(r.DiskWrites),
 		report.Pct(r.MissRatio()))
-	fmt.Fprintf(w, "dirty blocks that died in cache: %s (%s of dirtied)\n",
+	fmt.Fprintf(&b, "dirty blocks that died in cache: %s (%s of dirtied)\n",
 		report.Count(r.DirtyDiscarded), report.Pct(r.NeverWrittenFraction()))
-	fmt.Fprintf(w, "blocks resident > %v: %s\n", r.Config.ResidencyThreshold, report.Pct(r.ResidencyOver))
-	finish()
+	fmt.Fprintf(&b, "blocks resident > %v: %s\n", r.Config.ResidencyThreshold, report.Pct(r.ResidencyOver))
+	_, err := io.WriteString(w, b.String())
+	return err
 }
 
 // buildTape streams a trace file into a transfer tape, under a
@@ -301,7 +314,9 @@ func runSweep(w *os.File, tape *xfer.Tape, name string, fit int, reg *obs.Regist
 		for _, row := range res {
 			cachesim.PublishResults(reg, "sim", row...)
 		}
-		report.TableVI(sizes, pols, res).Render(w)
+		if err := report.TableVI(sizes, pols, res).Render(w); err != nil {
+			return err
+		}
 		return report.Figure5(sizes, pols, res).Render(w)
 	case "tablevii", "vii":
 		res, err := cachesim.BlockSizeSweepTape(tape, cachesim.PaperBlockSizes(), cachesim.PaperBlockCacheSizes())
@@ -311,7 +326,9 @@ func runSweep(w *os.File, tape *xfer.Tape, name string, fit int, reg *obs.Regist
 		for _, row := range res.Results {
 			cachesim.PublishResults(reg, "sim", row...)
 		}
-		report.TableVII(res).Render(w)
+		if err := report.TableVII(res).Render(w); err != nil {
+			return err
+		}
 		return report.Figure6(res).Render(w)
 	case "fig7", "paging":
 		sizes := ladder()
@@ -372,7 +389,7 @@ func runSweep(w *os.File, tape *xfer.Tape, name string, fit int, reg *obs.Regist
 				{Name: "ram", Size: cachesim.UnixCacheSize, Replacement: cachesim.LRU,
 					Write: cachesim.WriteThrough},
 				{Name: "flash", Size: 4 << 20, Replacement: cachesim.ARC, Seed: 1,
-					Write: cachesim.DelayedWrite,
+					Write:       cachesim.DelayedWrite,
 					ReadLatency: trace.Millisecond, WriteLatency: 2 * trace.Millisecond,
 					EnduranceWrites: 100_000},
 				{Name: "disk", ReadLatency: 10 * trace.Millisecond,
@@ -402,10 +419,10 @@ func runSweep(w *os.File, tape *xfer.Tape, name string, fit int, reg *obs.Regist
 		if err := t.Render(w); err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "end-to-end miss ratio %s; network blocks %s; disk I/Os %s\n\n",
+		_, err = fmt.Fprintf(w, "end-to-end miss ratio %s; network blocks %s; disk I/Os %s\n\n",
 			report.Pct(res.EndToEndMissRatio()), report.Count(res.NetworkBlocks()),
 			report.Count(res.DiskReads()+res.DiskWrites()))
-		return nil
+		return err
 	case "stack":
 		r, err := cachesim.StackDistancesTape(tape, 4096)
 		if err != nil {
@@ -463,8 +480,7 @@ func runCrashSweep(w *os.File, tape *xfer.Tape, blockSize, cacheSize int64, n in
 		return err
 	}
 	fault.PublishReports(reg, "crash", reps)
-	report.Reliability(pols, reps, cacheSize, blockSize, len(points)).Render(w)
-	return nil
+	return report.Reliability(pols, reps, cacheSize, blockSize, len(points)).Render(w)
 }
 
 // runCrashAt reports the loss of a single crash instant under one
@@ -476,11 +492,13 @@ func runCrashAt(w *os.File, tape *xfer.Tape, cfg cachesim.Config, at trace.Time,
 	}
 	fault.PublishReports(reg, "crash", []*fault.Report{rep})
 	p := rep.Points[0]
-	fmt.Fprintf(w, "crash at %v under %v (cache %s, blocks %s):\n",
+	var b strings.Builder
+	fmt.Fprintf(&b, "crash at %v under %v (cache %s, blocks %s):\n",
 		p.Time, cfg.Write, report.Size(cfg.CacheSize), report.Size(cfg.BlockSize))
-	fmt.Fprintf(w, "lost: %s in %s dirty blocks\n", report.Size(p.Bytes), report.Count(p.Blocks))
+	fmt.Fprintf(&b, "lost: %s in %s dirty blocks\n", report.Size(p.Bytes), report.Count(p.Blocks))
 	if p.Blocks > 0 {
-		fmt.Fprintf(w, "oldest lost data: %v unflushed; mean %v\n", p.MaxAge, p.MeanAge)
+		fmt.Fprintf(&b, "oldest lost data: %v unflushed; mean %v\n", p.MaxAge, p.MeanAge)
 	}
-	return nil
+	_, err = io.WriteString(w, b.String())
+	return err
 }

@@ -165,3 +165,41 @@ func TestRunCrashSweepAndCrashAt(t *testing.T) {
 		t.Errorf("crash output contains NaN")
 	}
 }
+
+// TestWriteErrorsReturned: output that cannot be written is an error,
+// not a silent exit 0.
+func TestWriteErrorsReturned(t *testing.T) {
+	res, err := workload.Generate(workload.Config{Profile: "A5", Seed: 8, Duration: 15 * trace.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tape, err := xfer.NewTape(res.Events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed, err := os.Create(filepath.Join(t.TempDir(), "closed.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed.Close()
+
+	if err := runCrashSweep(closed, tape, 4096, 2<<20, 8, nil); err == nil {
+		t.Error("runCrashSweep into a closed file returned nil")
+	}
+	cfg := cachesim.Config{BlockSize: 4096, CacheSize: 2 << 20, Write: cachesim.DelayedWrite}
+	if err := runCrashAt(closed, tape, cfg, 10*trace.Minute, nil); err == nil {
+		t.Error("runCrashAt into a closed file returned nil")
+	}
+	for _, sweep := range []string{"tableVI", "tableVII", "tiers"} {
+		if err := runSweep(closed, tape, sweep, 0, nil); err == nil {
+			t.Errorf("-sweep %s into a closed file returned nil", sweep)
+		}
+	}
+	r, err := cachesim.SimulateTape(tape, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := writeSummary(closed, cfg, r); err == nil {
+		t.Error("writeSummary into a closed file returned nil")
+	}
+}
