@@ -31,7 +31,7 @@ const (
 )
 
 type arcPolicy struct {
-	bound
+	boundFrames
 	t1, t2 idList // resident: front = most recent
 	b1, b2 idList // ghosts: front = most recently departed
 	c      int    // capacity in blocks

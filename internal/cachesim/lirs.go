@@ -40,7 +40,7 @@ type lirsNode struct {
 }
 
 type lirsPolicy struct {
-	bound
+	boundFrames
 	n []lirsNode // indexed by ID, parallel to the frames
 	// Stack S: sTop is the most recently referenced entry (nilID when
 	// S is empty).

@@ -168,11 +168,11 @@ func newReplacer(r Replacement, capacity int, seed int64) replacer {
 	}
 }
 
-// bound is the frame binding most policies need: the slice, and nothing
+// boundFrames is the frame binding most policies need: the slice, and nothing
 // derived from it.
-type bound struct{ f []frame }
+type boundFrames struct{ f []frame }
 
-func (b *bound) bind(f []frame, _ []int32) { b.f = f }
+func (b *boundFrames) bind(f []frame, _ []int32) { b.f = f }
 
 // idList is a doubly-linked list of block IDs threaded through the
 // frames' prev/next links. A frame sits on at most one list at a time,
@@ -242,7 +242,7 @@ func (l *idList) dropBack(f []frame) {
 // listPolicy implements LRU (moveOnAccess) and FIFO (insertion order).
 // The victim is always the list tail.
 type listPolicy struct {
-	bound
+	boundFrames
 	list         idList
 	moveOnAccess bool
 }
@@ -261,7 +261,7 @@ func (p *listPolicy) len() int        { return p.list.n }
 // sweeping hand. Blocks live on one ID list; the hand walks from the
 // tail toward the head, giving referenced blocks a second chance.
 type clockPolicy struct {
-	bound
+	boundFrames
 	list idList
 	hand int32 // nilID: start at the tail
 }

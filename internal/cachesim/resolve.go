@@ -50,7 +50,6 @@ type blockKey struct {
 // blocks touched however large the offsets (foreign traces reach 2^56
 // bytes).
 type fileIndex struct {
-	file   trace.FileID
 	base   int64   // block index of window[0]
 	window []int32 // dense ID of block base+k, or nilID
 	n      int64   // distinct blocks, window and far
@@ -61,17 +60,10 @@ type fileIndex struct {
 // stretch: small files stay dense whatever their offsets.
 const windowSlack = 16
 
-// lookup returns the dense ID of block idx, or nilID.
-func (x *fileIndex) lookup(idx int64, far map[blockKey]int32) int32 {
+// at returns the dense ID the window holds for block idx, or nilID.
+func (x *fileIndex) at(idx int64) int32 {
 	if k := idx - x.base; k >= 0 && k < int64(len(x.window)) {
-		if id := x.window[k]; id != nilID {
-			return id
-		}
-	}
-	if x.nFar > 0 {
-		if id, ok := far[blockKey{x.file, idx}]; ok {
-			return id
-		}
+		return x.window[k]
 	}
 	return nilID
 }
@@ -136,24 +128,24 @@ func resolveTape(t *xfer.Tape, blockSize int64) *resolved {
 			if !ok {
 				fs = int32(len(files))
 				fileSlots[tr.File] = fs
-				files = append(files, fileIndex{file: tr.File})
+				files = append(files, fileIndex{})
 			}
 			x := &files[fs]
 			for idx := first; idx <= last; idx++ {
-				id := nilID
-				if k := idx - x.base; k >= 0 && k < int64(len(x.window)) {
-					id = x.window[k]
+				id := x.at(idx)
+				if id == nilID && x.nFar > 0 {
+					if v, ok := far[blockKey{tr.File, idx}]; ok {
+						id = v
+					}
 				}
 				if id == nilID {
-					if id = x.lookup(idx, far); id == nilID {
-						id = int32(len(r.blockIdx))
-						r.blockIdx = append(r.blockIdx, idx)
-						if x.add(idx, id) {
-							if far == nil {
-								far = make(map[blockKey]int32)
-							}
-							far[blockKey{tr.File, idx}] = id
+					id = int32(len(r.blockIdx))
+					r.blockIdx = append(r.blockIdx, idx)
+					if x.add(idx, id) {
+						if far == nil {
+							far = make(map[blockKey]int32)
 						}
+						far[blockKey{tr.File, idx}] = id
 					}
 				}
 				r.accessIDs = append(r.accessIDs, id)

@@ -17,7 +17,7 @@ const (
 )
 
 type slruPolicy struct {
-	bound
+	boundFrames
 	probation idList
 	protected idList
 	// protCap bounds the protected segment; capacity*4/5, and always at

@@ -32,7 +32,7 @@ const (
 )
 
 type tinyLFUPolicy struct {
-	bound
+	boundFrames
 	window    idList
 	probation idList
 	protected idList

@@ -25,7 +25,7 @@ const (
 )
 
 type twoQPolicy struct {
-	bound
+	boundFrames
 	a1in  idList // probationary FIFO: front = newest
 	am    idList // main LRU list
 	a1out idList // identities of departed A1in blocks

@@ -214,18 +214,16 @@ func (h *Histogram) Add(x, weight float64) {
 		h.maxSeen = x
 		h.anySeen = true
 	}
-	i := h.BucketOf(x)
+	i := sort.SearchFloat64s(h.bounds, x)
+	// SearchFloat64s returns the first index with bounds[i] >= x, which is
+	// exactly the bucket for (bounds[i-1], bounds[i]]; x beyond the last
+	// bound lands in the overflow bucket at index len(bounds).
 	h.weights[i] += weight
 	h.total += weight
 }
 
 // BucketOf returns the index of the bucket Add files x under.
-func (h *Histogram) BucketOf(x float64) int {
-	// SearchFloat64s returns the first index with bounds[i] >= x, which is
-	// exactly the bucket for (bounds[i-1], bounds[i]]; x beyond the last
-	// bound lands in the overflow bucket at index len(bounds).
-	return sort.SearchFloat64s(h.bounds, x)
-}
+func (h *Histogram) BucketOf(x float64) int { return sort.SearchFloat64s(h.bounds, x) }
 
 // Total returns the total weight added.
 func (h *Histogram) Total() float64 { return h.total }

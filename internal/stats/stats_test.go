@@ -251,3 +251,16 @@ func TestQuantileFractionInverse(t *testing.T) {
 		}
 	}
 }
+
+// BucketOf names the bucket Add files a value under, boundaries included.
+func TestHistogramBucketOfMatchesAdd(t *testing.T) {
+	bounds := []float64{10, 20, 30}
+	for _, x := range []float64{-1, 0, 5, 10, 10.000001, 19.99, 20, 30, 30.5, 1e9} {
+		h := NewHistogram(bounds)
+		h.Add(x, 1)
+		i := h.BucketOf(x)
+		if _, w := h.Bucket(i); w != 1 {
+			t.Errorf("BucketOf(%v) = %d, but Add filed it elsewhere", x, i)
+		}
+	}
+}
