@@ -63,6 +63,7 @@ package cachesim
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"bsdtrace/internal/stats"
 	"bsdtrace/internal/trace"
@@ -411,14 +412,9 @@ func (c *cache) purge(fs int32, size int64) {
 	// Doomed blocks satisfy idx*blockSize >= size, i.e. idx >=
 	// ceil(size/blockSize); they form a suffix of the sorted ID list.
 	bound := (size + c.cfg.BlockSize - 1) / c.cfg.BlockSize
-	lo, hi := 0, len(ids)
-	for lo < hi && bound > 0 {
-		mid := int(uint(lo+hi) >> 1)
-		if c.r.blockIdx[ids[mid]] < bound {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	lo := 0
+	if bound > 0 {
+		lo = sort.Search(len(ids), func(k int) bool { return c.r.blockIdx[ids[k]] >= bound })
 	}
 	for _, id := range ids[lo:] {
 		if c.f[id].resident {
