@@ -63,6 +63,18 @@ func benchSetup(b *testing.B) {
 	b.ResetTimer()
 }
 
+// newTape reconstructs a trace's transfer tape. Benchmarks call it inside
+// the timed loop, so each iteration regenerates its artifact from the
+// events.
+func newTape(b *testing.B, events []trace.Event) *xfer.Tape {
+	b.Helper()
+	tape, err := xfer.NewTape(events)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return tape
+}
+
 // BenchmarkGenerate measures trace generation itself (events/sec of
 // synthetic machine time).
 func BenchmarkGenerate(b *testing.B) {
@@ -91,12 +103,13 @@ func BenchmarkAnalyze(b *testing.B) {
 func BenchmarkTableI(b *testing.B) {
 	benchSetup(b)
 	for i := 0; i < b.N; i++ {
-		policy, err := cachesim.PolicySweep(benchA5, 4096,
+		tape := newTape(b, benchA5)
+		policy, err := cachesim.PolicySweepTape(tape, 4096,
 			[]int64{cachesim.UnixCacheSize, 1 << 20, 2 << 20, 4 << 20}, cachesim.PaperPolicies())
 		if err != nil {
 			b.Fatal(err)
 		}
-		block, err := cachesim.BlockSizeSweep(benchA5,
+		block, err := cachesim.BlockSizeSweepTape(tape,
 			[]int64{4096, 8192, 16384}, []int64{400 << 10, 2 << 20, 4 << 20})
 		if err != nil {
 			b.Fatal(err)
@@ -212,7 +225,7 @@ func BenchmarkTableVI(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sizes := cachesim.PaperCacheSizes()
 		pols := cachesim.PaperPolicies()
-		res, err := cachesim.PolicySweep(benchA5, 4096, sizes, pols)
+		res, err := cachesim.PolicySweepTape(newTape(b, benchA5), 4096, sizes, pols)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -230,7 +243,7 @@ func BenchmarkFigure5(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sizes := cachesim.PaperCacheSizes()
 		pols := cachesim.PaperPolicies()
-		res, err := cachesim.PolicySweep(benchA5, 4096, sizes, pols)
+		res, err := cachesim.PolicySweepTape(newTape(b, benchA5), 4096, sizes, pols)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -246,7 +259,7 @@ func BenchmarkTableVII(b *testing.B) {
 	benchSetup(b)
 	var best16 int64
 	for i := 0; i < b.N; i++ {
-		res, err := cachesim.BlockSizeSweep(benchA5, cachesim.PaperBlockSizes(), cachesim.PaperBlockCacheSizes())
+		res, err := cachesim.BlockSizeSweepTape(newTape(b, benchA5), cachesim.PaperBlockSizes(), cachesim.PaperBlockCacheSizes())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -262,7 +275,7 @@ func BenchmarkTableVII(b *testing.B) {
 func BenchmarkFigure6(b *testing.B) {
 	benchSetup(b)
 	for i := 0; i < b.N; i++ {
-		res, err := cachesim.BlockSizeSweep(benchA5, cachesim.PaperBlockSizes(), cachesim.PaperBlockCacheSizes())
+		res, err := cachesim.BlockSizeSweepTape(newTape(b, benchA5), cachesim.PaperBlockSizes(), cachesim.PaperBlockCacheSizes())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -278,7 +291,7 @@ func BenchmarkFigure7(b *testing.B) {
 	var with, without float64
 	for i := 0; i < b.N; i++ {
 		sizes := cachesim.PaperCacheSizes()
-		res, err := cachesim.PagingSweep(benchA5, 4096, sizes)
+		res, err := cachesim.PagingSweepTape(newTape(b, benchA5), 4096, sizes)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -296,7 +309,7 @@ func BenchmarkResidency(b *testing.B) {
 	benchSetup(b)
 	var over float64
 	for i := 0; i < b.N; i++ {
-		r, err := cachesim.Simulate(benchA5, cachesim.Config{
+		r, err := cachesim.SimulateTape(newTape(b, benchA5), cachesim.Config{
 			BlockSize: 4096, CacheSize: 4 << 20, Write: cachesim.DelayedWrite,
 		})
 		if err != nil {
@@ -315,7 +328,7 @@ func BenchmarkAblationReplacement(b *testing.B) {
 	benchSetup(b)
 	var lru, fifo float64
 	for i := 0; i < b.N; i++ {
-		res, err := cachesim.ReplacementSweep(benchA5, 4096, 2<<20, 1)
+		res, err := cachesim.ReplacementSweepTape(newTape(b, benchA5), 4096, 2<<20, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -332,7 +345,7 @@ func BenchmarkAblationFlushInterval(b *testing.B) {
 	intervals := []trace.Time{trace.Second, 30 * trace.Second, 5 * trace.Minute, trace.Hour}
 	var first, last float64
 	for i := 0; i < b.N; i++ {
-		res, err := cachesim.FlushIntervalSweep(benchA5, 4096, 2<<20, intervals)
+		res, err := cachesim.FlushIntervalSweepTape(newTape(b, benchA5), 4096, 2<<20, intervals)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -348,8 +361,9 @@ func BenchmarkAblationBilling(b *testing.B) {
 	benchSetup(b)
 	var end, start float64
 	for i := 0; i < b.N; i++ {
+		tape := newTape(b, benchA5)
 		for _, billStart := range []bool{false, true} {
-			r, err := cachesim.Simulate(benchA5, cachesim.Config{
+			r, err := cachesim.SimulateTape(tape, cachesim.Config{
 				BlockSize: 4096, CacheSize: 2 << 20,
 				Write: cachesim.FlushBack, FlushInterval: 30 * trace.Second,
 				BillAtStart: billStart,
@@ -373,8 +387,9 @@ func BenchmarkAblationPurge(b *testing.B) {
 	benchSetup(b)
 	var purge, noPurge float64
 	for i := 0; i < b.N; i++ {
+		tape := newTape(b, benchA5)
 		for _, np := range []bool{false, true} {
-			r, err := cachesim.Simulate(benchA5, cachesim.Config{
+			r, err := cachesim.SimulateTape(tape, cachesim.Config{
 				BlockSize: 4096, CacheSize: 2 << 20, Write: cachesim.DelayedWrite,
 				NoPurge: np,
 			})
@@ -431,7 +446,7 @@ func BenchmarkMetadata(b *testing.B) {
 		}); err != nil {
 			b.Fatal(err)
 		}
-		data, err := cachesim.Simulate(benchA5, cachesim.Config{
+		data, err := cachesim.SimulateTape(newTape(b, benchA5), cachesim.Config{
 			BlockSize: 4096, CacheSize: cachesim.UnixCacheSize,
 			Write: cachesim.FlushBack, FlushInterval: 30 * trace.Second,
 		})
@@ -469,7 +484,7 @@ func BenchmarkStackDistance(b *testing.B) {
 	benchSetup(b)
 	var at4MB float64
 	for i := 0; i < b.N; i++ {
-		r, err := cachesim.StackDistances(benchA5, 4096)
+		r, err := cachesim.StackDistancesTape(newTape(b, benchA5), 4096)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -499,7 +514,7 @@ func BenchmarkServerConsolidation(b *testing.B) {
 		merged := trace.Merge(machines...)
 		var splitIOs, splitAcc int64
 		for _, events := range machines {
-			r, err := cachesim.Simulate(events, cachesim.Config{
+			r, err := cachesim.SimulateTape(newTape(b, events), cachesim.Config{
 				BlockSize: 4096, CacheSize: 2 << 20, Write: cachesim.DelayedWrite,
 			})
 			if err != nil {
@@ -509,7 +524,7 @@ func BenchmarkServerConsolidation(b *testing.B) {
 			splitAcc += r.LogicalAccesses
 		}
 		split = float64(splitIOs) / float64(splitAcc)
-		r, err := cachesim.Simulate(merged, cachesim.Config{
+		r, err := cachesim.SimulateTape(newTape(b, merged), cachesim.Config{
 			BlockSize: 4096, CacheSize: 6 << 20, Write: cachesim.DelayedWrite,
 		})
 		if err != nil {
@@ -521,7 +536,7 @@ func BenchmarkServerConsolidation(b *testing.B) {
 	b.ReportMetric(100*shared, "shared-6MB-miss-%")
 }
 
-// BenchmarkDiskless runs the two-level client/server simulation (the
+// BenchmarkDiskless runs the client/server/disk hierarchy (the
 // diskless-workstation architecture from the paper's introduction).
 func BenchmarkDiskless(b *testing.B) {
 	benchSetup(b)
@@ -536,14 +551,22 @@ func BenchmarkDiskless(b *testing.B) {
 	b.ResetTimer()
 	var hit, endToEnd float64
 	for i := 0; i < b.N; i++ {
-		r, err := cachesim.TwoLevelSimulate(machines, cachesim.TwoLevelConfig{
-			BlockSize: 4096, ClientCache: 512 << 10, ServerCache: 8 << 20,
-			Write: cachesim.DelayedWrite,
+		tapes := make([]*xfer.Tape, len(machines))
+		for m, events := range machines {
+			tapes[m] = newTape(b, events)
+		}
+		r, err := cachesim.HierarchySimulateTapes(tapes, cachesim.HierarchyConfig{
+			BlockSize: 4096,
+			Tiers: []cachesim.Tier{
+				{Name: "client", Size: 512 << 10, Write: cachesim.WriteThrough},
+				{Name: "server", Size: 8 << 20, Write: cachesim.DelayedWrite},
+				{Name: "disk"},
+			},
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		hit = r.ClientHitRatio()
+		hit = 1 - float64(r.NetworkBlocks())/float64(r.ClientAccesses)
 		endToEnd = r.EndToEndMissRatio()
 	}
 	b.ReportMetric(100*hit, "client-hit-%")
@@ -579,7 +602,7 @@ func benchPaperConfigs() []cachesim.Config {
 
 // BenchmarkNaiveSweep runs the combined Section-6 sweep the
 // pre-tape way: every configuration re-reconstructs the transfer stream
-// from the raw events (Simulate builds a private tape per call). The
+// from the raw events (a private tape per SimulateTape call). The
 // configurations still run on parallel workers, so the comparison with
 // BenchmarkTapeReuse isolates the cost of re-reconstruction, not of
 // serial execution.
@@ -594,7 +617,11 @@ func BenchmarkNaiveSweep(b *testing.B) {
 			go func() {
 				defer wg.Done()
 				for j := range next {
-					if _, err := cachesim.Simulate(benchA5, cfgs[j]); err != nil {
+					tape, err := xfer.NewTape(benchA5)
+					if err == nil {
+						_, err = cachesim.SimulateTape(tape, cfgs[j])
+					}
+					if err != nil {
 						b.Error(err)
 						return
 					}
@@ -634,7 +661,7 @@ func BenchmarkWorkingSet(b *testing.B) {
 	benchSetup(b)
 	var tenMin float64
 	for i := 0; i < b.N; i++ {
-		ws, err := cachesim.WorkingSet(benchA5, 4096, []trace.Time{
+		ws, err := cachesim.WorkingSetTape(newTape(b, benchA5), 4096, []trace.Time{
 			10 * trace.Second, trace.Minute, 10 * trace.Minute,
 		})
 		if err != nil {

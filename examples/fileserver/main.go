@@ -21,6 +21,7 @@ import (
 	"bsdtrace/internal/report"
 	"bsdtrace/internal/trace"
 	"bsdtrace/internal/workload"
+	"bsdtrace/internal/xfer"
 )
 
 func main() {
@@ -47,7 +48,11 @@ func main() {
 		len(machines), len(merged))
 
 	sim := func(events []trace.Event, cacheBytes int64) *cachesim.Result {
-		r, err := cachesim.Simulate(events, cachesim.Config{
+		tape, err := xfer.NewTape(events)
+		if err != nil {
+			log.Fatal(err)
+		}
+		r, err := cachesim.SimulateTape(tape, cachesim.Config{
 			BlockSize: blockSize,
 			CacheSize: cacheBytes,
 			Write:     cachesim.FlushBack,

@@ -34,9 +34,9 @@
 // every block size; per block size the tape is "resolved" once into dense
 // integer block IDs (shared read-only by all configurations at that
 // size), and each configuration replays array-indexed — no event
-// scanning, no hashing. MultiSimulate runs many configurations over one
-// tape on parallel workers; Simulate remains as the convenience wrapper
-// that builds a throwaway tape from raw events.
+// scanning, no hashing. Callers build the tape once with xfer.NewTape;
+// SimulateTape replays it into one configuration and MultiSimulate into
+// many on parallel workers.
 //
 // # Frames
 //
@@ -272,11 +272,11 @@ type cache struct {
 	// nextFlush is the next flush-back scan's time (never, for the
 	// other write policies).
 	nextFlush trace.Time
-	// onDisk observes every disk operation (used by the two-level
-	// simulation, where a client's "disk" is the server).
+	// onDisk observes every disk operation (used by the hierarchy
+	// simulation, where a tier's "disk" is the tier below).
 	onDisk func(id int32, write bool, t trace.Time)
 	// onPurge observes every purge of a file slot with blocks on the
-	// tape (the two-level client pass forwards them to the server).
+	// tape (the hierarchy's tier 0 forwards them to the shared tiers).
 	onPurge func(fs int32, size int64, t trace.Time)
 	// obs observes the dirty-set lifecycle (used by the crash-injection
 	// layer in internal/fault). Nil for plain simulations.
@@ -552,59 +552,26 @@ func (c *cache) finish() *Result {
 	return c.res
 }
 
-func simulateResolved(tape *xfer.Tape, r *resolved, cfg Config) *Result {
-	c := newCache(tape, r, cfg)
-	c.run()
-	return c.finish()
-}
-
-// SimulateTape runs one cache simulation by replaying a transfer tape.
-// The per-block-size resolution is memoized on the tape, so repeated
-// calls (and MultiSimulate sweeps) against one tape share it.
+// SimulateTape runs one cache simulation by replaying a transfer tape:
+// MultiSimulate with one configuration. The per-block-size resolution is
+// memoized on the tape, so repeated calls (and MultiSimulate sweeps)
+// against one tape share it.
 func SimulateTape(tape *xfer.Tape, cfg Config) (*Result, error) {
-	if err := cfg.fill(); err != nil {
+	rs, err := MultiSimulate(tape, []Config{cfg})
+	if err != nil {
 		return nil, err
 	}
-	return simulateResolved(tape, resolvedFor(tape, cfg.BlockSize), cfg), nil
+	return rs[0], nil
 }
 
 // MultiSimulate replays one tape into every configuration, sharded
 // across parallel workers, and returns the results in configuration
-// order. Each result is identical to what Simulate would produce on the
-// tape's source events: replay order is fixed by the tape, so worker
-// count and scheduling cannot affect any result. All configurations are
-// validated before any work starts.
+// order. Each result is identical to what SimulateTape would produce on
+// a fresh tape of the same events: replay order is fixed by the tape, so
+// worker count and scheduling cannot affect any result. All
+// configurations are validated before any work starts.
 func MultiSimulate(tape *xfer.Tape, cfgs []Config) ([]*Result, error) {
 	return MultiSimulateObserved(tape, cfgs, nil)
-}
-
-// Simulate runs one cache simulation over a time-ordered trace. It is
-// the single-configuration convenience wrapper around SimulateTape; to
-// run several configurations over one trace, build the tape once with
-// xfer.NewTape and use MultiSimulate.
-func Simulate(events []trace.Event, cfg Config) (*Result, error) {
-	if err := cfg.fill(); err != nil {
-		return nil, err
-	}
-	tape, err := xfer.NewTape(events)
-	if err != nil {
-		return nil, fmt.Errorf("cachesim: malformed trace: %v", err)
-	}
-	return simulateResolved(tape, resolveTape(tape, cfg.BlockSize), cfg), nil
-}
-
-// CountBlockAccesses returns the number of logical block accesses a trace
-// generates at the given block size — the "no cache" column of the paper's
-// Table VII.
-func CountBlockAccesses(events []trace.Event, blockSize int64, simulatePaging bool) (int64, error) {
-	if blockSize <= 0 {
-		return 0, fmt.Errorf("cachesim: block size %d must be positive", blockSize)
-	}
-	tape, err := xfer.NewTape(events)
-	if err != nil {
-		return 0, fmt.Errorf("cachesim: malformed trace: %v", err)
-	}
-	return CountTapeAccesses(tape, blockSize, simulatePaging), nil
 }
 
 // CountTapeAccesses returns the number of logical block accesses a tape

@@ -1,21 +1,27 @@
 package cachesim
 
-// N-tier cache hierarchy simulation, the generalization of the
-// two-level client/server network. The paper's diskless-workstation
-// architecture is RAM over disk; modern replays of the same question
-// add a flash tier in the middle (RAM over flash over disk), where two
-// new costs appear: per-tier access latency and flash write endurance.
-// This simulation replays the trace through an arbitrary stack of
-// tiers — tier 0 is each machine's local cache, every lower tier is
-// shared — and accounts blocks, busy time, and per-block write wear at
-// every level.
+// N-tier cache hierarchy simulation. The paper's introduction motivates
+// the diskless workstation: each machine keeps a local block cache, and
+// misses and (write-through) modifications travel over the network to
+// one file server, whose own large cache stands in front of the disk.
+// That network is the three-tier instance of this simulation —
+// [write-through client, server, disk] — and answers both of the
+// paper's questions at once ("how much network bandwidth is needed to
+// support a diskless workstation?" and "how should disk block caches be
+// organized?"): client hit ratios bound the network traffic, and the
+// server cache bounds the disk traffic. Modern replays of the same
+// question add a flash tier in the middle (RAM over flash over disk),
+// where two new costs appear: per-tier access latency and flash write
+// endurance. The simulation replays the trace through an arbitrary
+// stack of tiers — tier 0 is each machine's local cache, every lower
+// tier is shared — and accounts blocks, busy time, and per-block write
+// wear at every level.
 //
-// Traffic flows exactly as in the two-level case: a tier's read misses
-// become reads against the tier below, its write policy's write-backs
-// become writes below, and data-death purges are forwarded all the way
-// down so no tier caches dead blocks. The bottom tier is the backing
-// store (unbounded, usually "the disk"): everything arriving there is
-// a real device I/O.
+// A tier's read misses become reads against the tier below, its write
+// policy's write-backs become writes below, and data-death purges are
+// forwarded all the way down so no tier caches dead blocks. The bottom
+// tier is the backing store (unbounded, usually "the disk"): everything
+// arriving there is a real device I/O.
 
 import (
 	"fmt"
@@ -153,16 +159,78 @@ func (cfg *HierarchyConfig) tierConfigs() ([]Config, error) {
 	return out, nil
 }
 
-// mergeResolved concatenates per-machine tape resolutions into the
-// shared tiers' global ID space: machine m's dense block ID i becomes
-// blockBase[m]+i, and likewise for file slots.
-func mergeResolved(machineRes []*resolved, blockBase []int32, blockSize int64, nBlocks, nFiles int32) *resolved {
-	merged := &resolved{
-		blockSize:  blockSize,
-		blockIdx:   make([]int64, 0, nBlocks),
-		fileBlocks: make([][]int32, 0, nFiles),
+// serverOp is one operation arriving at a shared tier. Block and file
+// identities are in the shared tiers' global dense ID space (each
+// machine's local IDs shifted by its base offset, so machines never
+// collide — machine files are distinct by construction, as trace.Merge
+// remaps them).
+type serverOp struct {
+	time trace.Time
+	kind serverOpKind
+	id   int32 // global block ID for opRead/opWrite
+	fs   int32 // global file slot for opPurge
+	size int64 // truncate purge boundary
+}
+
+type serverOpKind uint8
+
+const (
+	opRead serverOpKind = iota
+	opWrite
+	opPurge
+)
+
+// clientPass is one machine's contribution to the simulation: its tier-0
+// cache counters and the traffic it sent to the first shared tier, in
+// emission order.
+type clientPass struct {
+	res *Result
+	ops []serverOp
+}
+
+// runClient replays one machine's tape through its tier-0 cache. Read
+// misses, write-backs, and data-death purges become shared-tier
+// operations; blockBase and fileBase translate the machine's dense IDs
+// into the global ID space.
+func runClient(tape *xfer.Tape, r *resolved, cfg Config, blockBase, fileBase int32) *clientPass {
+	p := &clientPass{}
+	c := newCache(tape, r, cfg)
+	c.onDisk = func(id int32, write bool, t trace.Time) {
+		kind := opRead
+		if write {
+			kind = opWrite
+		}
+		p.ops = append(p.ops, serverOp{time: t, kind: kind, id: blockBase + id})
 	}
+	c.onPurge = func(fs int32, size int64, t trace.Time) {
+		p.ops = append(p.ops, serverOp{time: t, kind: opPurge, fs: fileBase + fs, size: size})
+	}
+	c.run()
+	p.res = c.res
+	return p
+}
+
+// runClients runs every machine's tier-0 cache on parallel workers. It
+// returns the per-machine passes, the machines' tape resolutions merged
+// into the shared tiers' global ID space, and the tier-0 traffic
+// interleaved by time (ties broken in machine order, then emission
+// order).
+func runClients(tapes []*xfer.Tape, blockSize int64, cfg Config) ([]*clientPass, *resolved, []serverOp) {
+	machineRes := make([]*resolved, len(tapes))
+	runParallel(len(tapes), func(m int) error {
+		machineRes[m] = resolvedFor(tapes[m], blockSize)
+		return nil
+	})
+	// The shared tiers' resolution concatenates the machines': machine
+	// m's local block ID i becomes global ID blockBase[m]+i (likewise
+	// for file slots), and its per-file block lists are translated to
+	// match, so purge boundaries resolve in global IDs.
+	merged := &resolved{blockSize: blockSize}
+	blockBase := make([]int32, len(tapes))
+	fileBase := make([]int32, len(tapes))
 	for m, r := range machineRes {
+		blockBase[m] = int32(merged.nBlocks())
+		fileBase[m] = int32(len(merged.fileBlocks))
 		merged.blockIdx = append(merged.blockIdx, r.blockIdx...)
 		for _, fb := range r.fileBlocks {
 			global := make([]int32, len(fb))
@@ -172,7 +240,18 @@ func mergeResolved(machineRes []*resolved, blockBase []int32, blockSize int64, n
 			merged.fileBlocks = append(merged.fileBlocks, global)
 		}
 	}
-	return merged
+
+	passes := make([]*clientPass, len(tapes))
+	runParallel(len(tapes), func(m int) error {
+		passes[m] = runClient(tapes[m], machineRes[m], cfg, blockBase[m], fileBase[m])
+		return nil
+	})
+	var ops []serverOp
+	for _, p := range passes {
+		ops = append(ops, p.ops...)
+	}
+	sort.SliceStable(ops, func(i, j int) bool { return ops[i].time < ops[j].time })
+	return passes, merged, ops
 }
 
 // replayTierOps drives a time-ordered operation stream into one shared
@@ -231,46 +310,23 @@ func HierarchySimulateTapes(tapes []*xfer.Tape, cfg HierarchyConfig) (*Hierarchy
 		return nil, err
 	}
 
-	machineRes := make([]*resolved, len(tapes))
-	runParallel(len(tapes), func(m int) error {
-		machineRes[m] = resolvedFor(tapes[m], cfg.BlockSize)
-		return nil
-	})
-	blockBase := make([]int32, len(tapes))
-	fileBase := make([]int32, len(tapes))
-	var nBlocks, nFiles int32
-	for m, r := range machineRes {
-		blockBase[m] = nBlocks
-		fileBase[m] = nFiles
-		nBlocks += int32(r.nBlocks())
-		nFiles += int32(len(r.fileBlocks))
-	}
+	passes, merged, ops := runClients(tapes, cfg.BlockSize, tierCfgs[0])
+	nBlocks := merged.nBlocks()
 
 	// Tier 0: every machine's private cache.
-	passes := make([]*clientPass, len(tapes))
-	runParallel(len(tapes), func(m int) error {
-		passes[m] = runClient(tapes[m], machineRes[m], tierCfgs[0], blockBase[m], fileBase[m])
-		return nil
-	})
-
 	res := &HierarchyResult{Config: cfg, Tiers: make([]TierResult, len(cfg.Tiers))}
 	t0 := &res.Tiers[0]
 	t0.Name, t0.Size = cfg.Tiers[0].Name, cfg.Tiers[0].Size
-	var ops []serverOp
 	for _, p := range passes {
 		res.ClientAccesses += p.res.LogicalAccesses
 		t0.Reads += p.res.ReadAccesses
 		t0.Writes += p.res.WriteAccesses
 		t0.ReadMisses += p.res.DiskReads
 		t0.WriteBacks += p.res.DiskWrites
-		ops = append(ops, p.ops...)
 	}
 	t0.Fills = t0.ReadMisses
 	t0.BusyTime = cfg.Tiers[0].ReadLatency*trace.Time(t0.Reads) +
 		cfg.Tiers[0].WriteLatency*trace.Time(t0.Writes+t0.Fills)
-
-	merged := mergeResolved(machineRes, blockBase, cfg.BlockSize, nBlocks, nFiles)
-	sort.SliceStable(ops, func(i, j int) bool { return ops[i].time < ops[j].time })
 
 	// Shared cache tiers, top to bottom.
 	for i := 1; i < len(cfg.Tiers)-1; i++ {
@@ -348,24 +404,4 @@ func tallyWear(tr *TierResult, wear []int64, endurance int64) {
 	if endurance > 0 {
 		tr.WearFraction = float64(tr.MaxBlockWrites) / float64(endurance)
 	}
-}
-
-// HierarchySimulate builds one tape per machine trace and runs
-// HierarchySimulateTapes.
-func HierarchySimulate(machines [][]trace.Event, cfg HierarchyConfig) (*HierarchyResult, error) {
-	if len(machines) == 0 {
-		return nil, fmt.Errorf("cachesim: hierarchy simulation needs at least one machine")
-	}
-	tapes := make([]*xfer.Tape, len(machines))
-	errs := make([]error, len(machines))
-	runParallel(len(machines), func(m int) error {
-		tapes[m], errs[m] = xfer.NewTape(machines[m])
-		return nil
-	})
-	for m, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("cachesim: machine %d trace malformed: %v", m, err)
-		}
-	}
-	return HierarchySimulateTapes(tapes, cfg)
 }

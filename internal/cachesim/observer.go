@@ -61,18 +61,6 @@ type Observer interface {
 	BlockCleaned(id int32, now trace.Time, reason CleanReason)
 }
 
-// SimulateTapeObserved runs one cache simulation over a tape with an
-// Observer attached. A nil observer makes it identical to SimulateTape.
-func SimulateTapeObserved(tape *xfer.Tape, cfg Config, obs Observer) (*Result, error) {
-	if err := cfg.fill(); err != nil {
-		return nil, err
-	}
-	c := newCache(tape, resolvedFor(tape, cfg.BlockSize), cfg)
-	c.obs = obs
-	c.run()
-	return c.finish(), nil
-}
-
 // MultiSimulateObserved is MultiSimulate with per-configuration
 // observers: configuration i gets obs(i) attached (obs itself may be nil,
 // and so may any value it returns). The observer factory is called before

@@ -37,6 +37,16 @@ func mustTape(t *testing.T, events []trace.Event) *xfer.Tape {
 	return tape
 }
 
+// simulateObserved replays one configuration with obs attached.
+func simulateObserved(t *testing.T, tape *xfer.Tape, cfg Config, obs Observer) *Result {
+	t.Helper()
+	rs, err := MultiSimulateObserved(tape, []Config{cfg}, func(int) Observer { return obs })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rs[0]
+}
+
 // Regression test for the flush-clock drift: a flush-back scan that
 // comes due during an idle gap must execute at its scheduled boundary,
 // not at the time of the event that catches the clock up. Dirty a block,
@@ -51,14 +61,10 @@ func TestOverdueFlushRunsAtScheduledTime(t *testing.T) {
 	b.read(2, 4096)           // the catching-up event
 
 	rec := &recorder{}
-	tape := mustTape(t, b.events)
-	_, err := SimulateTapeObserved(tape, Config{
+	simulateObserved(t, mustTape(t, b.events), Config{
 		BlockSize: 4096, CacheSize: 1 << 20,
 		Write: FlushBack, FlushInterval: interval,
 	}, rec)
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	wantFlush := (dirtyTime/interval + 1) * interval
 	var sawClean bool
@@ -92,9 +98,7 @@ func TestObserverTimesNondecreasing(t *testing.T) {
 			{BlockSize: 4096, CacheSize: 64 << 10, Write: DelayedWrite},
 		} {
 			rec := &recorder{}
-			if _, err := SimulateTapeObserved(tape, cfg, rec); err != nil {
-				t.Fatal(err)
-			}
+			simulateObserved(t, tape, cfg, rec)
 			var last trace.Time
 			for i, e := range rec.events {
 				if e.time < last {
@@ -111,11 +115,7 @@ func TestObserverTimesNondecreasing(t *testing.T) {
 func TestWriteThroughObserverSilent(t *testing.T) {
 	tape := mustTape(t, randomTrace(11, 300))
 	rec := &recorder{}
-	if _, err := SimulateTapeObserved(tape, Config{
-		BlockSize: 4096, CacheSize: 64 << 10, Write: WriteThrough,
-	}, rec); err != nil {
-		t.Fatal(err)
-	}
+	simulateObserved(t, tape, Config{BlockSize: 4096, CacheSize: 64 << 10, Write: WriteThrough}, rec)
 	if len(rec.events) != 0 {
 		t.Fatalf("write-through fired %d observer callbacks", len(rec.events))
 	}
@@ -150,10 +150,7 @@ func TestObserverBalancesDirtyLifecycle(t *testing.T) {
 	tape := mustTape(t, randomTrace(17, 400))
 	cfg := Config{BlockSize: 4096, CacheSize: 64 << 10, Write: FlushBack, FlushInterval: 30 * trace.Second}
 	rec := &recorder{}
-	res, err := SimulateTapeObserved(tape, cfg, rec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := simulateObserved(t, tape, cfg, rec)
 	dirty := make(map[int32]bool)
 	for _, e := range rec.events {
 		if e.clean {
@@ -177,40 +174,51 @@ func TestObserverBalancesDirtyLifecycle(t *testing.T) {
 // server cache big enough that nothing is ever evicted, every server
 // disk write is a flush-scan write and must land exactly on a flush
 // boundary — even when the scan came due during an idle gap in the
-// merged client traffic.
+// merged client traffic. The test drives the server tier's replay
+// directly to observe each disk write's time.
 func TestTwoLevelServerWritesOnFlushBoundaries(t *testing.T) {
 	const interval = 30 * trace.Second
-	machines := [][]trace.Event{randomTrace(31, 200), randomTrace(37, 200)}
-	tapes := make([]*xfer.Tape, len(machines))
-	for m, events := range machines {
-		tapes[m] = mustTape(t, events)
+	tapes := []*xfer.Tape{mustTape(t, randomTrace(31, 200)), mustTape(t, randomTrace(37, 200))}
+	client := Config{BlockSize: 4096, CacheSize: 64 << 10, Write: WriteThrough}
+	server := Config{
+		BlockSize: 4096,
+		CacheSize: 1 << 30, // no evictions: all disk writes are flushes
+		Write:     FlushBack, FlushInterval: interval,
 	}
-	var writes []trace.Time
-	cfg := TwoLevelConfig{
-		BlockSize:   4096,
-		ClientCache: 64 << 10,
-		ServerCache: 1 << 30, // no evictions: all disk writes are flushes
-		Write:       FlushBack, FlushInterval: interval,
-		OnServerDisk: func(id int32, write bool, tm trace.Time) {
-			if write {
-				writes = append(writes, tm)
-			}
-		},
-	}
-	res, err := TwoLevelSimulateTapes(tapes, cfg)
-	if err != nil {
+	if err := client.fill(); err != nil {
 		t.Fatal(err)
 	}
+	if err := server.fill(); err != nil {
+		t.Fatal(err)
+	}
+	_, merged, ops := runClients(tapes, 4096, client)
+	var writes []trace.Time
+	res := replayTierOps(ops, merged, server, func(id int32, write bool, tm trace.Time) {
+		if write {
+			writes = append(writes, tm)
+		}
+	}, nil)
 	if len(writes) == 0 {
 		t.Fatal("no server disk writes observed; trace too weak")
 	}
-	if int64(len(writes)) != res.ServerDiskWrites {
-		t.Fatalf("observed %d writes, result counted %d", len(writes), res.ServerDiskWrites)
+	if int64(len(writes)) != res.DiskWrites {
+		t.Fatalf("observed %d writes, result counted %d", len(writes), res.DiskWrites)
 	}
 	for _, tm := range writes {
 		if tm%interval != 0 {
 			t.Errorf("server write at %v, not on a %v flush boundary", tm, interval)
 		}
+	}
+	h, err := HierarchySimulateTapes(tapes, HierarchyConfig{BlockSize: 4096, Tiers: []Tier{
+		{Name: "client", Size: client.CacheSize, Write: WriteThrough},
+		{Name: "server", Size: server.CacheSize, Write: FlushBack, FlushInterval: interval},
+		{Name: "disk"},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.DiskWrites() != res.DiskWrites {
+		t.Errorf("hierarchy counted %d disk writes, the server replay %d", h.DiskWrites(), res.DiskWrites)
 	}
 }
 
@@ -242,12 +250,10 @@ func TestFillRejectsStrayFlushInterval(t *testing.T) {
 func flushedOrder(t *testing.T, b *tb) []int32 {
 	t.Helper()
 	rec := &recorder{}
-	if _, err := SimulateTapeObserved(mustTape(t, b.events), Config{
+	simulateObserved(t, mustTape(t, b.events), Config{
 		BlockSize: 4096, CacheSize: 2 * 4096,
 		Write: FlushBack, FlushInterval: 30 * trace.Second,
-	}, rec); err != nil {
-		t.Fatal(err)
-	}
+	}, rec)
 	var out []int32
 	for _, e := range rec.events {
 		if e.clean && e.reason == CleanFlushed {

@@ -42,8 +42,9 @@ type goldenSection struct {
 	rows []any
 }
 
-// twoLevelRow is a TwoLevelResult without its Config, whose hook field
-// does not marshal (the inputs are fixed by the test).
+// twoLevelRow is the diskless-workstation network's traffic: the client
+// tier's accesses, read misses and write-throughs, the blocks crossing
+// the network, and the server's disk I/O.
 type twoLevelRow struct {
 	ClientAccesses, ClientReadMisses, WriteForwards, NetworkBlocks int64
 	ServerDiskReads, ServerDiskWrites                              int64
@@ -95,14 +96,18 @@ func replayGoldenSections(t *testing.T, tape *xfer.Tape) []goldenSection {
 	// server write policy.
 	var two []any
 	for _, p := range cachesim.PaperPolicies() {
-		r, err := cachesim.TwoLevelSimulateTapes([]*xfer.Tape{tape, tape}, cachesim.TwoLevelConfig{
-			BlockSize: 4096, ClientCache: cachesim.UnixCacheSize, ServerCache: 4 << 20,
-			Write: p.Write, FlushInterval: p.Interval,
+		r, err := cachesim.HierarchySimulateTapes([]*xfer.Tape{tape, tape}, cachesim.HierarchyConfig{
+			BlockSize: 4096,
+			Tiers: []cachesim.Tier{
+				{Name: "client", Size: cachesim.UnixCacheSize, Write: cachesim.WriteThrough},
+				{Name: "server", Size: 4 << 20, Write: p.Write, FlushInterval: p.Interval},
+				{Name: "disk"},
+			},
 		})
 		must(err)
 		two = append(two, twoLevelRow{
-			r.ClientAccesses, r.ClientReadMisses, r.WriteForwards, r.NetworkBlocks,
-			r.ServerDiskReads, r.ServerDiskWrites,
+			r.ClientAccesses, r.Tiers[0].ReadMisses, r.Tiers[0].WriteBacks, r.NetworkBlocks(),
+			r.DiskReads(), r.DiskWrites(),
 		})
 	}
 	out = append(out, goldenSection{"two-level", two})

@@ -4,14 +4,13 @@ import (
 	"fmt"
 	"sort"
 
-	"bsdtrace/internal/trace"
 	"bsdtrace/internal/xfer"
 )
 
 // StackResult holds a one-pass LRU stack-distance analysis (Mattson et
 // al.'s classic algorithm) over a trace's block reference string.
 //
-// Where Simulate replays one cache configuration with full write-policy
+// Where SimulateTape replays one cache configuration with full write-policy
 // and purge semantics, the stack analysis computes the pure LRU reference
 // miss ratio for *every* cache size simultaneously: by LRU's inclusion
 // property, a reference hits in a cache of C blocks exactly when its reuse
@@ -115,18 +114,6 @@ func referenceString(tape *xfer.Tape, r *resolved) []int32 {
 		}
 	}
 	return refs
-}
-
-// StackDistances runs StackDistancesTape on a freshly built tape.
-func StackDistances(events []trace.Event, blockSize int64) (*StackResult, error) {
-	if blockSize <= 0 {
-		return nil, fmt.Errorf("cachesim: block size %d must be positive", blockSize)
-	}
-	tape, err := xfer.NewTape(events)
-	if err != nil {
-		return nil, err
-	}
-	return StackDistancesTape(tape, blockSize)
 }
 
 // Misses returns the LRU reference miss count for a cache of the given

@@ -1,7 +1,6 @@
 package cachesim
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 
@@ -54,14 +53,27 @@ func runParallel(n int, job func(i int) error) error {
 	return firstErr
 }
 
-// sweepTape builds the throwaway tape behind the event-slice sweep
-// entry points, wrapping scan errors the way Simulate does.
-func sweepTape(events []trace.Event) (*xfer.Tape, error) {
-	tape, err := xfer.NewTape(events)
-	if err != nil {
-		return nil, fmt.Errorf("cachesim: malformed trace: %v", err)
+// grid replays one tape into a rows × cols grid of configurations,
+// where cell(i, j) is the configuration at row i, column j, and returns
+// the results indexed [row][col]. Every sweep is one grid: one
+// MultiSimulate call over the whole grid, so its configurations share
+// the tape's resolutions and the parallel workers.
+func grid(tape *xfer.Tape, rows, cols int, cell func(i, j int) Config) ([][]*Result, error) {
+	cfgs := make([]Config, 0, rows*cols)
+	for i := 0; i < rows; i++ {
+		for j := 0; j < cols; j++ {
+			cfgs = append(cfgs, cell(i, j))
+		}
 	}
-	return tape, nil
+	rs, err := MultiSimulate(tape, cfgs)
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]*Result, rows)
+	for i := range out {
+		out[i] = rs[i*cols : (i+1)*cols : (i+1)*cols]
+	}
+	return out, nil
 }
 
 // PolicySpec names one write-policy column of the paper's Table VI.
@@ -105,35 +117,10 @@ func PaperBlockCacheSizes() []int64 {
 // ratio as a function of cache size and write policy at a fixed block
 // size. The result is indexed [cacheSize][policy].
 func PolicySweepTape(tape *xfer.Tape, blockSize int64, cacheSizes []int64, policies []PolicySpec) ([][]*Result, error) {
-	cfgs := make([]Config, 0, len(cacheSizes)*len(policies))
-	for _, cs := range cacheSizes {
-		for _, p := range policies {
-			cfgs = append(cfgs, Config{
-				BlockSize:     blockSize,
-				CacheSize:     cs,
-				Write:         p.Write,
-				FlushInterval: p.Interval,
-			})
-		}
-	}
-	rs, err := MultiSimulate(tape, cfgs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]*Result, len(cacheSizes))
-	for i := range out {
-		out[i] = rs[i*len(policies) : (i+1)*len(policies) : (i+1)*len(policies)]
-	}
-	return out, nil
-}
-
-// PolicySweep runs PolicySweepTape on a freshly built tape.
-func PolicySweep(events []trace.Event, blockSize int64, cacheSizes []int64, policies []PolicySpec) ([][]*Result, error) {
-	tape, err := sweepTape(events)
-	if err != nil {
-		return nil, err
-	}
-	return PolicySweepTape(tape, blockSize, cacheSizes, policies)
+	return grid(tape, len(cacheSizes), len(policies), func(i, j int) Config {
+		p := policies[j]
+		return Config{BlockSize: blockSize, CacheSize: cacheSizes[i], Write: p.Write, FlushInterval: p.Interval}
+	})
 }
 
 // BlockSizeSweepResult holds Table VII / Figure 6: disk I/Os as a
@@ -149,13 +136,9 @@ type BlockSizeSweepResult struct {
 
 // BlockSizeSweepTape runs the Table VII experiment over a tape.
 func BlockSizeSweepTape(tape *xfer.Tape, blockSizes, cacheSizes []int64) (*BlockSizeSweepResult, error) {
-	cfgs := make([]Config, 0, len(blockSizes)*len(cacheSizes))
-	for _, bs := range blockSizes {
-		for _, cs := range cacheSizes {
-			cfgs = append(cfgs, Config{BlockSize: bs, CacheSize: cs, Write: DelayedWrite})
-		}
-	}
-	rs, err := MultiSimulate(tape, cfgs)
+	rs, err := grid(tape, len(blockSizes), len(cacheSizes), func(i, j int) Config {
+		return Config{BlockSize: blockSizes[i], CacheSize: cacheSizes[j], Write: DelayedWrite}
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -163,117 +146,60 @@ func BlockSizeSweepTape(tape *xfer.Tape, blockSizes, cacheSizes []int64) (*Block
 		BlockSizes: blockSizes,
 		CacheSizes: cacheSizes,
 		Accesses:   make([]int64, len(blockSizes)),
-		Results:    make([][]*Result, len(blockSizes)),
+		Results:    rs,
 	}
 	for i := range blockSizes {
-		out.Results[i] = rs[i*len(cacheSizes) : (i+1)*len(cacheSizes) : (i+1)*len(cacheSizes)]
-		out.Accesses[i] = out.Results[i][0].LogicalAccesses
+		out.Accesses[i] = rs[i][0].LogicalAccesses
 	}
 	return out, nil
-}
-
-// BlockSizeSweep runs BlockSizeSweepTape on a freshly built tape.
-func BlockSizeSweep(events []trace.Event, blockSizes, cacheSizes []int64) (*BlockSizeSweepResult, error) {
-	tape, err := sweepTape(events)
-	if err != nil {
-		return nil, err
-	}
-	return BlockSizeSweepTape(tape, blockSizes, cacheSizes)
 }
 
 // PagingSweepTape regenerates Figure 7 from a tape: delayed-write miss
 // ratios across cache sizes with and without simulated program page-in.
 // The result is indexed [cacheSize][0 = ignored, 1 = simulated].
 func PagingSweepTape(tape *xfer.Tape, blockSize int64, cacheSizes []int64) ([][2]*Result, error) {
-	cfgs := make([]Config, 0, len(cacheSizes)*2)
-	for _, cs := range cacheSizes {
-		for j := 0; j < 2; j++ {
-			cfgs = append(cfgs, Config{
-				BlockSize:      blockSize,
-				CacheSize:      cs,
-				Write:          DelayedWrite,
-				SimulatePaging: j == 1,
-			})
-		}
-	}
-	rs, err := MultiSimulate(tape, cfgs)
+	rs, err := grid(tape, len(cacheSizes), 2, func(i, j int) Config {
+		return Config{BlockSize: blockSize, CacheSize: cacheSizes[i], Write: DelayedWrite, SimulatePaging: j == 1}
+	})
 	if err != nil {
 		return nil, err
 	}
 	out := make([][2]*Result, len(cacheSizes))
-	for i := range out {
-		out[i][0] = rs[i*2]
-		out[i][1] = rs[i*2+1]
+	for i, row := range rs {
+		out[i] = [2]*Result{row[0], row[1]}
 	}
 	return out, nil
 }
-
-// PagingSweep runs PagingSweepTape on a freshly built tape.
-func PagingSweep(events []trace.Event, blockSize int64, cacheSizes []int64) ([][2]*Result, error) {
-	tape, err := sweepTape(events)
-	if err != nil {
-		return nil, err
-	}
-	return PagingSweepTape(tape, blockSize, cacheSizes)
-}
-
-// replacementOrder fixes the policy order of ReplacementSweep.
-var replacementOrder = []Replacement{LRU, FIFO, Clock, Random}
 
 // ReplacementSweepTape runs ablation A1 over a tape: all four
 // replacement policies at one cache configuration, delayed-write.
 func ReplacementSweepTape(tape *xfer.Tape, blockSize, cacheSize int64, seed int64) (map[Replacement]*Result, error) {
-	cfgs := make([]Config, 0, len(replacementOrder))
-	for _, rp := range replacementOrder {
-		cfgs = append(cfgs, Config{
-			BlockSize:   blockSize,
-			CacheSize:   cacheSize,
-			Write:       DelayedWrite,
-			Replacement: rp,
-			Seed:        seed,
-		})
-	}
-	rs, err := MultiSimulate(tape, cfgs)
+	reps := []Replacement{LRU, FIFO, Clock, Random}
+	rs, err := grid(tape, 1, len(reps), func(_, j int) Config {
+		return Config{
+			BlockSize: blockSize, CacheSize: cacheSize, Write: DelayedWrite,
+			Replacement: reps[j], Seed: seed,
+		}
+	})
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[Replacement]*Result, len(replacementOrder))
-	for i, rp := range replacementOrder {
-		out[rp] = rs[i]
+	out := make(map[Replacement]*Result, len(reps))
+	for j, rp := range reps {
+		out[rp] = rs[0][j]
 	}
 	return out, nil
-}
-
-// ReplacementSweep runs ReplacementSweepTape on a freshly built tape.
-func ReplacementSweep(events []trace.Event, blockSize, cacheSize int64, seed int64) (map[Replacement]*Result, error) {
-	tape, err := sweepTape(events)
-	if err != nil {
-		return nil, err
-	}
-	return ReplacementSweepTape(tape, blockSize, cacheSize, seed)
 }
 
 // FlushIntervalSweepTape runs ablation A2 over a tape: flush-back across
 // a range of intervals, bracketed by write-through (interval → 0) and
 // delayed-write (interval → ∞).
 func FlushIntervalSweepTape(tape *xfer.Tape, blockSize, cacheSize int64, intervals []trace.Time) ([]*Result, error) {
-	cfgs := make([]Config, len(intervals))
-	for i, iv := range intervals {
-		cfgs[i] = Config{
-			BlockSize:     blockSize,
-			CacheSize:     cacheSize,
-			Write:         FlushBack,
-			FlushInterval: iv,
-		}
-	}
-	return MultiSimulate(tape, cfgs)
-}
-
-// FlushIntervalSweep runs FlushIntervalSweepTape on a freshly built tape.
-func FlushIntervalSweep(events []trace.Event, blockSize, cacheSize int64, intervals []trace.Time) ([]*Result, error) {
-	tape, err := sweepTape(events)
+	rs, err := grid(tape, 1, len(intervals), func(_, j int) Config {
+		return Config{BlockSize: blockSize, CacheSize: cacheSize, Write: FlushBack, FlushInterval: intervals[j]}
+	})
 	if err != nil {
 		return nil, err
 	}
-	return FlushIntervalSweepTape(tape, blockSize, cacheSize, intervals)
+	return rs[0], nil
 }

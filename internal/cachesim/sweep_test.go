@@ -22,10 +22,9 @@ func sweepTrace() []trace.Event {
 }
 
 func TestPolicySweepShape(t *testing.T) {
-	events := sweepTrace()
 	sizes := []int64{64 << 10, 1 << 20}
 	pols := PaperPolicies()
-	res, err := PolicySweep(events, 4096, sizes, pols)
+	res, err := PolicySweepTape(mustTape(t, sweepTrace()), 4096, sizes, pols)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,19 +50,19 @@ func TestPolicySweepShape(t *testing.T) {
 }
 
 func TestPolicySweepPropagatesErrors(t *testing.T) {
-	events := sweepTrace()
+	tape := mustTape(t, sweepTrace())
 	bad := []PolicySpec{{Name: "broken", Write: FlushBack}} // missing interval
-	if _, err := PolicySweep(events, 4096, []int64{1 << 20}, bad); err == nil {
+	if _, err := PolicySweepTape(tape, 4096, []int64{1 << 20}, bad); err == nil {
 		t.Errorf("invalid policy accepted")
 	}
-	if _, err := PolicySweep(events, 0, []int64{1 << 20}, PaperPolicies()); err == nil {
+	if _, err := PolicySweepTape(tape, 0, []int64{1 << 20}, PaperPolicies()); err == nil {
 		t.Errorf("zero block size accepted")
 	}
 }
 
 func TestBlockSizeSweepShape(t *testing.T) {
-	events := sweepTrace()
-	res, err := BlockSizeSweep(events, []int64{4096, 8192}, []int64{128 << 10, 1 << 20})
+	tape := mustTape(t, sweepTrace())
+	res, err := BlockSizeSweepTape(tape, []int64{4096, 8192}, []int64{128 << 10, 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +74,7 @@ func TestBlockSizeSweepShape(t *testing.T) {
 			t.Errorf("bigger cache should not cost more I/Os")
 		}
 	}
-	if _, err := BlockSizeSweep(events, []int64{0}, []int64{1 << 20}); err == nil {
+	if _, err := BlockSizeSweepTape(tape, []int64{0}, []int64{1 << 20}); err == nil {
 		t.Errorf("zero block size accepted")
 	}
 }
@@ -84,7 +83,8 @@ func TestPagingSweepShape(t *testing.T) {
 	b := newTB()
 	b.exec(1, 50000)
 	b.read(2, 8192)
-	res, err := PagingSweep(b.events, 4096, []int64{1 << 20})
+	tape := mustTape(t, b.events)
+	res, err := PagingSweepTape(tape, 4096, []int64{1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,13 +92,14 @@ func TestPagingSweepShape(t *testing.T) {
 		t.Errorf("paging mode should add accesses: %d vs %d",
 			res[0][1].LogicalAccesses, res[0][0].LogicalAccesses)
 	}
-	if _, err := PagingSweep(b.events, 0, []int64{1 << 20}); err == nil {
+	if _, err := PagingSweepTape(tape, 0, []int64{1 << 20}); err == nil {
 		t.Errorf("zero block size accepted")
 	}
 }
 
 func TestReplacementSweepCoversAll(t *testing.T) {
-	res, err := ReplacementSweep(sweepTrace(), 4096, 128<<10, 1)
+	tape := mustTape(t, sweepTrace())
+	res, err := ReplacementSweepTape(tape, 4096, 128<<10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,14 +115,15 @@ func TestReplacementSweepCoversAll(t *testing.T) {
 	if res[LRU].DiskIOs() > res[FIFO].DiskIOs() {
 		t.Logf("note: FIFO beat LRU on this toy trace (%d vs %d)", res[FIFO].DiskIOs(), res[LRU].DiskIOs())
 	}
-	if _, err := ReplacementSweep(sweepTrace(), 0, 1<<20, 1); err == nil {
+	if _, err := ReplacementSweepTape(tape, 0, 1<<20, 1); err == nil {
 		t.Errorf("zero block size accepted")
 	}
 }
 
 func TestFlushIntervalSweepMonotone(t *testing.T) {
 	intervals := []trace.Time{trace.Second, 30 * trace.Second, 5 * trace.Minute}
-	res, err := FlushIntervalSweep(sweepTrace(), 4096, 256<<10, intervals)
+	tape := mustTape(t, sweepTrace())
+	res, err := FlushIntervalSweepTape(tape, 4096, 256<<10, intervals)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +133,7 @@ func TestFlushIntervalSweepMonotone(t *testing.T) {
 				res[i-1].DiskWrites, res[i].DiskWrites)
 		}
 	}
-	if _, err := FlushIntervalSweep(sweepTrace(), 4096, 1<<20, []trace.Time{0}); err == nil {
+	if _, err := FlushIntervalSweepTape(tape, 4096, 1<<20, []trace.Time{0}); err == nil {
 		t.Errorf("zero interval accepted")
 	}
 }

@@ -105,20 +105,3 @@ func WorkingSetTape(tape *xfer.Tape, blockSize int64, windows []trace.Time) ([]W
 	}
 	return out, nil
 }
-
-// WorkingSet runs WorkingSetTape on a freshly built tape.
-func WorkingSet(events []trace.Event, blockSize int64, windows []trace.Time) ([]WorkingSetPoint, error) {
-	if blockSize <= 0 {
-		return nil, fmt.Errorf("cachesim: block size %d must be positive", blockSize)
-	}
-	for _, w := range windows {
-		if w <= 0 {
-			return nil, fmt.Errorf("cachesim: window %v must be positive", w)
-		}
-	}
-	tape, err := xfer.NewTape(events)
-	if err != nil {
-		return nil, err
-	}
-	return WorkingSetTape(tape, blockSize, windows)
-}

@@ -13,27 +13,12 @@ import "bsdtrace/internal/xfer"
 // replacement policy. Indexed [cacheSize][policy].
 func ZooSweepTape(tape *xfer.Tape, blockSize int64, cacheSizes []int64, seed int64) ([][]*Result, error) {
 	reps := AllReplacements()
-	cfgs := make([]Config, 0, len(cacheSizes)*len(reps))
-	for _, cs := range cacheSizes {
-		for _, rp := range reps {
-			cfgs = append(cfgs, Config{
-				BlockSize:   blockSize,
-				CacheSize:   cs,
-				Write:       DelayedWrite,
-				Replacement: rp,
-				Seed:        seed,
-			})
+	return grid(tape, len(cacheSizes), len(reps), func(i, j int) Config {
+		return Config{
+			BlockSize: blockSize, CacheSize: cacheSizes[i], Write: DelayedWrite,
+			Replacement: reps[j], Seed: seed,
 		}
-	}
-	rs, err := MultiSimulate(tape, cfgs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]*Result, len(cacheSizes))
-	for i := range out {
-		out[i] = rs[i*len(reps) : (i+1)*len(reps) : (i+1)*len(reps)]
-	}
-	return out, nil
+	})
 }
 
 // ZooBlockSizeSweepTape re-runs the Figure 6 experiment across the zoo:
@@ -41,27 +26,12 @@ func ZooSweepTape(tape *xfer.Tape, blockSize int64, cacheSizes []int64, seed int
 // delayed-write. Indexed [blockSize][policy].
 func ZooBlockSizeSweepTape(tape *xfer.Tape, blockSizes []int64, cacheSize int64, seed int64) ([][]*Result, error) {
 	reps := AllReplacements()
-	cfgs := make([]Config, 0, len(blockSizes)*len(reps))
-	for _, bs := range blockSizes {
-		for _, rp := range reps {
-			cfgs = append(cfgs, Config{
-				BlockSize:   bs,
-				CacheSize:   cacheSize,
-				Write:       DelayedWrite,
-				Replacement: rp,
-				Seed:        seed,
-			})
+	return grid(tape, len(blockSizes), len(reps), func(i, j int) Config {
+		return Config{
+			BlockSize: blockSizes[i], CacheSize: cacheSize, Write: DelayedWrite,
+			Replacement: reps[j], Seed: seed,
 		}
-	}
-	rs, err := MultiSimulate(tape, cfgs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]*Result, len(blockSizes))
-	for i := range out {
-		out[i] = rs[i*len(reps) : (i+1)*len(reps) : (i+1)*len(reps)]
-	}
-	return out, nil
+	})
 }
 
 // ZooPagingSweepTape re-runs the Figure 7 experiment across the zoo:
@@ -69,26 +39,10 @@ func ZooBlockSizeSweepTape(tape *xfer.Tape, blockSizes []int64, cacheSize int64,
 // Indexed [cacheSize][policy].
 func ZooPagingSweepTape(tape *xfer.Tape, blockSize int64, cacheSizes []int64, seed int64) ([][]*Result, error) {
 	reps := AllReplacements()
-	cfgs := make([]Config, 0, len(cacheSizes)*len(reps))
-	for _, cs := range cacheSizes {
-		for _, rp := range reps {
-			cfgs = append(cfgs, Config{
-				BlockSize:      blockSize,
-				CacheSize:      cs,
-				Write:          DelayedWrite,
-				Replacement:    rp,
-				Seed:           seed,
-				SimulatePaging: true,
-			})
+	return grid(tape, len(cacheSizes), len(reps), func(i, j int) Config {
+		return Config{
+			BlockSize: blockSize, CacheSize: cacheSizes[i], Write: DelayedWrite,
+			Replacement: reps[j], Seed: seed, SimulatePaging: true,
 		}
-	}
-	rs, err := MultiSimulate(tape, cfgs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]*Result, len(cacheSizes))
-	for i := range out {
-		out[i] = rs[i*len(reps) : (i+1)*len(reps) : (i+1)*len(reps)]
-	}
-	return out, nil
+	})
 }
