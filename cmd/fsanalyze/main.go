@@ -151,7 +151,23 @@ func (o options) want(name string) bool {
 	return o.only == "" || strings.EqualFold(o.only, name)
 }
 
-func run(w io.Writer, paths []string, opts options) error {
+// errWriter passes writes through until the first one fails, then keeps
+// returning that error: sections render without checking every write
+// and run returns the first failure at the end.
+type errWriter struct {
+	w   io.Writer
+	err error
+}
+
+func (e *errWriter) Write(p []byte) (n int, err error) {
+	if e.err == nil {
+		n, e.err = e.w.Write(p)
+	}
+	return n, e.err
+}
+
+func run(out io.Writer, paths []string, opts options) error {
+	w := &errWriter{w: out}
 	if opts.format == "" {
 		opts.format = "bsd"
 	}
@@ -169,9 +185,11 @@ func run(w io.Writer, paths []string, opts options) error {
 		prog = obs.StartProgress(os.Stderr, reg)
 	}
 	defer prog.Stop()
+	// Every successful return goes through writeManifest, which reports
+	// a failed output write first.
 	writeManifest := func() error {
-		if opts.manifest == "" {
-			return nil
+		if w.err != nil || opts.manifest == "" {
+			return w.err
 		}
 		m := reg.Manifest(obs.RunInfo{
 			Command: "fsanalyze",

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -44,6 +45,24 @@ func TestRunAnalysis(t *testing.T) {
 	for _, want := range []string{"Table III.", "Table IV.", "Table V.", "Figure 3.", "Cross-user"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q", want)
+		}
+	}
+}
+
+// failWriter fails every write, as a full disk or a closed pipe does.
+type failWriter struct{}
+
+var errWriteFailed = errors.New("write failed")
+
+func (failWriter) Write([]byte) (int, error) { return 0, errWriteFailed }
+
+// TestRunWriteErrorReturned: output that cannot be written is an error,
+// not a silent exit 0.
+func TestRunWriteErrorReturned(t *testing.T) {
+	path := writeTestTrace(t, false)
+	for _, opts := range []options{{only: "tableIII"}, {validate: true}} {
+		if err := run(failWriter{}, []string{path}, opts); !errors.Is(err, errWriteFailed) {
+			t.Errorf("run %+v into a failing writer = %v, want the write error", opts, err)
 		}
 	}
 }

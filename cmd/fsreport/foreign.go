@@ -20,7 +20,7 @@ import (
 // summary, a footprint-fitted Table VI sweep) because their open/close
 // events are adapter scaffolding; strace imports carry real logical
 // structure and get the Section-5 tables too.
-func runForeign(w io.Writer, path, formatName string, fit int) error {
+func runForeign(out io.Writer, path, formatName string, fit int) error {
 	format, err := adapt.ParseFormat(formatName)
 	if err != nil {
 		return err
@@ -68,6 +68,7 @@ func runForeign(w io.Writer, path, formatName string, fit int) error {
 		return fmt.Errorf("%s: %w", path, err)
 	}
 
+	w := &errWriter{w: out}
 	fmt.Fprintf(w, "Foreign-trace report: %s format, %s-class metrics\n", format, class)
 	fmt.Fprintf(w, "Sections are gated by trace class: %s traces support %s only\n\n",
 		class, supportedSets(class))

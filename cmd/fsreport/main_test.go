@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"strings"
 	"testing"
@@ -43,6 +44,35 @@ func TestRunOnly(t *testing.T) {
 	}
 	if strings.Contains(out, "Table VI.") || strings.Contains(out, "Figure 3.") {
 		t.Errorf("-only leaked other sections")
+	}
+}
+
+// failWriter fails every write, as a full disk or a closed pipe does.
+type failWriter struct{}
+
+var errWriteFailed = errors.New("write failed")
+
+func (failWriter) Write([]byte) (int, error) { return 0, errWriteFailed }
+
+// TestRunWriteErrorReturned: output that cannot be written is an error,
+// not a silent exit 0.
+func TestRunWriteErrorReturned(t *testing.T) {
+	err := run(failWriter{}, reportConfig{duration: 10 * time.Minute, seed: 1, only: "tableIII"})
+	if !errors.Is(err, errWriteFailed) {
+		t.Fatalf("run -only tableIII into a failing writer = %v, want the write error", err)
+	}
+}
+
+// TestRunRejectsUnknownOnly: a mistyped -only fails before writing
+// anything and names the valid items.
+func TestRunRejectsUnknownOnly(t *testing.T) {
+	var buf bytes.Buffer
+	err := run(&buf, reportConfig{duration: 10 * time.Minute, seed: 1, only: "bogus"})
+	if err == nil || !strings.Contains(err.Error(), "diskless") {
+		t.Fatalf("run -only bogus = %v, want an error listing the valid items", err)
+	}
+	if buf.Len() != 0 {
+		t.Errorf("wrote %d bytes before rejecting -only", buf.Len())
 	}
 }
 
