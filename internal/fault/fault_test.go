@@ -226,10 +226,10 @@ func TestPolicyLossOrdering(t *testing.T) {
 	}
 }
 
-// The two-level simulation's premise (twolevel.go): clients write through
-// to the server, so a client crash loses nothing at any instant. Run the
-// crash sweep over each machine's tape with the client-cache
-// configuration the two-level simulator uses.
+// The diskless network's premise: clients write through to the server,
+// so a client crash loses nothing at any instant. Run the crash sweep
+// over each machine's tape with a write-through client-tier
+// configuration.
 func TestTwoLevelClientCrashLosesNothing(t *testing.T) {
 	machines := [][]trace.Event{randomTrace(31, 200), randomTrace(37, 200), randomTrace(41, 200)}
 	clientCfg := cachesim.Config{BlockSize: 4096, CacheSize: 128 << 10, Write: cachesim.WriteThrough}
