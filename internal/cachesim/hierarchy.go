@@ -19,13 +19,13 @@ package cachesim
 //
 // A tier's read misses become reads against the tier below, its write
 // policy's write-backs become writes below, and data-death purges are
-// forwarded all the way down so no tier caches dead blocks. The bottom
-// tier is the backing store (unbounded, usually "the disk"): everything
-// arriving there is a real device I/O.
+// forwarded down through every cache tier so none caches dead blocks. The
+// bottom tier is the backing store (unbounded, usually "the disk"):
+// everything arriving there is a real device I/O, counted in place as
+// the cache tier above emits it.
 
 import (
 	"fmt"
-	"sort"
 
 	"bsdtrace/internal/trace"
 	"bsdtrace/internal/xfer"
@@ -181,41 +181,62 @@ const (
 )
 
 // clientPass is one machine's contribution to the simulation: its tier-0
-// cache counters and the traffic it sent to the first shared tier, in
-// emission order.
+// cache counters and the traffic it sent to the tier below. Traffic
+// bound for a shared cache tier is kept as ops, in emission order;
+// traffic reaching the backing store directly is kept only as the
+// store's per-block write counts (wear, in the machine's local IDs).
 type clientPass struct {
-	res *Result
-	ops []serverOp
+	res  *Result
+	ops  []serverOp
+	wear []int64
 }
 
 // runClient replays one machine's tape through its tier-0 cache. Read
 // misses, write-backs, and data-death purges become shared-tier
-// operations; blockBase and fileBase translate the machine's dense IDs
-// into the global ID space.
-func runClient(tape *xfer.Tape, r *resolved, cfg Config, blockBase, fileBase int32) *clientPass {
+// operations, with blockBase and fileBase translating the machine's
+// dense IDs into the global ID space; when overStore is set, tier 0 sits
+// on the backing store and only the store's wear is tallied.
+func runClient(tape *xfer.Tape, r *resolved, cfg Config, blockBase, fileBase int32, overStore bool) *clientPass {
 	p := &clientPass{}
 	c := newCache(tape, r, cfg)
-	c.onDisk = func(id int32, write bool, t trace.Time) {
-		kind := opRead
-		if write {
-			kind = opWrite
+	if overStore {
+		p.wear = make([]int64, r.nBlocks())
+		c.onDisk = storeWear(p.wear)
+	} else {
+		c.onDisk = func(id int32, write bool, t trace.Time) {
+			kind := opRead
+			if write {
+				kind = opWrite
+			}
+			p.ops = append(p.ops, serverOp{time: t, kind: kind, id: blockBase + id})
 		}
-		p.ops = append(p.ops, serverOp{time: t, kind: kind, id: blockBase + id})
-	}
-	c.onPurge = func(fs int32, size int64, t trace.Time) {
-		p.ops = append(p.ops, serverOp{time: t, kind: opPurge, fs: fileBase + fs, size: size})
+		c.onPurge = func(fs int32, size int64, t trace.Time) {
+			p.ops = append(p.ops, serverOp{time: t, kind: opPurge, fs: fileBase + fs, size: size})
+		}
 	}
 	c.run()
 	p.res = c.res
 	return p
 }
 
+// storeWear is the onDisk hook of the cache tier directly above the
+// backing store. Only writes wear the store's media; its read and write
+// counts are that tier's DiskReads and DiskWrites, and purges never
+// reach it.
+func storeWear(wear []int64) func(id int32, write bool, t trace.Time) {
+	return func(id int32, write bool, _ trace.Time) {
+		if write {
+			wear[id]++
+		}
+	}
+}
+
 // runClients runs every machine's tier-0 cache on parallel workers. It
 // returns the per-machine passes, the machines' tape resolutions merged
-// into the shared tiers' global ID space, and the tier-0 traffic
-// interleaved by time (ties broken in machine order, then emission
-// order).
-func runClients(tapes []*xfer.Tape, blockSize int64, cfg Config) ([]*clientPass, *resolved, []serverOp) {
+// into the shared tiers' global ID space, and, unless overStore is set,
+// the tier-0 traffic interleaved by time (ties broken in machine order,
+// then emission order).
+func runClients(tapes []*xfer.Tape, blockSize int64, cfg Config, overStore bool) ([]*clientPass, *resolved, []serverOp) {
 	machineRes := make([]*resolved, len(tapes))
 	runParallel(len(tapes), func(m int) error {
 		machineRes[m] = resolvedFor(tapes[m], blockSize)
@@ -243,15 +264,41 @@ func runClients(tapes []*xfer.Tape, blockSize int64, cfg Config) ([]*clientPass,
 
 	passes := make([]*clientPass, len(tapes))
 	runParallel(len(tapes), func(m int) error {
-		passes[m] = runClient(tapes[m], machineRes[m], cfg, blockBase[m], fileBase[m])
+		passes[m] = runClient(tapes[m], machineRes[m], cfg, blockBase[m], fileBase[m], overStore)
 		return nil
 	})
-	var ops []serverOp
-	for _, p := range passes {
-		ops = append(ops, p.ops...)
+	if overStore {
+		return passes, merged, nil
 	}
-	sort.SliceStable(ops, func(i, j int) bool { return ops[i].time < ops[j].time })
-	return passes, merged, ops
+	lists := make([][]serverOp, len(passes))
+	for m, p := range passes {
+		lists[m], p.ops = p.ops, nil
+	}
+	return passes, merged, mergeOps(lists)
+}
+
+// mergeOps interleaves time-ordered op lists by time, ties broken in list
+// order, then in order within a list: the order a stable sort of the
+// concatenated lists gives, in one pass of len(lists) comparisons per
+// op. Every cache tier emits its traffic in time order, because the
+// replay clock never moves backwards.
+func mergeOps(lists [][]serverOp) []serverOp {
+	n := 0
+	for _, l := range lists {
+		n += len(l)
+	}
+	out := make([]serverOp, 0, n)
+	for len(out) < n {
+		best := -1
+		for m, l := range lists {
+			if len(l) > 0 && (best < 0 || l[0].time < lists[best][0].time) {
+				best = m
+			}
+		}
+		out = append(out, lists[best][0])
+		lists[best] = lists[best][1:]
+	}
+	return out
 }
 
 // replayTierOps drives a time-ordered operation stream into one shared
@@ -310,46 +357,59 @@ func HierarchySimulateTapes(tapes []*xfer.Tape, cfg HierarchyConfig) (*Hierarchy
 		return nil, err
 	}
 
-	passes, merged, ops := runClients(tapes, cfg.BlockSize, tierCfgs[0])
+	last := len(cfg.Tiers) - 1
+	passes, merged, ops := runClients(tapes, cfg.BlockSize, tierCfgs[0], last == 1)
 	nBlocks := merged.nBlocks()
 
 	// Tier 0: every machine's private cache.
 	res := &HierarchyResult{Config: cfg, Tiers: make([]TierResult, len(cfg.Tiers))}
 	t0 := &res.Tiers[0]
 	t0.Name, t0.Size = cfg.Tiers[0].Name, cfg.Tiers[0].Size
+	var storeWrites []int64
 	for _, p := range passes {
 		res.ClientAccesses += p.res.LogicalAccesses
 		t0.Reads += p.res.ReadAccesses
 		t0.Writes += p.res.WriteAccesses
 		t0.ReadMisses += p.res.DiskReads
 		t0.WriteBacks += p.res.DiskWrites
+		storeWrites = append(storeWrites, p.wear...)
 	}
 	t0.Fills = t0.ReadMisses
 	t0.BusyTime = cfg.Tiers[0].ReadLatency*trace.Time(t0.Reads) +
 		cfg.Tiers[0].WriteLatency*trace.Time(t0.Writes+t0.Fills)
 
-	// Shared cache tiers, top to bottom.
-	for i := 1; i < len(cfg.Tiers)-1; i++ {
+	// Shared cache tiers, top to bottom. Each emits its traffic in time
+	// order, so it feeds the next shared tier as it stands; the last one
+	// tallies the backing store in place.
+	for i := 1; i < last; i++ {
 		tier := cfg.Tiers[i]
 		tr := &res.Tiers[i]
 		tr.Name, tr.Size = tier.Name, tier.Size
 		wear := make([]int64, nBlocks)
 		var next []serverOp
+		below := func(id int32, write bool, t trace.Time) {
+			kind := opRead
+			if write {
+				kind = opWrite
+			}
+			next = append(next, serverOp{time: t, kind: kind, id: id})
+		}
+		onPurge := func(fs int32, size int64, t trace.Time) {
+			next = append(next, serverOp{time: t, kind: opPurge, fs: fs, size: size})
+		}
+		if i == last-1 {
+			storeWrites = make([]int64, nBlocks)
+			below, onPurge = storeWear(storeWrites), nil
+		}
 		out := replayTierOps(ops, merged, tierCfgs[i],
 			func(id int32, write bool, t trace.Time) {
-				kind := opRead
 				if !write {
 					// A fetch from below fills a block into this tier:
 					// one media write here, one read below.
 					wear[id]++
-				} else {
-					kind = opWrite
 				}
-				next = append(next, serverOp{time: t, kind: kind, id: id})
-			},
-			func(fs int32, size int64, t trace.Time) {
-				next = append(next, serverOp{time: t, kind: opPurge, fs: fs, size: size})
-			})
+				below(id, write, t)
+			}, onPurge)
 		for j := range ops {
 			if ops[j].kind == opWrite {
 				wear[ops[j].id]++
@@ -361,27 +421,17 @@ func HierarchySimulateTapes(tapes []*xfer.Tape, cfg HierarchyConfig) (*Hierarchy
 		tr.BusyTime = tier.ReadLatency*trace.Time(tr.Reads) +
 			tier.WriteLatency*trace.Time(tr.Writes+tr.Fills)
 		tallyWear(tr, wear, tier.EnduranceWrites)
-		sort.SliceStable(next, func(a, b int) bool { return next[a].time < next[b].time })
 		ops = next
 	}
 
-	// Backing store: everything arriving is a device I/O.
-	last := len(cfg.Tiers) - 1
+	// Backing store: everything the last cache tier sent down is a
+	// device I/O.
 	tier := cfg.Tiers[last]
 	tr := &res.Tiers[last]
 	tr.Name, tr.Size = tier.Name, tier.Size
-	wear := make([]int64, nBlocks)
-	for i := range ops {
-		switch ops[i].kind {
-		case opRead:
-			tr.Reads++
-		case opWrite:
-			tr.Writes++
-			wear[ops[i].id]++
-		}
-	}
+	tr.Reads, tr.Writes = res.Tiers[last-1].ReadMisses, res.Tiers[last-1].WriteBacks
 	tr.BusyTime = tier.ReadLatency*trace.Time(tr.Reads) + tier.WriteLatency*trace.Time(tr.Writes)
-	tallyWear(tr, wear, tier.EnduranceWrites)
+	tallyWear(tr, storeWrites, tier.EnduranceWrites)
 	return res, nil
 }
 

@@ -191,7 +191,7 @@ func TestTwoLevelServerWritesOnFlushBoundaries(t *testing.T) {
 	if err := server.fill(); err != nil {
 		t.Fatal(err)
 	}
-	_, merged, ops := runClients(tapes, 4096, client)
+	_, merged, ops := runClients(tapes, 4096, client, false)
 	var writes []trace.Time
 	res := replayTierOps(ops, merged, server, func(id int32, write bool, tm trace.Time) {
 		if write {
