@@ -298,6 +298,16 @@ func openTrace(path string) (*trace.Reader, *os.File, error) {
 	return r, f, nil
 }
 
+// checkDuration rejects a -duration shorter than the trace clock's one
+// millisecond tick. The generator would replace such a span with its
+// 8-hour default, while the report divides rates by the span asked for.
+func checkDuration(d time.Duration) error {
+	if d.Milliseconds() <= 0 {
+		return fmt.Errorf("-duration %v: must be at least 1ms", d)
+	}
+	return nil
+}
+
 // runStability regenerates the A5 workload with n different seeds on
 // parallel workers and reports the spread of the headline metrics: the
 // reproduction's shapes are properties of the workload model, not of one
@@ -305,6 +315,9 @@ func openTrace(path string) (*trace.Reader, *os.File, error) {
 // the analyzer and tape builder — never materialized. Per-seed values
 // aggregate in seed order, so the output is identical at any worker count.
 func runStability(w io.Writer, duration time.Duration, baseSeed int64, n int) error {
+	if err := checkDuration(duration); err != nil {
+		return err
+	}
 	metrics := []struct {
 		name string
 		agg  *stats.Welford
@@ -389,6 +402,9 @@ func runStability(w io.Writer, duration time.Duration, baseSeed int64, n int) er
 // layer spent getting there. Rates run on parallel workers; results
 // land in rate-ordered slots, so the output is deterministic.
 func runDegrade(w io.Writer, duration time.Duration, seed int64) error {
+	if err := checkDuration(duration); err != nil {
+		return err
+	}
 	rates := []float64{0, 0.0001, 0.001, 0.01, 0.05}
 	policies := cachesim.PaperPolicies()
 
@@ -563,6 +579,9 @@ func run(out io.Writer, cfg reportConfig) error {
 	}
 	if cfg.only != "" && !slices.ContainsFunc(reportItems, want) {
 		return fmt.Errorf("unknown -only item %q; valid items: %s", cfg.only, strings.Join(reportItems, ", "))
+	}
+	if err := checkDuration(cfg.duration); err != nil {
+		return err
 	}
 	w := &errWriter{w: out}
 	if cfg.scale <= 0 {

@@ -76,6 +76,27 @@ func TestRunRejectsUnknownOnly(t *testing.T) {
 	}
 }
 
+// TestRunRejectsShortDuration: a span under the trace clock's 1 ms tick
+// would generate 8-hour traces and divide rates by zero or a negative
+// span, so every mode refuses it before writing anything.
+func TestRunRejectsShortDuration(t *testing.T) {
+	for _, d := range []time.Duration{0, -time.Hour, 500 * time.Microsecond} {
+		var buf bytes.Buffer
+		for mode, err := range map[string]error{
+			"run":        run(&buf, reportConfig{duration: d, seed: 1, only: "diskless"}),
+			"-stability": runStability(&buf, d, 1, 1),
+			"-degrade":   runDegrade(&buf, d, 1),
+		} {
+			if err == nil || !strings.Contains(err.Error(), "-duration") {
+				t.Errorf("%s with -duration %v = %v, want a -duration error", mode, d, err)
+			}
+		}
+		if buf.Len() != 0 {
+			t.Errorf("-duration %v: wrote %d bytes before rejecting it", d, buf.Len())
+		}
+	}
+}
+
 // TestRunDataExport writes the CSV data set.
 func TestRunDataExport(t *testing.T) {
 	dir := t.TempDir() + "/data"
