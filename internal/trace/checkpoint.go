@@ -61,12 +61,10 @@ func (w *Writer) writeCheckpoint() {
 	if w.err != nil {
 		return
 	}
-	var payload []byte
-	var tmp [binary.MaxVarintLen64]byte
-	payload = append(payload, tmp[:binary.PutUvarint(tmp[:], uint64(w.segBytes))]...)
-	payload = append(payload, tmp[:binary.PutUvarint(tmp[:], uint64(w.segRecords))]...)
-	payload = append(payload, tmp[:binary.PutUvarint(tmp[:], uint64(w.count))]...)
-	payload = append(payload, tmp[:binary.PutVarint(tmp[:], int64(w.prev))]...)
+	payload := binary.AppendUvarint(w.scratch[:0], uint64(w.segBytes))
+	payload = binary.AppendUvarint(payload, uint64(w.segRecords))
+	payload = binary.AppendUvarint(payload, uint64(w.count))
+	payload = binary.AppendVarint(payload, int64(w.prev))
 	payload = binary.LittleEndian.AppendUint32(payload, w.segCRC)
 	payload = binary.LittleEndian.AppendUint32(payload, crc32.ChecksumIEEE(payload))
 	if _, w.err = w.w.Write(checkpointMarker[:]); w.err != nil {

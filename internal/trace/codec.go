@@ -42,14 +42,24 @@ const Version2 = 2
 // with a valid trace header.
 var ErrBadHeader = errors.New("trace: bad header")
 
+// HeaderSize is the length of the header that starts every binary
+// trace: the 4-byte magic and the version byte.
+const HeaderSize = 5
+
+// maxRecordLen bounds one encoded record: the kind byte and at most six
+// varints (the Δtime and a create's five fields).
+const maxRecordLen = 1 + 6*binary.MaxVarintLen64
+
 // Writer encodes events to an underlying stream in the binary format.
 type Writer struct {
 	w     *bufio.Writer
 	prev  Time
 	count int64
-	buf   [binary.MaxVarintLen64]byte
 	begun bool
 	err   error
+	// scratch holds one record, or one checkpoint payload, while it is
+	// encoded, so a Write allocates nothing.
+	scratch [maxRecordLen]byte
 
 	// Version-2 checkpoint state. version is 1 or 2; the segment fields
 	// track the records written since the last checkpoint.
@@ -85,6 +95,40 @@ func NewWriterV2(w io.Writer, interval int) *Writer {
 	return &Writer{w: bufio.NewWriterSize(w, 1<<16), version: Version2, ckInterval: interval}
 }
 
+// AppendRecord appends the binary record of e, its time delta-encoded
+// against prev (the time of the record before it), and returns the
+// extended buffer. It is the record encoding of both format versions;
+// e.Kind must be valid.
+func AppendRecord(dst []byte, prev Time, e Event) []byte {
+	dst = append(dst, byte(e.Kind))
+	dst = binary.AppendVarint(dst, int64(e.Time-prev))
+	switch e.Kind {
+	case KindCreate, KindOpen:
+		dst = binary.AppendUvarint(dst, uint64(e.OpenID))
+		dst = binary.AppendUvarint(dst, uint64(e.File))
+		dst = binary.AppendUvarint(dst, uint64(e.User))
+		dst = binary.AppendUvarint(dst, uint64(e.Mode))
+		dst = binary.AppendVarint(dst, e.Size)
+	case KindClose:
+		dst = binary.AppendUvarint(dst, uint64(e.OpenID))
+		dst = binary.AppendVarint(dst, e.NewPos)
+	case KindSeek:
+		dst = binary.AppendUvarint(dst, uint64(e.OpenID))
+		dst = binary.AppendVarint(dst, e.OldPos)
+		dst = binary.AppendVarint(dst, e.NewPos)
+	case KindUnlink:
+		dst = binary.AppendUvarint(dst, uint64(e.File))
+	case KindTruncate:
+		dst = binary.AppendUvarint(dst, uint64(e.File))
+		dst = binary.AppendVarint(dst, e.Size)
+	case KindExec:
+		dst = binary.AppendUvarint(dst, uint64(e.File))
+		dst = binary.AppendUvarint(dst, uint64(e.User))
+		dst = binary.AppendVarint(dst, e.Size)
+	}
+	return dst
+}
+
 // recordBytes writes raw record bytes, folding them into the segment CRC
 // when the checkpointed format is active.
 func (w *Writer) recordBytes(p []byte) {
@@ -98,16 +142,6 @@ func (w *Writer) recordBytes(p []byte) {
 		w.segCRC = crc32.Update(w.segCRC, crc32.IEEETable, p)
 		w.segBytes += int64(len(p))
 	}
-}
-
-func (w *Writer) varint(x int64) {
-	n := binary.PutVarint(w.buf[:], x)
-	w.recordBytes(w.buf[:n])
-}
-
-func (w *Writer) uvarint(x uint64) {
-	n := binary.PutUvarint(w.buf[:], x)
-	w.recordBytes(w.buf[:n])
 }
 
 func (w *Writer) header() error {
@@ -144,33 +178,8 @@ func (w *Writer) Write(e Event) error {
 	if err := w.header(); err != nil {
 		return err
 	}
-	w.recordBytes([]byte{byte(e.Kind)})
-	w.varint(int64(e.Time - w.prev))
+	w.recordBytes(AppendRecord(w.scratch[:0], w.prev, e))
 	w.prev = e.Time
-	switch e.Kind {
-	case KindCreate, KindOpen:
-		w.uvarint(uint64(e.OpenID))
-		w.uvarint(uint64(e.File))
-		w.uvarint(uint64(e.User))
-		w.uvarint(uint64(e.Mode))
-		w.varint(e.Size)
-	case KindClose:
-		w.uvarint(uint64(e.OpenID))
-		w.varint(e.NewPos)
-	case KindSeek:
-		w.uvarint(uint64(e.OpenID))
-		w.varint(e.OldPos)
-		w.varint(e.NewPos)
-	case KindUnlink:
-		w.uvarint(uint64(e.File))
-	case KindTruncate:
-		w.uvarint(uint64(e.File))
-		w.varint(e.Size)
-	case KindExec:
-		w.uvarint(uint64(e.File))
-		w.uvarint(uint64(e.User))
-		w.varint(e.Size)
-	}
 	if w.err == nil {
 		w.count++
 		if w.version == Version2 {
@@ -297,7 +306,7 @@ func (p *posReader) ReadByte() (byte, error) {
 // 1 and version 2 streams are both accepted.
 func NewReader(r io.Reader) (*Reader, error) {
 	p := &posReader{br: bufio.NewReaderSize(r, 1<<16)}
-	var hdr [5]byte
+	var hdr [HeaderSize]byte
 	for i := range hdr {
 		b, err := p.ReadByte()
 		if err != nil {

@@ -470,3 +470,40 @@ func TestValidatorStats(t *testing.T) {
 		t.Fatalf("per-kind counts wrong: %+v", c.ByKind)
 	}
 }
+
+// TestWriterWriteAllocs: encoding an event allocates nothing — one
+// event of every kind, through a version-1 writer and through a
+// version-2 writer whose small checkpoint interval seals segments
+// inside the measured runs.
+func TestWriterWriteAllocs(t *testing.T) {
+	kinds := []Event{
+		{Kind: KindCreate, OpenID: 1 << 40, File: 1 << 33, User: 1 << 20, Mode: ReadWrite, Size: -1},
+		{Kind: KindOpen, OpenID: 2, File: 3, User: 4, Mode: ReadOnly, Size: 1 << 50},
+		{Kind: KindSeek, OpenID: 2, OldPos: 100, NewPos: 1 << 35},
+		{Kind: KindClose, OpenID: 2, NewPos: 200},
+		{Kind: KindTruncate, File: 3, Size: 0},
+		{Kind: KindUnlink, File: 3},
+		{Kind: KindExec, File: 9, User: 4, Size: 4096},
+	}
+	for _, tc := range []struct {
+		name string
+		w    *Writer
+	}{
+		{"v1", NewWriter(io.Discard)},
+		{"v2 interval 3", NewWriterV2(io.Discard, 3)},
+	} {
+		now := Time(0)
+		allocs := testing.AllocsPerRun(100, func() {
+			for _, e := range kinds {
+				now += 1234
+				e.Time = now
+				if err := tc.w.Write(e); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %v allocations per %d writes, want 0", tc.name, allocs, len(kinds))
+		}
+	}
+}
