@@ -142,6 +142,59 @@ type Histogram struct {
 	total   float64
 	maxSeen float64
 	anySeen bool
+
+	// cells is BucketOf's lookup table, nil when the bounds do not
+	// allow one (see newCells). Like bounds it is immutable and shared
+	// by clones.
+	cells     []int32
+	cellShift uint   // a value's cell key is its float bits >> cellShift
+	cellBase  uint64 // the key of bounds[0], the key of cells[0]
+}
+
+// maxCells caps BucketOf's table; bounds that would need more cells
+// keep the binary search.
+const maxCells = 1 << 16
+
+// newCells builds BucketOf's table for all-positive, finite bounds.
+// For a positive float the top bits of its IEEE representation (the
+// exponent and the leading mantissa bits) grow with its value, so
+// shifting them out cuts the positive axis into cells: each octave is
+// split into 2^m equal cells. The table takes the smallest m for which
+// no cell holds two bounds, so each entry — the bucket of the cell's
+// smallest value — is at most one step from the bucket of any value in
+// the cell.
+func (h *Histogram) newCells() {
+	b := h.bounds
+	for _, x := range b {
+		if !(x > 0 && x <= math.MaxFloat64) {
+			return
+		}
+	}
+	first, last := math.Float64bits(b[0]), math.Float64bits(b[len(b)-1])
+	for m := uint(0); m <= 52; m++ {
+		shift := 52 - m
+		if last>>shift-first>>shift >= maxCells {
+			return
+		}
+		distinct := true
+		for i := 1; i < len(b) && distinct; i++ {
+			distinct = math.Float64bits(b[i])>>shift != math.Float64bits(b[i-1])>>shift
+		}
+		if !distinct {
+			continue
+		}
+		h.cellShift, h.cellBase = shift, first>>shift
+		h.cells = make([]int32, last>>shift-h.cellBase+1)
+		j := 0
+		for c := range h.cells {
+			lo := math.Float64frombits((h.cellBase + uint64(c)) << shift)
+			for j < len(b) && b[j] < lo {
+				j++
+			}
+			h.cells[c] = int32(j)
+		}
+		return
+	}
 }
 
 // NewHistogram creates a histogram with the given ascending bucket upper
@@ -158,7 +211,9 @@ func NewHistogram(bounds []float64) *Histogram {
 	}
 	b := make([]float64, len(bounds))
 	copy(b, bounds)
-	return &Histogram{bounds: b, weights: make([]float64, len(b)+1)}
+	h := &Histogram{bounds: b, weights: make([]float64, len(b)+1)}
+	h.newCells()
+	return h
 }
 
 // NewLinearHistogram creates a histogram with n buckets of the given width,
@@ -195,13 +250,9 @@ func NewLogHistogram(first, ratio float64, n int) *Histogram {
 // copy leaves the other untouched. Bucket bounds are immutable after
 // construction and are shared, not copied.
 func (h *Histogram) Clone() *Histogram {
-	return &Histogram{
-		bounds:  h.bounds,
-		weights: append([]float64(nil), h.weights...),
-		total:   h.total,
-		maxSeen: h.maxSeen,
-		anySeen: h.anySeen,
-	}
+	c := *h
+	c.weights = append([]float64(nil), h.weights...)
+	return &c
 }
 
 // Add records one observation of value x with the given weight. Weight is
@@ -214,16 +265,36 @@ func (h *Histogram) Add(x, weight float64) {
 		h.maxSeen = x
 		h.anySeen = true
 	}
-	i := sort.SearchFloat64s(h.bounds, x)
-	// SearchFloat64s returns the first index with bounds[i] >= x, which is
-	// exactly the bucket for (bounds[i-1], bounds[i]]; x beyond the last
-	// bound lands in the overflow bucket at index len(bounds).
-	h.weights[i] += weight
+	h.weights[h.BucketOf(x)] += weight
 	h.total += weight
 }
 
-// BucketOf returns the index of the bucket Add files x under.
-func (h *Histogram) BucketOf(x float64) int { return sort.SearchFloat64s(h.bounds, x) }
+// BucketOf returns the index of the bucket Add files x under: the first
+// index with bounds[i] >= x, which is exactly the bucket for
+// (bounds[i-1], bounds[i]], or the overflow bucket len(bounds) for x
+// beyond the last bound or NaN. It always equals
+// sort.SearchFloat64s(bounds, x); with a table it takes O(1) steps.
+func (h *Histogram) BucketOf(x float64) int {
+	if h.cells == nil {
+		return sort.SearchFloat64s(h.bounds, x)
+	}
+	if !(x > h.bounds[0]) {
+		if math.IsNaN(x) {
+			return len(h.bounds)
+		}
+		return 0
+	}
+	// x > bounds[0] > 0, so its key is at least cellBase.
+	k := math.Float64bits(x)>>h.cellShift - h.cellBase
+	if k >= uint64(len(h.cells)) {
+		return len(h.bounds)
+	}
+	i := int(h.cells[k])
+	for i < len(h.bounds) && h.bounds[i] < x {
+		i++
+	}
+	return i
+}
 
 // Total returns the total weight added.
 func (h *Histogram) Total() float64 { return h.total }

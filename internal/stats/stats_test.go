@@ -264,3 +264,88 @@ func TestHistogramBucketOfMatchesAdd(t *testing.T) {
 		}
 	}
 }
+
+// bucketOfProbes returns the values BucketOf must agree with the search
+// on for bounds b: every bound and both its float neighbours, the
+// special values, and random values over and around the bounds' range.
+func bucketOfProbes(b []float64, rng *rand.Rand) []float64 {
+	xs := []float64{
+		0, math.Copysign(0, -1), -1, -math.MaxFloat64, math.NaN(),
+		math.Inf(1), math.Inf(-1), math.MaxFloat64,
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+	}
+	for _, x := range b {
+		xs = append(xs, x, math.Nextafter(x, math.Inf(-1)), math.Nextafter(x, math.Inf(1)))
+	}
+	lo, hi := b[0], b[len(b)-1]
+	for i := 0; i < 2000; i++ {
+		xs = append(xs, lo+(hi-lo)*(rng.Float64()*1.2-0.1))
+		if lo > 0 {
+			xs = append(xs, lo*math.Pow(hi/lo, rng.Float64()*1.4-0.2))
+		}
+	}
+	return xs
+}
+
+// TestBucketOfMatchesSearch pins BucketOf's table to the binary search
+// it replaces, on every histogram shape the repository builds, and the
+// table's size on the positive ones.
+func TestBucketOfMatchesSearch(t *testing.T) {
+	cases := []struct {
+		name     string
+		h        *Histogram
+		maxCells int // 0: no table, BucketOf searches
+	}{
+		{"analyzer sizes 64/1.3/60", NewLogHistogram(64, 1.3, 60), 128},
+		{"analyzer times 0.01/1.25/70", NewLogHistogram(0.01, 1.25, 70), 128},
+		{"analyzer lifetimes linear 600x1", NewLinearHistogram(600, 1), 5000},
+		{"cachesim and fault ages 0.01/1.35/60", NewLogHistogram(0.01, 1.35, 60), 128},
+		{"first bound negative", NewHistogram([]float64{-5, -1, 0.5, 3, 100}), 0},
+		{"first bound zero", NewHistogram([]float64{0, 1, 2, 4}), 0},
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, c := range cases {
+		h := c.h
+		if n := len(h.cells); (n == 0) != (c.maxCells == 0) || n > c.maxCells {
+			t.Errorf("%s: table of %d cells, want %d at most (0: none)", c.name, n, c.maxCells)
+		}
+		for _, x := range bucketOfProbes(h.bounds, rng) {
+			if got, want := h.BucketOf(x), sort.SearchFloat64s(h.bounds, x); got != want {
+				t.Errorf("%s: BucketOf(%v) = %d, search gives %d", c.name, x, got, want)
+			}
+		}
+	}
+}
+
+// FuzzHistogramBucketOf: for any histogram shape, BucketOf equals the
+// binary search. first > 0 builds geometric bounds (a table); otherwise
+// the bounds step linearly from first (the search).
+func FuzzHistogramBucketOf(f *testing.F) {
+	f.Add(64.0, 1.3, 60, 1000.0)
+	f.Add(0.01, 1.25, 70, 0.5)
+	f.Add(1.0, 1.0000001, 40, 1.00000015)
+	f.Add(-3.0, 0.5, 10, 0.0)
+	f.Add(1e-310, 2.0, 30, 1e-300)
+	f.Fuzz(func(t *testing.T, first, ratio float64, n int, x float64) {
+		if n < 1 || n > 1000 || !(ratio > 0) || math.IsInf(ratio, 1) {
+			t.Skip()
+		}
+		bounds := make([]float64, n)
+		for i := range bounds {
+			if first > 0 {
+				bounds[i] = first * math.Pow(ratio, float64(i))
+			} else {
+				bounds[i] = first + ratio*float64(i)
+			}
+			if math.IsNaN(bounds[i]) || i > 0 && !(bounds[i] > bounds[i-1]) {
+				t.Skip()
+			}
+		}
+		h := NewHistogram(bounds)
+		for _, v := range append(bucketOfProbes(bounds, rand.New(rand.NewSource(int64(n)))), x) {
+			if got, want := h.BucketOf(v), sort.SearchFloat64s(bounds, v); got != want {
+				t.Fatalf("bounds %v: BucketOf(%v) = %d, search gives %d", bounds, v, got, want)
+			}
+		}
+	})
+}
