@@ -102,9 +102,9 @@ func (s *Scanner) DecodeState(buf []byte) ([]byte, error) {
 	if n > maxStateEntries {
 		return nil, stats.ErrCorruptState
 	}
-	opens := make(map[trace.OpenID]*openState, n)
+	opens := make(map[trace.OpenID]openState, n)
 	for i := uint64(0); i < n; i++ {
-		st := &openState{}
+		var st openState
 		sum := &st.summary
 		var u int64
 		var x uint64

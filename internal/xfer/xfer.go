@@ -111,7 +111,7 @@ type Scanner struct {
 	// tight the no-read-write time bounds are).
 	OnEventGap func(gap trace.Time)
 
-	opens map[trace.OpenID]*openState
+	opens map[trace.OpenID]openState // by value: no heap object per open
 	sizes map[trace.FileID]int64
 	errs  []error
 }
@@ -127,7 +127,7 @@ type openState struct {
 // NewScanner creates a Scanner.
 func NewScanner() *Scanner {
 	return &Scanner{
-		opens: make(map[trace.OpenID]*openState),
+		opens: make(map[trace.OpenID]openState),
 		sizes: make(map[trace.FileID]int64),
 	}
 }
@@ -205,7 +205,7 @@ func (s *Scanner) Feed(e trace.Event) {
 		} else {
 			s.sizes[e.File] = e.Size
 		}
-		s.opens[e.OpenID] = &openState{
+		s.opens[e.OpenID] = openState{
 			summary: OpenSummary{
 				OpenID:     e.OpenID,
 				File:       e.File,
@@ -227,13 +227,14 @@ func (s *Scanner) Feed(e trace.Event) {
 		if s.OnEventGap != nil {
 			s.OnEventGap(e.Time - st.lastEvent)
 		}
-		s.emitRun(st, e.OldPos, e.Time)
+		s.emitRun(&st, e.OldPos, e.Time)
 		st.lastEvent = e.Time
 		// A trailing seek with no bytes after it does not break
 		// sequentiality; only a second non-empty run does, and emitRun
 		// marks that.
 		st.summary.Seeks++
 		st.pos = e.NewPos
+		s.opens[e.OpenID] = st
 
 	case trace.KindClose:
 		st, ok := s.opens[e.OpenID]
@@ -244,7 +245,7 @@ func (s *Scanner) Feed(e trace.Event) {
 		if s.OnEventGap != nil {
 			s.OnEventGap(e.Time - st.lastEvent)
 		}
-		s.emitRun(st, e.NewPos, e.Time)
+		s.emitRun(&st, e.NewPos, e.Time)
 		delete(s.opens, e.OpenID)
 		sum := &st.summary
 		sum.CloseTime = e.Time
@@ -289,7 +290,7 @@ func (s *Scanner) OpenCount() int { return len(s.opens) }
 // were for the paper's analyzers.
 func (s *Scanner) Finish() int {
 	n := len(s.opens)
-	s.opens = make(map[trace.OpenID]*openState)
+	s.opens = make(map[trace.OpenID]openState)
 	return n
 }
 
