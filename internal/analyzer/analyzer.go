@@ -12,8 +12,9 @@
 package analyzer
 
 import (
+	"cmp"
 	"io"
-	"sort"
+	"slices"
 
 	"bsdtrace/internal/stats"
 	"bsdtrace/internal/trace"
@@ -238,25 +239,33 @@ type fileShare struct {
 	accesses int64
 }
 
-type countingWriter struct{ n int64 }
+// user is one entry of the stream's user table, which holds every user
+// seen: one slot per activity accumulator, so a single lookup serves
+// both.
+type user struct {
+	id    trace.UserID
+	slots [2]activitySlot // indexed by activityAccum.slot
+}
 
-func (c *countingWriter) Write(p []byte) (int, error) {
-	c.n += int64(len(p))
-	return len(p), nil
+// activitySlot is one user's activity in an accumulator's current
+// interval.
+type activitySlot struct {
+	active bool  // listed in the accumulator's active users
+	bytes  int64 // bytes moved this interval
 }
 
 // activityAccum buckets user activity at one interval width.
 type activityAccum struct {
 	width   trace.Time
-	current int64                  // current interval index
-	users   map[trace.UserID]int64 // bytes per user this interval; presence == active
-	scratch []trace.UserID         // reused per-flush sort buffer
+	slot    int     // this accumulator's index into user.slots
+	current int64   // current interval index
+	active  []*user // users active this interval, in order of arrival
 	row     ActivityRow
 	started bool
 }
 
-func newActivityAccum(width trace.Time) *activityAccum {
-	return &activityAccum{width: width, users: make(map[trace.UserID]int64), row: ActivityRow{Interval: width}}
+func newActivityAccum(width trace.Time, slot int) *activityAccum {
+	return &activityAccum{width: width, slot: slot, row: ActivityRow{Interval: width}}
 }
 
 func (a *activityAccum) interval(t trace.Time) int64 { return int64(t / a.width) }
@@ -276,37 +285,53 @@ func (a *activityAccum) advance(t trace.Time) {
 	}
 }
 
-func (a *activityAccum) flush() {
-	n := len(a.users)
-	a.row.ActiveUsers.Add(float64(n))
-	if n > a.row.MaxActiveUsers {
-		a.row.MaxActiveUsers = n
+func byID(x, y *user) int { return cmp.Compare(x.id, y.id) }
+
+// fold adds the current interval's active users to row. It feeds the
+// throughput accumulator in user order: float summation isn't
+// associative, so arrival order would make the resulting moments depend
+// on how the users interleaved.
+func (a *activityAccum) fold(row *ActivityRow) {
+	n := len(a.active)
+	row.ActiveUsers.Add(float64(n))
+	if n > row.MaxActiveUsers {
+		row.MaxActiveUsers = n
 	}
 	secs := a.width.Seconds()
-	// Feed the accumulator in user order: float summation isn't
-	// associative, so map-iteration order would make the resulting
-	// moments differ bitwise from run to run.
-	a.scratch = a.scratch[:0]
-	for u := range a.users {
-		a.scratch = append(a.scratch, u)
-	}
-	sort.Slice(a.scratch, func(i, j int) bool { return a.scratch[i] < a.scratch[j] })
-	for _, u := range a.scratch {
-		a.row.PerUserThroughput.Add(float64(a.users[u]) / secs)
-		delete(a.users, u)
+	slices.SortFunc(a.active, byID)
+	for _, u := range a.active {
+		row.PerUserThroughput.Add(float64(u.slots[a.slot].bytes) / secs)
 	}
 }
 
-func (a *activityAccum) active(t trace.Time, u trace.UserID) {
-	a.advance(t)
-	if _, ok := a.users[u]; !ok {
-		a.users[u] = 0
+// flush closes the current interval: its users go into the row and
+// their slots are cleared.
+func (a *activityAccum) flush() {
+	a.fold(&a.row)
+	for _, u := range a.active {
+		u.slots[a.slot] = activitySlot{}
 	}
+	a.active = a.active[:0]
 }
 
-func (a *activityAccum) bytes(t trace.Time, u trace.UserID, n int64) {
+// touch marks u active in the interval containing t and returns its slot.
+func (a *activityAccum) touch(t trace.Time, u *user) *activitySlot {
 	a.advance(t)
-	a.users[u] += n
+	return a.mark(u)
+}
+
+// mark lists u as active in the current interval and returns its slot.
+func (a *activityAccum) mark(u *user) *activitySlot {
+	sl := &u.slots[a.slot]
+	if !sl.active {
+		sl.active = true
+		a.active = append(a.active, u)
+	}
+	return sl
+}
+
+func (a *activityAccum) bytes(t trace.Time, u *user, n int64) {
+	a.touch(t, u).bytes += n
 }
 
 // finish flushes the final partial interval.
@@ -316,21 +341,14 @@ func (a *activityAccum) finish() {
 	}
 }
 
-// clone returns an independent copy whose finish leaves the original
-// untouched. The row's Welford accumulators are plain values and copy
-// with the struct; the scratch buffer is per-instance and starts empty.
-func (a *activityAccum) clone() *activityAccum {
-	c := &activityAccum{
-		width:   a.width,
-		current: a.current,
-		users:   make(map[trace.UserID]int64, len(a.users)),
-		row:     a.row,
-		started: a.started,
+// rowSoFar returns the row finish would produce now, leaving the
+// accumulator's row and its users' slots untouched.
+func (a *activityAccum) rowSoFar() ActivityRow {
+	row := a.row
+	if a.started {
+		a.fold(&row)
 	}
-	for u, b := range a.users {
-		c.users[u] = b
-	}
-	return c
+	return row
 }
 
 // Stream is the incremental form of the Section-5 analysis: feed it a
@@ -355,16 +373,24 @@ type Stream struct {
 	lifeBytes   *stats.Histogram
 	gaps        *stats.Histogram
 
-	longAcc   *activityAccum
-	shortAcc  *activityAccum
-	usersSeen map[trace.UserID]bool
-	openUser  map[trace.OpenID]trace.UserID
-	lives     map[trace.FileID]*lifeState
-	shares    map[trace.FileID]*fileShare
+	longAcc  *activityAccum
+	shortAcc *activityAccum
+	users    map[trace.UserID]*user
+	openUser map[trace.OpenID]*user
+	lives    map[trace.FileID]lifeState
+	shares   map[trace.FileID]fileShare
 
-	sc      *xfer.Scanner
-	counter *countingWriter
-	enc     *trace.Writer
+	sc *xfer.Scanner
+
+	// The trace's size in the binary format, for EncodedSize: the
+	// header plus each valid event's record, which trace.AppendRecord
+	// encodes into the scratch buffer rec to be measured. records and
+	// prev are the record count and delta-time base a writer of the
+	// same trace would hold.
+	size    int64
+	records int64
+	prev    trace.Time
+	rec     []byte
 
 	finished bool
 }
@@ -382,15 +408,14 @@ func NewStream(opts Options) *Stream {
 		lifeFiles:   stats.NewLinearHistogram(600, 1),      // seconds, 1 s bins to 10 min
 		lifeBytes:   stats.NewLinearHistogram(600, 1),
 		gaps:        stats.NewLogHistogram(0.01, 1.25, 70), // seconds
-		longAcc:     newActivityAccum(opts.LongInterval),
-		shortAcc:    newActivityAccum(opts.ShortInterval),
-		usersSeen:   make(map[trace.UserID]bool),
-		openUser:    make(map[trace.OpenID]trace.UserID),
-		lives:       make(map[trace.FileID]*lifeState),
-		shares:      make(map[trace.FileID]*fileShare),
-		counter:     &countingWriter{},
+		longAcc:     newActivityAccum(opts.LongInterval, 0),
+		shortAcc:    newActivityAccum(opts.ShortInterval, 1),
+		users:       make(map[trace.UserID]*user),
+		openUser:    make(map[trace.OpenID]*user),
+		lives:       make(map[trace.FileID]lifeState),
+		shares:      make(map[trace.FileID]fileShare),
+		size:        trace.HeaderSize,
 	}
-	s.enc = trace.NewWriter(s.counter)
 
 	an := s.an
 	s.sc = xfer.NewScanner()
@@ -403,11 +428,13 @@ func NewStream(opts Options) *Stream {
 		}
 		s.runLenRuns.Add(float64(x.Length), 1)
 		s.runLenBytes.Add(float64(x.Length), float64(x.Length))
-		s.longAcc.bytes(x.Time, x.User, x.Length)
-		s.shortAcc.bytes(x.Time, x.User, x.Length)
+		u := s.user(x.User)
+		s.longAcc.bytes(x.Time, u, x.Length)
+		s.shortAcc.bytes(x.Time, u, x.Length)
 		if x.Write {
 			if st, ok := s.lives[x.File]; ok {
 				st.bytes += x.Length
+				s.lives[x.File] = st
 			}
 		}
 	}
@@ -434,6 +461,16 @@ func NewStream(opts Options) *Stream {
 	return s
 }
 
+// user returns id's entry in the user table, adding it if new.
+func (s *Stream) user(id trace.UserID) *user {
+	u := s.users[id]
+	if u == nil {
+		u = &user{id: id}
+		s.users[id] = u
+	}
+	return u
+}
+
 // die closes out one live file for the lifetime analysis.
 func (s *Stream) die(f trace.FileID, t trace.Time) {
 	st, ok := s.lives[f]
@@ -454,42 +491,44 @@ func (s *Stream) Feed(e trace.Event) {
 	if e.Time > an.Overall.Duration {
 		an.Overall.Duration = e.Time
 	}
-	s.enc.Write(e)
+	// A writer refuses events of invalid kinds, so they add no bytes.
+	if e.Kind.Valid() {
+		s.rec = trace.AppendRecord(s.rec[:0], s.prev, e)
+		s.size += int64(len(s.rec))
+		s.records++
+		s.prev = e.Time
+	}
 
 	// Sharing: record which users touch which files.
 	switch e.Kind {
 	case trace.KindCreate, trace.KindOpen, trace.KindExec:
-		sh := s.shares[e.File]
-		if sh == nil {
-			sh = &fileShare{first: e.User, users: 1}
-			s.shares[e.File] = sh
+		sh, ok := s.shares[e.File]
+		if !ok {
+			sh = fileShare{first: e.User, users: 1}
 		} else if sh.users == 1 && e.User != sh.first {
 			sh.users = 2
 		}
 		sh.accesses++
+		s.shares[e.File] = sh
 	}
 
 	// Attribute the event to a user for the activity analysis.
-	var user trace.UserID
-	hasUser := false
+	var u *user
 	switch e.Kind {
 	case trace.KindCreate, trace.KindOpen:
-		user, hasUser = e.User, true
-		s.openUser[e.OpenID] = e.User
+		u = s.user(e.User)
+		s.openUser[e.OpenID] = u
 	case trace.KindExec:
-		user, hasUser = e.User, true
+		u = s.user(e.User)
 	case trace.KindClose, trace.KindSeek:
-		if u, ok := s.openUser[e.OpenID]; ok {
-			user, hasUser = u, true
-		}
+		u = s.openUser[e.OpenID]
 		if e.Kind == trace.KindClose {
 			delete(s.openUser, e.OpenID)
 		}
 	}
-	if hasUser {
-		s.usersSeen[user] = true
-		s.longAcc.active(e.Time, user)
-		s.shortAcc.active(e.Time, user)
+	if u != nil {
+		s.longAcc.touch(e.Time, u)
+		s.shortAcc.touch(e.Time, u)
 	}
 
 	// Lifetime state machine (Figure 4): births at create and
@@ -497,12 +536,12 @@ func (s *Stream) Feed(e trace.Event) {
 	switch e.Kind {
 	case trace.KindCreate:
 		s.die(e.File, e.Time) // overwrite of previous incarnation
-		s.lives[e.File] = &lifeState{birth: e.Time}
+		s.lives[e.File] = lifeState{birth: e.Time}
 		an.Lifetimes.NewFiles++
 	case trace.KindTruncate:
 		if e.Size == 0 {
 			s.die(e.File, e.Time)
-			s.lives[e.File] = &lifeState{birth: e.Time}
+			s.lives[e.File] = lifeState{birth: e.Time}
 			an.Lifetimes.NewFiles++
 		}
 	case trace.KindUnlink:
@@ -527,11 +566,7 @@ func (s *Stream) Snapshot() *Analysis {
 	}
 	an := *s.an
 	an.Overall.UnclosedOpens = s.sc.OpenCount()
-	// Flushing the encoder only drains its buffer into the byte counter;
-	// the encoding of later events is unaffected.
-	if err := s.enc.Flush(); err == nil {
-		an.Overall.EncodedSize = s.counter.n
-	}
+	an.Overall.EncodedSize = s.size
 
 	const censored = 1e18
 	lifeFiles := s.lifeFiles.Clone()
@@ -541,13 +576,9 @@ func (s *Stream) Snapshot() *Analysis {
 		lifeBytes.Add(censored, float64(st.bytes))
 	}
 
-	longAcc := s.longAcc.clone()
-	shortAcc := s.shortAcc.clone()
-	longAcc.finish()
-	shortAcc.finish()
-	an.Activity.Long = longAcc.row
-	an.Activity.Short = shortAcc.row
-	an.Activity.TotalUsers = len(s.usersSeen)
+	an.Activity.Long = s.longAcc.rowSoFar()
+	an.Activity.Short = s.shortAcc.rowSoFar()
+	an.Activity.TotalUsers = len(s.users)
 	if an.Overall.Duration > 0 {
 		an.Activity.AvgThroughput = float64(an.Overall.BytesTransferred) / an.Overall.Duration.Seconds()
 	}
@@ -582,9 +613,7 @@ func (s *Stream) Finish() *Analysis {
 	s.finished = true
 	an := s.an
 	an.Overall.UnclosedOpens = s.sc.Finish()
-	if err := s.enc.Flush(); err == nil {
-		an.Overall.EncodedSize = s.counter.n
-	}
+	an.Overall.EncodedSize = s.size
 
 	// Censor survivors into the top bucket so the by-files and by-bytes
 	// CDFs are normalized over all new files, as Figure 4 is.
@@ -598,7 +627,7 @@ func (s *Stream) Finish() *Analysis {
 	s.shortAcc.finish()
 	an.Activity.Long = s.longAcc.row
 	an.Activity.Short = s.shortAcc.row
-	an.Activity.TotalUsers = len(s.usersSeen)
+	an.Activity.TotalUsers = len(s.users)
 	if an.Overall.Duration > 0 {
 		an.Activity.AvgThroughput = float64(an.Overall.BytesTransferred) / an.Overall.Duration.Seconds()
 	}

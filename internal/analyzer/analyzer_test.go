@@ -25,6 +25,74 @@ func unlink(t trace.Time, f trace.FileID) trace.Event {
 	return trace.Event{Time: t, Kind: trace.KindUnlink, File: f}
 }
 
+// writtenSize is the size of the trace a version-1 writer makes of
+// events, skipping the events it refuses.
+func writtenSize(t *testing.T, events []trace.Event) int64 {
+	t.Helper()
+	var buf bytes.Buffer
+	w := trace.NewWriter(&buf)
+	for _, e := range events {
+		if err := w.Write(e); err != nil && e.Kind.Valid() {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return int64(buf.Len())
+}
+
+// TestEncodedSizeMatchesWriter: Overall.EncodedSize is exactly the
+// bytes trace.NewWriter and Flush produce — on a generated trace, on
+// the empty stream (the bare header), around events of invalid kinds
+// (refused, and no delta base for the next record), in a mid-stream
+// Snapshot, and on a stream restored from a checkpoint.
+func TestEncodedSizeMatchesWriter(t *testing.T) {
+	events := snapshotTrace(t)
+	invalid := trace.Event{Time: events[1].Time + trace.Hour, Kind: trace.Kind(200)}
+	withInvalid := []trace.Event{events[0], invalid, events[1], events[2]}
+	for _, c := range []struct {
+		name   string
+		events []trace.Event
+	}{
+		{"A5 trace", events},
+		{"empty", nil},
+		{"one invalid kind", []trace.Event{invalid}},
+		{"invalid kind mid-stream", withInvalid},
+	} {
+		got := Analyze(c.events, Options{}).Overall.EncodedSize
+		if want := writtenSize(t, c.events); got != want {
+			t.Errorf("%s: EncodedSize = %d, writer wrote %d", c.name, got, want)
+		}
+	}
+	if got := Analyze(nil, Options{}).Overall.EncodedSize; got != trace.HeaderSize {
+		t.Errorf("empty stream: EncodedSize = %d, want the %d-byte header", got, trace.HeaderSize)
+	}
+
+	k := len(events) / 2
+	s := NewStream(Options{})
+	for _, e := range events[:k] {
+		s.Feed(e)
+	}
+	if got, want := s.Snapshot().Overall.EncodedSize, writtenSize(t, events[:k]); got != want {
+		t.Errorf("Snapshot after %d events: EncodedSize = %d, writer wrote %d", k, got, want)
+	}
+	blob, err := s.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := RestoreStream(blob, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range events[k:] {
+		restored.Feed(e)
+	}
+	if got, want := restored.Finish().Overall.EncodedSize, writtenSize(t, events); got != want {
+		t.Errorf("restored at %d: EncodedSize = %d, writer wrote %d", k, got, want)
+	}
+}
+
 func TestOverallCountsAndBytes(t *testing.T) {
 	events := []trace.Event{
 		create(0, 1, 10, 1),

@@ -3,6 +3,7 @@ package analyzer
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"bsdtrace/internal/stats"
@@ -12,16 +13,17 @@ import (
 // Stream checkpoint serialization.
 //
 // MarshalBinary captures the complete incremental state of an unfinished
-// Stream — histograms, activity accumulators, the open/live/share
-// tables, the transfer scanner, and the encoder position that backs
-// EncodedSize — and RestoreStream rebuilds a Stream from it. The restore
-// invariant, pinned by TestStreamCheckpointRoundTrip, is byte-exactness:
-// feeding events e(n+1)..e(N) into a Stream restored at position n and
-// finishing produces an Analysis (and a rendered report) identical to
-// feeding e(1)..e(N) into one Stream without interruption. Floating-point
-// state round-trips through exact bit patterns, and all maps are
-// serialized in sorted key order, so the blob itself is a deterministic
-// function of the stream's state.
+// Stream — histograms, activity accumulators, the user/open/live/share
+// tables, the transfer scanner, and the byte count, record count and
+// delta-time base that back EncodedSize — and RestoreStream rebuilds a
+// Stream from it. The restore invariant, pinned by
+// TestStreamCheckpointRoundTrip, is byte-exactness: feeding events
+// e(n+1)..e(N) into a Stream restored at position n and finishing
+// produces an Analysis (and a rendered report) identical to feeding
+// e(1)..e(N) into one Stream without interruption. Floating-point state
+// round-trips through exact bit patterns, and all maps are serialized in
+// sorted key order, so the blob itself is a deterministic function of
+// the stream's state.
 //
 // The format is a versioned byte string read with bounds-checked
 // decoders: RestoreStream never panics on corrupt input (fuzzed by
@@ -55,20 +57,18 @@ func (a *activityAccum) appendState(buf []byte) []byte {
 	buf = stats.AppendVarint(buf, int64(a.row.MaxActiveUsers))
 	buf = a.row.ActiveUsers.AppendState(buf)
 	buf = a.row.PerUserThroughput.AppendState(buf)
-	buf = stats.AppendUvarint(buf, uint64(len(a.users)))
-	ids := make([]trace.UserID, 0, len(a.users))
-	for u := range a.users {
-		ids = append(ids, u)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, u := range ids {
-		buf = stats.AppendUvarint(buf, uint64(u))
-		buf = stats.AppendVarint(buf, a.users[u])
+	buf = stats.AppendUvarint(buf, uint64(len(a.active)))
+	slices.SortFunc(a.active, byID)
+	for _, u := range a.active {
+		buf = stats.AppendUvarint(buf, uint64(u.id))
+		buf = stats.AppendVarint(buf, u.slots[a.slot].bytes)
 	}
 	return buf
 }
 
-func (a *activityAccum) decodeState(buf []byte) ([]byte, error) {
+// decodeState restores the accumulator, taking its active users' entries
+// from the stream's user table through user.
+func (a *activityAccum) decodeState(buf []byte, user func(trace.UserID) *user) ([]byte, error) {
 	w, buf, err := stats.DecodeVarint(buf)
 	if err != nil {
 		return nil, err
@@ -100,7 +100,6 @@ func (a *activityAccum) decodeState(buf []byte) ([]byte, error) {
 	if n > 1<<28 {
 		return nil, stats.ErrCorruptState
 	}
-	a.users = make(map[trace.UserID]int64, n)
 	for i := uint64(0); i < n; i++ {
 		var u uint64
 		var b int64
@@ -110,7 +109,7 @@ func (a *activityAccum) decodeState(buf []byte) ([]byte, error) {
 		if b, buf, err = stats.DecodeVarint(buf); err != nil {
 			return nil, err
 		}
-		a.users[trace.UserID(u)] = b
+		a.mark(user(trace.UserID(u))).bytes = b
 	}
 	return buf, nil
 }
@@ -122,12 +121,6 @@ func (s *Stream) MarshalBinary() ([]byte, error) {
 	if s.finished {
 		return nil, ErrFinished
 	}
-	// Drain the encoder so the byte counter is exact. This flushes an
-	// internal buffer only; the encoding of later events is unaffected.
-	if err := s.enc.Flush(); err != nil {
-		return nil, err
-	}
-
 	buf := stats.AppendUvarint(nil, streamStateVersion)
 
 	// Partial Analysis scalars (CDFs and finish-time fields are derived).
@@ -161,9 +154,9 @@ func (s *Stream) MarshalBinary() ([]byte, error) {
 	buf = s.shortAcc.appendState(buf)
 
 	// User / open / live-file / share tables, sorted.
-	buf = stats.AppendUvarint(buf, uint64(len(s.usersSeen)))
-	users := make([]trace.UserID, 0, len(s.usersSeen))
-	for u := range s.usersSeen {
+	buf = stats.AppendUvarint(buf, uint64(len(s.users)))
+	users := make([]trace.UserID, 0, len(s.users))
+	for u := range s.users {
 		users = append(users, u)
 	}
 	sort.Slice(users, func(i, j int) bool { return users[i] < users[j] })
@@ -179,7 +172,7 @@ func (s *Stream) MarshalBinary() ([]byte, error) {
 	sort.Slice(opens, func(i, j int) bool { return opens[i] < opens[j] })
 	for _, o := range opens {
 		buf = stats.AppendUvarint(buf, uint64(o))
-		buf = stats.AppendUvarint(buf, uint64(s.openUser[o]))
+		buf = stats.AppendUvarint(buf, uint64(s.openUser[o].id))
 	}
 
 	buf = stats.AppendUvarint(buf, uint64(len(s.lives)))
@@ -212,13 +205,14 @@ func (s *Stream) MarshalBinary() ([]byte, error) {
 	// Transfer scanner.
 	buf = s.sc.AppendState(buf)
 
-	// Encoder position: byte count and delta base, so EncodedSize stays
-	// continuous across a restore.
-	buf = stats.AppendVarint(buf, s.counter.n)
-	wst := s.enc.State()
-	buf = stats.AppendVarint(buf, wst.Count)
-	buf = stats.AppendVarint(buf, int64(wst.Prev))
-	return appendBool(buf, wst.Begun), nil
+	// Encoder position: byte count (header included), record count and
+	// delta base, so EncodedSize stays continuous across a restore. The
+	// final true is the header's "begun" flag, which the count always
+	// includes.
+	buf = stats.AppendVarint(buf, s.size)
+	buf = stats.AppendVarint(buf, s.records)
+	buf = stats.AppendVarint(buf, int64(s.prev))
+	return appendBool(buf, true), nil
 }
 
 // histograms returns the stream's histograms in serialization order.
@@ -301,10 +295,10 @@ func RestoreStream(data []byte, opts Options) (*Stream, error) {
 		}
 	}
 
-	if buf, err = s.longAcc.decodeState(buf); err != nil {
+	if buf, err = s.longAcc.decodeState(buf, s.user); err != nil {
 		return nil, err
 	}
-	if buf, err = s.shortAcc.decodeState(buf); err != nil {
+	if buf, err = s.shortAcc.decodeState(buf, s.user); err != nil {
 		return nil, err
 	}
 
@@ -315,13 +309,12 @@ func RestoreStream(data []byte, opts Options) (*Stream, error) {
 	if n > 1<<28 {
 		return nil, stats.ErrCorruptState
 	}
-	s.usersSeen = make(map[trace.UserID]bool, n)
 	for i := uint64(0); i < n; i++ {
 		var u uint64
 		if u, buf, err = stats.DecodeUvarint(buf); err != nil {
 			return nil, err
 		}
-		s.usersSeen[trace.UserID(u)] = true
+		s.user(trace.UserID(u))
 	}
 
 	if n, buf, err = stats.DecodeUvarint(buf); err != nil {
@@ -330,7 +323,7 @@ func RestoreStream(data []byte, opts Options) (*Stream, error) {
 	if n > 1<<28 {
 		return nil, stats.ErrCorruptState
 	}
-	s.openUser = make(map[trace.OpenID]trace.UserID, n)
+	s.openUser = make(map[trace.OpenID]*user, n)
 	for i := uint64(0); i < n; i++ {
 		var o, u uint64
 		if o, buf, err = stats.DecodeUvarint(buf); err != nil {
@@ -339,7 +332,7 @@ func RestoreStream(data []byte, opts Options) (*Stream, error) {
 		if u, buf, err = stats.DecodeUvarint(buf); err != nil {
 			return nil, err
 		}
-		s.openUser[trace.OpenID(o)] = trace.UserID(u)
+		s.openUser[trace.OpenID(o)] = s.user(trace.UserID(u))
 	}
 
 	if n, buf, err = stats.DecodeUvarint(buf); err != nil {
@@ -348,7 +341,7 @@ func RestoreStream(data []byte, opts Options) (*Stream, error) {
 	if n > 1<<28 {
 		return nil, stats.ErrCorruptState
 	}
-	s.lives = make(map[trace.FileID]*lifeState, n)
+	s.lives = make(map[trace.FileID]lifeState, n)
 	for i := uint64(0); i < n; i++ {
 		var f uint64
 		var birth, bytes int64
@@ -361,7 +354,7 @@ func RestoreStream(data []byte, opts Options) (*Stream, error) {
 		if bytes, buf, err = stats.DecodeVarint(buf); err != nil {
 			return nil, err
 		}
-		s.lives[trace.FileID(f)] = &lifeState{birth: trace.Time(birth), bytes: bytes}
+		s.lives[trace.FileID(f)] = lifeState{birth: trace.Time(birth), bytes: bytes}
 	}
 
 	if n, buf, err = stats.DecodeUvarint(buf); err != nil {
@@ -370,7 +363,7 @@ func RestoreStream(data []byte, opts Options) (*Stream, error) {
 	if n > 1<<28 {
 		return nil, stats.ErrCorruptState
 	}
-	s.shares = make(map[trace.FileID]*fileShare, n)
+	s.shares = make(map[trace.FileID]fileShare, n)
 	for i := uint64(0); i < n; i++ {
 		var f, first uint64
 		var users, accesses int64
@@ -386,7 +379,7 @@ func RestoreStream(data []byte, opts Options) (*Stream, error) {
 		if accesses, buf, err = stats.DecodeVarint(buf); err != nil {
 			return nil, err
 		}
-		s.shares[trace.FileID(f)] = &fileShare{
+		s.shares[trace.FileID(f)] = fileShare{
 			first: trace.UserID(first), users: int(users), accesses: accesses,
 		}
 	}
@@ -395,22 +388,22 @@ func RestoreStream(data []byte, opts Options) (*Stream, error) {
 		return nil, err
 	}
 
-	if s.counter.n, buf, err = stats.DecodeVarint(buf); err != nil {
+	if s.size, buf, err = stats.DecodeVarint(buf); err != nil {
 		return nil, err
 	}
-	var wst trace.WriterState
-	if wst.Count, buf, err = stats.DecodeVarint(buf); err != nil {
+	if s.records, buf, err = stats.DecodeVarint(buf); err != nil {
 		return nil, err
 	}
 	if x, buf, err = stats.DecodeVarint(buf); err != nil {
 		return nil, err
 	}
-	wst.Prev = trace.Time(x)
-	if wst.Begun, buf, err = decodeBool(buf); err != nil {
+	s.prev = trace.Time(x)
+	begun, buf, err := decodeBool(buf)
+	if err != nil {
 		return nil, err
 	}
-	if err := s.enc.SetState(wst); err != nil {
-		return nil, err
+	if !begun {
+		return nil, stats.ErrCorruptState
 	}
 	if len(buf) != 0 {
 		return nil, fmt.Errorf("analyzer: %d trailing bytes after stream state", len(buf))

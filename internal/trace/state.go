@@ -36,38 +36,6 @@ func NewResumedWriterV2(w io.Writer, interval int, count int64, prev Time) *Writ
 	}
 }
 
-// WriterState is a version-1 Writer's resumable position: how many
-// records it has written and the delta-time base for the next one.
-// The encoded size of every future record is a function of exactly this
-// state, so restoring it keeps byte counts (analyzer EncodedSize)
-// continuous across a checkpoint restore.
-type WriterState struct {
-	Count int64
-	Prev  Time
-	Begun bool
-}
-
-// State returns the writer's resumable position. Call Flush first if the
-// underlying stream's byte count must agree.
-func (w *Writer) State() WriterState {
-	return WriterState{Count: w.count, Prev: w.prev, Begun: w.begun}
-}
-
-// SetState restores a position captured by State. It is valid only on a
-// fresh version-1 writer (nothing written yet); the caller is
-// responsible for the underlying stream already holding the bytes the
-// restored position implies.
-func (w *Writer) SetState(st WriterState) error {
-	if w.version != Version {
-		return errors.New("trace: SetState requires a version-1 writer")
-	}
-	if w.begun || w.count != 0 {
-		return errors.New("trace: SetState on a writer that has already written")
-	}
-	w.count, w.prev, w.begun = st.Count, st.Prev, st.Begun
-	return nil
-}
-
 const validatorStateVersion = 1
 
 // AppendState appends the validator's complete state: stream position,
