@@ -146,6 +146,22 @@ func ingestDamage(path string, rdr *trace.Reader, ls *trace.LenientSource, lenie
 	return nil
 }
 
+// checkRanges rejects a window that would select nothing or that a
+// negative offset would silently widen, and a negative -top.
+func (o options) checkRanges() error {
+	switch {
+	case o.from < 0:
+		return fmt.Errorf("-from %v is negative", o.from)
+	case o.to < 0:
+		return fmt.Errorf("-to %v is negative", o.to)
+	case o.to > 0 && o.to <= o.from:
+		return fmt.Errorf("-to %v is not after -from %v: the window is empty", o.to, o.from)
+	case o.top < 0:
+		return fmt.Errorf("-top %d is negative", o.top)
+	}
+	return nil
+}
+
 // want reports whether the named section should print under -only.
 func (o options) want(name string) bool {
 	return o.only == "" || strings.EqualFold(o.only, name)
@@ -177,6 +193,9 @@ func run(out io.Writer, paths []string, opts options) error {
 	}
 	if opts.only != "" && analyzer.SectionMetrics(opts.only) == nil {
 		return fmt.Errorf("unknown section %q", opts.only)
+	}
+	if err := opts.checkRanges(); err != nil {
+		return err
 	}
 	reg := obs.NewRegistry()
 	reg.SetEnabled(opts.manifest != "" || opts.progress)

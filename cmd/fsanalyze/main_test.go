@@ -121,6 +121,32 @@ func TestRunWindow(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadWindow: an empty window, a negative offset or a
+// negative -top is an error, raised before any file is opened (the path
+// does not exist), for native and foreign input alike.
+func TestRunRejectsBadWindow(t *testing.T) {
+	for _, opts := range []options{
+		{from: 2 * time.Hour, to: time.Hour},
+		{from: time.Hour, to: time.Hour},
+		{to: -time.Hour},
+		{from: -time.Minute},
+		{from: -time.Minute, to: time.Hour},
+		{top: -1},
+	} {
+		for _, format := range []string{"bsd", "blockcsv"} {
+			opts.format = format
+			var buf bytes.Buffer
+			err := run(&buf, []string{"/nonexistent.trace"}, opts)
+			if err == nil || errors.Is(err, os.ErrNotExist) {
+				t.Errorf("run %+v = %v, want a flag error before opening the file", opts, err)
+			}
+			if buf.Len() != 0 {
+				t.Errorf("run %+v printed %q", opts, buf.String())
+			}
+		}
+	}
+}
+
 func TestRunMissingFile(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run(&buf, []string{"/nonexistent.trace"}, options{}); err == nil {
