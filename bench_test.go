@@ -511,7 +511,14 @@ func BenchmarkServerConsolidation(b *testing.B) {
 	b.ResetTimer()
 	var split, shared float64
 	for i := 0; i < b.N; i++ {
-		merged := trace.Merge(machines...)
+		sources := make([]trace.Source, len(machines))
+		for j, events := range machines {
+			sources[j] = trace.NewSliceSource(events)
+		}
+		merged, err := trace.ReadSource(trace.NewMergeSource(sources...))
+		if err != nil {
+			b.Fatal(err)
+		}
 		var splitIOs, splitAcc int64
 		for _, events := range machines {
 			r, err := cachesim.SimulateTape(newTape(b, events), cachesim.Config{

@@ -247,16 +247,12 @@ func run(out io.Writer, paths []string, opts options) error {
 			src = reg.Instrument("validate/"+name, src)
 			v := trace.NewValidator(0)
 			var n int
-			for {
-				e, err := src.Next()
-				if err == io.EOF {
-					break
-				}
-				if err != nil {
-					return fmt.Errorf("%s: %w", path, err)
-				}
+			if err := trace.Each(src, func(e trace.Event) error {
 				v.Check(e)
 				n++
+				return nil
+			}); err != nil {
+				return fmt.Errorf("%s: %w", path, err)
 			}
 			unclosed := v.Finish()
 			for _, e := range v.Errs() {
@@ -298,18 +294,14 @@ func run(out io.Writer, paths []string, opts options) error {
 		if opts.top > 0 {
 			top = analyzer.NewTopAccum()
 		}
-		for {
-			e, err := src.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return fmt.Errorf("%s: %w", path, err)
-			}
+		if err := trace.Each(src, func(e trace.Event) error {
 			s.Feed(e)
 			if top != nil {
 				top.Feed(e)
 			}
+			return nil
+		}); err != nil {
+			return fmt.Errorf("%s: %w", path, err)
 		}
 		if closer != nil {
 			closer.Close()
@@ -450,19 +442,15 @@ func runForeign(w io.Writer, paths []string, format adapt.Format, opts options, 
 		if opts.validate {
 			v := trace.NewValidator(0)
 			var n int
-			for {
-				e, err := src.Next()
-				if err == io.EOF {
-					break
-				}
-				if err != nil {
-					f.Close()
-					return fmt.Errorf("%s: %w", path, err)
-				}
+			err := trace.Each(src, func(e trace.Event) error {
 				v.Check(e)
 				n++
-			}
+				return nil
+			})
 			f.Close()
+			if err != nil {
+				return fmt.Errorf("%s: %w", path, err)
+			}
 			unclosed := v.Finish()
 			for _, e := range v.Errs() {
 				fmt.Fprintf(w, "%s: %v\n", path, e)
@@ -485,15 +473,7 @@ func runForeign(w io.Writer, paths []string, format adapt.Format, opts options, 
 				top = analyzer.NewTopAccum()
 			}
 		}
-		for {
-			e, err := src.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				f.Close()
-				return fmt.Errorf("%s: %w", path, err)
-			}
+		err = trace.Each(src, func(e trace.Event) error {
 			tb.Add(e)
 			if s != nil {
 				s.Feed(e)
@@ -501,8 +481,12 @@ func runForeign(w io.Writer, paths []string, format adapt.Format, opts options, 
 			if top != nil {
 				top.Feed(e)
 			}
-		}
+			return nil
+		})
 		f.Close()
+		if err != nil {
+			return fmt.Errorf("%s: %w", path, err)
+		}
 		tape, err := tb.Finish()
 		if err != nil {
 			return fmt.Errorf("%s: %w", path, err)

@@ -353,7 +353,7 @@ func benchScale(reg *obs.Registry, seed int64, duration trace.Time, scale float6
 	m := obs.SpanSource(sp, trace.NewMergeSource(sources...))
 	buf := trace.GetBatch()
 	for {
-		n, err := trace.ReadBatch(m, buf)
+		n, err := m.NextBatch(buf)
 		if n == 0 && err != nil {
 			break
 		}
@@ -387,7 +387,7 @@ func benchScale(reg *obs.Registry, seed int64, duration trace.Time, scale float6
 	rec := obs.SpanSource(sp, trace.NewRecoverSource(trace.NewSliceSource(events)))
 	buf = trace.GetBatch()
 	for {
-		n, err := trace.ReadBatch(rec, buf)
+		n, err := rec.NextBatch(buf)
 		if n == 0 && err != nil {
 			break
 		}

@@ -50,18 +50,14 @@ func runForeign(out io.Writer, path, formatName string, fit int) error {
 	if analyzer.LogicalMetrics.Supports(class) {
 		s = analyzer.NewStream(analyzer.Options{})
 	}
-	for {
-		e, err := src.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
+	if err := trace.Each(src, func(e trace.Event) error {
 		tb.Add(e)
 		if s != nil {
 			s.Feed(e)
 		}
+		return nil
+	}); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
 	}
 	tape, err := tb.Finish()
 	if err != nil {

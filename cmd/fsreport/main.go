@@ -448,16 +448,12 @@ func runDegrade(w io.Writer, duration time.Duration, seed int64) error {
 		rec := trace.NewRecoverSource(src)
 		s := analyzer.NewStream(analyzer.Options{})
 		tb := xfer.NewTapeBuilder()
-		for {
-			e, err := rec.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return err
-			}
+		if err := trace.Each(rec, func(e trace.Event) error {
 			s.Feed(e)
 			tb.Add(e)
+			return nil
+		}); err != nil {
+			return err
 		}
 		a := s.Finish()
 		tape, err := tb.Finish()
@@ -734,7 +730,7 @@ func run(out io.Writer, cfg reportConfig) error {
 			buf := trace.GetBatch()
 			defer trace.PutBatch(buf)
 			for {
-				n, err := trace.ReadBatch(src, buf)
+				n, err := src.NextBatch(buf)
 				if n == 0 {
 					if err == io.EOF {
 						break

@@ -335,7 +335,7 @@ func (d *daemon) recorder(sub *trace.FanoutSub, w *trace.Writer, buf *bytes.Buff
 		return true
 	}
 	for {
-		n, err := trace.ReadBatch(sub, batch)
+		n, err := sub.NextBatch(batch)
 		for _, e := range batch[:n] {
 			if w.Write(e) != nil {
 				d.hub.close()
@@ -377,7 +377,7 @@ func (d *daemon) analysisLoop(sub *trace.FanoutSub) {
 	batch := trace.GetBatch()
 	defer trace.PutBatch(batch)
 	for {
-		n, err := trace.ReadBatch(sub, batch)
+		n, err := sub.NextBatch(batch)
 		if n > 0 {
 			d.live.mu.Lock()
 			for _, e := range batch[:n] {
@@ -588,17 +588,22 @@ func (d *daemon) handleEvents(w http.ResponseWriter, r *http.Request) {
 	defer sub.Cancel()
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fl, _ := w.(http.Flusher)
-	for i := 0; i < n; i++ {
-		e, err := sub.Next()
-		if err != nil {
-			return // EOF: generation is over
+	batch := trace.GetBatch()
+	defer trace.PutBatch(batch)
+	for n > 0 {
+		k, _ := sub.NextBatch(batch[:min(n, len(batch))])
+		if k == 0 {
+			return // EOF or a failed generation: the stream is over either way
 		}
-		if _, err := fmt.Fprintf(w, "%s\n", e); err != nil {
-			return
+		for _, e := range batch[:k] {
+			if _, err := fmt.Fprintf(w, "%s\n", e); err != nil {
+				return
+			}
 		}
 		if fl != nil {
 			fl.Flush()
 		}
+		n -= k
 	}
 }
 
@@ -653,7 +658,7 @@ func (d *daemon) handleIngest(w http.ResponseWriter, r *http.Request) {
 	batch := trace.GetBatch()
 	defer trace.PutBatch(batch)
 	for {
-		n, err := trace.ReadBatch(src, batch)
+		n, err := src.NextBatch(batch)
 		for _, e := range batch[:n] {
 			s.Feed(e)
 			v.Check(e)

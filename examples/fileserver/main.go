@@ -34,6 +34,7 @@ func main() {
 	// One trace per machine, then the server's merged view.
 	names := []string{"A5", "E3", "C4"}
 	var machines [][]trace.Event
+	var sources []trace.Source
 	for _, name := range names {
 		res, err := workload.Generate(workload.Config{
 			Profile: name, Seed: 99, Duration: duration,
@@ -42,8 +43,12 @@ func main() {
 			log.Fatal(err)
 		}
 		machines = append(machines, res.Events)
+		sources = append(sources, trace.NewSliceSource(res.Events))
 	}
-	merged := trace.Merge(machines...)
+	merged, err := trace.ReadSource(trace.NewMergeSource(sources...))
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("merged %d machines into one server trace: %d events\n\n",
 		len(machines), len(merged))
 

@@ -8,7 +8,6 @@ package main
 
 import (
 	"fmt"
-	"io"
 	"log"
 	"os"
 	"path/filepath"
@@ -43,7 +42,7 @@ func main() {
 		fmt.Printf("wrote %s (%d events)\n", path, len(res.Events))
 	}
 
-	// Stream the file: the Reader decodes one event at a time, so even
+	// Stream the file: the Reader decodes a batch at a time, so even
 	// multi-gigabyte traces need constant memory.
 	f, err := os.Open(path)
 	if err != nil {
@@ -59,14 +58,7 @@ func main() {
 	v := trace.NewValidator(0)
 	var first, last trace.Time
 	n := 0
-	for {
-		e, err := r.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
+	if err := trace.Each(r, func(e trace.Event) error {
 		if n == 0 {
 			first = e.Time
 		}
@@ -77,6 +69,9 @@ func main() {
 		if n <= 5 {
 			fmt.Printf("  %s\n", e) // the text format, one event per line
 		}
+		return nil
+	}); err != nil {
+		log.Fatal(err)
 	}
 	fmt.Printf("  ... %d more events\n", n-5)
 

@@ -13,7 +13,6 @@ package analyzer
 
 import (
 	"cmp"
-	"io"
 	"slices"
 
 	"bsdtrace/internal/stats"
@@ -662,30 +661,16 @@ func Analyze(events []trace.Event, opts Options) *Analysis {
 }
 
 // AnalyzeSource pulls a time-ordered event stream to completion and
-// analyzes it, one event at a time: the source's trace never needs to fit
-// in memory. It is the entry point the command-line tools use on trace
-// files (*trace.Reader is a Source) and merged shard streams.
+// analyzes it: the source's trace never needs to fit in memory. It is the
+// entry point the command-line tools use on trace files (*trace.Reader is
+// a Source) and merged shard streams.
 func AnalyzeSource(src trace.Source, opts Options) (*Analysis, error) {
 	s := NewStream(opts)
-	buf := trace.GetBatch()
-	defer trace.PutBatch(buf)
-	for {
-		n, err := trace.ReadBatch(src, buf)
-		if n == 0 {
-			if err == io.EOF {
-				break
-			}
-			return nil, err
-		}
-		for _, e := range buf[:n] {
-			s.Feed(e)
-		}
+	if err := trace.Each(src, func(e trace.Event) error {
+		s.Feed(e)
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 	return s.Finish(), nil
-}
-
-// AnalyzeReader analyzes a binary trace stream. It is AnalyzeSource under
-// its historical name.
-func AnalyzeReader(r *trace.Reader, opts Options) (*Analysis, error) {
-	return AnalyzeSource(r, opts)
 }

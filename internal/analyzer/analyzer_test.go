@@ -367,12 +367,12 @@ func TestAnalyzeReader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := AnalyzeReader(r, Options{})
+	a, err := AnalyzeSource(r, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Overall.Counts.Total != 2 || a.Overall.BytesRead != 100 {
-		t.Errorf("AnalyzeReader result wrong: %+v", a.Overall)
+		t.Errorf("AnalyzeSource over a Reader: result wrong: %+v", a.Overall)
 	}
 }
 

@@ -21,13 +21,12 @@ import (
 // MangleConfig over the same input produces the same damaged output,
 // event for event.
 type TraceMangler struct {
-	src    trace.Source
+	in     *trace.Cursor
 	rng    *rand.Rand
 	cfg    MangleConfig
 	stats  MangleStats
-	dup    trace.Event // pending duplicate
+	dup    trace.Event // a duplicate held over a full batch
 	hasDup bool
-	done   bool
 }
 
 // MangleConfig sets the per-event damage probabilities. Rates are
@@ -80,38 +79,35 @@ func NewTraceMangler(src trace.Source, cfg MangleConfig) *TraceMangler {
 		cfg.JitterMax = DefaultJitterMax
 	}
 	return &TraceMangler{
-		src: src,
+		in:  trace.NewCursor(src),
 		rng: rand.New(rand.NewSource(cfg.Seed)),
 		cfg: cfg,
 	}
 }
 
-// Stats returns the damage tally so far; complete once Next returns
+// Stats returns the damage tally so far; complete once NextBatch returns
 // io.EOF.
 func (m *TraceMangler) Stats() MangleStats { return m.stats }
 
-// Next returns the next (possibly damaged) event.
-func (m *TraceMangler) Next() (trace.Event, error) {
-	if m.hasDup {
+// NextBatch fills buf with the next (possibly damaged) events. The RNG is
+// drawn once per input event in a fixed order, so batch boundaries never
+// change the damage; a duplicate that lands on a full batch is held for
+// the next call.
+func (m *TraceMangler) NextBatch(buf []trace.Event) (int, error) {
+	n := 0
+	if n < len(buf) && m.hasDup {
 		m.hasDup = false
 		m.stats.Emitted++
-		return m.dup, nil
+		buf[n] = m.dup
+		n++
 	}
-	for {
-		if m.done {
-			return trace.Event{}, io.EOF
-		}
-		if m.cfg.TruncateAfter > 0 && m.stats.Seen >= m.cfg.TruncateAfter {
-			m.done = true
-			m.stats.Truncated = true
-			return trace.Event{}, io.EOF
-		}
-		e, err := m.src.Next()
-		if err == io.EOF {
-			m.done = true
-		}
+	for n < len(buf) {
+		e, err := m.next()
 		if err != nil {
-			return trace.Event{}, err
+			if n > 0 {
+				return n, nil // the error repeats on the next call
+			}
+			return 0, err
 		}
 		m.stats.Seen++
 		if m.roll(m.cfg.Drop) {
@@ -127,13 +123,31 @@ func (m *TraceMangler) Next() (trace.Event, error) {
 			e.Time += trace.Time(m.rng.Int63n(2*span+1) - span)
 			m.stats.Jittered++
 		}
-		if m.roll(m.cfg.Duplicate) {
-			m.dup, m.hasDup = e, true
-			m.stats.Duplicated++
-		}
 		m.stats.Emitted++
-		return e, nil
+		buf[n] = e
+		n++
+		if m.roll(m.cfg.Duplicate) {
+			m.stats.Duplicated++
+			if n == len(buf) {
+				m.dup, m.hasDup = e, true
+				break
+			}
+			m.stats.Emitted++
+			buf[n] = e
+			n++
+		}
 	}
+	return n, nil
+}
+
+// next reads the next input event, ending the stream after
+// TruncateAfter events as a reboot mid-trace would.
+func (m *TraceMangler) next() (trace.Event, error) {
+	if m.cfg.TruncateAfter > 0 && m.stats.Seen >= m.cfg.TruncateAfter {
+		m.stats.Truncated = true
+		return trace.Event{}, io.EOF
+	}
+	return m.in.Next()
 }
 
 func (m *TraceMangler) roll(p float64) bool {

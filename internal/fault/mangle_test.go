@@ -1,12 +1,13 @@
 package fault
 
 import (
-	"io"
+	"math/rand"
 	"testing"
 
 	"bsdtrace/internal/analyzer"
 	"bsdtrace/internal/cachesim"
 	"bsdtrace/internal/trace"
+	"bsdtrace/internal/trace/sourcetest"
 	"bsdtrace/internal/workload"
 	"bsdtrace/internal/xfer"
 )
@@ -28,6 +29,45 @@ func mangleAll(t *testing.T, events []trace.Event, cfg MangleConfig) ([]trace.Ev
 		t.Fatal(err)
 	}
 	return out, m.Stats()
+}
+
+// TestManglerConformance runs the mangler through the shared source
+// suite with drops, duplicates, jitter and truncation all on, so a
+// duplicate regularly lands on a full batch and is held over. The
+// expected stream is an exact oracle that replays the damage draws over
+// the whole input in one loop.
+func TestManglerConformance(t *testing.T) {
+	events := genTrace(t, 10*trace.Minute)
+	cfg := MangleConfig{Seed: 7, Drop: 0.05, Duplicate: 0.1, Jitter: 0.05,
+		TruncateAfter: int64(len(events) * 3 / 4)}
+	sourcetest.Run(t, func(t *testing.T) trace.Source {
+		return NewTraceMangler(trace.NewSliceSource(events), cfg)
+	}, mangleOracle(events, cfg))
+}
+
+// mangleOracle applies cfg's damage to a whole trace: per input event,
+// in order, the drop, jitter and duplicate draws. cfg.BitFlip must be
+// zero.
+func mangleOracle(events []trace.Event, cfg MangleConfig) []trace.Event {
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	span := int64(DefaultJitterMax)
+	var out []trace.Event
+	for i, e := range events {
+		if int64(i) == cfg.TruncateAfter {
+			break
+		}
+		if rng.Float64() < cfg.Drop {
+			continue
+		}
+		if rng.Float64() < cfg.Jitter {
+			e.Time += trace.Time(rng.Int63n(2*span+1) - span)
+		}
+		out = append(out, e)
+		if rng.Float64() < cfg.Duplicate {
+			out = append(out, e)
+		}
+	}
+	return out
 }
 
 func TestManglerPassthrough(t *testing.T) {
@@ -138,16 +178,12 @@ func TestMangledRecoveryValidates(t *testing.T) {
 		rec := trace.NewRecoverSource(NewTraceMangler(trace.NewSliceSource(events), cfg))
 		v := trace.NewValidator(0)
 		var emitted int64
-		for {
-			e, err := rec.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				t.Fatalf("%+v: %v", cfg, err)
-			}
+		if err := trace.Each(rec, func(e trace.Event) error {
 			v.Check(e)
 			emitted++
+			return nil
+		}); err != nil {
+			t.Fatalf("%+v: %v", cfg, err)
 		}
 		if errs := v.Errs(); len(errs) != 0 {
 			t.Fatalf("%+v: repaired stream fails validation: %v", cfg, errs[0])
@@ -189,17 +225,13 @@ func TestResilience8h(t *testing.T) {
 			an := analyzer.NewStream(analyzer.Options{})
 			tb := xfer.NewTapeBuilder()
 			var emitted int64
-			for {
-				e, err := rec.Next()
-				if err == io.EOF {
-					break
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
+			if err := trace.Each(rec, func(e trace.Event) error {
 				an.Feed(e)
 				tb.Add(e)
 				emitted++
+				return nil
+			}); err != nil {
+				t.Fatal(err)
 			}
 			st := rec.Stats()
 			if st.Emitted != emitted || st.Emitted != st.Events-st.Dropped+st.Synthesized {

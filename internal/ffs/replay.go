@@ -2,7 +2,6 @@ package ffs
 
 import (
 	"fmt"
-	"io"
 
 	"bsdtrace/internal/trace"
 	"bsdtrace/internal/xfer"
@@ -52,7 +51,7 @@ func populationOps(src trace.Source) ([]popOp, error) {
 		}
 		place(o.File, o.SizeAtClose)
 	}
-	feed := func(e trace.Event) {
+	feed := func(e trace.Event) error {
 		switch e.Kind {
 		case trace.KindOpen:
 			// First sight of a pre-existing file: allocate it.
@@ -70,20 +69,10 @@ func populationOps(src trace.Source) ([]popOp, error) {
 			}
 		}
 		sc.Feed(e)
+		return nil
 	}
-	buf := trace.GetBatch()
-	defer trace.PutBatch(buf)
-	for {
-		n, err := trace.ReadBatch(src, buf)
-		if n == 0 {
-			if err == io.EOF {
-				break
-			}
-			return nil, err
-		}
-		for _, e := range buf[:n] {
-			feed(e)
-		}
+	if err := trace.Each(src, feed); err != nil {
+		return nil, err
 	}
 	sc.Finish()
 	if errs := sc.Errs(); len(errs) > 0 {

@@ -356,11 +356,14 @@ func TestKernelEmitsValidTrace(t *testing.T) {
 			p.Close(fd)
 		}
 	}
-	errs, unclosed := trace.Validate(h.events)
-	for _, err := range errs {
+	v := trace.NewValidator(0)
+	for _, e := range h.events {
+		v.Check(e)
+	}
+	for _, err := range v.Errs() {
 		t.Errorf("validator: %v", err)
 	}
-	if unclosed != 0 {
+	if unclosed := v.Finish(); unclosed != 0 {
 		t.Errorf("unclosed opens: %d", unclosed)
 	}
 }

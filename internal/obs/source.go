@@ -9,8 +9,8 @@ import (
 // InstrumentedSource wraps a trace.Source in a counting span: every
 // event that flows through increments the span's events-out total, and
 // a clean EOF ends the span, so the span's wall time covers exactly the
-// stage's consumption window. Next adds one predictable branch and one
-// atomic increment per event and never allocates (the overhead guard in
+// stage's consumption window. NextBatch adds one predictable branch and
+// one atomic add per batch and never allocates (the overhead guard in
 // source_test.go pins this).
 type InstrumentedSource struct {
 	src  trace.Source
@@ -39,21 +39,10 @@ func SpanSource(sp *Span, src trace.Source) trace.Source {
 	return &InstrumentedSource{src: src, span: sp}
 }
 
-// Next returns the next event from the wrapped source, counting it.
-func (s *InstrumentedSource) Next() (trace.Event, error) {
-	e, err := s.src.Next()
-	if err == nil {
-		s.span.eventsOut.Add(1)
-	} else if err == io.EOF {
-		s.span.End()
-	}
-	return e, err
-}
-
 // NextBatch counts a whole batch with one atomic add, so instrumentation
 // overhead on the batched paths is amortized to nothing.
 func (s *InstrumentedSource) NextBatch(buf []trace.Event) (int, error) {
-	n, err := trace.ReadBatch(s.src, buf)
+	n, err := s.src.NextBatch(buf)
 	if n > 0 {
 		s.span.eventsOut.Add(int64(n))
 	} else if err == io.EOF {

@@ -9,8 +9,8 @@ import (
 )
 
 // TestInstrumentedSourceConformance: the counting wrapper must be
-// invisible to the stream — same events, same EOF behavior, through
-// both access paths.
+// invisible to the stream — same events, same EOF behavior, for every
+// batch size.
 func TestInstrumentedSourceConformance(t *testing.T) {
 	want := make([]trace.Event, 600)
 	for i := range want {

@@ -40,8 +40,9 @@ func TestInstrumentCountsAndEndsOnEOF(t *testing.T) {
 	if !ok {
 		t.Fatalf("enabled registry returned %T, want *InstrumentedSource", src)
 	}
+	one := make([]trace.Event, 1)
 	for {
-		if _, err := src.Next(); err == io.EOF {
+		if _, err := src.NextBatch(one); err == io.EOF {
 			break
 		} else if err != nil {
 			t.Fatal(err)
@@ -70,17 +71,18 @@ func TestSpanSourceNilPassThrough(t *testing.T) {
 }
 
 // TestInstrumentDisabledZeroAllocs pins the disabled path's overhead
-// contract: consuming events through a disabled registry's Instrument
-// allocates nothing per event.
+// contract: consuming events one at a time through a disabled registry's
+// Instrument allocates nothing per event.
 func TestInstrumentDisabledZeroAllocs(t *testing.T) {
 	events := makeEvents(1 << 16)
 	src := NewRegistry().Instrument("stage", trace.NewSliceSource(events))
+	one := make([]trace.Event, 1)
 	if avg := testing.AllocsPerRun(10000, func() {
-		if _, err := src.Next(); err != nil {
+		if _, err := src.NextBatch(one); err != nil {
 			t.Fatal("source exhausted mid-measurement")
 		}
 	}); avg != 0 {
-		t.Fatalf("disabled instrumented Next allocates %.2f per event, want 0", avg)
+		t.Fatalf("disabled instrumented one-event NextBatch allocates %.2f per event, want 0", avg)
 	}
 }
 
@@ -91,12 +93,13 @@ func TestInstrumentEnabledZeroAllocs(t *testing.T) {
 	reg := NewRegistry()
 	reg.SetEnabled(true)
 	src := reg.Instrument("stage", trace.NewSliceSource(events))
+	one := make([]trace.Event, 1)
 	if avg := testing.AllocsPerRun(10000, func() {
-		if _, err := src.Next(); err != nil {
+		if _, err := src.NextBatch(one); err != nil {
 			t.Fatal("source exhausted mid-measurement")
 		}
 	}); avg != 0 {
-		t.Fatalf("enabled instrumented Next allocates %.2f per event, want 0", avg)
+		t.Fatalf("enabled instrumented one-event NextBatch allocates %.2f per event, want 0", avg)
 	}
 }
 
@@ -105,10 +108,11 @@ func TestInstrumentEnabledZeroAllocs(t *testing.T) {
 func BenchmarkBareSliceSource(b *testing.B) {
 	events := makeEvents(1 << 16)
 	src := trace.NewSliceSource(events)
+	one := make([]trace.Event, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := src.Next(); err != nil {
+		if _, err := src.NextBatch(one); err != nil {
 			src = trace.NewSliceSource(events)
 		}
 	}
@@ -121,10 +125,11 @@ func BenchmarkInstrumentedSource(b *testing.B) {
 	reg := NewRegistry()
 	reg.SetEnabled(true)
 	src := reg.Instrument("bench", trace.NewSliceSource(events))
+	one := make([]trace.Event, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := src.Next(); err != nil {
+		if _, err := src.NextBatch(one); err != nil {
 			src = reg.Instrument("bench", trace.NewSliceSource(events))
 		}
 	}
@@ -136,10 +141,11 @@ func BenchmarkInstrumentedSourceDisabled(b *testing.B) {
 	events := makeEvents(1 << 16)
 	reg := NewRegistry()
 	src := reg.Instrument("bench", trace.NewSliceSource(events))
+	one := make([]trace.Event, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := src.Next(); err != nil {
+		if _, err := src.NextBatch(one); err != nil {
 			src = reg.Instrument("bench", trace.NewSliceSource(events))
 		}
 	}

@@ -223,8 +223,9 @@ func (tl *timeline) clamp(t trace.Time) (trace.Time, bool) {
 }
 
 // emitter is the shared event-queue half of an adapter: parsed records
-// push a short burst of native events, Next pops them one at a time,
-// and terminal errors (parse failures, read errors) are sticky.
+// push a short burst of native events, fill copies them out a batch at a
+// time, and terminal errors (parse failures, read errors, io.EOF) are
+// sticky.
 type emitter struct {
 	pending []trace.Event
 	pos     int
@@ -237,22 +238,29 @@ func (em *emitter) push(e trace.Event) {
 	em.stats.Events++
 }
 
-// pop returns the next queued event, if any.
-func (em *emitter) pop() (trace.Event, bool) {
-	if em.pos < len(em.pending) {
-		e := em.pending[em.pos]
-		em.pos++
-		return e, true
+// fill is an adapter's NextBatch: it copies queued events into buf,
+// calling parse to consume one more input line whenever the queue runs
+// dry, until buf is full or parse fails. A failure after a partial batch
+// waits for the next call.
+func (em *emitter) fill(buf []trace.Event, parse func() error) (int, error) {
+	n := 0
+	for n < len(buf) {
+		if em.pos < len(em.pending) {
+			k := copy(buf[n:], em.pending[em.pos:])
+			em.pos += k
+			n += k
+			continue
+		}
+		em.pending, em.pos = em.pending[:0], 0
+		if em.err == nil {
+			em.err = parse()
+		}
+		if em.err != nil {
+			if n > 0 {
+				return n, nil
+			}
+			return 0, em.err
+		}
 	}
-	em.pending = em.pending[:0]
-	em.pos = 0
-	return trace.Event{}, false
-}
-
-// fail records a sticky terminal error and returns it.
-func (em *emitter) fail(err error) error {
-	if em.err == nil {
-		em.err = err
-	}
-	return em.err
+	return n, nil
 }

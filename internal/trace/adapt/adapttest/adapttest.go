@@ -17,7 +17,6 @@
 package adapttest
 
 import (
-	"io"
 	"reflect"
 	"testing"
 
@@ -118,15 +117,9 @@ func Run(t *testing.T, mk Factory) {
 // drain pulls an adapter to EOF and returns the stream and final stats.
 func drain(t *testing.T, src adapt.Source) ([]trace.Event, adapt.Stats) {
 	t.Helper()
-	var got []trace.Event
-	for {
-		e, err := src.Next()
-		if err == io.EOF {
-			return got, src.Stats()
-		}
-		if err != nil {
-			t.Fatalf("drain: %v", err)
-		}
-		got = append(got, e)
+	got, err := trace.ReadSource(src)
+	if err != nil {
+		t.Fatalf("drain: %v", err)
 	}
+	return got, src.Stats()
 }

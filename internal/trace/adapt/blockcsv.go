@@ -167,36 +167,32 @@ func (b *BlockCSV) Class() trace.Class { return trace.ClassBlock }
 // Stats returns the ingest accounting so far.
 func (b *BlockCSV) Stats() Stats { return b.em.stats }
 
-// Next returns the next native event.
-func (b *BlockCSV) Next() (trace.Event, error) {
-	for {
-		if e, ok := b.em.pop(); ok {
-			return e, nil
-		}
-		if b.em.err != nil {
-			return trace.Event{}, b.em.err
-		}
-		line, n, err := b.ls.next()
-		if err != nil {
-			return trace.Event{}, b.em.fail(err)
-		}
-		b.em.stats.Lines++
-		trimmed := strings.TrimSpace(line)
-		if trimmed == "" || strings.HasPrefix(trimmed, "#") {
-			b.em.stats.Skipped++
-			continue
-		}
-		if n == 1 && looksLikeHeader(trimmed) {
-			b.em.stats.Skipped++
-			continue
-		}
-		rec, perr := ParseBlockCSVLine(trimmed)
-		if perr != nil {
-			b.em.stats.Lines--
-			return trace.Event{}, b.em.fail(fmt.Errorf("line %d: %w", n, perr))
-		}
-		b.ingest(rec)
+// NextBatch fills buf with the next native events.
+func (b *BlockCSV) NextBatch(buf []trace.Event) (int, error) { return b.em.fill(buf, b.parseLine) }
+
+// parseLine consumes one input line, queueing the events of its record.
+func (b *BlockCSV) parseLine() error {
+	line, n, err := b.ls.next()
+	if err != nil {
+		return err
 	}
+	b.em.stats.Lines++
+	trimmed := strings.TrimSpace(line)
+	if trimmed == "" || strings.HasPrefix(trimmed, "#") {
+		b.em.stats.Skipped++
+		return nil
+	}
+	if n == 1 && looksLikeHeader(trimmed) {
+		b.em.stats.Skipped++
+		return nil
+	}
+	rec, perr := ParseBlockCSVLine(trimmed)
+	if perr != nil {
+		b.em.stats.Lines--
+		return fmt.Errorf("line %d: %w", n, perr)
+	}
+	b.ingest(rec)
+	return nil
 }
 
 // looksLikeHeader reports a first line whose timestamp column is not

@@ -3,7 +3,6 @@ package adapt_test
 import (
 	"bytes"
 	"encoding/json"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -59,16 +58,9 @@ func parseFixture(t *testing.T, file string, format adapt.Format) fixtureResult 
 		t.Fatal(err)
 	}
 	res := fixtureResult{Format: format.String(), Class: src.Class().String()}
-	for {
-		e, err := src.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			res.Error = err.Error()
-			break
-		}
-		res.Events = append(res.Events, e)
+	res.Events, err = trace.ReadSource(src)
+	if err != nil {
+		res.Error = err.Error()
 	}
 	res.Stats = src.Stats()
 	return res

@@ -83,7 +83,7 @@ func FuzzStraceLine(f *testing.F) {
 }
 
 // FuzzAdapterStreams drives whole inputs (not single lines) through
-// every adapter: Next never panics, terminates, and two passes agree.
+// every adapter: NextBatch never panics, terminates, and two passes agree.
 func FuzzAdapterStreams(f *testing.F) {
 	f.Add("1000,src1,0,Read,0,8192\n1100,src1,0,Write,8192,4096\n")
 	f.Add("0, 0\n1, 2\n0, 1\n")
@@ -110,12 +110,13 @@ func drainLimited(format adapt.Format, input string) ([]trace.Event, error) {
 		return nil, err
 	}
 	var got []trace.Event
+	buf := make([]trace.Event, trace.DefaultBatchSize)
 	for len(got) < 1<<16 {
-		e, err := src.Next()
-		if err != nil {
+		n, err := src.NextBatch(buf)
+		if n == 0 {
 			return got, err
 		}
-		got = append(got, e)
+		got = append(got, buf[:n]...)
 	}
 	return got, nil
 }

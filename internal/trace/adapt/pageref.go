@@ -106,32 +106,28 @@ func (p *PageRef) Class() trace.Class { return trace.ClassPage }
 // Stats returns the ingest accounting so far.
 func (p *PageRef) Stats() Stats { return p.em.stats }
 
-// Next returns the next native event.
-func (p *PageRef) Next() (trace.Event, error) {
-	for {
-		if e, ok := p.em.pop(); ok {
-			return e, nil
-		}
-		if p.em.err != nil {
-			return trace.Event{}, p.em.err
-		}
-		line, n, err := p.ls.next()
-		if err != nil {
-			return trace.Event{}, p.em.fail(err)
-		}
-		p.em.stats.Lines++
-		trimmed := strings.TrimSpace(line)
-		if trimmed == "" || strings.HasPrefix(trimmed, "#") {
-			p.em.stats.Skipped++
-			continue
-		}
-		rec, perr := ParsePageRefLine(trimmed)
-		if perr != nil {
-			p.em.stats.Lines--
-			return trace.Event{}, p.em.fail(fmt.Errorf("line %d: %w", n, perr))
-		}
-		p.ingest(rec)
+// NextBatch fills buf with the next native events.
+func (p *PageRef) NextBatch(buf []trace.Event) (int, error) { return p.em.fill(buf, p.parseLine) }
+
+// parseLine consumes one input line, queueing the events of its record.
+func (p *PageRef) parseLine() error {
+	line, n, err := p.ls.next()
+	if err != nil {
+		return err
 	}
+	p.em.stats.Lines++
+	trimmed := strings.TrimSpace(line)
+	if trimmed == "" || strings.HasPrefix(trimmed, "#") {
+		p.em.stats.Skipped++
+		return nil
+	}
+	rec, perr := ParsePageRefLine(trimmed)
+	if perr != nil {
+		p.em.stats.Lines--
+		return fmt.Errorf("line %d: %w", n, perr)
+	}
+	p.ingest(rec)
+	return nil
 }
 
 // ingest re-encodes one page reference into native events.

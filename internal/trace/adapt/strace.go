@@ -596,31 +596,27 @@ func (a *Strace) Class() trace.Class { return trace.ClassLogical }
 // Stats returns the ingest accounting so far.
 func (a *Strace) Stats() Stats { return a.em.stats }
 
-// Next returns the next native event.
-func (a *Strace) Next() (trace.Event, error) {
-	for {
-		if e, ok := a.em.pop(); ok {
-			return e, nil
-		}
-		if a.em.err != nil {
-			return trace.Event{}, a.em.err
-		}
-		line, n, err := a.ls.next()
-		if err != nil {
-			return trace.Event{}, a.em.fail(err)
-		}
-		a.em.stats.Lines++
-		call, ok, perr := ParseStraceLine(line)
-		if perr != nil {
-			a.em.stats.Lines--
-			return trace.Event{}, a.em.fail(fmt.Errorf("line %d: %w", n, perr))
-		}
-		if !ok || call.Ret < 0 {
-			a.em.stats.Skipped++ // noise, unknown syscall, or failed call
-			continue
-		}
-		a.ingest(call)
+// NextBatch fills buf with the next native events.
+func (a *Strace) NextBatch(buf []trace.Event) (int, error) { return a.em.fill(buf, a.parseLine) }
+
+// parseLine consumes one input line, queueing the events of its syscall.
+func (a *Strace) parseLine() error {
+	line, n, err := a.ls.next()
+	if err != nil {
+		return err
 	}
+	a.em.stats.Lines++
+	call, ok, perr := ParseStraceLine(line)
+	if perr != nil {
+		a.em.stats.Lines--
+		return fmt.Errorf("line %d: %w", n, perr)
+	}
+	if !ok || call.Ret < 0 {
+		a.em.stats.Skipped++ // noise, unknown syscall, or failed call
+		return nil
+	}
+	a.ingest(call)
+	return nil
 }
 
 // ingest translates one successful handled syscall. State changes with

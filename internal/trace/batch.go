@@ -5,40 +5,6 @@ import (
 	"sync"
 )
 
-// Batched pull: the hot streaming paths move events in slices instead of
-// one interface call per event. BatchSource is an optional extension of
-// Source; ReadBatch is the universal entry point that uses the native
-// batch method when a source has one and falls back to a Next loop when
-// it does not, so every consumer can batch without knowing which kind of
-// source it holds.
-//
-// The batch contract:
-//
-//   - NextBatch(buf) fills a prefix of buf and returns how many events it
-//     wrote. It returns n > 0 with a nil error, or n == 0 with a non-nil
-//     error (io.EOF at a clean end of stream) — never both, so consumers
-//     process buf[:n] unconditionally and check the error only when no
-//     events arrived.
-//   - A call may return fewer events than len(buf) for any reason;
-//     batch boundaries carry no meaning. Splitting a stream into batches
-//     differently must not change the concatenated event sequence.
-//   - Errors are sticky: after a source returns an error (including
-//     io.EOF), subsequent calls return an error again. The fallback
-//     adapter relies on this — when a Next loop fails after partially
-//     filling a batch it returns the partial batch and lets the error
-//     surface on the following call.
-//
-// The sourcetest package holds the conformance suite that pins these
-// semantics for every implementation.
-
-// BatchSource is the optional batched extension of Source. Implementing
-// it is purely an optimization: ReadBatch falls back to Next for sources
-// that do not.
-type BatchSource interface {
-	Source
-	NextBatch(buf []Event) (n int, err error)
-}
-
 // DefaultBatchSize is the event-batch capacity used by pooled batches
 // and the internal prefetch buffers of batching sources. At 64 bytes an
 // event, a batch is a few tens of kilobytes — big enough to amortize
@@ -46,34 +12,11 @@ type BatchSource interface {
 // cache-friendly and keep fan-out memory bounded.
 const DefaultBatchSize = 256
 
-// ReadBatch fills buf from src and returns the number of events written,
-// under the batch contract above. It dispatches to the source's native
-// NextBatch when implemented.
+// ReadBatch is src.NextBatch(buf). The repository calls NextBatch
+// directly; ReadBatch stays because the separate benchmark module calls
+// it.
 func ReadBatch(src Source, buf []Event) (int, error) {
-	if bs, ok := src.(BatchSource); ok {
-		return bs.NextBatch(buf)
-	}
-	return nextLoop(src, buf)
-}
-
-// nextLoop is the default one-at-a-time adapter: a Next loop shaped into
-// the batch contract.
-func nextLoop(src Source, buf []Event) (int, error) {
-	n := 0
-	for n < len(buf) {
-		e, err := src.Next()
-		if err != nil {
-			if n > 0 {
-				// Sticky errors: the same failure resurfaces on the
-				// next call, after the caller consumes this batch.
-				return n, nil
-			}
-			return 0, err
-		}
-		buf[n] = e
-		n++
-	}
-	return n, nil
+	return src.NextBatch(buf)
 }
 
 // batchPool recycles event batches across stages and goroutines so the
@@ -113,24 +56,11 @@ func PutBatch(buf []Event) {
 	batchPool.Put(&buf)
 }
 
-// NextBatch copies pending events into buf. SliceSource batches
-// natively: a batch is one memcpy from the backing slice.
-func (s *SliceSource) NextBatch(buf []Event) (int, error) {
-	if len(buf) == 0 {
-		return 0, nil // a zero-length buffer is a no-op read
-	}
-	if s.pos >= len(s.events) {
-		return 0, io.EOF
-	}
-	n := copy(buf, s.events[s.pos:])
-	s.pos += n
-	return n, nil
-}
-
-// NextBatch decodes up to len(buf) records in one call, skipping the
-// per-event interface dispatch of Next. A decode failure after a partial
-// batch is held and returned by the following call, so no decoded event
-// is lost and the batch contract holds.
+// NextBatch decodes up to len(buf) records in one call. A decode failure
+// after a partial batch is held and returned by the following call, so no
+// decoded event is lost and the batch contract holds. Truncation
+// mid-record is reported as io.ErrUnexpectedEOF, and decode errors carry
+// the failing record's index and byte offset.
 func (r *Reader) NextBatch(buf []Event) (int, error) {
 	if len(buf) == 0 {
 		return 0, nil
@@ -193,72 +123,4 @@ func (r *Reader) nextBatchV2(buf []Event) (int, error) {
 	r.segPos += n
 	r.index += int64(n)
 	return n, nil
-}
-
-// NextBatch drains the minimum source while it stays the minimum,
-// remapping as it copies. The heap is touched only when the lead source
-// changes or ends, so merging k ordered streams costs far less than one
-// sift per event when runs of consecutive events come from one source —
-// exactly the common case for coarse-grained shard interleavings.
-func (m *MergeSource) NextBatch(buf []Event) (int, error) {
-	if m.err != nil {
-		return 0, m.err
-	}
-	if m.pending != nil {
-		if _, err := m.prime(); err != nil {
-			return 0, err
-		}
-	}
-	n := 0
-	for n < len(buf) {
-		if len(m.items) == 0 {
-			if n > 0 {
-				return n, nil
-			}
-			return 0, io.EOF
-		}
-		it := &m.items[0]
-		// The lead source may emit without re-heapifying while its head
-		// stays ahead of the runner-up in the (time, source) order.
-		runnerTime, runnerSource, haveRunner := m.runnerUp()
-		for n < len(buf) {
-			buf[n] = RemapIDs(it.head, m.n, it.source)
-			n++
-			e, err := it.src.Next()
-			if err == io.EOF {
-				m.popLead()
-				break
-			}
-			if err != nil {
-				m.err = err
-				if n > 0 {
-					return n, nil
-				}
-				return 0, err
-			}
-			it.head = e
-			if haveRunner && (e.Time > runnerTime || (e.Time == runnerTime && it.source > runnerSource)) {
-				m.fixLead()
-				break
-			}
-		}
-	}
-	return n, nil
-}
-
-// runnerUp returns the (time, source) key of the second-smallest heap
-// item — the threshold the lead source must stay under to keep emitting
-// without a sift.
-func (m *MergeSource) runnerUp() (t Time, source int, ok bool) {
-	switch len(m.items) {
-	case 0, 1:
-		return 0, 0, false
-	case 2:
-		return m.items[1].head.Time, m.items[1].source, true
-	}
-	i := 1
-	if m.Less(2, 1) {
-		i = 2
-	}
-	return m.items[i].head.Time, m.items[i].source, true
 }

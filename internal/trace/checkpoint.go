@@ -76,23 +76,6 @@ func (w *Writer) writeCheckpoint() {
 	w.segCRC, w.segBytes, w.segRecords = 0, 0, 0
 }
 
-// nextV2 emits the next event of the current verified segment, filling
-// the segment buffer when it runs dry.
-func (r *Reader) nextV2() (Event, error) {
-	for r.segPos >= len(r.seg) {
-		if r.eof {
-			return Event{}, io.EOF
-		}
-		if err := r.fillSegment(); err != nil {
-			return Event{}, err
-		}
-	}
-	e := r.seg[r.segPos]
-	r.segPos++
-	r.index++
-	return e, nil
-}
-
 // fillSegment decodes records up to the next checkpoint and verifies
 // them against it. On corruption — an undecodable record, a checkpoint
 // that fails its own CRC, or a segment that fails the checkpoint's CRC —

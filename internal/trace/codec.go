@@ -334,36 +334,14 @@ func (r *Reader) Version() int { return int(r.version) }
 // must check it after draining the stream.
 func (r *Reader) Skipped() SkipStats { return r.skip }
 
-// Next returns the next event, or io.EOF at a clean end of stream. Any
-// truncation mid-record is reported as io.ErrUnexpectedEOF. Decode
-// errors carry the failing record's index and byte offset.
+// Next returns the next event, or io.EOF at a clean end of stream. It is
+// a one-event NextBatch, so both read the stream through one decoder.
 func (r *Reader) Next() (Event, error) {
-	if r.fail != nil {
-		return Event{}, r.fail
+	var one [1]Event
+	if _, err := r.NextBatch(one[:]); err != nil {
+		return Event{}, err
 	}
-	if r.pendErr != nil {
-		err := r.pendErr
-		r.pendErr = nil
-		return Event{}, r.fatal(err)
-	}
-	if r.version == Version2 {
-		e, err := r.nextV2()
-		return e, r.fatal(err)
-	}
-	recStart := r.r.off
-	kindByte, err := r.r.ReadByte()
-	if err != nil {
-		if err == io.EOF {
-			return Event{}, io.EOF
-		}
-		return Event{}, r.fatal(r.recordErr(recStart, err))
-	}
-	e, err := r.decodeBody(kindByte)
-	if err != nil {
-		return Event{}, r.fatal(r.recordErr(recStart, err))
-	}
-	r.index++
-	return e, nil
+	return one[0], nil
 }
 
 // recordErr wraps a decode error with the failing record's index and the
@@ -453,23 +431,11 @@ func (r *Reader) varint() (int64, error) { return binary.ReadVarint(r.r) }
 func (r *Reader) uvarint() (uint64, error) { return binary.ReadUvarint(r.r) }
 
 // ReadAll decodes the remainder of the stream — everything not yet
-// consumed by Next — into one in-memory slice. It exists for tests and
-// small traces; scale-sensitive consumers should instead pull events one
-// at a time through Next (a Reader is a Source) so the trace never has to
-// fit in memory. See analyzer.AnalyzeSource and xfer.BuildTape.
-func (r *Reader) ReadAll() ([]Event, error) {
-	var out []Event
-	for {
-		e, err := r.Next()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return out, err
-		}
-		out = append(out, e)
-	}
-}
+// consumed — into one in-memory slice. It exists for tests and small
+// traces; scale-sensitive consumers should instead pull batches through
+// NextBatch (a Reader is a Source) so the trace never has to fit in
+// memory. See analyzer.AnalyzeSource and xfer.BuildTape.
+func (r *Reader) ReadAll() ([]Event, error) { return ReadSource(r) }
 
 // WriteFile encodes events to a file in the binary format.
 func WriteFile(path string, events []Event) error {

@@ -3,7 +3,6 @@ package trace_test
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"log"
 
 	"bsdtrace/internal/trace"
@@ -30,15 +29,11 @@ func ExampleWriter() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	for {
-		e, err := r.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
+	if err := trace.Each(r, func(e trace.Event) error {
 		fmt.Println(e)
+		return nil
+	}); err != nil {
+		log.Fatal(err)
 	}
 	// Output:
 	// 0 open 1 42 7 r 8192
@@ -56,13 +51,16 @@ func ExampleParseEvent() {
 	// seek 3 0 -> 4096
 }
 
-// Validate checks the structural invariants the analyses rely on.
-func ExampleValidate() {
+// A Validator checks the structural invariants the analyses rely on.
+func ExampleValidator() {
 	events := []trace.Event{
 		{Time: 10, Kind: trace.KindClose, OpenID: 99, NewPos: 0}, // never opened
 	}
-	errs, unclosed := trace.Validate(events)
-	fmt.Println(len(errs), "errors,", unclosed, "unclosed")
+	v := trace.NewValidator(0)
+	for _, e := range events {
+		v.Check(e)
+	}
+	fmt.Println(len(v.Errs()), "errors,", v.Finish(), "unclosed")
 	// Output:
 	// 1 errors, 0 unclosed
 }

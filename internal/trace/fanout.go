@@ -85,8 +85,9 @@ func (f *Fanout) Source(i int) *FanoutSub { return f.initial[i] }
 // Subscribe adds a subscriber. Called before the first Write it sees
 // the whole stream; called while the producer is running it joins at
 // the next batch boundary; called after Close it returns an already
-// terminated subscriber whose Next is the closing error (io.EOF for a
-// clean close). Subscribe is safe to call from any goroutine.
+// terminated subscriber whose NextBatch returns the closing error
+// (io.EOF for a clean close). Subscribe is safe to call from any
+// goroutine.
 func (f *Fanout) Subscribe() *FanoutSub {
 	s := &FanoutSub{
 		ch:     make(chan *sharedBatch, fanoutChanBuffer),
@@ -258,21 +259,6 @@ func (s *FanoutSub) fill() bool {
 	}
 	s.cur = sb
 	return true
-}
-
-// Next returns the next event of the stream.
-func (s *FanoutSub) Next() (Event, error) {
-	for s.cur == nil || s.pos >= len(s.cur.events) {
-		if !s.fill() {
-			if s.err != nil {
-				return Event{}, s.err
-			}
-			return Event{}, io.EOF
-		}
-	}
-	e := s.cur.events[s.pos]
-	s.pos++
-	return e, nil
 }
 
 // NextBatch copies the pending events of the current shared batch.

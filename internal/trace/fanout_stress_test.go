@@ -51,7 +51,7 @@ func TestFanoutCancelSendRaceReclaimedByFlush(t *testing.T) {
 		defer close(done)
 		defer stayer.Cancel()
 		for {
-			if _, err := stayer.Next(); err != nil {
+			if _, err := ReadOne(stayer); err != nil {
 				return
 			}
 		}
@@ -77,8 +77,8 @@ func TestFanoutSubscribeAfterClose(t *testing.T) {
 	f := NewFanout(0)
 	f.Close(nil)
 	s := f.Subscribe()
-	if _, err := s.Next(); err != io.EOF {
-		t.Fatalf("Next on post-close subscriber = %v, want io.EOF", err)
+	if _, err := ReadOne(s); err != io.EOF {
+		t.Fatalf("ReadOne on post-close subscriber = %v, want io.EOF", err)
 	}
 }
 
@@ -99,7 +99,7 @@ func TestFanoutSubscribeMidStream(t *testing.T) {
 		defer src.Cancel()
 		n := 0
 		for {
-			if _, err := src.Next(); err != nil {
+			if _, err := ReadOne(src); err != nil {
 				return
 			}
 			if n++; n == 3*DefaultBatchSize {
@@ -115,7 +115,7 @@ func TestFanoutSubscribeMidStream(t *testing.T) {
 		src := <-joined
 		defer src.Cancel()
 		for {
-			e, err := src.Next()
+			e, err := ReadOne(src)
 			if err != nil {
 				return
 			}
@@ -165,7 +165,7 @@ func TestFanoutDynamicChurnStress(t *testing.T) {
 		defer src.Cancel()
 		n := 0
 		for {
-			e, err := src.Next()
+			e, err := ReadOne(src)
 			if err != nil {
 				if err != io.EOF {
 					t.Errorf("anchor ended with %v, want io.EOF", err)
@@ -205,7 +205,7 @@ func TestFanoutDynamicChurnStress(t *testing.T) {
 					reads = 0 // cancel immediately: widest race window
 				}
 				for i := 0; i < reads; i++ {
-					if _, err := src.Next(); err != nil {
+					if _, err := ReadOne(src); err != nil {
 						break
 					}
 				}

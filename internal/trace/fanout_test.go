@@ -54,7 +54,7 @@ func TestFanoutDeliversToAll(t *testing.T) {
 				var err error
 				if i%2 == 0 {
 					var e trace.Event
-					e, err = src.Next()
+					e, err = trace.ReadOne(src)
 					if err == nil {
 						got[i] = append(got[i], e)
 						continue
@@ -102,8 +102,8 @@ func TestFanoutCancelMidStream(t *testing.T) {
 		defer wg.Done()
 		src := f.Source(0)
 		for i := 0; i < 3; i++ {
-			if _, err := src.Next(); err != nil {
-				t.Errorf("quitter Next: %v", err)
+			if _, err := trace.ReadOne(src); err != nil {
+				t.Errorf("quitter ReadOne: %v", err)
 				return
 			}
 		}
@@ -114,7 +114,7 @@ func TestFanoutCancelMidStream(t *testing.T) {
 		src := f.Source(1)
 		defer src.Cancel()
 		for {
-			if _, err := src.Next(); err != nil {
+			if _, err := trace.ReadOne(src); err != nil {
 				if err != io.EOF {
 					t.Errorf("stayer ended with %v, want io.EOF", err)
 				}
@@ -162,7 +162,7 @@ func TestFanoutErrorPropagates(t *testing.T) {
 			defer src.Cancel()
 			n := 0
 			for {
-				_, err := src.Next()
+				_, err := trace.ReadOne(src)
 				if err != nil {
 					if err != boom {
 						t.Errorf("sub %d terminal error = %v, want %v", i, err, boom)

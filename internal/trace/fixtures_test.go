@@ -99,11 +99,11 @@ func TestCorruptFixtureCorpus(t *testing.T) {
 			}
 			got = append(got, e)
 		}
-		repaired, st := Recover(got)
+		repaired, st := recoverEvents(got)
 		if st.Emitted != st.Events-st.Dropped+st.Synthesized {
 			t.Errorf("%s: accounting identity broken: %+v", name, st)
 		}
-		if errs, _ := Validate(repaired); len(errs) > 0 {
+		if errs, _ := validate(repaired); len(errs) > 0 {
 			t.Errorf("%s: repaired fixture fails validation: %v", name, errs[0])
 		}
 

@@ -43,14 +43,14 @@ func FuzzRecoverSource(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{255, 0, 1, 7, 0, 2, 1, 0, 1}, 3))      // time runs backward, id reuse
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := fuzzEvents(data)
-		out, st := Recover(in)
+		out, st := recoverEvents(in)
 		if st.Events != int64(len(in)) || st.Emitted != int64(len(out)) {
 			t.Fatalf("stats disagree with slices: %+v for %d in, %d out", st, len(in), len(out))
 		}
 		if st.Emitted != st.Events-st.Dropped+st.Synthesized {
 			t.Fatalf("accounting identity broken: %+v", st)
 		}
-		if errs, _ := Validate(out); len(errs) > 0 {
+		if errs, _ := validate(out); len(errs) > 0 {
 			t.Fatalf("repaired stream fails validation: %v", errs[0])
 		}
 	})

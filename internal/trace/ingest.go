@@ -10,29 +10,35 @@ import "io"
 // error for the damage report. Version-2 readers self-heal below this
 // layer and only surface real I/O errors, which still propagate.
 type LenientSource struct {
-	rec   *RecoverSource
+	rec *RecoverSource
+	in  truncatingSource
+}
+
+// truncatingSource ends its source at the first decode error, keeping
+// the error for Truncated.
+type truncatingSource struct {
+	src   Source
 	trunc error
+}
+
+func (t *truncatingSource) NextBatch(buf []Event) (int, error) {
+	if t.trunc != nil {
+		return 0, io.EOF
+	}
+	n, err := t.src.NextBatch(buf)
+	if n == 0 && err != nil && err != io.EOF {
+		t.trunc = err
+		return 0, io.EOF
+	}
+	return n, err
 }
 
 // NewLenientSource wraps src for degraded-mode ingestion.
 func NewLenientSource(src Source) *LenientSource {
-	s := &LenientSource{}
-	s.rec = NewRecoverSource(FuncSource(func() (Event, error) {
-		if s.trunc != nil {
-			return Event{}, io.EOF
-		}
-		e, err := src.Next()
-		if err != nil && err != io.EOF {
-			s.trunc = err
-			return Event{}, io.EOF
-		}
-		return e, err
-	}))
+	s := &LenientSource{in: truncatingSource{src: src}}
+	s.rec = NewRecoverSource(&s.in)
 	return s
 }
-
-// Next returns the next repaired event.
-func (s *LenientSource) Next() (Event, error) { return s.rec.Next() }
 
 // NextBatch repairs a batch of events in one call.
 func (s *LenientSource) NextBatch(buf []Event) (int, error) { return s.rec.NextBatch(buf) }
@@ -42,4 +48,4 @@ func (s *LenientSource) Stats() RepairStats { return s.rec.Stats() }
 
 // Truncated returns the decode error that ended the stream early, or
 // nil if the stream ran to a clean EOF.
-func (s *LenientSource) Truncated() error { return s.trunc }
+func (s *LenientSource) Truncated() error { return s.in.trunc }

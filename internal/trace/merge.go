@@ -9,10 +9,10 @@ import (
 // sources so events from different sources can never collide: identifier
 // i becomes i*n+s, which is collision-free and preserves uniqueness
 // within each source. Users on different machines are distinct people and
-// stay distinct. Both the in-memory Merge and the streaming MergeSource
-// apply exactly this remapping, and the sharded workload generator merges
-// its shard streams through MergeSource, so a sharded fleet and a merged
-// multi-machine trace follow one identifier contract.
+// stay distinct. MergeSource applies exactly this remapping, and the
+// sharded workload generator merges its shard streams through it, so a
+// sharded fleet and a merged multi-machine trace follow one identifier
+// contract.
 func RemapIDs(e Event, n, s int) Event {
 	if e.OpenID != 0 || e.Kind == KindCreate || e.Kind == KindOpen || e.Kind == KindClose || e.Kind == KindSeek {
 		e.OpenID = e.OpenID*OpenID(n) + OpenID(s)
@@ -25,10 +25,11 @@ func RemapIDs(e Event, n, s int) Event {
 }
 
 // MergeSource interleaves several time-ordered Sources into one
-// time-ordered stream with identifier remapping (see RemapIDs). It holds
-// exactly one buffered event per live source — memory is O(sources), not
-// O(events) — which is what lets a fleet of generated shards or a set of
-// on-disk machine traces merge without ever materializing.
+// time-ordered stream with identifier remapping (see RemapIDs). It reads
+// each live source through a Cursor — memory is one pooled batch per
+// source, O(sources), not O(events) — which is what lets a fleet of
+// generated shards or a set of on-disk machine traces merge without ever
+// materializing.
 //
 // Each source must itself be in non-decreasing time order (as every trace
 // this repository produces is); ties across sources preserve source
@@ -43,7 +44,7 @@ type MergeSource struct {
 
 type mergeItem struct {
 	head   Event
-	src    Source
+	in     *Cursor
 	source int
 }
 
@@ -53,65 +54,109 @@ type mergeItem struct {
 func NewMergeSource(sources ...Source) *MergeSource {
 	m := &MergeSource{n: len(sources)}
 	for s, src := range sources {
-		m.pending = append(m.pending, mergeItem{src: src, source: s})
+		m.pending = append(m.pending, mergeItem{in: NewCursor(src), source: s})
 	}
 	return m
 }
 
-// Next returns the earliest pending event across all sources, remapped,
-// or io.EOF when every source is drained. A source error ends the stream
-// and is returned from every subsequent call.
-func (m *MergeSource) Next() (Event, error) {
+// NextBatch drains the minimum source while it stays the minimum,
+// remapping as it copies. The heap is touched only when the lead source
+// changes or ends, so merging k ordered streams costs far less than one
+// sift per event when runs of consecutive events come from one source —
+// exactly the common case for coarse-grained shard interleavings.
+func (m *MergeSource) NextBatch(buf []Event) (int, error) {
 	if m.err != nil {
-		return Event{}, m.err
+		return 0, m.err
 	}
 	if m.pending != nil {
-		if _, err := m.prime(); err != nil {
-			return Event{}, err
+		if err := m.prime(); err != nil {
+			return 0, err
 		}
 	}
-	if len(m.items) == 0 {
-		return Event{}, io.EOF
+	n := 0
+	for n < len(buf) {
+		if len(m.items) == 0 {
+			if n > 0 {
+				return n, nil
+			}
+			return 0, io.EOF
+		}
+		it := &m.items[0]
+		// The lead source may emit without re-heapifying while its head
+		// stays ahead of the runner-up in the (time, source) order.
+		runnerTime, runnerSource, haveRunner := m.runnerUp()
+		for n < len(buf) {
+			buf[n] = RemapIDs(it.head, m.n, it.source)
+			n++
+			e, err := it.in.Next()
+			if err == io.EOF {
+				m.popLead()
+				break
+			}
+			if err != nil {
+				// The lead's head went out above, so n > 0: the
+				// error waits for the next call.
+				m.err = err
+				return n, nil
+			}
+			it.head = e
+			if haveRunner && (e.Time > runnerTime || (e.Time == runnerTime && it.source > runnerSource)) {
+				m.fixLead()
+				break
+			}
+		}
 	}
-	it := &m.items[0]
-	out := RemapIDs(it.head, m.n, it.source)
-	e, err := it.src.Next()
-	switch {
-	case err == io.EOF:
-		m.popLead()
-	case err != nil:
-		m.err = err
-		return Event{}, err
-	default:
-		it.head = e
-		m.fixLead()
+	return n, nil
+}
+
+// runnerUp returns the (time, source) key of the second-smallest heap
+// item — the threshold the lead source must stay under to keep emitting
+// without a sift.
+func (m *MergeSource) runnerUp() (t Time, source int, ok bool) {
+	switch len(m.items) {
+	case 0, 1:
+		return 0, 0, false
+	case 2:
+		return m.items[1].head.Time, m.items[1].source, true
 	}
-	return out, nil
+	i := 1
+	if m.Less(2, 1) {
+		i = 2
+	}
+	return m.items[i].head.Time, m.items[i].source, true
 }
 
 // prime loads the first event of every source into the heap. It runs
 // once, on the first pull.
-func (m *MergeSource) prime() (int, error) {
+func (m *MergeSource) prime() error {
 	for _, it := range m.pending {
-		e, err := it.src.Next()
+		e, err := it.in.Next()
 		if err == io.EOF {
 			continue
 		}
 		if err != nil {
 			m.err = err
-			return 0, err
+			return err
 		}
 		it.head = e
 		m.items = append(m.items, it)
 	}
 	m.pending = nil
 	heap.Init(m)
-	return len(m.items), nil
+	return nil
 }
 
 // popLead removes the drained lead source; fixLead restores the heap
-// after the lead's head advanced.
-func (m *MergeSource) popLead() { heap.Pop(m) }
+// after the lead's head advanced. popLead moves the last item to the
+// root rather than calling heap.Pop, which would box the item.
+func (m *MergeSource) popLead() {
+	last := len(m.items) - 1
+	m.items[0] = m.items[last]
+	m.items = m.items[:last]
+	if last > 0 {
+		m.fixLead()
+	}
+}
 func (m *MergeSource) fixLead() { heap.Fix(m, 0) }
 
 func (m *MergeSource) Len() int { return len(m.items) }
@@ -129,35 +174,4 @@ func (m *MergeSource) Pop() any {
 	it := old[len(old)-1]
 	m.items = old[:len(old)-1]
 	return it
-}
-
-// Merge interleaves several time-ordered traces into one, remapping file,
-// open, and user identifiers so events from different sources can never
-// collide (see RemapIDs). It is the in-memory convenience over
-// MergeSource; large traces should merge Sources directly.
-func Merge(sources ...[]Event) []Event {
-	n := len(sources)
-	if n == 0 {
-		return nil
-	}
-	if n == 1 {
-		out := make([]Event, len(sources[0]))
-		copy(out, sources[0])
-		return out
-	}
-	total := 0
-	ss := make([]Source, n)
-	for i, src := range sources {
-		total += len(src)
-		ss[i] = NewSliceSource(src)
-	}
-	out := make([]Event, 0, total)
-	m := NewMergeSource(ss...)
-	for {
-		e, err := m.Next()
-		if err != nil { // slice sources only ever return io.EOF
-			return out
-		}
-		out = append(out, e)
-	}
 }

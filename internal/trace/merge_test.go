@@ -8,23 +8,11 @@ import (
 )
 
 func TestMergeEmpty(t *testing.T) {
-	if got := Merge(); got != nil {
-		t.Errorf("Merge() = %v", got)
+	if got := mergeEvents(); got != nil {
+		t.Errorf("mergeEvents() = %v", got)
 	}
-	if got := Merge(nil, nil); len(got) != 0 {
-		t.Errorf("Merge(nil, nil) = %v", got)
-	}
-}
-
-func TestMergeSingleCopies(t *testing.T) {
-	src := []Event{{Time: 1, Kind: KindUnlink, File: 7}}
-	got := Merge(src)
-	if len(got) != 1 || got[0] != src[0] {
-		t.Fatalf("single-source merge altered events: %v", got)
-	}
-	got[0].File = 99
-	if src[0].File != 7 {
-		t.Errorf("single-source merge aliased the input")
+	if got := mergeEvents(nil, nil); len(got) != 0 {
+		t.Errorf("mergeEvents(nil, nil) = %v", got)
 	}
 }
 
@@ -37,7 +25,7 @@ func TestMergeOrderAndRemap(t *testing.T) {
 		{Time: 20, Kind: KindOpen, OpenID: 1, File: 5, User: 2, Mode: WriteOnly},
 		{Time: 40, Kind: KindClose, OpenID: 1, NewPos: 50},
 	}
-	got := Merge(a, b)
+	got := mergeEvents(a, b)
 	if len(got) != 4 {
 		t.Fatalf("len = %d", len(got))
 	}
@@ -66,11 +54,11 @@ func TestMergedTraceValidates(t *testing.T) {
 	a := randomValidTrace(1)
 	b := randomValidTrace(2)
 	c := randomValidTrace(3)
-	merged := Merge(a, b, c)
+	merged := mergeEvents(a, b, c)
 	if len(merged) != len(a)+len(b)+len(c) {
 		t.Fatalf("merged length %d != %d", len(merged), len(a)+len(b)+len(c))
 	}
-	errs, _ := Validate(merged)
+	errs, _ := validate(merged)
 	for _, err := range errs {
 		t.Errorf("validator: %v", err)
 	}
@@ -108,7 +96,7 @@ func TestMergePreservesContent(t *testing.T) {
 	f := func(seedA, seedB int64) bool {
 		a := randomValidTrace(seedA%50 + 1)
 		b := randomValidTrace(seedB%50 + 1)
-		merged := Merge(a, b)
+		merged := mergeEvents(a, b)
 		var want, got Counts
 		var wantSize, gotSize int64
 		for _, e := range append(append([]Event{}, a...), b...) {
@@ -136,7 +124,7 @@ func TestWindow(t *testing.T) {
 		{Time: 180, Kind: KindClose, OpenID: 2, NewPos: 50},
 		{Time: 250, Kind: KindUnlink, File: 2},
 	}
-	got := Window(events, 100, 200)
+	got := windowEvents(events, 100, 200)
 	// The dangling seek/close of open 1 are dropped; open 2's pair stays
 	// and is rebased.
 	want := []Event{
@@ -147,12 +135,12 @@ func TestWindow(t *testing.T) {
 		t.Fatalf("Window = %+v, want %+v", got, want)
 	}
 	// A window keeps standalone events.
-	got = Window(events, 200, 300)
+	got = windowEvents(events, 200, 300)
 	if len(got) != 1 || got[0].Kind != KindUnlink || got[0].Time != 50 {
 		t.Fatalf("unlink window = %+v", got)
 	}
 	// Degenerate windows are empty.
-	if Window(events, 100, 100) != nil || Window(events, 200, 100) != nil {
+	if windowEvents(events, 100, 100) != nil || windowEvents(events, 200, 100) != nil {
 		t.Errorf("degenerate window not empty")
 	}
 }
@@ -160,8 +148,8 @@ func TestWindow(t *testing.T) {
 func TestWindowedTraceValidates(t *testing.T) {
 	full := randomValidTrace(4)
 	mid := full[len(full)/2].Time
-	win := Window(full, mid, mid+10_000)
-	errs, _ := Validate(win)
+	win := windowEvents(full, mid, mid+10_000)
+	errs, _ := validate(win)
 	for _, err := range errs {
 		t.Errorf("validator: %v", err)
 	}

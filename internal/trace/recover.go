@@ -79,10 +79,10 @@ func (s RepairStats) String() string {
 // (fsreport -degrade) quantifies the rest.
 type RecoverSource struct {
 	// MaxForwardJump is the forward time-step tolerance; fields may be
-	// set before the first Next call. Zero means DefaultMaxForwardJump.
+	// set before the first NextBatch call. Zero means DefaultMaxForwardJump.
 	MaxForwardJump Time
 
-	src     Source
+	in      *Cursor
 	stats   RepairStats
 	open    map[OpenID]*recOpen
 	seen    map[FileID]struct{}
@@ -90,13 +90,6 @@ type RecoverSource struct {
 	started bool
 	hold    Event // the open that follows a synthesized close
 	hasHold bool
-
-	// in is the batched input buffer: raw events are pulled from src a
-	// batch at a time and repaired out of the buffer, so the repair pass
-	// adds no per-event interface calls of its own.
-	in    []Event
-	inPos int
-	inN   int
 }
 
 type recOpen struct {
@@ -108,64 +101,15 @@ type recOpen struct {
 func NewRecoverSource(src Source) *RecoverSource {
 	return &RecoverSource{
 		MaxForwardJump: DefaultMaxForwardJump,
-		src:            src,
+		in:             NewCursor(src),
 		open:           make(map[OpenID]*recOpen),
 		seen:           make(map[FileID]struct{}),
 	}
 }
 
-// Stats returns the repair budget so far. It is complete once Next has
-// returned io.EOF.
+// Stats returns the repair budget so far. It is complete once NextBatch
+// has returned io.EOF.
 func (r *RecoverSource) Stats() RepairStats { return r.stats }
-
-// pull returns the next raw event from the wrapped source through the
-// batched input buffer.
-func (r *RecoverSource) pull() (Event, error) {
-	if r.inPos >= r.inN {
-		if r.in == nil {
-			r.in = make([]Event, DefaultBatchSize)
-		}
-		n, err := ReadBatch(r.src, r.in)
-		if n == 0 {
-			return Event{}, err
-		}
-		r.inN, r.inPos = n, 0
-	}
-	e := r.in[r.inPos]
-	r.inPos++
-	return e, nil
-}
-
-// Next returns the next repaired event.
-func (r *RecoverSource) Next() (Event, error) {
-	if r.hasHold {
-		r.hasHold = false
-		r.stats.Emitted++
-		return r.hold, nil
-	}
-	for {
-		e, err := r.pull()
-		if err != nil {
-			// EOF included: opens legitimately outlive a live trace, so
-			// no closes are synthesized at end of stream.
-			return Event{}, err
-		}
-		r.stats.Events++
-		e, emit, synth := r.repair(e)
-		if !emit {
-			r.stats.Dropped++
-			continue
-		}
-		if synth != nil {
-			r.hold, r.hasHold = e, true
-			r.stats.Synthesized++
-			r.stats.Emitted++
-			return *synth, nil
-		}
-		r.stats.Emitted++
-		return e, nil
-	}
-}
 
 // NextBatch repairs a batch of events in one call. A synthesized close
 // that lands on a full batch is held for the next call, so batch
@@ -179,8 +123,10 @@ func (r *RecoverSource) NextBatch(buf []Event) (int, error) {
 		n++
 	}
 	for n < len(buf) {
-		e, err := r.pull()
+		e, err := r.in.Next()
 		if err != nil {
+			// EOF included: opens legitimately outlive a live trace, so
+			// no closes are synthesized at end of stream.
 			if n > 0 {
 				return n, nil
 			}
@@ -307,16 +253,4 @@ func (r *RecoverSource) repair(e Event) (_ Event, emit bool, synth *Event) {
 	r.prev = e.Time
 	r.started = true
 	return e, true, synth
-}
-
-// Recover repairs a whole in-memory trace, returning the repaired events
-// and the budget.
-func Recover(events []Event) ([]Event, RepairStats) {
-	r := NewRecoverSource(NewSliceSource(events))
-	out, err := ReadSource(r)
-	if err != nil {
-		// A SliceSource never fails.
-		panic(err)
-	}
-	return out, r.Stats()
 }

@@ -27,10 +27,10 @@ func cleanTrace() []Event {
 // criterion: over an undamaged stream the pass changes nothing.
 func TestRecoverCleanNoOp(t *testing.T) {
 	in := cleanTrace()
-	if errs, _ := Validate(in); len(errs) != 0 {
+	if errs, _ := validate(in); len(errs) != 0 {
 		t.Fatalf("test fixture is not clean: %v", errs)
 	}
-	out, stats := Recover(in)
+	out, stats := recoverEvents(in)
 	if !reflect.DeepEqual(out, in) {
 		t.Fatalf("clean trace changed:\n in: %v\nout: %v", in, out)
 	}
@@ -48,7 +48,7 @@ func TestRecoverCleanNoOp(t *testing.T) {
 func TestRecoverAccountingIdentity(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		in := randomTrace(seed, 2000)
-		out, stats := Recover(in)
+		out, stats := recoverEvents(in)
 		if stats.Emitted != stats.Events-stats.Dropped+stats.Synthesized {
 			t.Fatalf("seed %d: accounting identity broken: %+v", seed, stats)
 		}
@@ -56,7 +56,7 @@ func TestRecoverAccountingIdentity(t *testing.T) {
 			t.Fatalf("seed %d: counts disagree with slices: %+v (in %d, out %d)",
 				seed, stats, len(in), len(out))
 		}
-		if errs, _ := Validate(out); len(errs) != 0 {
+		if errs, _ := validate(out); len(errs) != 0 {
 			t.Fatalf("seed %d: repaired trace fails validation: %v", seed, errs[0])
 		}
 	}
@@ -64,8 +64,8 @@ func TestRecoverAccountingIdentity(t *testing.T) {
 
 func recoverOne(t *testing.T, in []Event) ([]Event, RepairStats) {
 	t.Helper()
-	out, stats := Recover(in)
-	if errs, _ := Validate(out); len(errs) != 0 {
+	out, stats := recoverEvents(in)
+	if errs, _ := validate(out); len(errs) != 0 {
 		t.Fatalf("repaired trace fails validation: %v", errs[0])
 	}
 	return out, stats

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"io"
 	"reflect"
 	"testing"
@@ -19,49 +18,19 @@ func TestSliceSourceRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCopySource: piping a source through a writer yields the same binary
-// stream as writing the slice directly.
-func TestCopySource(t *testing.T) {
-	events := randomValidTrace(6)
-	var direct, piped bytes.Buffer
-	w := NewWriter(&direct)
-	for _, e := range events {
-		if err := w.Write(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	w2 := NewWriter(&piped)
-	n, err := CopySource(w2, NewSliceSource(events))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w2.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if n != int64(len(events)) {
-		t.Fatalf("copied %d events, want %d", n, len(events))
-	}
-	if !bytes.Equal(direct.Bytes(), piped.Bytes()) {
-		t.Fatalf("CopySource bytes differ from direct writes")
-	}
-}
-
-// TestMergeSourceMatchesMerge: the streaming k-way merge and the
-// in-memory Merge are the same function.
+// TestMergeSourceMatchesMerge: the streaming k-way merge yields exactly
+// the merge oracle — a stable time sort of the remapped inputs.
 func TestMergeSourceMatchesMerge(t *testing.T) {
 	a := randomValidTrace(1)
 	b := randomValidTrace(2)
 	c := randomValidTrace(3)
-	want := Merge(a, b, c)
+	want := MergeOracle(a, b, c)
 	got, err := ReadSource(NewMergeSource(NewSliceSource(a), NewSliceSource(b), NewSliceSource(c)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("MergeSource diverges from Merge: %d vs %d events", len(got), len(want))
+		t.Fatalf("MergeSource diverges from the merge oracle: %d vs %d events", len(got), len(want))
 	}
 }
 
@@ -80,11 +49,11 @@ func TestMergeSourceSingleIdentity(t *testing.T) {
 
 // TestMergeSourceEmpty: no sources and empty sources both end cleanly.
 func TestMergeSourceEmpty(t *testing.T) {
-	if _, err := NewMergeSource().Next(); err != io.EOF {
-		t.Fatalf("empty merge Next err = %v, want io.EOF", err)
+	if _, err := ReadOne(NewMergeSource()); err != io.EOF {
+		t.Fatalf("empty merge err = %v, want io.EOF", err)
 	}
 	m := NewMergeSource(NewSliceSource(nil), NewSliceSource(nil))
-	if _, err := m.Next(); err != io.EOF {
+	if _, err := ReadOne(m); err != io.EOF {
 		t.Fatalf("merge of empty sources err = %v, want io.EOF", err)
 	}
 }
@@ -96,11 +65,12 @@ func TestMergeSourceConstantAllocs(t *testing.T) {
 	a := randomValidTrace(7)
 	b := randomValidTrace(8)
 	m := NewMergeSource(NewSliceSource(a), NewSliceSource(b))
-	if _, err := m.Next(); err != nil { // prime: heap + remap buffers
+	one := make([]Event, 1)
+	if _, err := m.NextBatch(one); err != nil { // prime: heap + input batches
 		t.Fatal(err)
 	}
 	avg := testing.AllocsPerRun(len(a)+len(b)-2, func() {
-		if _, err := m.Next(); err != nil && err != io.EOF {
+		if _, err := m.NextBatch(one); err != nil && err != io.EOF {
 			t.Fatal(err)
 		}
 	})
@@ -109,19 +79,18 @@ func TestMergeSourceConstantAllocs(t *testing.T) {
 	}
 }
 
-// TestWindowSourceMatchesWindow: the streaming window and the in-memory
-// Window are the same function (Window is implemented on WindowSource, so
-// this pins the wiring).
+// TestWindowSourceMatchesWindow: the streaming window yields exactly the
+// window oracle, a direct filter loop over the whole trace.
 func TestWindowSourceMatchesWindow(t *testing.T) {
 	full := randomValidTrace(9)
 	mid := full[len(full)/2].Time
-	want := Window(full, mid, mid+10_000)
+	want := WindowOracle(full, mid, mid+10_000)
 	got, err := ReadSource(WindowSource(NewSliceSource(full), mid, mid+10_000))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("WindowSource diverges from Window")
+		t.Fatalf("WindowSource diverges from the window oracle")
 	}
 }
 
@@ -149,8 +118,8 @@ func fuzzTrace(data []byte, user UserID) []Event {
 
 // FuzzMergeSource is the k-way merge's property test: for arbitrary
 // time-ordered inputs the merged stream is length-preserving, sorted by
-// time, and content-preserving up to identifier remapping (event kinds
-// and size sums survive).
+// time, content-preserving up to identifier remapping (event kinds and
+// size sums survive), and equal event for event to the merge oracle.
 func FuzzMergeSource(f *testing.F) {
 	f.Add([]byte{}, []byte{}, []byte{})
 	f.Add([]byte{1, 2, 3}, []byte{2}, []byte{})
@@ -185,6 +154,11 @@ func FuzzMergeSource(f *testing.F) {
 		if wantCounts != gotCounts || wantSize != gotSize {
 			t.Fatalf("merge lost content: counts %v vs %v, size %d vs %d",
 				wantCounts, gotCounts, wantSize, gotSize)
+		}
+		for i, e := range MergeOracle(srcs...) {
+			if merged[i] != e {
+				t.Fatalf("merge event %d = %+v, oracle %+v", i, merged[i], e)
+			}
 		}
 	})
 }

@@ -1,17 +1,20 @@
 // Package sourcetest is the shared conformance suite for trace.Source
 // implementations. Every source in the tree — slice, codec reader,
-// k-way merge, recovery, lenient ingestion, shard streams, fan-out
-// subscribers, instrumented wrappers — runs the same checks, so the
-// pull-stream contract is pinned in one place instead of being
-// re-derived (slightly differently) in every package:
+// k-way merge, recovery, lenient ingestion, windowing, shard streams,
+// fan-out subscribers, instrumented wrappers, adapters, the fault
+// mangler — runs the same checks, so the batch contract is pinned in one
+// place instead of being re-derived (slightly differently) in every
+// package:
 //
-//   - Next returns the stream's events in order, then io.EOF, and the
-//     EOF repeats on every further call (idempotent end of stream);
-//   - batched reads via trace.ReadBatch deliver exactly the same
-//     events for any buffer size — batch boundaries carry no meaning;
+//   - NextBatch delivers exactly the same events for any buffer size —
+//     batch boundaries carry no meaning — and so does a drain that
+//     changes the buffer size from call to call ("interleaved", which
+//     alternates one-event reads with larger ones);
+//   - a per-event drain through trace.Each ("next") yields the same
+//     events;
 //   - NextBatch returns n > 0 with a nil error XOR n == 0 with a
 //     non-nil error, and a zero-length buffer reads (0, nil);
-//   - mixed Next/NextBatch interleavings observe the same stream.
+//   - io.EOF repeats on every further call (idempotent end of stream).
 //
 // Implementations are supplied as factories because the suite drains
 // each source several times, once per access pattern.
@@ -37,9 +40,15 @@ func Run(t *testing.T, mk Factory, want []trace.Event) {
 
 	t.Run("next", func(t *testing.T) {
 		src := mk(t)
-		got := drainNext(t, src)
+		var got []trace.Event
+		if err := trace.Each(src, func(e trace.Event) error {
+			got = append(got, e)
+			return nil
+		}); err != nil {
+			t.Fatalf("Each: %v", err)
+		}
 		equal(t, got, want)
-		checkEOFIdempotent(t, src)
+		checkEOFIdempotent(t, src, 1)
 	})
 
 	for _, size := range []int{1, 3, 7, trace.DefaultBatchSize} {
@@ -48,9 +57,9 @@ func Run(t *testing.T, mk Factory, want []trace.Event) {
 		}
 		t.Run("batch", func(t *testing.T) {
 			src := mk(t)
-			got := drainBatch(t, src, size)
+			got := drain(t, src, []int{size})
 			equal(t, got, want)
-			checkBatchEOFIdempotent(t, src, size)
+			checkEOFIdempotent(t, src, size)
 		})
 	}
 
@@ -58,109 +67,58 @@ func Run(t *testing.T, mk Factory, want []trace.Event) {
 		src := mk(t)
 		// A zero-length buffer is a no-op read, not an end-of-stream
 		// probe: (0, nil), before and in the middle of the stream.
-		if n, err := trace.ReadBatch(src, nil); n != 0 || err != nil {
-			t.Fatalf("ReadBatch(src, nil) at start = (%d, %v), want (0, nil)", n, err)
+		if n, err := src.NextBatch(nil); n != 0 || err != nil {
+			t.Fatalf("NextBatch(nil) at start = (%d, %v), want (0, nil)", n, err)
 		}
 		if len(want) > 0 {
-			if _, err := src.Next(); err != nil {
-				t.Fatalf("Next after empty read: %v", err)
+			if _, err := src.NextBatch(make([]trace.Event, 1)); err != nil {
+				t.Fatalf("NextBatch after empty read: %v", err)
 			}
-			if n, err := trace.ReadBatch(src, nil); n != 0 || err != nil {
-				t.Fatalf("ReadBatch(src, nil) mid-stream = (%d, %v), want (0, nil)", n, err)
+			if n, err := src.NextBatch(nil); n != 0 || err != nil {
+				t.Fatalf("NextBatch(nil) mid-stream = (%d, %v), want (0, nil)", n, err)
 			}
 		}
 	})
 
 	t.Run("interleaved", func(t *testing.T) {
 		src := mk(t)
-		got := drainInterleaved(t, src)
+		got := drain(t, src, []int{1, 1, 1, 4, 1, 2, 1, 9})
 		equal(t, got, want)
-		checkEOFIdempotent(t, src)
+		checkEOFIdempotent(t, src, 1)
 	})
 }
 
-func drainNext(t *testing.T, src trace.Source) []trace.Event {
+// drain reads src to io.EOF, cycling through the buffer sizes from call
+// to call, and checks the batch contract on every call. A source that
+// holds state across calls (a pending duplicate, a synthesized close)
+// must carry it over a change of buffer size.
+func drain(t *testing.T, src trace.Source, sizes []int) []trace.Event {
 	t.Helper()
 	var got []trace.Event
-	for {
-		e, err := src.Next()
-		if err == io.EOF {
-			return got
-		}
-		if err != nil {
-			t.Fatalf("Next: %v", err)
-		}
-		got = append(got, e)
-	}
-}
-
-func drainBatch(t *testing.T, src trace.Source, size int) []trace.Event {
-	t.Helper()
-	buf := make([]trace.Event, size)
-	var got []trace.Event
-	for {
-		n, err := trace.ReadBatch(src, buf)
+	for call := 0; ; call++ {
+		size := sizes[call%len(sizes)]
+		buf := make([]trace.Event, size)
+		n, err := src.NextBatch(buf)
 		if n > 0 && err != nil {
-			t.Fatalf("ReadBatch size %d: n=%d with err=%v, want n>0 XOR err", size, n, err)
+			t.Fatalf("NextBatch size %d: n=%d with err=%v, want n>0 XOR err", size, n, err)
 		}
 		if n == 0 {
 			if err == io.EOF {
 				return got
 			}
-			t.Fatalf("ReadBatch size %d: (0, %v), want (0, io.EOF) at end", size, err)
+			t.Fatalf("NextBatch size %d: (0, %v), want (0, io.EOF) at end", size, err)
 		}
 		got = append(got, buf[:n]...)
 	}
 }
 
-// drainInterleaved alternates single-event and batched reads in a fixed
-// pattern, proving the two access paths observe one stream with no
-// events duplicated or dropped at the boundary between them.
-func drainInterleaved(t *testing.T, src trace.Source) []trace.Event {
-	t.Helper()
-	sizes := []int{1, 4, 2, 9}
-	var got []trace.Event
-	for step := 0; ; step++ {
-		if step%2 == 0 {
-			e, err := src.Next()
-			if err == io.EOF {
-				return got
-			}
-			if err != nil {
-				t.Fatalf("interleaved Next: %v", err)
-			}
-			got = append(got, e)
-			continue
-		}
-		buf := make([]trace.Event, sizes[(step/2)%len(sizes)])
-		n, err := trace.ReadBatch(src, buf)
-		if n == 0 {
-			if err == io.EOF {
-				return got
-			}
-			t.Fatalf("interleaved ReadBatch: (0, %v)", err)
-		}
-		got = append(got, buf[:n]...)
-	}
-}
-
-func checkEOFIdempotent(t *testing.T, src trace.Source) {
-	t.Helper()
-	for i := 0; i < 3; i++ {
-		e, err := src.Next()
-		if err != io.EOF {
-			t.Fatalf("Next after EOF (call %d) = (%+v, %v), want io.EOF", i+1, e, err)
-		}
-	}
-}
-
-func checkBatchEOFIdempotent(t *testing.T, src trace.Source, size int) {
+func checkEOFIdempotent(t *testing.T, src trace.Source, size int) {
 	t.Helper()
 	buf := make([]trace.Event, size)
 	for i := 0; i < 3; i++ {
-		n, err := trace.ReadBatch(src, buf)
+		n, err := src.NextBatch(buf)
 		if n != 0 || err != io.EOF {
-			t.Fatalf("ReadBatch after EOF (call %d) = (%d, %v), want (0, io.EOF)", i+1, n, err)
+			t.Fatalf("NextBatch after EOF (call %d) = (%d, %v), want (0, io.EOF)", i+1, n, err)
 		}
 	}
 }
@@ -180,57 +138,37 @@ func equal(t *testing.T, got, want []trace.Event) {
 // RunSticky checks terminal-error stickiness: a source whose stream
 // ends in a non-EOF error must keep returning that error (or one with
 // the same message) on every call after first reporting it, through
-// both Next and NextBatch, with any events before the error delivered
-// intact.
+// one-event reads ("next") and multi-event reads ("batch"), with any
+// events before the error delivered intact.
 func RunSticky(t *testing.T, mk Factory, wantEvents int) {
 	t.Helper()
-
-	terminal := func(t *testing.T, src trace.Source, drain func() (int, error)) error {
-		t.Helper()
-		got := 0
-		for {
-			n, err := drain()
-			got += n
-			if err == nil {
-				continue
-			}
-			if err == io.EOF {
-				t.Fatal("stream ended in io.EOF, want a terminal error")
+	for _, tc := range []struct {
+		name string
+		size int
+	}{{"next", 1}, {"batch", 4}} {
+		t.Run(tc.name, func(t *testing.T) {
+			src := mk(t)
+			buf := make([]trace.Event, tc.size)
+			got := 0
+			var first error
+			for first == nil {
+				n, err := src.NextBatch(buf)
+				got += n
+				if err == io.EOF {
+					t.Fatal("stream ended in io.EOF, want a terminal error")
+				}
+				first = err
 			}
 			if got != wantEvents {
 				t.Fatalf("drained %d events before terminal error, want %d", got, wantEvents)
 			}
-			return err
-		}
+			for i := 0; i < 3; i++ {
+				if n, err := src.NextBatch(buf); n != 0 || !sameError(err, first) {
+					t.Fatalf("NextBatch after terminal error = (%d, %v), want (0, %v)", n, err, first)
+				}
+			}
+		})
 	}
-
-	t.Run("next", func(t *testing.T) {
-		src := mk(t)
-		first := terminal(t, src, func() (int, error) {
-			if _, err := src.Next(); err != nil {
-				return 0, err
-			}
-			return 1, nil
-		})
-		for i := 0; i < 3; i++ {
-			if _, err := src.Next(); !sameError(err, first) {
-				t.Fatalf("Next after terminal error = %v, want %v", err, first)
-			}
-		}
-	})
-
-	t.Run("batch", func(t *testing.T) {
-		src := mk(t)
-		buf := make([]trace.Event, 4)
-		first := terminal(t, src, func() (int, error) {
-			return trace.ReadBatch(src, buf)
-		})
-		for i := 0; i < 3; i++ {
-			if n, err := trace.ReadBatch(src, buf); n != 0 || !sameError(err, first) {
-				t.Fatalf("ReadBatch after terminal error = (%d, %v), want (0, %v)", n, err, first)
-			}
-		}
-	})
 }
 
 func sameError(got, want error) bool {

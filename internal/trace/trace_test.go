@@ -349,7 +349,7 @@ func TestValidatorCleanStream(t *testing.T) {
 		{Time: 30, Kind: KindClose, OpenID: 2, NewPos: 4096},
 		{Time: 40, Kind: KindUnlink, File: 10},
 	}
-	errs, unclosed := Validate(events)
+	errs, unclosed := validate(events)
 	if len(errs) != 0 {
 		t.Fatalf("clean stream got errors: %v", errs)
 	}
@@ -399,7 +399,7 @@ func TestValidatorCatchesErrors(t *testing.T) {
 	}
 	for name, events := range cases {
 		t.Run(name, func(t *testing.T) {
-			errs, _ := Validate(events)
+			errs, _ := validate(events)
 			if len(errs) == 0 {
 				t.Errorf("validator missed %s", name)
 			}
@@ -413,7 +413,7 @@ func TestValidatorUnclosed(t *testing.T) {
 		{Time: 1, Kind: KindOpen, OpenID: 2, File: 2, Mode: ReadOnly},
 		{Time: 2, Kind: KindClose, OpenID: 1, NewPos: 0},
 	}
-	errs, unclosed := Validate(events)
+	errs, unclosed := validate(events)
 	if len(errs) != 0 {
 		t.Fatalf("unexpected errors: %v", errs)
 	}

@@ -139,13 +139,3 @@ func (v *Validator) FirstBad() *Event { return v.firstBad }
 
 // Stats returns the tally of events seen per kind, valid or not.
 func (v *Validator) Stats() Counts { return v.counts }
-
-// Validate checks a whole in-memory trace and returns the errors plus the
-// number of opens left unclosed at the end.
-func Validate(events []Event) (errs []error, unclosed int) {
-	v := NewValidator(0)
-	for _, e := range events {
-		v.Check(e)
-	}
-	return v.Errs(), v.Finish()
-}

@@ -99,26 +99,10 @@ func (s *shardStream) fill() bool {
 	return true
 }
 
-// Next makes a *shardStream a trace.Source for the merge. The closed
+// NextBatch makes a *shardStream a trace.Source for the merge: it hands
+// over the pending events of the current batch in one copy. The closed
 // channel becomes io.EOF — or the shard's terminal error, so generation
-// failures surface through the merge. Between channel receives, Next is
-// a slice index.
-func (s *shardStream) Next() (trace.Event, error) {
-	for s.pos >= len(s.cur) {
-		if !s.fill() {
-			if s.err != nil {
-				return trace.Event{}, s.err
-			}
-			return trace.Event{}, io.EOF
-		}
-	}
-	e := s.cur[s.pos]
-	s.pos++
-	return e, nil
-}
-
-// NextBatch hands over the pending events of the current batch in one
-// copy.
+// failures surface through the merge.
 func (s *shardStream) NextBatch(buf []trace.Event) (int, error) {
 	if len(buf) == 0 {
 		return 0, nil // a zero-length buffer is a no-op read
@@ -208,24 +192,11 @@ func generateSharded(cfg Config, sink Sink) (*Result, error) {
 		}()
 	}
 
-	merge := trace.NewMergeSource(sources...)
-	buf := trace.GetBatch()
-	defer trace.PutBatch(buf)
-	for {
-		k, err := trace.ReadBatch(merge, buf)
-		if k == 0 {
-			if err == io.EOF {
-				break
-			}
-			return nil, err
-		}
-		if sink != nil {
-			for _, e := range buf[:k] {
-				if err := sink(e); err != nil {
-					return nil, err
-				}
-			}
-		}
+	if sink == nil {
+		sink = func(trace.Event) error { return nil }
+	}
+	if err := trace.Each(trace.NewMergeSource(sources...), sink); err != nil {
+		return nil, err
 	}
 
 	out := &Result{Profile: full}

@@ -82,7 +82,7 @@ func TestShardedTraceValidates(t *testing.T) {
 	if len(res.Events) == 0 {
 		t.Fatal("sharded generation produced no events")
 	}
-	errs, _ := trace.Validate(res.Events)
+	errs := validate(res.Events)
 	for _, e := range errs {
 		t.Errorf("validator: %v", e)
 	}

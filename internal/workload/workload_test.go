@@ -29,7 +29,7 @@ func TestGenerateValidTrace(t *testing.T) {
 	if len(events) < 5000 {
 		t.Fatalf("only %d events in an hour", len(events))
 	}
-	errs, _ := trace.Validate(events)
+	errs := validate(events)
 	for _, err := range errs {
 		t.Errorf("validator: %v", err)
 	}
@@ -75,7 +75,7 @@ func TestAllProfilesGenerate(t *testing.T) {
 		if res.Profile.Name != name || res.Profile.Users() != prof.Users() {
 			t.Errorf("%s: profile mismatch: %+v", name, res.Profile)
 		}
-		errs, _ := trace.Validate(res.Events)
+		errs := validate(res.Events)
 		if len(errs) != 0 {
 			t.Errorf("%s: invalid trace: %v", name, errs[0])
 		}
@@ -297,4 +297,13 @@ func TestLoadFactorShape(t *testing.T) {
 	if loadFactor(24*trace.Hour+14*trace.Hour) != 1.0 {
 		t.Errorf("cycle should repeat daily")
 	}
+}
+
+// validate runs a trace through a fresh Validator and returns its errors.
+func validate(events []trace.Event) []error {
+	v := trace.NewValidator(0)
+	for _, e := range events {
+		v.Check(e)
+	}
+	return v.Errs()
 }

@@ -1,7 +1,6 @@
 package xfer
 
 import (
-	"io"
 	"sort"
 	"sync"
 
@@ -199,23 +198,15 @@ func NewTape(events []trace.Event) (*Tape, error) {
 }
 
 // BuildTape reconstructs the transfer tape of a time-ordered event
-// stream, pulling one event at a time: the source's trace never needs to
-// fit in memory (*trace.Reader is a Source, as is a merged shard stream).
+// stream: the source's trace never needs to fit in memory
+// (*trace.Reader is a Source, as is a merged shard stream).
 func BuildTape(src trace.Source) (*Tape, error) {
 	b := NewTapeBuilder()
-	buf := trace.GetBatch()
-	defer trace.PutBatch(buf)
-	for {
-		n, err := trace.ReadBatch(src, buf)
-		if n == 0 {
-			if err == io.EOF {
-				break
-			}
-			return nil, err
-		}
-		for _, e := range buf[:n] {
-			b.Add(e)
-		}
+	if err := trace.Each(src, func(e trace.Event) error {
+		b.Add(e)
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 	return b.Finish()
 }

@@ -74,7 +74,7 @@ func TestStreamingAnalysisEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := analyzer.AnalyzeReader(r, analyzer.Options{})
+	got, err := analyzer.AnalyzeSource(r, analyzer.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestMergeMemoryGuard(t *testing.T) {
 		for i := range strands {
 			sources[i] = trace.NewSliceSource(strands[i])
 		}
-		if _, err := trace.CopySource(trace.NewWriter(discardWriter{}), trace.NewMergeSource(sources...)); err != nil {
+		if err := trace.Each(trace.NewMergeSource(sources...), trace.NewWriter(discardWriter{}).Write); err != nil {
 			t.Fatal(err)
 		}
 	}
