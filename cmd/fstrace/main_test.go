@@ -27,6 +27,36 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadValuesKeepsOutput: flag values that parse but make
+// no sense are refused before the output file is opened, so an existing
+// -o file survives intact.
+func TestRunRejectsBadValuesKeepsOutput(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "existing.trace")
+	const keep = "an earlier trace"
+	for _, args := range [][]string{
+		{"-profile", "A6"},
+		{"-profile", "A5,A6"},
+		{"-shards", "-2"},
+		{"-duration", "0"},
+		{"-duration", "-1h"},
+		{"-duration", "500us"},
+		{"-scale", "-3"},
+		{"-scale", "0"},
+		{"-checkpoint", "-5", "-v2"},
+	} {
+		if err := os.WriteFile(out, []byte(keep), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := run(append(args, "-o", out, "-q"), &buf); err == nil {
+			t.Errorf("run(%q) accepted", args)
+		}
+		if got, err := os.ReadFile(out); err != nil || string(got) != keep {
+			t.Errorf("run(%q) changed the existing output file: %d bytes, want %d (%v)", args, len(got), len(keep), err)
+		}
+	}
+}
+
 // The binary path: whatever fstrace writes, trace.ReadFile reads back
 // verbatim, and the summary describes it.
 func TestRunBinaryRoundTrip(t *testing.T) {
