@@ -13,6 +13,7 @@
 //	fscachesim -sweep fig7 a5.trace        # page-in simulated vs ignored
 //	fscachesim -sweep replacement a5.trace # LRU vs FIFO vs Clock vs Random
 //	fscachesim -sweep zoo a5.trace         # Figures 5-7 across the whole policy zoo
+//	fscachesim -sweep stack a5.trace       # one-pass LRU stack distances
 //	fscachesim -sweep tiers a5.trace       # RAM/flash/disk hierarchy with latency and wear
 //	fscachesim -sweep flush a5.trace       # flush-back interval sweep
 //
@@ -72,7 +73,7 @@ func main() {
 		replace  = flag.String("replace", "lru", "replacement: lru, fifo, clock, random, arc, 2q, slru, lirs, tinylfu")
 		paging   = flag.Bool("paging", false, "simulate program page-in as whole-file reads")
 		format   = flag.String("format", "bsd", "trace format: bsd, blockcsv, pageref, strace")
-		sweep    = flag.String("sweep", "", "run a paper sweep instead: tableVI, tableVII, fig7, replacement, zoo, tiers, flush")
+		sweep    = flag.String("sweep", "", "run a paper sweep instead: tableVI, tableVII, fig7, replacement, zoo, stack, tiers, flush")
 		fit      = flag.Int("fit", 0, "with -sweep tableVI/fig7: N-rung cache-size ladder fitted to the trace's footprint instead of the paper's sizes")
 		crashN   = flag.Int("crash-sweep", 0, "sample N crash points; report expected loss per write policy at -cache/-block")
 		crashAt  = flag.Duration("crash-at", 0, "report the data a crash at this trace time would lose (single run)")
@@ -84,6 +85,10 @@ func main() {
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: fscachesim [flags] trace.bin")
 		os.Exit(2)
+	}
+	if err := checkFlags(*crashN, *crashAt, *fit); err != nil {
+		fmt.Fprintln(os.Stderr, "fscachesim:", err)
+		os.Exit(1)
 	}
 
 	reg := obs.NewRegistry()
@@ -200,6 +205,20 @@ func main() {
 		os.Exit(1)
 	}
 	finish()
+}
+
+// checkFlags refuses a negative count or time before the trace is read;
+// a -fit of 0 means the paper's ladder.
+func checkFlags(crashN int, crashAt time.Duration, fit int) error {
+	switch {
+	case crashN < 0:
+		return fmt.Errorf("-crash-sweep %d: must not be negative", crashN)
+	case crashAt < 0:
+		return fmt.Errorf("-crash-at %v: must not be negative", crashAt)
+	case fit < 0:
+		return fmt.Errorf("-fit %d: must not be negative", fit)
+	}
+	return nil
 }
 
 // writeSummary prints the single-run summary.

@@ -1,7 +1,10 @@
 package main
 
 import (
+	"bytes"
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -11,6 +14,39 @@ import (
 	"bsdtrace/internal/workload"
 	"bsdtrace/internal/xfer"
 )
+
+// TestMain runs the fscachesim command itself when BSDTRACE_RUN_MAIN is
+// set, so a test can drive main's flag handling in a child process.
+func TestMain(m *testing.M) {
+	if os.Getenv("BSDTRACE_RUN_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestMainRejectsNegativeValues: a negative -crash-sweep, -crash-at or
+// -fit exits 1 naming the flag before the trace is read; the trace path
+// here does not exist, so reading it first would name the file instead.
+func TestMainRejectsNegativeValues(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "missing.trace")
+	for _, args := range [][]string{
+		{"-crash-sweep", "-5"},
+		{"-crash-at", "-1s"},
+		{"-sweep", "tableVI", "-fit", "-3"},
+	} {
+		name := args[len(args)-2] // the refused flag
+		cmd := exec.Command(os.Args[0], append(args, missing)...)
+		cmd.Env = append(os.Environ(), "BSDTRACE_RUN_MAIN=1")
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(stderr.String(), name) {
+			t.Errorf("fscachesim %q: %v, stderr %q; want exit status 1 naming %s", args, err, stderr.String(), name)
+		}
+	}
+}
 
 func TestParseSize(t *testing.T) {
 	cases := map[string]int64{

@@ -47,6 +47,7 @@ import (
 	"bsdtrace/internal/ffs"
 	"bsdtrace/internal/namei"
 	"bsdtrace/internal/obs"
+	"bsdtrace/internal/par"
 	"bsdtrace/internal/report"
 	"bsdtrace/internal/stats"
 	"bsdtrace/internal/trace"
@@ -108,6 +109,24 @@ func main() {
 	)
 	flag.Parse()
 
+	reg := obs.NewRegistry()
+	reg.SetEnabled(*manifest != "" || *progress || *debugAddr != "")
+	cfg := reportConfig{
+		duration:  *duration,
+		seed:      *seed,
+		only:      *only,
+		ablations: *ablations,
+		dataDir:   *dataDir,
+		scale:     *scale,
+		shards:    *shards,
+		lenient:   *lenient,
+		reg:       reg,
+	}
+	if err := checkFlags(cfg, *stability, *fit); err != nil {
+		fmt.Fprintln(os.Stderr, "fsreport:", err)
+		os.Exit(1)
+	}
+
 	var w io.Writer = os.Stdout
 	var outFile *os.File
 	if *outPath != "" {
@@ -132,8 +151,6 @@ func main() {
 		}
 	}
 
-	reg := obs.NewRegistry()
-	reg.SetEnabled(*manifest != "" || *progress || *debugAddr != "")
 	if *debugAddr != "" {
 		addr, derr := obs.ServeDebug(*debugAddr, reg)
 		if derr != nil {
@@ -147,17 +164,6 @@ func main() {
 		prog = obs.StartProgress(os.Stderr, reg)
 	}
 
-	cfg := reportConfig{
-		duration:  *duration,
-		seed:      *seed,
-		only:      *only,
-		ablations: *ablations,
-		dataDir:   *dataDir,
-		scale:     *scale,
-		shards:    *shards,
-		lenient:   *lenient,
-		reg:       reg,
-	}
 	var err error
 	switch {
 	case *input != "":
@@ -199,51 +205,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "fsreport:", err)
 		os.Exit(1)
 	}
-}
-
-// parallel runs jobs 0..n-1 on up to GOMAXPROCS workers and returns the
-// first error. Jobs write into index-ordered slots, so parallelism never
-// changes any output.
-func parallel(n int, job func(i int) error) error {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := job(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				if err := job(i); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	return firstErr
 }
 
 // generateSpill streams one machine's trace into a binary spill file,
@@ -298,6 +259,32 @@ func openTrace(path string) (*trace.Reader, *os.File, error) {
 	return r, f, nil
 }
 
+// checkFlags refuses flag values that parse but make no sense, by
+// fstrace's rules. main calls it before it creates -o or -cpuprofile or
+// starts -debug-addr, so a refused run leaves existing files intact;
+// run calls it again because tests drive run directly.
+func checkFlags(cfg reportConfig, stability, fit int) error {
+	if cfg.only != "" && !slices.ContainsFunc(reportItems, func(item string) bool {
+		return strings.EqualFold(cfg.only, item)
+	}) {
+		return fmt.Errorf("unknown -only item %q; valid items: %s", cfg.only, strings.Join(reportItems, ", "))
+	}
+	if err := checkDuration(cfg.duration); err != nil {
+		return err
+	}
+	switch {
+	case cfg.scale <= 0:
+		return fmt.Errorf("-scale %v: must be positive", cfg.scale)
+	case cfg.shards < 0:
+		return fmt.Errorf("-shards %d: must not be negative", cfg.shards)
+	case stability < 0:
+		return fmt.Errorf("-stability %d: must not be negative", stability)
+	case fit < 0:
+		return fmt.Errorf("-fit %d: must not be negative", fit)
+	}
+	return nil
+}
+
 // checkDuration rejects a -duration shorter than the trace clock's one
 // millisecond tick. The generator would replace such a span with its
 // 8-hour default, while the report divides rates by the span asked for.
@@ -333,7 +320,7 @@ func runStability(w io.Writer, duration time.Duration, baseSeed int64, n int) er
 		metrics[i].agg = &stats.Welford{}
 	}
 	seedVals := make([][]float64, n)
-	err := parallel(n, func(i int) error {
+	err := par.Run(n, func(i int) error {
 		seed := baseSeed + int64(i)
 		s := analyzer.NewStream(analyzer.Options{})
 		tb := xfer.NewTapeBuilder()
@@ -429,7 +416,7 @@ func runDegrade(w io.Writer, duration time.Duration, seed int64) error {
 		repair trace.RepairStats
 	}
 	rows := make([]*degradeRow, len(rates))
-	if err := parallel(len(rates), func(i int) error {
+	if err := par.Run(len(rates), func(i int) error {
 		r, f, err := openTrace(path)
 		if err != nil {
 			return err
@@ -570,19 +557,16 @@ func (e *errWriter) Write(p []byte) (n int, err error) {
 }
 
 func run(out io.Writer, cfg reportConfig) error {
+	if cfg.scale == 0 {
+		cfg.scale = 1 // the zero reportConfig is an unscaled fleet
+	}
+	if err := checkFlags(cfg, 0, 0); err != nil {
+		return err
+	}
 	want := func(name string) bool {
 		return cfg.only == "" || strings.EqualFold(cfg.only, name)
 	}
-	if cfg.only != "" && !slices.ContainsFunc(reportItems, want) {
-		return fmt.Errorf("unknown -only item %q; valid items: %s", cfg.only, strings.Join(reportItems, ", "))
-	}
-	if err := checkDuration(cfg.duration); err != nil {
-		return err
-	}
 	w := &errWriter{w: out}
-	if cfg.scale <= 0 {
-		cfg.scale = 1
-	}
 
 	fmt.Fprintf(w, "Reproduction of \"A Trace-Driven Analysis of the UNIX 4.2 BSD File System\" (SOSP 1985)\n")
 	fmt.Fprintf(w, "Synthetic traces: %v per machine, seed %d (see DESIGN.md for the substitution rationale)\n", cfg.duration, cfg.seed)
@@ -1005,7 +989,7 @@ func runMetadata(w io.Writer, duration time.Duration, seed int64, scale float64,
 	}
 	scales := []int{40, 120, 400}
 	sims := make([]*namei.Simulator, len(scales))
-	if err := parallel(len(scales), func(i int) error {
+	if err := par.Run(len(scales), func(i int) error {
 		sim := namei.New(namei.Config{
 			NameEntries:  scales[i],
 			InodeEntries: scales[i] / 2,
@@ -1087,7 +1071,7 @@ func runServer(w io.Writer, names []string, tapes []*xfer.Tape, mergedTape *xfer
 	private := make([]*cachesim.Result, len(tapes))
 	shared := make([]*cachesim.Result, len(sharedSizes))
 	jobs := len(tapes) + 1
-	if err := parallel(jobs, func(i int) error {
+	if err := par.Run(jobs, func(i int) error {
 		if i < len(tapes) {
 			r, err := cachesim.SimulateTape(tapes[i], cachesim.Config{
 				BlockSize: blockSize, CacheSize: perMachine, Write: cachesim.DelayedWrite,
@@ -1156,7 +1140,7 @@ func runDiskless(w io.Writer, duration time.Duration, tapes []*xfer.Tape) error 
 	secs := duration.Seconds()
 	clientSizes := []int64{128 << 10, 512 << 10, 1 << 20, 2 << 20}
 	results := make([]*cachesim.HierarchyResult, len(clientSizes))
-	if err := parallel(len(clientSizes), func(i int) error {
+	if err := par.Run(len(clientSizes), func(i int) error {
 		r, err := cachesim.HierarchySimulateTapes(tapes, cachesim.HierarchyConfig{
 			BlockSize: 4096,
 			Tiers: []cachesim.Tier{

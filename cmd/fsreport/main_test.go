@@ -4,10 +4,63 @@ import (
 	"bytes"
 	"errors"
 	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 )
+
+// TestMain runs the fsreport command itself when BSDTRACE_RUN_MAIN is
+// set, so a test can drive main's flag handling in a child process.
+func TestMain(m *testing.M) {
+	if os.Getenv("BSDTRACE_RUN_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestMainRejectsBadValuesKeepsOutput: flag values that parse but make
+// no sense exit 1 before -o or -cpuprofile is created, so an existing
+// report file survives intact and no profile appears.
+func TestMainRejectsBadValuesKeepsOutput(t *testing.T) {
+	dir := t.TempDir()
+	out, prof := filepath.Join(dir, "existing.txt"), filepath.Join(dir, "cpu.prof")
+	const keep = "an earlier report"
+	for _, args := range [][]string{
+		{"-duration", "0"},
+		{"-only", "bogus"},
+		{"-scale", "-3"},
+		{"-scale", "0"},
+		{"-shards", "-2"},
+		{"-stability", "-1"},
+		{"-input", foreignFixture("msr-sample.csv"), "-format", "blockcsv", "-fit", "-3"},
+	} {
+		if err := os.WriteFile(out, []byte(keep), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		name := args[len(args)-2] // the refused flag
+		// A short gated run keeps a value that slips through cheap.
+		cmd := exec.Command(os.Args[0], append([]string{"-duration", "10m", "-only", "tableIII",
+			"-o", out, "-cpuprofile", prof}, args...)...)
+		cmd.Env = append(os.Environ(), "BSDTRACE_RUN_MAIN=1")
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(stderr.String(), name) {
+			t.Errorf("fsreport %q: %v, stderr %q; want exit status 1 naming %s", args, err, stderr.String(), name)
+		}
+		if got, err := os.ReadFile(out); err != nil || string(got) != keep {
+			t.Errorf("fsreport %q changed the existing -o file: %d bytes, want %d (%v)", args, len(got), len(keep), err)
+		}
+		if _, err := os.Stat(prof); !os.IsNotExist(err) {
+			t.Errorf("fsreport %q created the -cpuprofile file (%v)", args, err)
+			os.Remove(prof)
+		}
+	}
+}
 
 // TestRunFullReport drives the complete report path on short traces and
 // checks every section appears.

@@ -27,6 +27,7 @@ package cachesim
 import (
 	"fmt"
 
+	"bsdtrace/internal/par"
 	"bsdtrace/internal/trace"
 	"bsdtrace/internal/xfer"
 )
@@ -238,7 +239,7 @@ func storeWear(wear []int64) func(id int32, write bool, t trace.Time) {
 // then emission order).
 func runClients(tapes []*xfer.Tape, blockSize int64, cfg Config, overStore bool) ([]*clientPass, *resolved, []serverOp) {
 	machineRes := make([]*resolved, len(tapes))
-	runParallel(len(tapes), func(m int) error {
+	par.Run(len(tapes), func(m int) error {
 		machineRes[m] = resolvedFor(tapes[m], blockSize)
 		return nil
 	})
@@ -263,7 +264,7 @@ func runClients(tapes []*xfer.Tape, blockSize int64, cfg Config, overStore bool)
 	}
 
 	passes := make([]*clientPass, len(tapes))
-	runParallel(len(tapes), func(m int) error {
+	par.Run(len(tapes), func(m int) error {
 		passes[m] = runClient(tapes[m], machineRes[m], cfg, blockBase[m], fileBase[m], overStore)
 		return nil
 	})

@@ -3,6 +3,7 @@ package cachesim
 import (
 	"slices"
 
+	"bsdtrace/internal/par"
 	"bsdtrace/internal/trace"
 	"bsdtrace/internal/xfer"
 )
@@ -89,12 +90,12 @@ func MultiSimulateObserved(tape *xfer.Tape, cfgs []Config, obs func(i int) Obser
 			sizes = append(sizes, cfg.BlockSize)
 		}
 	}
-	runParallel(len(sizes), func(i int) error {
+	par.Run(len(sizes), func(i int) error {
 		resolvedFor(tape, sizes[i])
 		return nil
 	})
 	out := make([]*Result, len(cfgs))
-	runParallel(len(filled), func(i int) error {
+	par.Run(len(filled), func(i int) error {
 		c := newCache(tape, resolvedFor(tape, filled[i].BlockSize), filled[i])
 		c.obs = observers[i]
 		c.run()

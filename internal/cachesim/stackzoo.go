@@ -14,6 +14,7 @@ package cachesim
 import (
 	"fmt"
 
+	"bsdtrace/internal/par"
 	"bsdtrace/internal/xfer"
 )
 
@@ -156,7 +157,7 @@ func MissCurveTape(tape *xfer.Tape, blockSize int64, rep Replacement, cacheSizes
 	}
 	r := resolvedFor(tape, blockSize)
 	refs := referenceString(tape, r)
-	err := runParallel(len(cacheSizes), func(i int) error {
+	err := par.Run(len(cacheSizes), func(i int) error {
 		capBlocks := int(cacheSizes[i] / blockSize)
 		if capBlocks < 1 {
 			// A cache that cannot hold one block misses every reference,

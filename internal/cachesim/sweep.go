@@ -1,57 +1,9 @@
 package cachesim
 
 import (
-	"runtime"
-	"sync"
-
 	"bsdtrace/internal/trace"
 	"bsdtrace/internal/xfer"
 )
-
-// runParallel executes jobs 0..n-1 on up to GOMAXPROCS workers and
-// returns the first error. Simulations are pure functions of (tape,
-// config), so sweeps parallelize without affecting determinism.
-func runParallel(n int, job func(i int) error) error {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := job(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				if err := job(i); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	return firstErr
-}
 
 // grid replays one tape into a rows × cols grid of configurations,
 // where cell(i, j) is the configuration at row i, column j, and returns

@@ -38,14 +38,14 @@ type StageRecord struct {
 	Allocs       int64   `json:"allocs,omitempty"`
 }
 
-// HistogramRecord is one histogram's manifest entry. Bounds and counts
-// are deterministic (order-independent under concurrent recording);
-// the mean is volatile.
+// HistogramRecord is one histogram's manifest entry: the bucket upper
+// bounds, the count in each bucket (the last is overflow), and the total.
+// Every field is deterministic (order-independent under concurrent
+// recording).
 type HistogramRecord struct {
 	Bounds []float64 `json:"bounds"`
 	Counts []int64   `json:"counts"`
 	Count  int64     `json:"count"`
-	Mean   float64   `json:"mean,omitempty"`
 }
 
 // VersionInfo records the toolchain a manifest came from. Volatile by
@@ -120,24 +120,18 @@ func (r *Registry) Manifest(info RunInfo) *Manifest {
 	if len(r.hists) > 0 {
 		m.Histograms = make(map[string]HistogramRecord, len(r.hists))
 		for _, k := range sortedKeys(r.hists) {
-			h := r.hists[k]
-			m.Histograms[k] = HistogramRecord{
-				Bounds: h.Bounds(),
-				Counts: h.BucketCounts(),
-				Count:  h.Count(),
-				Mean:   h.Mean(),
-			}
+			m.Histograms[k] = r.hists[k].record()
 		}
 	}
 	return m
 }
 
 // Canonical returns a copy of the manifest with every volatile field
-// zeroed: stage wall times, rates, and allocation deltas; histogram
-// means; toolchain versions. What remains — stage order and event/byte
-// counts, counter and gauge values, histogram bucket counts — is a pure
-// function of (config, seed), and the manifest golden test holds it to
-// a committed file byte for byte.
+// zeroed: stage wall times, rates, and allocation deltas; toolchain
+// versions. What remains — stage order and event/byte counts, counter
+// and gauge values, histogram bucket counts — is a pure function of
+// (config, seed), and the manifest golden test holds it to a committed
+// file byte for byte.
 func (m *Manifest) Canonical() *Manifest {
 	c := *m
 	c.Versions = VersionInfo{}
@@ -149,14 +143,27 @@ func (m *Manifest) Canonical() *Manifest {
 		s.Allocs = 0
 		c.Stages[i] = s
 	}
-	if m.Histograms != nil {
-		c.Histograms = make(map[string]HistogramRecord, len(m.Histograms))
-		for k, h := range m.Histograms {
-			h.Mean = 0
-			c.Histograms[k] = h
-		}
-	}
 	return &c
+}
+
+// record snapshots the histogram as its manifest entry.
+func (h *Histogram) record() HistogramRecord {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	n := h.h.NumBuckets()
+	rec := HistogramRecord{
+		Bounds: make([]float64, n-1),
+		Counts: make([]int64, n),
+		Count:  int64(h.h.Total()),
+	}
+	for i := range rec.Counts {
+		bound, w := h.h.Bucket(i)
+		if i < n-1 {
+			rec.Bounds[i] = bound
+		}
+		rec.Counts[i] = int64(w)
+	}
+	return rec
 }
 
 // JSON renders the manifest as indented JSON with a trailing newline.

@@ -1,6 +1,6 @@
-// Package obs is the pipeline's observability layer: a dependency-free
-// metrics registry whose contents snapshot to a deterministic JSON run
-// manifest.
+// Package obs is the pipeline's observability layer: a metrics registry
+// whose contents snapshot to a deterministic JSON run manifest. Beyond
+// the standard library it depends only on trace and stats.
 //
 // The pipeline — generate → merge → recover → analyze → tape → simulate
 // — is a chain of trace.Source stages, and obs instruments it at exactly
@@ -30,6 +30,8 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"bsdtrace/internal/stats"
 )
 
 // Counter is a monotonically increasing atomic counter. The zero value
@@ -94,6 +96,27 @@ func (g *Gauge) Value() int64 {
 		return 0
 	}
 	return g.v.Load()
+}
+
+// Histogram counts observations into a stats.Histogram's fixed buckets.
+// The mutex makes recording safe while /debug/vars snapshots the live
+// registry. Each observation adds weight 1, and float sums of whole
+// numbers are exact below 2^53, so the bucket counts do not depend on
+// recording order and belong in the canonical manifest. A nil Histogram
+// ignores all operations.
+type Histogram struct {
+	mu sync.Mutex
+	h  *stats.Histogram
+}
+
+// Record adds one observation.
+func (h *Histogram) Record(v float64) {
+	if h == nil {
+		return
+	}
+	h.mu.Lock()
+	h.h.Add(v, 1)
+	h.mu.Unlock()
 }
 
 // Registry is a named collection of metrics. Metrics are created on
@@ -175,7 +198,7 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	defer r.mu.Unlock()
 	h := r.hists[name]
 	if h == nil {
-		h = NewHistogram(bounds)
+		h = &Histogram{h: stats.NewHistogram(bounds)}
 		r.hists[name] = h
 	}
 	return h

@@ -2,11 +2,13 @@ package obs
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"bsdtrace/internal/stats"
 	"bsdtrace/internal/trace"
 )
 
@@ -26,10 +28,9 @@ func TestDisabledRegistryIsNoOpFactory(t *testing.T) {
 		if g.Value() != 0 {
 			t.Fatalf("%s registry gauge is live", name)
 		}
-		h := reg.Histogram("h", []float64{1})
-		h.Record(3)
-		if h.Count() != 0 {
-			t.Fatalf("%s registry histogram is live", name)
+		reg.Histogram("h", []float64{1}).Record(3)
+		if hs := reg.Manifest(RunInfo{}).Histograms; len(hs) != 0 {
+			t.Fatalf("%s registry histogram is live: %v", name, hs)
 		}
 		sp := reg.StartSpan("s")
 		sp.AddIn(1)
@@ -156,7 +157,7 @@ func fillRegistry(t *testing.T) *Registry {
 	sp.End()
 	reg.Counter("events.total").Set(42)
 	reg.Gauge("depth").Set(3)
-	h := reg.Histogram("sizes", ExpBuckets(1, 2, 8))
+	h := reg.Histogram("sizes", []float64{1, 2, 4, 8, 16, 32, 64, 128})
 	for i := 0; i < 100; i++ {
 		h.Record(float64(i))
 	}
@@ -199,17 +200,67 @@ func TestManifestCanonicalStripsVolatile(t *testing.T) {
 			t.Fatalf("Canonical kept volatile stage fields: %+v", s)
 		}
 	}
-	for k, h := range c.Histograms {
-		if h.Mean != 0 {
-			t.Fatalf("Canonical kept histogram mean for %s", k)
-		}
-	}
 	// The raw manifest is untouched.
 	if m.Stages[0].Seconds == 0 || m.Versions.Go == "" {
 		t.Fatal("Canonical mutated the raw manifest")
 	}
 	if c.Stages[0].EventsOut != 42 || c.Counters["events.total"] != 42 {
 		t.Fatal("Canonical dropped deterministic fields")
+	}
+}
+
+// TestHistogramConcurrentRecordAndManifest: recording from several
+// goroutines while the manifest snapshots the live registry, as
+// /debug/vars does, is race-free, and the final record equals a
+// stats.Histogram fed the same values serially.
+func TestHistogramConcurrentRecordAndManifest(t *testing.T) {
+	bounds := []float64{1, 10, 100, 1000}
+	reg := NewRegistry()
+	reg.SetEnabled(true)
+	h := reg.Histogram("h", bounds)
+	const workers, perWorker = 4, 500
+	value := func(w, i int) float64 { return float64((w*perWorker+i)%1500) + 0.5 }
+
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				reg.Manifest(RunInfo{})
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				h.Record(value(w, i))
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	<-stopped
+
+	want := stats.NewHistogram(bounds)
+	for w := 0; w < workers; w++ {
+		for i := 0; i < perWorker; i++ {
+			want.Add(value(w, i), 1)
+		}
+	}
+	got := reg.Manifest(RunInfo{}).Histograms["h"]
+	if got.Count != int64(want.Total()) || !slices.Equal(got.Bounds, bounds) {
+		t.Fatalf("record = %+v, want %v observations over bounds %v", got, want.Total(), bounds)
+	}
+	for i := 0; i < want.NumBuckets(); i++ {
+		if _, w := want.Bucket(i); got.Counts[i] != int64(w) {
+			t.Fatalf("bucket %d = %d, serial histogram has %v (counts %v)", i, got.Counts[i], w, got.Counts)
+		}
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package stats provides the small statistical toolkit used throughout the
 // trace analyses: running mean/standard-deviation accumulators (Welford's
-// method), weighted histograms with linear or logarithmic bucketing,
-// cumulative distribution functions, and fixed-width time-interval buckets.
+// method), weighted histograms with linear or logarithmic bucketing, and
+// cumulative distribution functions.
 //
 // The paper reports almost all of its results either as a mean with a
 // standard deviation (Table IV) or as a cumulative distribution weighted by
@@ -329,21 +329,4 @@ func (h *Histogram) CDF() CDF {
 		out = append(out, Point{X: bound, Fraction: cum / h.total})
 	}
 	return out
-}
-
-// FractionAtOrBelow reports the fraction of total weight in buckets whose
-// upper bound is <= x. With fine bucketing this approximates the true CDF.
-func (h *Histogram) FractionAtOrBelow(x float64) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	cum := 0.0
-	for i := 0; i < h.NumBuckets(); i++ {
-		bound, w := h.Bucket(i)
-		if bound > x {
-			break
-		}
-		cum += w
-	}
-	return cum / h.total
 }

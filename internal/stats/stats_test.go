@@ -133,7 +133,7 @@ func TestHistogramWeighted(t *testing.T) {
 	h := NewHistogram([]float64{1, 2})
 	h.Add(1, 3)
 	h.Add(2, 1)
-	if got := h.FractionAtOrBelow(1); math.Abs(got-0.75) > 1e-12 {
+	if got := h.CDF().FractionAtOrBelow(1); math.Abs(got-0.75) > 1e-12 {
 		t.Errorf("FractionAtOrBelow(1) = %v, want 0.75", got)
 	}
 }
@@ -143,7 +143,7 @@ func TestHistogramEmpty(t *testing.T) {
 	if h.CDF() != nil {
 		t.Errorf("empty histogram CDF should be nil")
 	}
-	if h.FractionAtOrBelow(100) != 0 {
+	if h.CDF().FractionAtOrBelow(100) != 0 {
 		t.Errorf("empty histogram fraction should be 0")
 	}
 }
@@ -250,6 +250,117 @@ func TestQuantileFractionInverse(t *testing.T) {
 			t.Errorf("FractionAtOrBelow(Quantile(%v)) = %v < %v", p, f, p)
 		}
 	}
+}
+
+// exactQuantile is CDF.Quantile's oracle. With the values sorted, the
+// q-quantile is the smallest rank r >= 1 whose share r/n reaches q; the
+// CDF reports the upper bound of the bucket holding the r-th value, or
+// the largest value seen when that bucket is the overflow bucket.
+func exactQuantile(h *Histogram, values []float64, q float64) float64 {
+	s := append([]float64(nil), values...)
+	sort.Float64s(s)
+	n := len(s)
+	r := 1
+	for r < n && float64(r)/float64(n) < q {
+		r++
+	}
+	i := h.BucketOf(s[r-1])
+	if i == len(h.bounds) {
+		return s[n-1]
+	}
+	return h.bounds[i]
+}
+
+// checkQuantiles holds CDF.Quantile to the oracle at a spread of q and,
+// for small samples, at every rank share r/n, where a bucket edge can
+// meet q exactly.
+func checkQuantiles(t *testing.T, h *Histogram, values []float64) {
+	t.Helper()
+	cdf := h.CDF()
+	qs := []float64{0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1}
+	if n := len(values); n <= 50 {
+		for r := 1; r < n; r++ {
+			qs = append(qs, float64(r)/float64(n))
+		}
+	}
+	for _, q := range qs {
+		if got, want := cdf.Quantile(q), exactQuantile(h, values, q); got != want {
+			t.Fatalf("Quantile(%g) = %g, exact %g", q, got, want)
+		}
+	}
+}
+
+// TestHistogramQuantileProperty drives seeded random workloads with
+// several bucket layouts through the oracle comparison. Values run past
+// the last bound, so the overflow bucket is covered too.
+func TestHistogramQuantileProperty(t *testing.T) {
+	layouts := []struct {
+		name   string
+		bounds []float64
+	}{
+		{"linear", NewLinearHistogram(50, 10).bounds},
+		{"exp", NewLogHistogram(1, 2, 16).bounds},
+		{"single", []float64{100}},
+	}
+	for _, layout := range layouts {
+		for seed := int64(1); seed <= 5; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			last := layout.bounds[len(layout.bounds)-1]
+			n := 1 + rng.Intn(2000)
+			if seed%2 == 0 {
+				n = 1 + rng.Intn(20)
+			}
+			values := make([]float64, n)
+			h := NewHistogram(layout.bounds)
+			for i := range values {
+				// Mix of in-range values, overflow values and exact
+				// bound hits.
+				v := rng.Float64() * last * 1.1
+				if rng.Intn(10) == 0 {
+					v = layout.bounds[rng.Intn(len(layout.bounds))]
+				}
+				values[i] = v
+				h.Add(v, 1)
+			}
+			checkQuantiles(t, h, values)
+			if h.Total() != float64(n) {
+				t.Fatalf("%s seed %d: Total() = %g, want %d", layout.name, seed, h.Total(), n)
+			}
+		}
+	}
+}
+
+// FuzzHistogramQuantile feeds arbitrary byte-derived value streams and
+// quantiles through the oracle comparison. Runs in the CI fuzz smoke.
+func FuzzHistogramQuantile(f *testing.F) {
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, 0.5)
+	f.Add([]byte{255, 0, 128}, 0.99)
+	f.Add([]byte{0}, 0.0)
+	bounds := NewLinearHistogram(32, 8).bounds
+	last := bounds[len(bounds)-1]
+	f.Fuzz(func(t *testing.T, data []byte, q float64) {
+		if len(data) == 0 {
+			return
+		}
+		if math.IsNaN(q) || q < 0 {
+			q = 0
+		}
+		if q > 1 {
+			q = 1
+		}
+		values := make([]float64, len(data))
+		h := NewHistogram(bounds)
+		for i, b := range data {
+			// Bytes scale onto [0, 1.25·last]: the top fifth of the
+			// byte range lands in the overflow bucket.
+			v := float64(b) / 255 * last * 1.25
+			values[i] = v
+			h.Add(v, 1)
+		}
+		if got, want := h.CDF().Quantile(q), exactQuantile(h, values, q); got != want {
+			t.Fatalf("Quantile(%g) = %g, exact %g", q, got, want)
+		}
+	})
 }
 
 // BucketOf names the bucket Add files a value under, boundaries included.

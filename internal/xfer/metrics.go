@@ -6,7 +6,10 @@ import "bsdtrace/internal/obs"
 // produces: a few hundred bytes (the administrative-file pokes) up to
 // the megabyte-scale CAD listings. 256 B · 4ⁿ covers 256 B–64 MB in 10
 // buckets.
-var transferSizeBuckets = obs.ExpBuckets(256, 4, 10)
+var transferSizeBuckets = []float64{
+	256, 1 << 10, 4 << 10, 16 << 10, 64 << 10,
+	256 << 10, 1 << 20, 4 << 20, 16 << 20, 64 << 20,
+}
 
 // PublishMetrics copies the tape's closing shape into the registry
 // under prefix: op and transfer counts, outstanding opens, total bytes

@@ -89,33 +89,24 @@ type Op struct {
 
 // TapeBuilder constructs a Tape incrementally from a time-ordered event
 // stream: Add each event as it arrives, then Finish. Its working state is
-// one Scanner plus a per-file size map — bounded by the live file
-// population, not the event count — so a tape can be built from a stream
-// that never fits in memory. NewTape is exactly a TapeBuilder fed from a
-// slice; the two produce identical tapes by construction.
+// one Scanner — bounded by the live file population, not the event
+// count — so a tape can be built from a stream that never fits in
+// memory. NewTape is exactly a TapeBuilder fed from a slice; the two
+// produce identical tapes by construction.
 type TapeBuilder struct {
-	t     *Tape
-	sizes map[trace.FileID]int64
-	sc    *Scanner
-	done  bool
+	t    *Tape
+	sc   *Scanner
+	done bool
 }
 
 // NewTapeBuilder creates an empty builder.
 func NewTapeBuilder() *TapeBuilder {
-	b := &TapeBuilder{
-		t:     &Tape{},
-		sizes: make(map[trace.FileID]int64),
-		sc:    NewScanner(),
-	}
+	b := &TapeBuilder{t: &Tape{}, sc: NewScanner()}
 	t := b.t
 	b.sc.OnTransfer = func(tr Transfer) {
 		t.Ops = append(t.Ops, Op{Kind: OpTransfer, Time: tr.Time, Xfer: int32(len(t.Transfers))})
 		t.Transfers = append(t.Transfers, tr)
-		old := b.sizes[tr.File]
-		t.OldSizes = append(t.OldSizes, old)
-		if tr.Write && tr.End() > old {
-			b.sizes[tr.File] = tr.End()
-		}
+		t.OldSizes = append(t.OldSizes, b.sc.knownSize(tr.File))
 	}
 	return b
 }
@@ -139,15 +130,10 @@ func (b *TapeBuilder) Add(e trace.Event) {
 	case trace.KindCreate:
 		// Overwrite: the file's previous blocks are dead.
 		t.Ops = append(t.Ops, Op{Kind: OpPurge, Time: e.Time, File: e.File})
-		b.sizes[e.File] = 0
-	case trace.KindOpen:
-		b.sizes[e.File] = e.Size
 	case trace.KindTruncate:
 		t.Ops = append(t.Ops, Op{Kind: OpPurge, Time: e.Time, File: e.File, Size: e.Size})
-		b.sizes[e.File] = e.Size
 	case trace.KindUnlink:
 		t.Ops = append(t.Ops, Op{Kind: OpPurge, Time: e.Time, File: e.File})
-		delete(b.sizes, e.File)
 	case trace.KindExec:
 		if e.Size > 0 {
 			t.Ops = append(t.Ops, Op{Kind: OpExec, Time: e.Time, Xfer: int32(len(t.Transfers))})
@@ -157,7 +143,7 @@ func (b *TapeBuilder) Add(e trace.Event) {
 				Offset: 0, Length: e.Size,
 				Mode: trace.ReadOnly,
 			})
-			t.OldSizes = append(t.OldSizes, b.sizes[e.File])
+			t.OldSizes = append(t.OldSizes, b.sc.knownSize(e.File))
 		}
 	}
 	b.sc.Feed(e)

@@ -100,7 +100,9 @@ type FileDeath struct {
 // transfers, per-open summaries, and file deaths through callbacks. Any
 // callback may be nil.
 type Scanner struct {
-	// OnTransfer is called for every non-empty run, in bill-time order.
+	// OnTransfer is called for every non-empty run, in bill-time order,
+	// before a write run grows the file's known size: the tape builder
+	// reads the size as it was before the transfer.
 	OnTransfer func(Transfer)
 	// OnOpenEnd is called at each close with the session summary.
 	OnOpenEnd func(OpenSummary)
@@ -174,9 +176,6 @@ func (s *Scanner) emitRun(st *openState, endPos int64, now trace.Time) {
 		Write:  isWrite,
 		Mode:   sum.Mode,
 	}
-	if isWrite && endPos > s.sizes[sum.File] {
-		s.sizes[sum.File] = endPos
-	}
 	sum.Bytes += length
 	sum.Runs++
 	if st.seenBytes {
@@ -185,6 +184,9 @@ func (s *Scanner) emitRun(st *openState, endPos int64, now trace.Time) {
 	st.seenBytes = true
 	if s.OnTransfer != nil {
 		s.OnTransfer(t)
+	}
+	if isWrite && endPos > s.sizes[sum.File] {
+		s.sizes[sum.File] = endPos
 	}
 }
 
