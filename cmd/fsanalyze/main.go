@@ -462,21 +462,26 @@ func runForeign(w io.Writer, paths []string, format adapt.Format, opts options, 
 			continue
 		}
 
-		// One pass feeds the tape builder (every class) and, for logical
-		// imports, the Section-5 analyzer.
-		tb := xfer.NewTapeBuilder()
+		// One pass builds the tape (every class) and, for logical
+		// imports, runs the Section-5 analyzer, which then builds the
+		// tape in its own scan.
 		var s *analyzer.Stream
+		var tb *xfer.TapeBuilder
 		var top *analyzer.TopAccum
 		if class == trace.ClassLogical {
 			s = analyzer.NewStream(analyzer.Options{})
+			tb = s.AttachTape()
 			if opts.top > 0 {
 				top = analyzer.NewTopAccum()
 			}
+		} else {
+			tb = xfer.NewTapeBuilder()
 		}
 		err = trace.Each(src, func(e trace.Event) error {
-			tb.Add(e)
 			if s != nil {
-				s.Feed(e)
+				s.Feed(e) // drives tb
+			} else {
+				tb.Add(e)
 			}
 			if top != nil {
 				top.Feed(e)
@@ -487,14 +492,14 @@ func runForeign(w io.Writer, paths []string, format adapt.Format, opts options, 
 		if err != nil {
 			return fmt.Errorf("%s: %w", path, err)
 		}
-		tape, err := tb.Finish()
-		if err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
 		if s != nil {
 			tr.Names = append(tr.Names, name)
 			tr.Analyses = append(tr.Analyses, s.Finish())
 			tops = append(tops, top)
+		}
+		tape, err := tb.Finish()
+		if err != nil {
+			return fmt.Errorf("%s: %w", path, err)
 		}
 		sums = append(sums, xfer.Summarize(tape))
 		stats = append(stats, asrc.Stats())

@@ -44,6 +44,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"strconv"
@@ -116,10 +117,20 @@ func main() {
 	)
 	flag.Parse()
 
+	// Refuse bad values before any stage runs: the generator would
+	// replace a span under its 1 ms tick with its 8-hour default.
+	if duration.Milliseconds() <= 0 {
+		fmt.Fprintf(os.Stderr, "fsbench: -duration %v: must be at least 1ms\n", *duration)
+		os.Exit(2)
+	}
+	if *workersN < 0 {
+		fmt.Fprintf(os.Stderr, "fsbench: -workers %d: must not be negative\n", *workersN)
+		os.Exit(2)
+	}
 	var scales []float64
 	for _, s := range strings.Split(*scalesF, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-		if err != nil || v <= 0 {
+		if err != nil || v <= 0 || math.IsNaN(v) || math.IsInf(v, 1) {
 			fmt.Fprintf(os.Stderr, "fsbench: bad scale %q\n", s)
 			os.Exit(2)
 		}

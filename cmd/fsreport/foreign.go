@@ -43,21 +43,29 @@ func runForeign(out io.Writer, path, formatName string, fit int) error {
 		return err
 	}
 
-	// One pass feeds the tape builder and, when the class supports it,
-	// the Section-5 analyzer.
-	tb := xfer.NewTapeBuilder()
+	// One pass builds the tape and, when the class supports it, runs the
+	// Section-5 analyzer, which then builds the tape in its own scan.
 	var s *analyzer.Stream
+	var tb *xfer.TapeBuilder
 	if analyzer.LogicalMetrics.Supports(class) {
 		s = analyzer.NewStream(analyzer.Options{})
+		tb = s.AttachTape()
+	} else {
+		tb = xfer.NewTapeBuilder()
 	}
 	if err := trace.Each(src, func(e trace.Event) error {
-		tb.Add(e)
 		if s != nil {
-			s.Feed(e)
+			s.Feed(e) // drives tb
+		} else {
+			tb.Add(e)
 		}
 		return nil
 	}); err != nil {
 		return fmt.Errorf("%s: %w", path, err)
+	}
+	var a *analyzer.Analysis
+	if s != nil {
+		a = s.Finish()
 	}
 	tape, err := tb.Finish()
 	if err != nil {
@@ -73,8 +81,8 @@ func runForeign(out io.Writer, path, formatName string, fit int) error {
 	report.AdapterStatsTable([]string{name}, []adapt.Stats{src.Stats()}).Render(w)
 	report.TransferSummaryTable([]string{name}, []xfer.Summary{xfer.Summarize(tape)}).Render(w)
 
-	if s != nil {
-		tr := report.Traces{Names: []string{name}, Analyses: []*analyzer.Analysis{s.Finish()}}
+	if a != nil {
+		tr := report.Traces{Names: []string{name}, Analyses: []*analyzer.Analysis{a}}
 		report.TableIII(tr).Render(w)
 		report.TableV(tr).Render(w)
 	}

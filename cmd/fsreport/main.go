@@ -6,16 +6,16 @@
 // nearly indistinguishable results).
 //
 // The run is built for scale: each machine's trace is generated exactly
-// once, streamed into a spill file in a temp directory, and every consumer
-// — the reference-pattern analyzer, the transfer-tape builder, the
-// fragmentation replay, the merged-server section — re-reads the spill
-// file as a stream. No trace is ever materialized in memory, so -scale
-// and -shards can push the fleet far past what a slice-of-events design
-// could hold; -shards N additionally generates each machine's population
-// as N concurrent shards merged into one deterministic stream. Every
-// cache simulation replays the A5 transfer tape (xfer.Tape), built once
-// during the analyzer's pass and shared by all configurations; -only runs
-// only the simulations the requested item needs.
+// once and streamed to its consumers — the reference-pattern analyzer,
+// which builds the machine's transfer tape in the same scan, and on A5
+// the fragmentation replay and the metadata simulators. No trace is ever
+// materialized in memory, so -scale and -shards can push the fleet far
+// past what a slice-of-events design could hold; -shards N additionally
+// generates each machine's population as N concurrent shards merged into
+// one deterministic stream. Every cache simulation replays a transfer
+// tape (xfer.Tape), built once during the analyzer's pass and shared by
+// all configurations; the shared-server tape merges the three machines'
+// tapes. -only runs only the simulations the requested item needs.
 //
 // Usage:
 //
@@ -32,6 +32,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -273,7 +274,7 @@ func checkFlags(cfg reportConfig, stability, fit int) error {
 		return err
 	}
 	switch {
-	case cfg.scale <= 0:
+	case cfg.scale <= 0 || math.IsNaN(cfg.scale) || math.IsInf(cfg.scale, 1):
 		return fmt.Errorf("-scale %v: must be positive", cfg.scale)
 	case cfg.shards < 0:
 		return fmt.Errorf("-shards %d: must not be negative", cfg.shards)
@@ -299,8 +300,9 @@ func checkDuration(d time.Duration) error {
 // parallel workers and reports the spread of the headline metrics: the
 // reproduction's shapes are properties of the workload model, not of one
 // lucky seed. Each seed's trace streams straight from the generator into
-// the analyzer and tape builder — never materialized. Per-seed values
-// aggregate in seed order, so the output is identical at any worker count.
+// the analyzer, which builds the tape in the same scan — never
+// materialized. Per-seed values aggregate in seed order, so the output is
+// identical at any worker count.
 func runStability(w io.Writer, duration time.Duration, baseSeed int64, n int) error {
 	if err := checkDuration(duration); err != nil {
 		return err
@@ -323,12 +325,11 @@ func runStability(w io.Writer, duration time.Duration, baseSeed int64, n int) er
 	err := par.Run(n, func(i int) error {
 		seed := baseSeed + int64(i)
 		s := analyzer.NewStream(analyzer.Options{})
-		tb := xfer.NewTapeBuilder()
+		tb := s.AttachTape()
 		if _, err := workload.GenerateStream(workload.Config{
 			Profile: "A5", Seed: seed, Duration: trace.Time(duration.Milliseconds()),
 		}, func(e trace.Event) error {
 			s.Feed(e)
-			tb.Add(e)
 			return nil
 		}); err != nil {
 			return err
@@ -434,10 +435,9 @@ func runDegrade(w io.Writer, duration time.Duration, seed int64) error {
 		}
 		rec := trace.NewRecoverSource(src)
 		s := analyzer.NewStream(analyzer.Options{})
-		tb := xfer.NewTapeBuilder()
+		tb := s.AttachTape()
 		if err := trace.Each(rec, func(e trace.Event) error {
 			s.Feed(e)
-			tb.Add(e)
 			return nil
 		}); err != nil {
 			return err
@@ -541,6 +541,11 @@ var reportItems = []string{
 	"fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7",
 }
 
+// want reports whether the run renders the named item.
+func (c reportConfig) want(name string) bool {
+	return c.only == "" || strings.EqualFold(c.only, name)
+}
+
 // errWriter passes writes through until the first one fails, then keeps
 // returning that error: a report renders without checking every write
 // and returns the first failure at the end.
@@ -563,9 +568,7 @@ func run(out io.Writer, cfg reportConfig) error {
 	if err := checkFlags(cfg, 0, 0); err != nil {
 		return err
 	}
-	want := func(name string) bool {
-		return cfg.only == "" || strings.EqualFold(cfg.only, name)
-	}
+	want := cfg.want
 	w := &errWriter{w: out}
 
 	fmt.Fprintf(w, "Reproduction of \"A Trace-Driven Analysis of the UNIX 4.2 BSD File System\" (SOSP 1985)\n")
@@ -591,219 +594,12 @@ func run(out io.Writer, cfg reportConfig) error {
 	needZoo := strings.EqualFold(cfg.only, "zoo")
 	needTape := needPolicy || needBlock || needPaging || needZoo ||
 		want("workingset") || want("reliability") || cfg.ablations
-	needMachineTapes := want("server") || want("diskless")
-	needFrag := want("fragmentation")
-	needMerge := want("server")
-
-	// Generate each machine's trace exactly once and tee it to every
-	// consumer concurrently: the reference-pattern analyzer (every
-	// machine, with A5's pass also building the shared transfer tape),
-	// the per-machine tape builders, the fragmentation population scan,
-	// and the merged-server leg all read the same generation through
-	// bounded channels of shared event batches (trace.Fanout). Nothing
-	// is spilled to disk and nothing is ever generated twice; a fanout's
-	// bounded channels throttle the generator to its slowest consumer,
-	// so memory stays O(consumers * batch) no matter the scale. Every
-	// subscriber is drained by its own goroutine — that, not worker
-	// count, is what makes the tee deadlock-free.
-	statics := make([][]int64, len(names))
-	analyses := make([]*analyzer.Analysis, len(names))
-	var a5Tape *xfer.Tape
-	var machineTapes []*xfer.Tape
-	var mergedTape *xfer.Tape
-	var fragRows []ffs.WasteSweepRow
-	if needMachineTapes {
-		machineTapes = make([]*xfer.Tape, len(names))
+	fl, err := fanOut(cfg, names, needTape)
+	if err != nil {
+		return err
 	}
-
-	var (
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-	)
-	spawn := func(job func() error) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := job(); err != nil {
-				errMu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				errMu.Unlock()
-			}
-		}()
-	}
-	// wrap applies the lenient repair layer when asked. Generated
-	// streams are pristine, so the repair pass is a provable no-op; it
-	// runs anyway so a -lenient report exercises exactly the ingestion
-	// stack a damaged-trace rerun would use.
-	wrap := func(src trace.Source) trace.Source {
-		if cfg.lenient {
-			return trace.NewLenientSource(src)
-		}
-		return src
-	}
-
-	mergeLegs := make([]trace.Source, len(names))
-	for i := range names {
-		subs := 1 // the analyzer
-		if needMachineTapes && (i > 0 || !needTape) {
-			subs++
-		}
-		if needFrag && i == 0 {
-			subs++
-		}
-		if needMerge {
-			subs++
-		}
-		f := trace.NewFanout(subs)
-		next := 0
-		takeSub := func() *trace.FanoutSub { s := f.Source(next); next++; return s }
-
-		// The generator: one machine's full simulation, pushed into the
-		// tee. All machines generate concurrently regardless of
-		// GOMAXPROCS — consumers block on channels, not on workers.
-		i := i
-		spawn(func() error {
-			sink := workload.Sink(f.Write)
-			var sp *obs.Span
-			if cfg.reg.Enabled() {
-				sp = cfg.reg.StartSpan("generate/" + names[i])
-				sink = func(e trace.Event) error { sp.AddOut(1); return f.Write(e) }
-			}
-			res, err := workload.GenerateStream(workload.Config{
-				Profile:   names[i],
-				Seed:      cfg.seed,
-				Duration:  trace.Time(cfg.duration.Milliseconds()),
-				UserScale: cfg.scale,
-				Shards:    cfg.shards,
-			}, sink)
-			if err == trace.ErrFanoutDone {
-				// Every consumer stopped early (each has already
-				// reported its own error); an abandoned generation is
-				// not itself a failure.
-				err = nil
-			}
-			f.Close(err)
-			if sp != nil {
-				sp.End()
-			}
-			if err != nil {
-				return err
-			}
-			statics[i] = res.StaticSizes
-			if cfg.reg.Enabled() {
-				cfg.reg.Counter("static." + names[i] + ".files").Set(int64(len(res.StaticSizes)))
-			}
-			workload.PublishStats(cfg.reg, "kernel."+names[i], res.KernelStats)
-			return nil
-		})
-
-		// The analyzer consumer; A5's builds the shared tape in the
-		// same pass.
-		analyzeSub := takeSub()
-		spawn(func() error {
-			defer analyzeSub.Cancel()
-			src := cfg.reg.Instrument("analyze/"+names[i], wrap(analyzeSub))
-			s := analyzer.NewStream(analyzer.Options{})
-			var tb *xfer.TapeBuilder
-			if i == 0 && needTape {
-				tb = xfer.NewTapeBuilder()
-			}
-			buf := trace.GetBatch()
-			defer trace.PutBatch(buf)
-			for {
-				n, err := src.NextBatch(buf)
-				if n == 0 {
-					if err == io.EOF {
-						break
-					}
-					return err
-				}
-				for _, e := range buf[:n] {
-					s.Feed(e)
-					if tb != nil {
-						tb.Add(e)
-					}
-				}
-			}
-			analyses[i] = s.Finish()
-			if tb != nil {
-				var err error
-				if a5Tape, err = tb.Finish(); err != nil {
-					return fmt.Errorf("cachesim: malformed trace: %v", err)
-				}
-				a5Tape.PublishMetrics(cfg.reg, "tape.A5")
-			}
-			return nil
-		})
-
-		// The standalone tape consumer, for machines whose analyzer pass
-		// does not already build one.
-		if needMachineTapes && (i > 0 || !needTape) {
-			tapeSub := takeSub()
-			spawn(func() error {
-				defer tapeSub.Cancel()
-				t, err := xfer.BuildTape(wrap(tapeSub))
-				if err != nil {
-					return fmt.Errorf("cachesim: malformed trace: %v", err)
-				}
-				machineTapes[i] = t
-				return nil
-			})
-		}
-
-		// The fragmentation consumer extracts A5's file-population
-		// history during the pass and replays it against each disk
-		// geometry after its stream ends.
-		if needFrag && i == 0 {
-			fragSub := takeSub()
-			spawn(func() error {
-				defer fragSub.Cancel()
-				rows, err := ffs.WasteSweepSource(wrap(fragSub),
-					[]int64{1 << 10, 4 << 10, 8 << 10, 16 << 10, 32 << 10})
-				if err != nil {
-					return err
-				}
-				fragRows = rows
-				return nil
-			})
-		}
-
-		if needMerge {
-			mergeLegs[i] = takeSub()
-		}
-	}
-
-	// The merged-server consumer: a k-way merge over one leg of each
-	// machine's tee, feeding the server tape builder — the same merge a
-	// set of on-disk machine traces would get, without the disks.
-	if needMerge {
-		spawn(func() error {
-			for _, leg := range mergeLegs {
-				defer leg.(*trace.FanoutSub).Cancel()
-			}
-			merged := cfg.reg.Instrument("server-merge", wrap(trace.NewMergeSource(mergeLegs...)))
-			t, err := xfer.BuildTape(merged)
-			if err != nil {
-				return fmt.Errorf("cachesim: malformed trace: %v", err)
-			}
-			mergedTape = t
-			return nil
-		})
-	}
-
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
-	}
-	if needMachineTapes && needTape {
-		machineTapes[0] = a5Tape
-	}
-	a5Static := statics[0]
-	tr := report.Traces{Names: names, Analyses: analyses}
-	var err error
+	a5Tape := fl.tapes[0]
+	tr := report.Traces{Names: names, Analyses: fl.analyses}
 
 	var policy [][]*cachesim.Result
 	var block *cachesim.BlockSizeSweepResult
@@ -923,12 +719,12 @@ func run(out io.Writer, cfg reportConfig) error {
 	}
 
 	if want("metadata") {
-		if err := runMetadata(w, cfg.duration, cfg.seed, cfg.scale, policy[0][1]); err != nil {
+		if err := runMetadata(w, cfg, fl.meta, policy[0][1]); err != nil {
 			return err
 		}
 	}
 	if want("fragmentation") {
-		if err := runFragmentation(w, fragRows); err != nil {
+		if err := runFragmentation(w, fl.fragRows); err != nil {
 			return err
 		}
 	}
@@ -936,12 +732,12 @@ func run(out io.Writer, cfg reportConfig) error {
 	// The server and diskless sections replay all three machines off the
 	// tapes the fan-out pass already built (A5's is the sweep tape).
 	if want("server") {
-		if err := runServer(w, names, machineTapes, mergedTape, cfg.reg); err != nil {
+		if err := runServer(w, names, fl.tapes, fl.analyses, cfg.reg); err != nil {
 			return err
 		}
 	}
 	if want("diskless") {
-		if err := runDiskless(w, cfg.duration, machineTapes); err != nil {
+		if err := runDiskless(w, cfg.duration, fl.tapes); err != nil {
 			return err
 		}
 	}
@@ -956,7 +752,7 @@ func run(out io.Writer, cfg reportConfig) error {
 		}
 	}
 	if want("static") {
-		if err := runStatic(w, a5Static, tr.Analyses[0]); err != nil {
+		if err := runStatic(w, fl.statics[0], tr.Analyses[0]); err != nil {
 			return err
 		}
 	}
@@ -969,15 +765,225 @@ func run(out io.Writer, cfg reportConfig) error {
 	return w.err
 }
 
-// runMetadata regenerates the A5 workload with the namei metadata
-// simulator attached and sets metadata disk I/O against the data-block
-// I/O of the UNIX-sized cache — the paper's concluding estimate that
-// "more than half of all disk block references could come from these
-// other accesses" (i-nodes, directories, and paging, which Figure 7
-// covers separately). The three cache scales regenerate on parallel
-// workers (each run drives its own simulator); the events themselves are
-// discarded as they are generated — only the simulator's counters matter.
-func runMetadata(w io.Writer, duration time.Duration, seed int64, scale float64, unixCache *cachesim.Result) error {
+// fleet is what the fan-out pass produces, per machine in report order:
+// the Section-5 analysis, the static file-size scan, and the transfer
+// tape when a section replays it (A5's is the sweep tape); on A5, the
+// fragmentation rows and the metadata simulators, which ride the
+// generation in an unsharded run and are left for runMetadata to drive
+// in a sharded one.
+type fleet struct {
+	analyses []*analyzer.Analysis
+	statics  [][]int64
+	tapes    []*xfer.Tape
+	fragRows []ffs.WasteSweepRow
+	meta     metaSims
+}
+
+// fanOut is the report's one pass over the fleet. needTape asks for A5's
+// tape, which the cache sweeps replay; cfg's sections ask for the rest.
+func fanOut(cfg reportConfig, names []string, needTape bool) (*fleet, error) {
+	needMachineTapes := cfg.want("server") || cfg.want("diskless")
+	needFrag := cfg.want("fragmentation")
+
+	// Generate each machine's trace exactly once and tee it to every
+	// consumer concurrently: the reference-pattern analyzer (every
+	// machine) and, on A5, the fragmentation population scan read the
+	// same generation through bounded channels of shared event batches
+	// (trace.Fanout). An analyzer whose machine's tape is needed builds
+	// it from its own transfer scan (Stream.AttachTape), so each stream
+	// is scanned once, and the server tape is merged from the machine
+	// tapes afterwards (xfer.MergeTapes). In an unsharded run the
+	// metadata table's namei simulators ride A5's generator as its
+	// kernel's metadata hook. Nothing is spilled to disk and nothing is
+	// ever generated twice; a fanout's bounded channels throttle the
+	// generator to its slowest consumer, so memory stays
+	// O(consumers * batch) no matter the scale. Every subscriber is
+	// drained by its own goroutine — that, not worker count, is what
+	// makes the tee deadlock-free.
+	fl := &fleet{
+		statics:  make([][]int64, len(names)),
+		analyses: make([]*analyzer.Analysis, len(names)),
+		tapes:    make([]*xfer.Tape, len(names)),
+	}
+	if cfg.want("metadata") {
+		fl.meta = newMetaSims()
+	}
+
+	var (
+		wg       sync.WaitGroup
+		errMu    sync.Mutex
+		firstErr error
+	)
+	spawn := func(job func() error) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := job(); err != nil {
+				errMu.Lock()
+				if firstErr == nil {
+					firstErr = err
+				}
+				errMu.Unlock()
+			}
+		}()
+	}
+	// wrap applies the lenient repair layer when asked. Generated
+	// streams are pristine, so the repair pass is a provable no-op; it
+	// runs anyway so a -lenient report exercises exactly the ingestion
+	// stack a damaged-trace rerun would use.
+	wrap := func(src trace.Source) trace.Source {
+		if cfg.lenient {
+			return trace.NewLenientSource(src)
+		}
+		return src
+	}
+
+	for i := range names {
+		subs := 1 // the analyzer
+		if needFrag && i == 0 {
+			subs++
+		}
+		f := trace.NewFanout(subs)
+
+		// The generator: one machine's full simulation, pushed into the
+		// tee. All machines generate concurrently regardless of
+		// GOMAXPROCS — consumers block on channels, not on workers.
+		i := i
+		gen := workload.Config{
+			Profile:   names[i],
+			Seed:      cfg.seed,
+			Duration:  trace.Time(cfg.duration.Milliseconds()),
+			UserScale: cfg.scale,
+			Shards:    cfg.shards,
+		}
+		if i == 0 && fl.meta != nil && cfg.shards <= 1 {
+			gen.Meta = fl.meta
+		}
+		spawn(func() error {
+			sink := workload.Sink(f.Write)
+			var sp *obs.Span
+			if cfg.reg.Enabled() {
+				sp = cfg.reg.StartSpan("generate/" + names[i])
+				sink = func(e trace.Event) error { sp.AddOut(1); return f.Write(e) }
+			}
+			res, err := workload.GenerateStream(gen, sink)
+			if err == trace.ErrFanoutDone {
+				// Every consumer stopped early (each has already
+				// reported its own error); an abandoned generation is
+				// not itself a failure.
+				err = nil
+			}
+			f.Close(err)
+			if sp != nil {
+				sp.End()
+			}
+			if err != nil {
+				return err
+			}
+			fl.statics[i] = res.StaticSizes
+			if cfg.reg.Enabled() {
+				cfg.reg.Counter("static." + names[i] + ".files").Set(int64(len(res.StaticSizes)))
+			}
+			workload.PublishStats(cfg.reg, "kernel."+names[i], res.KernelStats)
+			return nil
+		})
+
+		// The analyzer consumer, building the machine's tape in the same
+		// scan when a section replays it (A5's is the sweep tape).
+		analyzeSub := f.Source(0)
+		spawn(func() error {
+			defer analyzeSub.Cancel()
+			src := cfg.reg.Instrument("analyze/"+names[i], wrap(analyzeSub))
+			s := analyzer.NewStream(analyzer.Options{})
+			var tb *xfer.TapeBuilder
+			if needMachineTapes || (i == 0 && needTape) {
+				tb = s.AttachTape()
+			}
+			if err := trace.Each(src, func(e trace.Event) error {
+				s.Feed(e)
+				return nil
+			}); err != nil {
+				return err
+			}
+			fl.analyses[i] = s.Finish()
+			if tb != nil {
+				t, err := tb.Finish()
+				if err != nil {
+					return fmt.Errorf("cachesim: malformed trace: %v", err)
+				}
+				fl.tapes[i] = t
+				if i == 0 && needTape {
+					t.PublishMetrics(cfg.reg, "tape.A5")
+				}
+			}
+			return nil
+		})
+
+		// The fragmentation consumer extracts A5's file-population
+		// history during the pass and replays it against each disk
+		// geometry after its stream ends.
+		if needFrag && i == 0 {
+			fragSub := f.Source(1)
+			spawn(func() error {
+				defer fragSub.Cancel()
+				rows, err := ffs.WasteSweepSource(wrap(fragSub),
+					[]int64{1 << 10, 4 << 10, 8 << 10, 16 << 10, 32 << 10})
+				if err != nil {
+					return err
+				}
+				fl.fragRows = rows
+				return nil
+			})
+		}
+	}
+
+	wg.Wait()
+	return fl, firstErr
+}
+
+// metaSims fans one kernel's metadata hook out to the metadata table's
+// namei simulators, one per name-cache scale.
+type metaSims []*namei.Simulator
+
+// metaScales are the metadata table's name-cache sizes, in entries.
+var metaScales = []int{40, 120, 400}
+
+func newMetaSims() metaSims {
+	m := make(metaSims, len(metaScales))
+	for i, n := range metaScales {
+		m[i] = namei.New(namei.Config{NameEntries: n, InodeEntries: n / 2, DirBlocks: n / 6})
+	}
+	return m
+}
+
+func (m metaSims) Resolve(path string) {
+	for _, s := range m {
+		s.Resolve(path)
+	}
+}
+
+func (m metaSims) InodeUpdate() {
+	for _, s := range m {
+		s.InodeUpdate()
+	}
+}
+
+func (m metaSims) DirUpdate(dir string) {
+	for _, s := range m {
+		s.DirUpdate(dir)
+	}
+}
+
+// runMetadata sets the A5 workload's metadata disk I/O, simulated by the
+// namei caches at three scales, against the data-block I/O of the
+// UNIX-sized cache — the paper's concluding estimate that "more than
+// half of all disk block references could come from these other
+// accesses" (i-nodes, directories, and paging, which Figure 7 covers
+// separately). In an unsharded run the simulators rode A5's generation
+// in the fan-out pass. A sharded run has no single kernel for the hook
+// to observe, so A5 is regenerated once, unsharded, with the same hook,
+// and its events are discarded.
+func runMetadata(w io.Writer, cfg reportConfig, sims metaSims, unixCache *cachesim.Result) error {
 	t := &report.Table{
 		Title:  "Metadata I/O: name lookup, i-nodes, and directories (paper §3.2 and conclusion).",
 		Header: []string{"Name cache", "Name hit ratio", "Inode hit ratio", "Meta disk I/Os", "Meta share of all disk I/O"},
@@ -987,35 +993,21 @@ func runMetadata(w io.Writer, duration time.Duration, seed int64, scale float64,
 			"Leffler et al. measured an 85% directory cache hit ratio; the paper estimates " +
 			"metadata plus paging could exceed half of all disk block references.",
 	}
-	scales := []int{40, 120, 400}
-	sims := make([]*namei.Simulator, len(scales))
-	if err := par.Run(len(scales), func(i int) error {
-		sim := namei.New(namei.Config{
-			NameEntries:  scales[i],
-			InodeEntries: scales[i] / 2,
-			DirBlocks:    scales[i] / 6,
-		})
-		// The Meta hook needs the single-kernel path, so this regeneration
-		// is never sharded (shards own separate kernels).
+	if cfg.shards > 1 {
 		if _, err := workload.GenerateStream(workload.Config{
-			Profile: "A5", Seed: seed,
-			Duration:  trace.Time(duration.Milliseconds()),
-			UserScale: scale,
-			Meta:      sim,
+			Profile: "A5", Seed: cfg.seed,
+			Duration:  trace.Time(cfg.duration.Milliseconds()),
+			UserScale: cfg.scale,
+			Meta:      sims,
 		}, nil); err != nil {
 			return err
 		}
-		sims[i] = sim
-		return nil
-	}); err != nil {
-		return err
 	}
-	for i, entries := range scales {
-		sim := sims[i]
+	for i, sim := range sims {
 		meta := sim.Stats.DiskIOs()
 		share := float64(meta) / float64(meta+unixCache.DiskIOs())
 		t.AddRow(
-			fmt.Sprintf("%d entries", entries),
+			fmt.Sprintf("%d entries", metaScales[i]),
 			report.Pct(sim.Stats.NameHitRatio()),
 			report.Pct(sim.Stats.InodeHitRatio()),
 			report.Count(meta),
@@ -1048,10 +1040,11 @@ func runFragmentation(w io.Writer, rows []ffs.WasteSweepRow) error {
 // three machines' traces are merged onto one shared file server, and a
 // single server cache is compared against per-machine caches of the same
 // total memory. Statistical multiplexing — machines are bursty at
-// different moments — is the shared cache's advantage. The merged tape
-// was built by the fan-out pass's merge consumer: a k-way merge over one
-// live leg of each machine's generation, never materialized.
-func runServer(w io.Writer, names []string, tapes []*xfer.Tape, mergedTape *xfer.Tape, reg *obs.Registry) error {
+// different moments — is the shared cache's advantage. The server's tape
+// is the machine tapes merged in time order with identifier remapping
+// (xfer.MergeTapes), published as the server-merge stage with every
+// machine's events counted, as if the merged trace had been scanned.
+func runServer(w io.Writer, names []string, tapes []*xfer.Tape, analyses []*analyzer.Analysis, reg *obs.Registry) error {
 	const blockSize = 4096
 	perMachine := int64(2 << 20)
 
@@ -1063,6 +1056,13 @@ func runServer(w io.Writer, names []string, tapes []*xfer.Tape, mergedTape *xfer
 			"of personal workstations\"; pooling the same memory in one server cache " +
 			"beats splitting it across machines because bursts interleave.",
 	}
+
+	sp := reg.StartSpan("server-merge")
+	mergedTape := xfer.MergeTapes(tapes)
+	for _, a := range analyses {
+		sp.AddOut(a.Overall.Counts.Total)
+	}
+	sp.End()
 
 	// Split: one private cache per machine, summed; and the merged trace
 	// against shared caches of increasing size. All configurations run

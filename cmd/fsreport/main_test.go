@@ -3,12 +3,15 @@ package main
 import (
 	"bytes"
 	"errors"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"bsdtrace/internal/cachesim"
 )
 
 // TestMain runs the fsreport command itself when BSDTRACE_RUN_MAIN is
@@ -33,6 +36,8 @@ func TestMainRejectsBadValuesKeepsOutput(t *testing.T) {
 		{"-only", "bogus"},
 		{"-scale", "-3"},
 		{"-scale", "0"},
+		{"-scale", "NaN"},
+		{"-scale", "+Inf"},
 		{"-shards", "-2"},
 		{"-stability", "-1"},
 		{"-input", foreignFixture("msr-sample.csv"), "-format", "blockcsv", "-fit", "-3"},
@@ -271,5 +276,29 @@ func TestRunReliability(t *testing.T) {
 	}
 	if strings.Contains(out, "Table VI.") {
 		t.Errorf("-only reliability leaked other sections")
+	}
+}
+
+// TestMetadataRideEqualsRegeneration: the namei simulators that ride the
+// fan-out pass's A5 generation end with the Stats of those on the
+// sharded path's single unsharded regeneration.
+func TestMetadataRideEqualsRegeneration(t *testing.T) {
+	for _, seed := range []int64{1, 5} {
+		cfg := reportConfig{duration: 2 * time.Hour, seed: seed, scale: 1, only: "metadata"}
+		fl, err := fanOut(cfg, []string{"A5", "E3", "C4"}, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		regen := newMetaSims()
+		cfg.shards = 2
+		if err := runMetadata(io.Discard, cfg, regen, &cachesim.Result{}); err != nil {
+			t.Fatal(err)
+		}
+		for i, sim := range fl.meta {
+			if sim.Stats != regen[i].Stats || sim.Stats.Resolves == 0 {
+				t.Errorf("seed %d, %d name entries: ridden %+v, regenerated %+v",
+					seed, metaScales[i], sim.Stats, regen[i].Stats)
+			}
+		}
 	}
 }

@@ -27,6 +27,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -105,7 +106,7 @@ func run(args []string, stdout io.Writer) error {
 	switch {
 	case duration.Milliseconds() <= 0:
 		return fmt.Errorf("-duration %v: must be at least 1ms", *duration)
-	case *scale <= 0:
+	case *scale <= 0 || math.IsNaN(*scale) || math.IsInf(*scale, 1):
 		return fmt.Errorf("-scale %v: must be positive", *scale)
 	case *shards < 0:
 		return fmt.Errorf("-shards %d: must not be negative", *shards)

@@ -42,6 +42,8 @@ func TestRunRejectsBadValuesKeepsOutput(t *testing.T) {
 		{"-duration", "500us"},
 		{"-scale", "-3"},
 		{"-scale", "0"},
+		{"-scale", "NaN"},
+		{"-scale", "+Inf"},
 		{"-checkpoint", "-5", "-v2"},
 	} {
 		if err := os.WriteFile(out, []byte(keep), 0o644); err != nil {

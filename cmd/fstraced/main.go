@@ -25,6 +25,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -61,7 +62,8 @@ func run(args []string, stdout *os.File) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *pace < 0 || *shards < 1 || *scale <= 0 || *duration <= 0 || *checkpoint < 1 || *retain < 1 {
+	badScale := *scale <= 0 || math.IsNaN(*scale) || math.IsInf(*scale, 1)
+	if *pace < 0 || *shards < 1 || badScale || *duration <= 0 || *checkpoint < 1 || *retain < 1 {
 		fmt.Fprintln(os.Stderr, "fstraced: -pace, -shards, -scale, -duration, -checkpoint, -retain must be positive")
 		return 2
 	}

@@ -380,6 +380,7 @@ type Stream struct {
 	shares   map[trace.FileID]fileShare
 
 	sc *xfer.Scanner
+	tb *xfer.TapeBuilder // nil unless AttachTape; drives sc when set
 
 	// The trace's size in the binary format, for EncodedSize: the
 	// header plus each valid event's record, which trace.AppendRecord
@@ -458,6 +459,17 @@ func NewStream(opts Options) *Stream {
 		s.gaps.Add(g.Seconds(), 1)
 	}
 	return s
+}
+
+// AttachTape makes the stream also build the transfer tape of the events
+// it is fed, on its own scanner, so each event is scanned once. Call it
+// before the first Feed. Finish the stream first, then the returned
+// builder: the stream's Finish finishes the shared scanner, and the
+// builder's Finish returns the tape and any malformed-stream complaint.
+// A stream carrying a tape cannot be checkpointed.
+func (s *Stream) AttachTape() *xfer.TapeBuilder {
+	s.tb = xfer.NewTapeBuilderOn(s.sc)
+	return s.tb
 }
 
 // user returns id's entry in the user table, adding it if new.
@@ -547,7 +559,11 @@ func (s *Stream) Feed(e trace.Event) {
 		s.die(e.File, e.Time)
 	}
 
-	s.sc.Feed(e)
+	if s.tb != nil {
+		s.tb.Add(e) // feeds s.sc
+	} else {
+		s.sc.Feed(e)
+	}
 }
 
 // Snapshot returns the analysis of the stream so far, as if the trace
@@ -611,7 +627,15 @@ func (s *Stream) Finish() *Analysis {
 	}
 	s.finished = true
 	an := s.an
-	an.Overall.UnclosedOpens = s.sc.Finish()
+	if s.tb != nil {
+		// The builder finishes the shared scanner, once, discarding the
+		// opens still outstanding. The tape and any complaint are for
+		// the builder's owner, whose own Finish returns them.
+		an.Overall.UnclosedOpens = s.sc.OpenCount()
+		_, _ = s.tb.Finish()
+	} else {
+		an.Overall.UnclosedOpens = s.sc.Finish()
+	}
 	an.Overall.EncodedSize = s.size
 
 	// Censor survivors into the top bucket so the by-files and by-bytes

@@ -116,10 +116,14 @@ func (a *activityAccum) decodeState(buf []byte, user func(trace.UserID) *user) (
 
 // MarshalBinary serializes the stream's complete incremental state. It
 // must be called from the feeding goroutine or with the same external
-// synchronization as Feed. It fails on a finished stream.
+// synchronization as Feed. It fails on a finished stream and on one
+// carrying a tape, whose state it does not hold.
 func (s *Stream) MarshalBinary() ([]byte, error) {
 	if s.finished {
 		return nil, ErrFinished
+	}
+	if s.tb != nil {
+		return nil, errors.New("analyzer: a stream carrying a tape cannot be checkpointed")
 	}
 	buf := stats.AppendUvarint(nil, streamStateVersion)
 

@@ -280,25 +280,16 @@ func runClients(tapes []*xfer.Tape, blockSize int64, cfg Config, overStore bool)
 
 // mergeOps interleaves time-ordered op lists by time, ties broken in list
 // order, then in order within a list: the order a stable sort of the
-// concatenated lists gives, in one pass of len(lists) comparisons per
-// op. Every cache tier emits its traffic in time order, because the
-// replay clock never moves backwards.
+// concatenated lists gives, in one pass. Every cache tier emits its
+// traffic in time order, because the replay clock never moves backwards.
 func mergeOps(lists [][]serverOp) []serverOp {
 	n := 0
 	for _, l := range lists {
 		n += len(l)
 	}
 	out := make([]serverOp, 0, n)
-	for len(out) < n {
-		best := -1
-		for m, l := range lists {
-			if len(l) > 0 && (best < 0 || l[0].time < lists[best][0].time) {
-				best = m
-			}
-		}
-		out = append(out, lists[best][0])
-		lists[best] = lists[best][1:]
-	}
+	trace.Interleave(lists, func(op *serverOp) trace.Time { return op.time },
+		func(_ int, op *serverOp) { out = append(out, *op) })
 	return out
 }
 

@@ -3,6 +3,7 @@ package ffs
 import (
 	"fmt"
 
+	"bsdtrace/internal/par"
 	"bsdtrace/internal/trace"
 	"bsdtrace/internal/xfer"
 )
@@ -157,31 +158,33 @@ func WasteSweep(events []trace.Event, blockSizes []int64) ([]WasteSweepRow, erro
 // WasteSweepSource runs the §6.3 experiment over an event stream. The
 // population history is geometry-independent, so it is extracted from the
 // stream once — one pass, no event materialization — and replayed against
-// each of the sweep's disks.
+// each of the sweep's disks, on parallel workers.
 func WasteSweepSource(src trace.Source, blockSizes []int64) ([]WasteSweepRow, error) {
 	ops, err := populationOps(src)
 	if err != nil {
 		return nil, err
 	}
+	// Replay 2i runs block size i with fragments, 2i+1 without. Errors
+	// are kept per replay and reported in sweep order.
+	res := make([]*ReplayResult, 2*len(blockSizes))
+	errs := make([]error, len(res))
+	par.Run(len(res), func(j int) error {
+		bs := blockSizes[j/2]
+		frag := bs
+		if j%2 == 0 {
+			frag = min(max(bs/8, 512), bs)
+		}
+		res[j], errs[j] = replayPop(ops, Geometry{BlockSize: bs, FragSize: frag, Groups: 16, BlocksPerGroup: int(64 << 20 / bs)})
+		return nil
+	})
 	rows := make([]WasteSweepRow, 0, len(blockSizes))
-	for _, bs := range blockSizes {
-		frag := bs / 8
-		if frag < 512 {
-			frag = 512
+	for i, bs := range blockSizes {
+		for _, err := range errs[2*i : 2*i+2] {
+			if err != nil {
+				return nil, err
+			}
 		}
-		if frag > bs {
-			frag = bs
-		}
-		geo := Geometry{BlockSize: bs, FragSize: frag, Groups: 16, BlocksPerGroup: int(64 << 20 / bs)}
-		withFrag, err := replayPop(ops, geo)
-		if err != nil {
-			return nil, err
-		}
-		geo.FragSize = bs
-		without, err := replayPop(ops, geo)
-		if err != nil {
-			return nil, err
-		}
+		withFrag, without := res[2*i], res[2*i+1]
 		if withFrag.Failed > 0 || without.Failed > 0 {
 			return nil, fmt.Errorf("ffs: disk too small at block size %d (%d failed allocations)",
 				bs, withFrag.Failed+without.Failed)

@@ -145,19 +145,22 @@ func (c *lruCache) pushFront(n *lruNode) {
 }
 
 // touch probes the cache, returning whether key was present, and inserts
-// or refreshes it either way.
+// or refreshes it either way. A full cache reuses its evicted node.
 func (c *lruCache) touch(key string) bool {
 	if n, ok := c.items[key]; ok {
 		c.unlink(n)
 		c.pushFront(n)
 		return true
 	}
+	var n *lruNode
 	if len(c.items) >= c.cap {
-		victim := c.tail
-		c.unlink(victim)
-		delete(c.items, victim.key)
+		n = c.tail
+		c.unlink(n)
+		delete(c.items, n.key)
+		n.key = key
+	} else {
+		n = &lruNode{key: key}
 	}
-	n := &lruNode{key: key}
 	c.items[key] = n
 	c.pushFront(n)
 	return false
@@ -174,7 +177,7 @@ func (c *lruCache) drop(key string) {
 // Simulator implements kernel.MetaHook.
 type Simulator struct {
 	cfg    Config
-	names  *lruCache // "dirpath\x00component"
+	names  *lruCache // path prefix through the component: "/usr/include"
 	inodes *lruCache // path of file or directory
 	dirs   *lruCache // directory path -> contents block
 	Stats  Stats
@@ -194,27 +197,35 @@ func New(cfg Config) *Simulator {
 // Config returns the (default-filled) configuration.
 func (s *Simulator) Config() Config { return s.cfg }
 
-// Resolve walks the path through the caches (kernel.MetaHook).
+// Resolve walks the path through the caches (kernel.MetaHook). Empty
+// components are skipped and "." is a component like any other; a path
+// ending in "/" names no file, so no file i-node is read. The kernel's
+// paths are clean — absolute, with no empty component — and for those
+// every cache key is a substring of the path: a directory is the prefix
+// before its entry's component, and a name-cache entry, the pair
+// (directory, component), is the prefix through the component. So a
+// resolve allocates nothing once the caches are full.
 func (s *Simulator) Resolve(path string) {
 	s.Stats.Resolves++
-	parts := strings.Split(strings.TrimPrefix(path, "/"), "/")
-	dir := "/"
-	for i, comp := range parts {
-		if comp == "" {
-			continue
-		}
-		if i == len(parts)-1 {
+	walk := path
+	if len(path) == 0 || path[0] != '/' || strings.Contains(path, "//") {
+		walk = clean(path)
+	}
+	for start := 1; start < len(walk); {
+		end := strings.IndexByte(walk[start:], '/')
+		if end < 0 {
 			// The final component: read the file's own i-node.
 			if s.inodes.touch(path) {
 				s.Stats.InodeHits++
 			} else {
 				s.Stats.InodeMisses++
 			}
-			break
+			return
 		}
+		end += start
+		dir := walk[:max(start-1, 1)]
 		s.Stats.Components++
-		key := dir + "\x00" + comp
-		if s.names.touch(key) {
+		if s.names.touch(walk[:end]) {
 			s.Stats.NameHits++
 		} else {
 			s.Stats.NameMisses++
@@ -230,12 +241,28 @@ func (s *Simulator) Resolve(path string) {
 				s.Stats.DirBlockMisses++
 			}
 		}
-		if dir == "/" {
-			dir = "/" + comp
-		} else {
-			dir = dir + "/" + comp
+		start = end + 1
+	}
+}
+
+// clean rewrites a path with empty components, or without its leading
+// "/", into the clean path Resolve walks the same way: "/" and then the
+// nonempty components joined by "/", with a trailing "/" when the path
+// ends in an empty component.
+func clean(path string) string {
+	var b strings.Builder
+	b.WriteByte('/')
+	parts := strings.Split(strings.TrimPrefix(path, "/"), "/")
+	for i, comp := range parts {
+		if comp == "" {
+			continue
+		}
+		b.WriteString(comp)
+		if i < len(parts)-1 {
+			b.WriteByte('/')
 		}
 	}
+	return b.String()
 }
 
 // InodeUpdate records an i-node write-back (kernel.MetaHook).

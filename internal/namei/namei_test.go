@@ -1,6 +1,7 @@
 package namei
 
 import (
+	"strings"
 	"testing"
 
 	"bsdtrace/internal/cachesim"
@@ -8,6 +9,142 @@ import (
 	"bsdtrace/internal/workload"
 	"bsdtrace/internal/xfer"
 )
+
+// oracleResolve is the plain walk Resolve must equal in Stats: split
+// the path, and build each name-cache key and each next directory by
+// concatenation.
+func oracleResolve(s *Simulator, path string) {
+	s.Stats.Resolves++
+	parts := strings.Split(strings.TrimPrefix(path, "/"), "/")
+	dir := "/"
+	for i, comp := range parts {
+		if comp == "" {
+			continue
+		}
+		if i == len(parts)-1 {
+			// The final component: read the file's own i-node.
+			if s.inodes.touch(path) {
+				s.Stats.InodeHits++
+			} else {
+				s.Stats.InodeMisses++
+			}
+			break
+		}
+		s.Stats.Components++
+		key := dir + "\x00" + comp
+		if s.names.touch(key) {
+			s.Stats.NameHits++
+		} else {
+			s.Stats.NameMisses++
+			// Miss: read the directory's descriptor and contents.
+			if s.inodes.touch(dir) {
+				s.Stats.InodeHits++
+			} else {
+				s.Stats.InodeMisses++
+			}
+			if s.dirs.touch(dir) {
+				s.Stats.DirBlockHits++
+			} else {
+				s.Stats.DirBlockMisses++
+			}
+		}
+		if dir == "/" {
+			dir = "/" + comp
+		} else {
+			dir = dir + "/" + comp
+		}
+	}
+}
+
+// twins drives each Simulator and an oracle-walked twin with the same
+// hook calls.
+type twins struct{ sims, oracles []*Simulator }
+
+func newTwins(cfgs ...Config) *twins {
+	tw := &twins{}
+	for _, cfg := range cfgs {
+		tw.sims = append(tw.sims, New(cfg))
+		tw.oracles = append(tw.oracles, New(cfg))
+	}
+	return tw
+}
+
+func (tw *twins) Resolve(path string) {
+	for i, s := range tw.sims {
+		s.Resolve(path)
+		oracleResolve(tw.oracles[i], path)
+	}
+}
+
+func (tw *twins) InodeUpdate() {
+	for i, s := range tw.sims {
+		s.InodeUpdate()
+		tw.oracles[i].InodeUpdate()
+	}
+}
+
+func (tw *twins) DirUpdate(dir string) {
+	for i, s := range tw.sims {
+		s.DirUpdate(dir)
+		tw.oracles[i].DirUpdate(dir)
+	}
+}
+
+// TestResolveMatchesOracle: Resolve's Stats equal the plain walk's over
+// the kernel's resolve stream of an A5 generation, at the metadata
+// table's three cache scales, and over paths with empty and "."
+// components, a trailing "/", and no leading "/".
+func TestResolveMatchesOracle(t *testing.T) {
+	d := 8 * trace.Hour
+	if testing.Short() {
+		d = trace.Hour
+	}
+	var cfgs []Config
+	for _, n := range []int{40, 120, 400} {
+		cfgs = append(cfgs, Config{NameEntries: n, InodeEntries: n / 2, DirBlocks: n / 6})
+	}
+	tw := newTwins(cfgs...)
+	if _, err := workload.GenerateStream(workload.Config{Profile: "A5", Seed: 1, Duration: d, Meta: tw}, nil); err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range tw.sims {
+		if o := tw.oracles[i]; s.Stats != o.Stats || s.Stats.NameMisses == 0 || s.Stats.NameHits == 0 {
+			t.Errorf("%d name entries: Resolve %+v, oracle %+v", s.cfg.NameEntries, s.Stats, o.Stats)
+		}
+	}
+
+	edge := newTwins(Config{NameEntries: 4, InodeEntries: 3, DirBlocks: 2})
+	for _, path := range []string{
+		"/usr/include/stdio.h", "//usr/include/stdio.h", "/usr//include/stdio.h",
+		"/usr/./include/stdio.h", "/./usr/include/stdio.h", "/usr/include/",
+		"/usr/include//", "/usr/include/stdio.h/", "usr/include/stdio.h", "",
+		"/", "//", "///", "/.", "/./", "/usr/.", "/usr/include/./", "/a", "a",
+		"/usr/include/stdio.h", "/usr/lib/libc.a", "/usr//lib//", "/tmp/x/y/z",
+	} {
+		edge.Resolve(path)
+		if s, o := edge.sims[0], edge.oracles[0]; s.Stats != o.Stats {
+			t.Fatalf("after %q: Resolve %+v, oracle %+v", path, s.Stats, o.Stats)
+		}
+	}
+}
+
+// TestResolveAllocs: a warmed resolve of a clean path allocates nothing,
+// on hits and, once the caches are full, on misses that evict.
+func TestResolveAllocs(t *testing.T) {
+	s := New(Config{NameEntries: 4, InodeEntries: 4, DirBlocks: 4})
+	hot := "/usr/include/sys/types.h"
+	cold := []string{"/a/b/c/f", "/d/e/f/g", "/h/i/j/k"}
+	for _, p := range append(cold, hot) {
+		s.Resolve(p)
+	}
+	if n := testing.AllocsPerRun(100, func() { s.Resolve(hot) }); n != 0 {
+		t.Errorf("warm hit: %v allocations per Resolve, want 0", n)
+	}
+	i := 0
+	if n := testing.AllocsPerRun(100, func() { s.Resolve(cold[i%len(cold)]); i++ }); n != 0 {
+		t.Errorf("full-cache misses: %v allocations per Resolve, want 0", n)
+	}
+}
 
 func TestResolveColdAndWarm(t *testing.T) {
 	s := New(Config{})

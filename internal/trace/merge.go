@@ -24,6 +24,45 @@ func RemapIDs(e Event, n, s int) Event {
 	return e
 }
 
+// Interleave visits the elements of lists, each in nondecreasing time,
+// in merged order: by time, ties broken in list order and then in order
+// within a list. That is MergeSource's order, and the order a stable
+// sort of the concatenated lists by time gives. It calls emit with each
+// element and the index of its list. The list with the earliest head
+// emits, with one comparison per element, while it stays ahead of the
+// runner-up, so a switch between lists costs len(lists) comparisons.
+func Interleave[T any](lists [][]T, at func(*T) Time, emit func(list int, v *T)) {
+	heads := make([]int, len(lists))
+	for {
+		lead, runner := -1, -1
+		var leadT, runnerT Time
+		for l, xs := range lists {
+			if heads[l] == len(xs) {
+				continue
+			}
+			switch t := at(&xs[heads[l]]); {
+			case lead < 0 || t < leadT:
+				lead, leadT, runner, runnerT = l, t, lead, leadT
+			case runner < 0 || t < runnerT:
+				runner, runnerT = l, t
+			}
+		}
+		if lead < 0 {
+			return
+		}
+		xs, i := lists[lead], heads[lead]
+		for ; i < len(xs); i++ {
+			if runner >= 0 {
+				if t := at(&xs[i]); t > runnerT || (t == runnerT && lead > runner) {
+					break
+				}
+			}
+			emit(lead, &xs[i])
+		}
+		heads[lead] = i
+	}
+}
+
 // MergeSource interleaves several time-ordered Sources into one
 // time-ordered stream with identifier remapping (see RemapIDs). It reads
 // each live source through a Cursor — memory is one pooled batch per

@@ -27,6 +27,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 
 	"bsdtrace/internal/dist"
 	"bsdtrace/internal/kernel"
@@ -81,6 +82,9 @@ func (c *Config) fill() error {
 	}
 	if c.Duration <= 0 {
 		c.Duration = 8 * trace.Hour
+	}
+	if math.IsNaN(c.UserScale) || math.IsInf(c.UserScale, 0) {
+		return fmt.Errorf("workload: user scale %v is not finite", c.UserScale)
 	}
 	if c.UserScale <= 0 {
 		c.UserScale = 1.0

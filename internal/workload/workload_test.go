@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -306,4 +307,14 @@ func validate(events []trace.Event) []error {
 		v.Check(e)
 	}
 	return v.Errs()
+}
+
+// TestNonFiniteScaleRejected: a NaN or infinite UserScale is an error,
+// not a population of no users (NaN, +Inf) or a silent default (-Inf).
+func TestNonFiniteScaleRejected(t *testing.T) {
+	for _, scale := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := GenerateStream(Config{Profile: "A5", Seed: 1, Duration: 10 * trace.Minute, UserScale: scale}, nil); err == nil {
+			t.Errorf("UserScale %v accepted", scale)
+		}
+	}
 }

@@ -99,14 +99,25 @@ type TapeBuilder struct {
 	done bool
 }
 
-// NewTapeBuilder creates an empty builder.
-func NewTapeBuilder() *TapeBuilder {
-	b := &TapeBuilder{t: &Tape{}, sc: NewScanner()}
+// NewTapeBuilder creates an empty builder over a fresh scanner.
+func NewTapeBuilder() *TapeBuilder { return NewTapeBuilderOn(NewScanner()) }
+
+// NewTapeBuilderOn creates an empty builder over sc, a scanner its caller
+// owns and has not fed yet, so that one scan serves the caller's own
+// callbacks and the tape: the builder chains sc.OnTransfer after the
+// caller's, and Add feeds sc. The caller feeds events through Add only,
+// sets no callback afterwards, and lets the builder's Finish finish sc.
+func NewTapeBuilderOn(sc *Scanner) *TapeBuilder {
+	b := &TapeBuilder{t: &Tape{}, sc: sc}
 	t := b.t
-	b.sc.OnTransfer = func(tr Transfer) {
+	prev := sc.OnTransfer
+	sc.OnTransfer = func(tr Transfer) {
+		if prev != nil {
+			prev(tr)
+		}
 		t.Ops = append(t.Ops, Op{Kind: OpTransfer, Time: tr.Time, Xfer: int32(len(t.Transfers))})
 		t.Transfers = append(t.Transfers, tr)
-		t.OldSizes = append(t.OldSizes, b.sc.knownSize(tr.File))
+		t.OldSizes = append(t.OldSizes, sc.knownSize(tr.File))
 	}
 	return b
 }
@@ -195,6 +206,66 @@ func BuildTape(src trace.Source) (*Tape, error) {
 		return nil, err
 	}
 	return b.Finish()
+}
+
+// MergeTapes merges the tapes of several machines' traces into the tape
+// of their merged trace, the one BuildTape makes from a
+// trace.NewMergeSource over the machines' event streams. Ops interleave
+// in (time, machine) order, ties in each tape's own order. Each
+// machine's files, open IDs and users are renamed by trace.RemapIDs'
+// mapping, transfers are renumbered in merged op order and carry their
+// OldSizes, and Unclosed is the sum.
+//
+// Adjacent advances fold into one, as the builder folds them, but the
+// two tapes can still differ in advances: a machine's tape has already
+// folded its no-op events, so a clock point inside such a run is gone
+// from this merge while a tape built from merged events keeps it when
+// another machine's op lands there. Every replay result is the same
+// either way. An advance only moves the clock, every other op moves it
+// too, and a flush-back scan runs at its scheduled time whichever op
+// carries the clock past it.
+func MergeTapes(tapes []*Tape) *Tape {
+	n := len(tapes)
+	out := &Tape{}
+	lists := make([][]Op, n)
+	var ops, xfers int
+	for m, t := range tapes {
+		lists[m] = t.Ops
+		ops += len(t.Ops)
+		xfers += len(t.Transfers)
+		out.Unclosed += t.Unclosed
+	}
+	out.Ops = make([]Op, 0, ops)
+	out.Transfers = make([]Transfer, 0, xfers)
+	out.OldSizes = make([]int64, 0, xfers)
+	trace.Interleave(lists, func(op *Op) trace.Time { return op.Time }, func(m int, op *Op) {
+		o := *op
+		switch o.Kind {
+		case OpAdvance:
+			if k := len(out.Ops); k > 0 && out.Ops[k-1].Kind == OpAdvance {
+				out.Ops[k-1].Time = o.Time
+				return
+			}
+		case OpPurge:
+			o.File = trace.RemapIDs(trace.Event{File: o.File}, n, m).File
+		case OpTransfer, OpExec:
+			// Rename as the event that began the transfer was renamed:
+			// an open, whose open ID the mapping always renames, or
+			// the exec itself.
+			tr := tapes[m].Transfers[o.Xfer]
+			began := trace.Event{Kind: trace.KindOpen, OpenID: tr.OpenID, File: tr.File, User: tr.User}
+			if o.Kind == OpExec {
+				began.Kind = trace.KindExec
+			}
+			began = trace.RemapIDs(began, n, m)
+			tr.OpenID, tr.File, tr.User = began.OpenID, began.File, began.User
+			out.OldSizes = append(out.OldSizes, tapes[m].OldSizes[o.Xfer])
+			o.Xfer = int32(len(out.Transfers))
+			out.Transfers = append(out.Transfers, tr)
+		}
+		out.Ops = append(out.Ops, o)
+	})
+	return out
 }
 
 // Truncate returns the tape's prefix up to and including time at: every

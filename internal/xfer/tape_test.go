@@ -1,6 +1,8 @@
 package xfer
 
 import (
+	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -227,4 +229,62 @@ func TestTapeMemoSharesBuilds(t *testing.T) {
 	if v := tape.Memo(8192, build); v.(int) != 2 {
 		t.Errorf("second key returned %v, want 2", v)
 	}
+}
+
+// TestTapeBuilderOnSharedScanner: a builder over a scanner that already
+// has its owner's OnTransfer builds the tape a builder over a fresh
+// scanner builds, the owner still sees every transfer, and on a
+// malformed stream (a reused open ID, a close of an unknown open, an
+// open left unclosed) the partial tapes and the complaint agree too.
+func TestTapeBuilderOnSharedScanner(t *testing.T) {
+	b := &tapeTB{}
+	b.create(1, 10000)
+	b.read(1, 10000)
+	b.events = append(b.events,
+		trace.Event{Time: b.tick(), Kind: trace.KindExec, File: 2, User: 1, Size: 3000},
+		trace.Event{Time: b.tick(), Kind: trace.KindTruncate, File: 1, Size: 4000})
+	b.read(1, 4000)
+	clean := b.events
+	b.events = append(b.events,
+		trace.Event{Time: b.tick(), Kind: trace.KindOpen, OpenID: 7, File: 3, User: 2, Mode: trace.ReadOnly, Size: 50},
+		trace.Event{Time: b.tick(), Kind: trace.KindOpen, OpenID: 7, File: 4, User: 2, Mode: trace.ReadOnly, Size: 60},
+		trace.Event{Time: b.tick(), Kind: trace.KindClose, OpenID: 99, NewPos: 10})
+	malformed := b.events
+
+	for name, events := range map[string][]trace.Event{"clean": clean, "malformed": malformed} {
+		fresh := NewTapeBuilder()
+		sc := NewScanner()
+		var seen []Transfer
+		sc.OnTransfer = func(tr Transfer) { seen = append(seen, tr) }
+		shared := NewTapeBuilderOn(sc)
+		for _, e := range events {
+			fresh.Add(e)
+			shared.Add(e)
+		}
+		_, wantErr := fresh.Finish()
+		_, gotErr := shared.Finish()
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Errorf("%s: error %v, want %v", name, gotErr, wantErr)
+		}
+		got, want := shared.t, fresh.t
+		if !slices.Equal(got.Ops, want.Ops) || !slices.Equal(got.Transfers, want.Transfers) ||
+			!slices.Equal(got.OldSizes, want.OldSizes) || got.Unclosed != want.Unclosed {
+			t.Errorf("%s: shared-scanner tape differs from the fresh one", name)
+		}
+		if !slices.Equal(seen, scannerTransfers(want)) {
+			t.Errorf("%s: the owner's callback saw %d transfers, want %d", name, len(seen), len(scannerTransfers(want)))
+		}
+	}
+}
+
+// scannerTransfers returns the tape's transfers that the scanner
+// emitted, leaving out the synthesized exec reads.
+func scannerTransfers(t *Tape) []Transfer {
+	var out []Transfer
+	for _, op := range t.Ops {
+		if op.Kind == OpTransfer {
+			out = append(out, t.Transfers[op.Xfer])
+		}
+	}
+	return out
 }
