@@ -112,6 +112,10 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("-shards %d: must not be negative", *shards)
 	case *ckpt < 0:
 		return fmt.Errorf("-checkpoint %d: must not be negative", *ckpt)
+	case *text && *v2:
+		return fmt.Errorf("-v2 applies only to the binary format, not -text")
+	case *ckpt > 0 && !*v2:
+		return fmt.Errorf("-checkpoint %d applies only with -v2", *ckpt)
 	}
 
 	reg := obs.NewRegistry()

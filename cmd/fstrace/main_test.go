@@ -45,6 +45,8 @@ func TestRunRejectsBadValuesKeepsOutput(t *testing.T) {
 		{"-scale", "NaN"},
 		{"-scale", "+Inf"},
 		{"-checkpoint", "-5", "-v2"},
+		{"-text", "-v2"},
+		{"-checkpoint", "7"},
 	} {
 		if err := os.WriteFile(out, []byte(keep), 0o644); err != nil {
 			t.Fatal(err)
@@ -59,7 +61,21 @@ func TestRunRejectsBadValuesKeepsOutput(t *testing.T) {
 	}
 }
 
-// The binary path: whatever fstrace writes, trace.ReadFile reads back
+// readTrace decodes a whole binary trace file.
+func readTrace(path string) ([]trace.Event, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	r, err := trace.NewReader(f)
+	if err != nil {
+		return nil, err
+	}
+	return trace.ReadSource(r)
+}
+
+// The binary path: whatever fstrace writes, trace.Reader reads back
 // verbatim, and the summary describes it.
 func TestRunBinaryRoundTrip(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "a5.trace")
@@ -67,7 +83,7 @@ func TestRunBinaryRoundTrip(t *testing.T) {
 	if err := run([]string{"-profile", "A5", "-duration", "5m", "-seed", "3", "-o", out}, &buf); err != nil {
 		t.Fatal(err)
 	}
-	events, err := trace.ReadFile(out)
+	events, err := readTrace(out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +107,7 @@ func TestRunBinaryRoundTrip(t *testing.T) {
 	if err := run([]string{"-profile", "A5", "-duration", "5m", "-seed", "3", "-o", out2, "-q"}, &buf); err != nil {
 		t.Fatal(err)
 	}
-	events2, err := trace.ReadFile(out2)
+	events2, err := readTrace(out2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +132,7 @@ func TestRunTextMatchesBinary(t *testing.T) {
 	if buf.Len() != 0 {
 		t.Errorf("-q still printed: %q", buf.String())
 	}
-	binEvents, err := trace.ReadFile(bin)
+	binEvents, err := readTrace(bin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,23 +163,22 @@ func TestRunV2MatchesV1(t *testing.T) {
 	if err := run([]string{"-profile", "C4", "-duration", "5m", "-seed", "7", "-v2", "-checkpoint", "1000", "-o", v2, "-q"}, &buf); err != nil {
 		t.Fatal(err)
 	}
-	e1, err := trace.ReadFile(v1)
+	e1, err := readTrace(v1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Open(v2)
+	data, err := os.ReadFile(v2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	r, err := trace.NewReader(f)
+	if len(data) < trace.HeaderSize || data[trace.HeaderSize-1] != trace.Version2 {
+		t.Fatalf("-v2 did not write a version-2 header: % x", data[:min(len(data), trace.HeaderSize)])
+	}
+	r, err := trace.NewReader(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Version() != 2 {
-		t.Fatalf("-v2 wrote version %d", r.Version())
-	}
-	e2, err := r.ReadAll()
+	e2, err := trace.ReadSource(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +201,7 @@ func TestRunMergesProfiles(t *testing.T) {
 	if !strings.Contains(buf.String(), "2 merged profiles") {
 		t.Errorf("merge summary missing: %q", buf.String())
 	}
-	merged, err := trace.ReadFile(out)
+	merged, err := readTrace(out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +209,7 @@ func TestRunMergesProfiles(t *testing.T) {
 	if err := run([]string{"-profile", "A5", "-duration", "5m", "-o", single, "-q"}, &buf); err != nil {
 		t.Fatal(err)
 	}
-	a5, err := trace.ReadFile(single)
+	a5, err := readTrace(single)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ package bsdtrace
 import (
 	"bytes"
 	"math"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -73,7 +74,16 @@ func TestFileRoundTripPreservesAnalysis(t *testing.T) {
 	if err := trace.WriteFile(path, res.Events); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := trace.ReadFile(path)
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	r, err := trace.NewReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := trace.ReadSource(r)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -94,19 +94,6 @@ const (
 	numClasses
 )
 
-// String names the class as the paper does.
-func (c ModeClass) String() string {
-	switch c {
-	case ClassReadOnly:
-		return "read-only"
-	case ClassWriteOnly:
-		return "write-only"
-	case ClassReadWrite:
-		return "read-write"
-	}
-	return "unknown"
-}
-
 func classOf(m trace.Mode) ModeClass {
 	switch m {
 	case trace.ReadOnly:

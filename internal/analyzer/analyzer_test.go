@@ -396,15 +396,6 @@ func TestUnclosedOpenCounted(t *testing.T) {
 	}
 }
 
-func TestModeClassString(t *testing.T) {
-	if ClassReadOnly.String() != "read-only" || ClassReadWrite.String() != "read-write" {
-		t.Errorf("class names wrong")
-	}
-	if ModeClass(9).String() != "unknown" {
-		t.Errorf("unknown class name wrong")
-	}
-}
-
 func TestSharing(t *testing.T) {
 	events := []trace.Event{
 		// File 1: two users read it -> shared.
@@ -457,7 +448,14 @@ func TestTopFiles(t *testing.T) {
 		open(70, 4, 3, 10, trace.ReadOnly, 900),
 		closeEv(80, 4, 900),
 	}
-	top := TopFiles(events, 2)
+	topFiles := func(n int) []FileStat {
+		a := NewTopAccum()
+		for _, e := range events {
+			a.Feed(e)
+		}
+		return a.Top(n)
+	}
+	top := topFiles(2)
 	if len(top) != 2 {
 		t.Fatalf("len = %d", len(top))
 	}
@@ -469,7 +467,7 @@ func TestTopFiles(t *testing.T) {
 		t.Errorf("top[1] = %+v", top[1])
 	}
 	// Unlimited.
-	all := TopFiles(events, 0)
+	all := topFiles(0)
 	if len(all) != 3 {
 		t.Errorf("all = %d files", len(all))
 	}

@@ -86,15 +86,6 @@ func (m *MetricSet) Supports(c trace.Class) bool {
 	return false
 }
 
-// Check returns nil when the set supports class c, and an
-// *UnsupportedClassError otherwise.
-func (m *MetricSet) Check(c trace.Class) error {
-	if m.Supports(c) {
-		return nil
-	}
-	return &UnsupportedClassError{Metric: m.Name, Class: c}
-}
-
 // HasSection reports whether the set owns the named report section.
 func (m *MetricSet) HasSection(name string) bool {
 	for _, s := range m.Sections {
@@ -129,16 +120,4 @@ func CheckSection(section string, c trace.Class) error {
 		return nil
 	}
 	return &UnsupportedClassError{Metric: section, Class: c}
-}
-
-// AnalyzeClassed runs the logical battery over a source, first checking
-// that the source's declared class supports it: feeding a block or page
-// trace through the Section-5 analysis would silently misread transfer
-// triples as real open/close behavior, so the gate fails with a typed
-// error instead.
-func AnalyzeClassed(src trace.Source, opts Options) (*Analysis, error) {
-	if err := LogicalMetrics.Check(trace.SourceClass(src)); err != nil {
-		return nil, err
-	}
-	return AnalyzeSource(src, opts)
 }

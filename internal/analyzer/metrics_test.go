@@ -2,11 +2,9 @@ package analyzer
 
 import (
 	"errors"
-	"strings"
 	"testing"
 
 	"bsdtrace/internal/trace"
-	"bsdtrace/internal/trace/adapt"
 )
 
 func TestMetricSetClasses(t *testing.T) {
@@ -26,17 +24,18 @@ func TestMetricSetClasses(t *testing.T) {
 		if got := c.set.Supports(c.class); got != c.ok {
 			t.Errorf("%s.Supports(%v) = %v, want %v", c.set.Name, c.class, got, c.ok)
 		}
-		err := c.set.Check(c.class)
+		section := c.set.Sections[0]
+		err := CheckSection(section, c.class)
 		if c.ok && err != nil {
-			t.Errorf("%s.Check(%v) = %v, want nil", c.set.Name, c.class, err)
+			t.Errorf("CheckSection(%s, %v) = %v, want nil", section, c.class, err)
 		}
 		if !c.ok {
 			if !errors.Is(err, ErrUnsupportedClass) {
-				t.Errorf("%s.Check(%v) = %v, want ErrUnsupportedClass", c.set.Name, c.class, err)
+				t.Errorf("CheckSection(%s, %v) = %v, want ErrUnsupportedClass", section, c.class, err)
 			}
 			var uce *UnsupportedClassError
 			if !errors.As(err, &uce) || uce.Class != c.class {
-				t.Errorf("%s.Check(%v) is not a typed UnsupportedClassError carrying the class", c.set.Name, c.class)
+				t.Errorf("CheckSection(%s, %v) is not a typed UnsupportedClassError carrying the class", section, c.class)
 			}
 		}
 	}
@@ -80,36 +79,5 @@ func TestCheckSection(t *testing.T) {
 	}
 	if err := CheckSection("nonsense", trace.ClassLogical); err == nil || errors.Is(err, ErrUnsupportedClass) {
 		t.Errorf("unknown section = %v, want a plain unknown-section error", err)
-	}
-}
-
-// TestAnalyzeClassedGate feeds a real block-class adapter into the
-// logical battery and demands the typed refusal, then confirms a logical
-// source still analyzes.
-func TestAnalyzeClassedGate(t *testing.T) {
-	src, err := adapt.NewSource(adapt.FormatBlockCSV, strings.NewReader(
-		"1000,host,0,Read,0,4096\n2000,host,0,Write,4096,4096\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = AnalyzeClassed(src, Options{})
-	if !errors.Is(err, ErrUnsupportedClass) {
-		t.Fatalf("AnalyzeClassed(block source) = %v, want ErrUnsupportedClass", err)
-	}
-	var uce *UnsupportedClassError
-	if !errors.As(err, &uce) || uce.Class != trace.ClassBlock {
-		t.Fatalf("error %v does not carry ClassBlock", err)
-	}
-
-	events := []trace.Event{
-		{Time: 0, Kind: trace.KindOpen, OpenID: 1, File: 1, User: 1, Mode: trace.ReadOnly, Size: 100},
-		{Time: 10, Kind: trace.KindClose, OpenID: 1, NewPos: 100},
-	}
-	an, err := AnalyzeClassed(trace.NewSliceSource(events), Options{})
-	if err != nil {
-		t.Fatalf("AnalyzeClassed(logical source) = %v", err)
-	}
-	if an.Overall.Counts.Total != 2 {
-		t.Fatalf("analysis saw %d events, want 2", an.Overall.Counts.Total)
 	}
 }

@@ -573,26 +573,3 @@ func SimulateTape(tape *xfer.Tape, cfg Config) (*Result, error) {
 func MultiSimulate(tape *xfer.Tape, cfgs []Config) ([]*Result, error) {
 	return MultiSimulateObserved(tape, cfgs, nil)
 }
-
-// CountTapeAccesses returns the number of logical block accesses a tape
-// generates at the given block size — pure arithmetic over the
-// transfers, no simulation.
-func CountTapeAccesses(tape *xfer.Tape, blockSize int64, simulatePaging bool) int64 {
-	var n int64
-	for i := range tape.Ops {
-		op := &tape.Ops[i]
-		if op.Kind == xfer.OpTransfer || (op.Kind == xfer.OpExec && simulatePaging) {
-			t := &tape.Transfers[op.Xfer]
-			if t.Length <= 0 {
-				// xfer.NewTape never emits an empty run (see the tape
-				// invariant test there), but the span arithmetic below
-				// would count one access for a zero-length run whose
-				// (End-1)/blockSize truncates into Offset's block, so
-				// guard against hand-built tapes.
-				continue
-			}
-			n += (t.End()-1)/blockSize - t.Offset/blockSize + 1
-		}
-	}
-	return n
-}

@@ -371,11 +371,18 @@ func TestCountBlockAccesses(t *testing.T) {
 	b.write(1, 10000)
 	b.read(1, 10000)
 	tape := mustTape(t, b.events)
-	if n := CountTapeAccesses(tape, 4096, false); n != 6 { // 3 write blocks + 3 read blocks
-		t.Errorf("CountTapeAccesses = %d, want 6", n)
+	accesses := func(bs int64) int64 {
+		r, err := SimulateTape(tape, Config{BlockSize: bs, CacheSize: 1 << 20, Write: DelayedWrite})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.LogicalAccesses
 	}
-	if n := CountTapeAccesses(tape, 8192, false); n != 4 {
-		t.Errorf("8K CountTapeAccesses = %d, want 4", n)
+	if n := accesses(4096); n != 6 { // 3 write blocks + 3 read blocks
+		t.Errorf("LogicalAccesses = %d, want 6", n)
+	}
+	if n := accesses(8192); n != 4 {
+		t.Errorf("8K LogicalAccesses = %d, want 4", n)
 	}
 }
 

@@ -145,7 +145,7 @@ func FuzzStackDistances(f *testing.F) {
 				t.Fatalf("bs %d: infinite cache misses %d, want cold %d", bs, got, sr.ColdMisses)
 			}
 			// Spot-check against an independent LRU cache and against the
-			// generalized stack path (same algorithm, different engine).
+			// linear-scan stack oracle (same algorithm, different engine).
 			refs := referenceString(tape, resolvedFor(tape, bs))
 			const capBlocks = 5
 			lru := &simpleLRU{cap: capBlocks, blocks: make(map[int32]*lruNode)}
@@ -158,12 +158,9 @@ func FuzzStackDistances(f *testing.F) {
 			if got := sr.Misses(capBlocks * bs); got != misses {
 				t.Fatalf("bs %d: stack misses %d, LRU cache missed %d", bs, got, misses)
 			}
-			gen, err := StackDistancesPolicyTape(tape, bs, StackLRU)
-			if err != nil {
-				t.Fatal(err)
-			}
+			gen := stackDistancesScan(tape, bs)
 			if gen.ColdMisses != sr.ColdMisses || gen.Misses(capBlocks*bs) != sr.Misses(capBlocks*bs) {
-				t.Fatalf("bs %d: generalized stack disagrees with Fenwick path", bs)
+				t.Fatalf("bs %d: stack oracle disagrees with Fenwick path", bs)
 			}
 		}
 	})

@@ -2,7 +2,6 @@ package cachesim
 
 import (
 	"fmt"
-	"sort"
 
 	"bsdtrace/internal/xfer"
 )
@@ -135,17 +134,6 @@ func (r *StackResult) MissRatio(cacheBytes int64) float64 {
 		return 0
 	}
 	return float64(r.Misses(cacheBytes)) / float64(r.References)
-}
-
-// Curve evaluates the miss ratio at each cache size, sorted ascending.
-func (r *StackResult) Curve(cacheSizes []int64) []float64 {
-	sizes := append([]int64(nil), cacheSizes...)
-	sort.Slice(sizes, func(i, j int) bool { return sizes[i] < sizes[j] })
-	out := make([]float64, len(sizes))
-	for i, cs := range sizes {
-		out[i] = r.MissRatio(cs)
-	}
-	return out
 }
 
 // DistinctBlocks returns the number of distinct blocks referenced (the

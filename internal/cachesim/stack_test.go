@@ -64,7 +64,10 @@ func TestStackCurveMonotone(t *testing.T) {
 		t.Fatal(err)
 	}
 	sizes := []int64{4096, 8 * 4096, 64 * 4096, 1 << 20, 16 << 20}
-	curve := r.Curve(sizes)
+	curve := make([]float64, len(sizes))
+	for i, cs := range sizes {
+		curve[i] = r.MissRatio(cs)
+	}
 	for i := 1; i < len(curve); i++ {
 		if curve[i] > curve[i-1]+1e-12 {
 			t.Fatalf("curve not monotone: %v", curve)

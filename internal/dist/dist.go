@@ -4,17 +4,14 @@
 // Every source of randomness in the repository flows through a Source
 // created from an explicit seed, so a given seed reproduces a byte-identical
 // trace and therefore identical tables and figures. The samplers cover the
-// distributions the workload model needs: exponential inter-arrival times,
-// log-normal file sizes, Pareto tails for the occasional very large file,
-// Zipf-like popularity for shared files and programs, and arbitrary
-// empirical (weighted-choice) distributions for everything measured rather
-// than modeled.
+// distributions the workload model draws from: uniform choices,
+// exponential inter-arrival times, log-normal file sizes and durations,
+// and Zipf-like popularity for shared files and programs.
 package dist
 
 import (
 	"math"
 	"math/rand"
-	"sort"
 )
 
 // Source is a deterministic random source. It is a thin wrapper around
@@ -67,12 +64,6 @@ func (s *Source) Exp(mean float64) float64 {
 	return s.rng.ExpFloat64() * mean
 }
 
-// Normal returns a normally distributed value with the given mean and
-// standard deviation.
-func (s *Source) Normal(mean, sd float64) float64 {
-	return s.rng.NormFloat64()*sd + mean
-}
-
 // LogNormal returns a log-normally distributed value parameterized by its
 // median and the sigma of the underlying normal. File sizes and open
 // durations in the traced systems are heavy-tailed with a small median,
@@ -84,25 +75,11 @@ func (s *Source) LogNormal(median, sigma float64) float64 {
 	return median * math.Exp(s.rng.NormFloat64()*sigma)
 }
 
-// Pareto returns a Pareto-distributed value with the given minimum and
-// shape alpha. Smaller alpha means a heavier tail; alpha <= 0 returns min.
-func (s *Source) Pareto(min, alpha float64) float64 {
-	if alpha <= 0 || min <= 0 {
-		return min
-	}
-	u := s.rng.Float64()
-	for u == 0 {
-		u = s.rng.Float64()
-	}
-	return min / math.Pow(u, 1/alpha)
-}
-
 // Zipf draws from a Zipf distribution over [0, n) with exponent theta > 1
 // being more skewed as theta grows. It is used for file and program
 // popularity: a few shared headers and commands absorb most accesses.
 type Zipf struct {
 	z *rand.Zipf
-	n int
 }
 
 // NewZipf creates a Zipf sampler over [0, n) with skew parameter sk > 1.
@@ -113,101 +90,8 @@ func NewZipf(s *Source, sk float64, n int) *Zipf {
 	if sk <= 1 {
 		panic("dist: NewZipf needs skew > 1")
 	}
-	return &Zipf{z: rand.NewZipf(s.rng, sk, 1, uint64(n-1)), n: n}
+	return &Zipf{z: rand.NewZipf(s.rng, sk, 1, uint64(n-1))}
 }
 
 // Draw returns the next index in [0, n).
 func (z *Zipf) Draw() int { return int(z.z.Uint64()) }
-
-// N returns the population size.
-func (z *Zipf) N() int { return z.n }
-
-// Weighted selects indexes with probability proportional to fixed weights.
-type Weighted struct {
-	cum []float64 // cumulative weights
-}
-
-// NewWeighted builds a weighted chooser. It panics on an empty or
-// non-positive-total weight vector; negative weights are rejected.
-func NewWeighted(weights []float64) *Weighted {
-	if len(weights) == 0 {
-		panic("dist: NewWeighted needs at least one weight")
-	}
-	cum := make([]float64, len(weights))
-	total := 0.0
-	for i, w := range weights {
-		if w < 0 {
-			panic("dist: NewWeighted weight must be non-negative")
-		}
-		total += w
-		cum[i] = total
-	}
-	if total <= 0 {
-		panic("dist: NewWeighted needs positive total weight")
-	}
-	return &Weighted{cum: cum}
-}
-
-// Draw returns an index chosen with probability weight[i]/sum(weights).
-func (w *Weighted) Draw(s *Source) int {
-	x := s.Float64() * w.cum[len(w.cum)-1]
-	return sort.SearchFloat64s(w.cum, x)
-}
-
-// Empirical samples from a piecewise distribution described by (value,
-// cumulative-fraction) breakpoints, interpolating log-uniformly between
-// them. It turns a CDF read off one of the paper's figures directly into a
-// sampler, which is how the workload calibration encodes the paper's
-// measured distributions.
-type Empirical struct {
-	values []float64 // ascending
-	cum    []float64 // ascending, last == 1
-}
-
-// NewEmpirical builds a sampler from breakpoints. values must be positive
-// ascending; fractions must be ascending and end at 1.
-func NewEmpirical(values, fractions []float64) *Empirical {
-	if len(values) == 0 || len(values) != len(fractions) {
-		panic("dist: NewEmpirical needs matching non-empty slices")
-	}
-	for i := range values {
-		if values[i] <= 0 {
-			panic("dist: NewEmpirical values must be positive")
-		}
-		if i > 0 && (values[i] <= values[i-1] || fractions[i] <= fractions[i-1]) {
-			panic("dist: NewEmpirical breakpoints must be strictly ascending")
-		}
-	}
-	if math.Abs(fractions[len(fractions)-1]-1) > 1e-9 {
-		panic("dist: NewEmpirical fractions must end at 1")
-	}
-	v := make([]float64, len(values))
-	f := make([]float64, len(fractions))
-	copy(v, values)
-	copy(f, fractions)
-	return &Empirical{values: v, cum: f}
-}
-
-// Draw returns a sample. Within a segment the value is interpolated
-// uniformly in log-space, which keeps small-value segments dense the way
-// the paper's log-scale figures are.
-func (e *Empirical) Draw(s *Source) float64 {
-	u := s.Float64()
-	i := sort.SearchFloat64s(e.cum, u)
-	if i >= len(e.cum) {
-		i = len(e.cum) - 1
-	}
-	hiV := e.values[i]
-	hiF := e.cum[i]
-	loV := hiV / 2 // implicit lower edge for the first segment
-	loF := 0.0
-	if i > 0 {
-		loV = e.values[i-1]
-		loF = e.cum[i-1]
-	}
-	if hiF == loF {
-		return hiV
-	}
-	t := (u - loF) / (hiF - loF)
-	return loV * math.Exp(t*math.Log(hiV/loV))
-}

@@ -9,20 +9,19 @@ import (
 
 // A 5000-byte file on a 4-KB-block, 512-byte-fragment disk occupies one
 // full block plus two fragments: 5120 allocated bytes for 5000 of data.
-func ExampleDisk_Alloc() {
+// Realloc of a nil file allocates it afresh.
+func ExampleDisk_Realloc() {
 	disk, err := ffs.NewDisk(ffs.Geometry{
 		BlockSize: 4096, FragSize: 512, Groups: 2, BlocksPerGroup: 64,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	f, err := disk.Alloc(5000)
-	if err != nil {
+	if _, err := disk.Realloc(nil, 5000); err != nil {
 		log.Fatal(err)
 	}
-	full, tail := f.Blocks()
 	u := disk.Usage()
-	fmt.Printf("%d full block(s) + %d fragment(s)\n", full, tail)
+	fmt.Printf("%d full block(s) + %d fragment(s)\n", u.AllocatedBytes/4096, u.AllocatedBytes%4096/512)
 	fmt.Printf("allocated %d bytes for %d bytes of data (%.1f%% waste)\n",
 		u.AllocatedBytes, u.DataBytes, 100*u.WasteFraction)
 	// Output:
@@ -32,14 +31,14 @@ func ExampleDisk_Alloc() {
 
 // Without fragments (FragSize == BlockSize, the pre-FFS file system), the
 // same file wastes most of a block.
-func ExampleDisk_Alloc_wholeBlocks() {
+func ExampleDisk_Realloc_wholeBlocks() {
 	disk, err := ffs.NewDisk(ffs.Geometry{
 		BlockSize: 4096, FragSize: 4096, Groups: 2, BlocksPerGroup: 64,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	if _, err := disk.Alloc(5000); err != nil {
+	if _, err := disk.Realloc(nil, 5000); err != nil {
 		log.Fatal(err)
 	}
 	u := disk.Usage()

@@ -12,7 +12,7 @@
 // into a run of contiguous fragments (at most 8 per block, as in FFS)
 // shared with other files' tails. Replaying a trace's file population
 // against the allocator measures internal fragmentation as a function of
-// block size, with and without fragments (see Replay).
+// block size, with and without fragments (see WasteSweep).
 package ffs
 
 import (
@@ -74,15 +74,6 @@ type File struct {
 	tail   fragRange
 }
 
-// Size returns the logical size.
-func (f *File) Size() int64 { return f.size }
-
-// Blocks returns the number of full blocks plus tail fragments the file
-// occupies.
-func (f *File) Blocks() (full int, tailFrags int64) {
-	return len(f.blocks), f.tail.count
-}
-
 // group bookkeeping: a stack of (candidate) wholly free blocks with lazy
 // validation, plus the partially used blocks whose free fragments can
 // hold tails, filed by their longest run of free fragments — the role of
@@ -135,12 +126,6 @@ func NewDisk(geo Geometry) (*Disk, error) {
 	}
 	return d, nil
 }
-
-// Geometry returns the disk's geometry.
-func (d *Disk) Geometry() Geometry { return d.geo }
-
-// FreeBytes returns the free space in bytes.
-func (d *Disk) FreeBytes() int64 { return d.freeFrags * d.geo.FragSize }
 
 func (d *Disk) isFree(frag int64) bool {
 	return d.bitmap[frag/64]&(1<<(frag%64)) == 0
@@ -277,12 +262,6 @@ func (d *Disk) allocTail(pref int, n int64) (fragRange, bool) {
 		return fragRange{start: b * d.fragsPer, count: n}, true
 	}
 	return fragRange{}, false
-}
-
-// Alloc places a file of the given size and returns its footprint.
-// A zero-size file occupies no fragments.
-func (d *Disk) Alloc(size int64) (*File, error) {
-	return d.Realloc(nil, size)
 }
 
 // Free releases a file's space.

@@ -47,11 +47,11 @@ func TestGeometryValidate(t *testing.T) {
 func TestAllocAccounting(t *testing.T) {
 	d := mustDisk(t, smallGeo)
 	// 5000 bytes = 1 full block + 2 fragments (5000-4096=904 -> 2x512).
-	f, err := d.Alloc(5000)
+	f, err := d.Realloc(nil, 5000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, tail := f.Blocks()
+	full, tail := len(f.blocks), f.tail.count
 	if full != 1 || tail != 2 {
 		t.Errorf("footprint = %d blocks + %d frags, want 1+2", full, tail)
 	}
@@ -81,11 +81,11 @@ func TestAllocAccounting(t *testing.T) {
 
 func TestZeroSizeFile(t *testing.T) {
 	d := mustDisk(t, smallGeo)
-	f, err := d.Alloc(0)
+	f, err := d.Realloc(nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if full, tail := f.Blocks(); full != 0 || tail != 0 {
+	if full, tail := len(f.blocks), f.tail.count; full != 0 || tail != 0 {
 		t.Errorf("zero-size footprint: %d+%d", full, tail)
 	}
 	d.Free(f)
@@ -96,7 +96,7 @@ func TestZeroSizeFile(t *testing.T) {
 
 func TestNegativeSize(t *testing.T) {
 	d := mustDisk(t, smallGeo)
-	if _, err := d.Alloc(-1); err == nil {
+	if _, err := d.Realloc(nil, -1); err == nil {
 		t.Errorf("negative size accepted")
 	}
 }
@@ -105,7 +105,7 @@ func TestTailsShareBlocks(t *testing.T) {
 	d := mustDisk(t, smallGeo)
 	// Four 512-byte files should pack into one block's fragments.
 	for i := 0; i < 4; i++ {
-		if _, err := d.Alloc(512); err != nil {
+		if _, err := d.Realloc(nil, 512); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -126,7 +126,7 @@ func TestNoFragmentsMode(t *testing.T) {
 	geo := smallGeo
 	geo.FragSize = geo.BlockSize
 	d := mustDisk(t, geo)
-	f, err := d.Alloc(100)
+	f, err := d.Realloc(nil, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestNoFragmentsMode(t *testing.T) {
 
 func TestOutOfSpace(t *testing.T) {
 	d := mustDisk(t, smallGeo) // 128 KB
-	if _, err := d.Alloc(smallGeo.Capacity() + 1); !errors.Is(err, ErrNoSpace) {
+	if _, err := d.Realloc(nil, smallGeo.Capacity()+1); !errors.Is(err, ErrNoSpace) {
 		t.Fatalf("oversize alloc: %v", err)
 	}
 	// The failed allocation must not leak space.
@@ -150,22 +150,22 @@ func TestOutOfSpace(t *testing.T) {
 		t.Errorf("failed alloc leaked space")
 	}
 	// Fill the disk exactly, then overflow.
-	f, err := d.Alloc(smallGeo.Capacity())
+	f, err := d.Realloc(nil, smallGeo.Capacity())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Alloc(1); !errors.Is(err, ErrNoSpace) {
+	if _, err := d.Realloc(nil, 1); !errors.Is(err, ErrNoSpace) {
 		t.Errorf("overfull alloc: %v", err)
 	}
 	d.Free(f)
-	if _, err := d.Alloc(1); err != nil {
+	if _, err := d.Realloc(nil, 1); err != nil {
 		t.Errorf("alloc after free: %v", err)
 	}
 }
 
 func TestRealloc(t *testing.T) {
 	d := mustDisk(t, smallGeo)
-	f, err := d.Alloc(1000)
+	f, err := d.Realloc(nil, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestRealloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Size() != 10000 || d.Usage().DataBytes != 10000 {
+	if f.size != 10000 || d.Usage().DataBytes != 10000 {
 		t.Errorf("realloc grow wrong: %+v", d.Usage())
 	}
 	f, err = d.Realloc(f, 100)
@@ -192,7 +192,7 @@ func TestRealloc(t *testing.T) {
 	}
 
 	// Resizing is in place: the same file keeps its full-block prefix.
-	g, err := d.Alloc(3*4096 + 100)
+	g, err := d.Realloc(nil, 3*4096+100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,15 +206,15 @@ func TestRealloc(t *testing.T) {
 	if _, err := d.Realloc(g, 2*4096); err != nil {
 		t.Fatal(err)
 	}
-	if full, tail := g.Blocks(); full != 2 || tail != 0 || !slices.Equal(g.blocks, prefix[:2]) {
+	if full, tail := len(g.blocks), g.tail.count; full != 2 || tail != 0 || !slices.Equal(g.blocks, prefix[:2]) {
 		t.Errorf("shrink to 2 blocks: %d+%d frags, blocks %v, prefix %v", full, tail, g.blocks, prefix)
 	}
 	// A resize the disk cannot satisfy leaves the file freed.
 	if _, err := d.Realloc(g, smallGeo.Capacity()); !errors.Is(err, ErrNoSpace) {
 		t.Fatalf("oversize resize: %v", err)
 	}
-	if u := d.Usage(); g.Size() != 0 || u.AllocatedBytes != 2*512 || u.DataBytes != 2*100 {
-		t.Errorf("failed resize left a %d-byte file and %+v; want it freed", g.Size(), u)
+	if u := d.Usage(); g.size != 0 || u.AllocatedBytes != 2*512 || u.DataBytes != 2*100 {
+		t.Errorf("failed resize left a %d-byte file and %+v; want it freed", g.size, u)
 	}
 	if err := d.checkInvariants(); err != nil {
 		t.Fatal(err)
@@ -223,7 +223,7 @@ func TestRealloc(t *testing.T) {
 
 func TestDoubleFreeHarmless(t *testing.T) {
 	d := mustDisk(t, smallGeo)
-	f, err := d.Alloc(3000)
+	f, err := d.Realloc(nil, 3000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,13 +265,13 @@ func TestAllocFreeInvariants(t *testing.T) {
 					live[i] = file
 					break
 				}
-				if !errors.Is(err, ErrNoSpace) || live[i].Size() != 0 {
+				if !errors.Is(err, ErrNoSpace) || live[i].size != 0 {
 					return false
 				}
 				live[i] = live[len(live)-1]
 				live = live[:len(live)-1]
 			default:
-				file, err := d.Alloc(size)
+				file, err := d.Realloc(nil, size)
 				if err == nil {
 					live = append(live, file)
 				} else if !errors.Is(err, ErrNoSpace) {
@@ -311,7 +311,7 @@ func checkFootprints(d *Disk, live []*File) error {
 		return nil
 	}
 	for _, file := range live {
-		data += file.Size()
+		data += file.size
 		for _, b := range file.blocks {
 			if err := claim(fragRange{start: b * d.fragsPer, count: d.fragsPer}); err != nil {
 				return err
@@ -320,10 +320,10 @@ func checkFootprints(d *Disk, live []*File) error {
 		if err := claim(file.tail); err != nil {
 			return err
 		}
-		want := file.Size()/d.geo.BlockSize*d.geo.BlockSize +
-			(file.Size()%d.geo.BlockSize+d.geo.FragSize-1)/d.geo.FragSize*d.geo.FragSize
+		want := file.size/d.geo.BlockSize*d.geo.BlockSize +
+			(file.size%d.geo.BlockSize+d.geo.FragSize-1)/d.geo.FragSize*d.geo.FragSize
 		if got := d.footprint(file); got != want {
-			return fmt.Errorf("file of %d bytes occupies %d bytes, want %d", file.Size(), got, want)
+			return fmt.Errorf("file of %d bytes occupies %d bytes, want %d", file.size, got, want)
 		}
 	}
 	for f, o := range owned {
@@ -346,7 +346,7 @@ func TestTailBestFit(t *testing.T) {
 	d := mustDisk(t, Geometry{BlockSize: 4096, FragSize: 512, Groups: 1, BlocksPerGroup: 8})
 	alloc := func(size int64) *File {
 		t.Helper()
-		f, err := d.Alloc(size)
+		f, err := d.Realloc(nil, size)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -410,21 +410,14 @@ func TestReplayTracksPopulation(t *testing.T) {
 		// Truncation shrinks in place.
 		{Time: 50, Kind: trace.KindTruncate, File: 1, Size: 1000},
 	}
-	res, err := Replay(events, Geometry{BlockSize: 4096, FragSize: 512, Groups: 2, BlocksPerGroup: 64})
+	rows, err := WasteSweepSource(trace.NewSliceSource(events), []int64{4096})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.LiveFiles != 1 {
-		t.Errorf("LiveFiles = %d, want 1", res.LiveFiles)
-	}
-	if res.Final.DataBytes != 1000 {
-		t.Errorf("final data = %d, want 1000", res.Final.DataBytes)
-	}
-	if res.PeakData != 9000 {
-		t.Errorf("peak data = %d, want 9000", res.PeakData)
-	}
-	if res.Failed != 0 {
-		t.Errorf("Failed = %d", res.Failed)
+	// Only file 1 survives, at 1000 bytes: two 512-byte fragments, or
+	// one whole block without fragments.
+	if r := rows[0]; r.DataBytes != 1000 || r.FragAlloc != 1024 || r.NoFragAlloc != 4096 {
+		t.Errorf("final population = %+v, want 1000 data bytes in 1024 (frag) / 4096 (no frag)", r)
 	}
 }
 
@@ -432,7 +425,7 @@ func TestReplayRejectsMalformed(t *testing.T) {
 	events := []trace.Event{
 		{Time: 0, Kind: trace.KindClose, OpenID: 9, NewPos: 0},
 	}
-	if _, err := Replay(events, smallGeo); err == nil {
+	if _, err := WasteSweepSource(trace.NewSliceSource(events), []int64{4096}); err == nil {
 		t.Errorf("malformed trace accepted")
 	}
 }

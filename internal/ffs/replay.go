@@ -10,17 +10,11 @@ import (
 
 // ReplayResult reports one population replay against one disk geometry.
 type ReplayResult struct {
-	Geometry Geometry
-	// Final is the utilization when the trace ends; PeakAllocated and
-	// PeakData track the high-water marks.
-	Final         Usage
-	PeakAllocated int64
-	PeakData      int64
-	// LiveFiles is the file population at the end; Failed counts
-	// allocations refused for lack of space (zero unless the disk
-	// geometry is too small for the trace).
-	LiveFiles int
-	Failed    int64
+	// Final is the utilization when the trace ends.
+	Final Usage
+	// Failed counts allocations refused for lack of space (zero unless
+	// the disk geometry is too small for the trace).
+	Failed int64
 }
 
 // popOp is one step of a trace's file-population history: place (id is
@@ -88,7 +82,7 @@ func replayPop(ops []popOp, geo Geometry) (*ReplayResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &ReplayResult{Geometry: geo}
+	res := &ReplayResult{}
 	files := make(map[trace.FileID]*File)
 	for _, op := range ops {
 		if !op.place {
@@ -105,33 +99,9 @@ func replayPop(ops []popOp, geo Geometry) (*ReplayResult, error) {
 			continue
 		}
 		files[op.id] = f
-		if disk.allocated > res.PeakAllocated {
-			res.PeakAllocated = disk.allocated
-		}
-		if disk.dataBytes > res.PeakData {
-			res.PeakData = disk.dataBytes
-		}
 	}
 	res.Final = disk.Usage()
-	res.LiveFiles = len(files)
 	return res, nil
-}
-
-// Replay drives a fresh disk with the given geometry through the file
-// population implied by a trace: each close resizes its file in place to
-// the size the transfer reconstruction derives, a truncate resizes it
-// too, and an unlink frees it. The result quantifies the paper's §6.3
-// remark about disk-space waste as a function of block size.
-//
-// Files that exist before the trace begins are allocated when first seen
-// (at their size-at-open), so the steady-state population — not just the
-// trace's new files — occupies the disk.
-func Replay(events []trace.Event, geo Geometry) (*ReplayResult, error) {
-	ops, err := populationOps(trace.NewSliceSource(events))
-	if err != nil {
-		return nil, err
-	}
-	return replayPop(ops, geo)
 }
 
 // WasteSweepRow is one block size's result in a waste sweep: the final

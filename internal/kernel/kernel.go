@@ -11,6 +11,8 @@
 // execve events with positions and sizes — and nothing else. In particular,
 // Read and Write generate no trace events; the analyses must deduce
 // transfers from positions, the same inference problem the paper solved.
+// Read and Write move access positions and file sizes, never bytes: the
+// traces record no data, so the file system stores none.
 //
 // Trace timestamps are quantized to 10 ms, the accuracy the paper quotes
 // for its tracer.
@@ -117,9 +119,6 @@ func (k *Kernel) NewProc(user trace.UserID) *Proc {
 	return p
 }
 
-// User returns the process's owning user.
-func (p *Proc) User() trace.UserID { return p.user }
-
 // OpenFile is one entry in the system open-file table: the object an open
 // system call creates and a file descriptor names. It carries the access
 // position that makes UNIX I/O implicitly sequential.
@@ -129,17 +128,7 @@ type OpenFile struct {
 	mode    trace.Mode
 	pos     int64
 	written bool
-	closed  bool
 }
-
-// OpenID returns the unique identifier the tracer assigned to this open.
-func (f *OpenFile) OpenID() trace.OpenID { return f.openID }
-
-// Pos returns the current access position.
-func (f *OpenFile) Pos() int64 { return f.pos }
-
-// Inode returns the open file's inode.
-func (f *OpenFile) Inode() *vfs.Inode { return f.inode }
 
 func (p *Proc) install(of *OpenFile) int {
 	p.fds = append(p.fds, of)
@@ -212,7 +201,6 @@ func (p *Proc) Close(fd int) error {
 	}
 	p.fds[fd] = nil
 	p.open--
-	of.closed = true
 	if of.written {
 		p.k.metaInodeUpdate()
 	}
@@ -222,18 +210,6 @@ func (p *Proc) Close(fd int) error {
 		OpenID: of.openID, NewPos: of.pos,
 	})
 	return nil
-}
-
-// CloseAll closes every open descriptor of the process in fd order, as
-// process exit does. It is how workloads guarantee no descriptors leak at
-// the end of a program run.
-func (p *Proc) CloseAll() {
-	for fd, of := range p.fds {
-		if of != nil {
-			// Close never fails for a live fd; errors are impossible here.
-			p.Close(fd)
-		}
-	}
 }
 
 // OpenFDs returns the number of open descriptors.
@@ -266,9 +242,7 @@ func (p *Proc) Read(fd int, n int64) (int64, error) {
 }
 
 // Write advances the access position by n bytes, extending the file if the
-// write passes end of file. Content is not materialized (see ReadData and
-// WriteData for the content-carrying variants). No trace event is
-// generated.
+// write passes end of file. No trace event is generated.
 func (p *Proc) Write(fd int, n int64) (int64, error) {
 	of, err := p.lookupFD(fd)
 	if err != nil {
@@ -287,41 +261,6 @@ func (p *Proc) Write(fd int, n int64) (int64, error) {
 	of.written = true
 	p.k.Stats.BytesWritten += n
 	return n, nil
-}
-
-// ReadData reads real bytes at the access position. It behaves like Read
-// but fills b.
-func (p *Proc) ReadData(fd int, b []byte) (int, error) {
-	of, err := p.lookupFD(fd)
-	if err != nil {
-		return 0, err
-	}
-	if !of.mode.CanRead() {
-		return 0, fmt.Errorf("%w: read on %v fd", ErrAccess, of.mode)
-	}
-	n, err := of.inode.ReadAt(b, of.pos)
-	of.pos += int64(n)
-	p.k.Stats.BytesRead += int64(n)
-	return n, err
-}
-
-// WriteData writes real bytes at the access position, extending the file
-// as needed.
-func (p *Proc) WriteData(fd int, b []byte) (int, error) {
-	of, err := p.lookupFD(fd)
-	if err != nil {
-		return 0, err
-	}
-	if !of.mode.CanWrite() {
-		return 0, fmt.Errorf("%w: write on %v fd", ErrAccess, of.mode)
-	}
-	n, err := of.inode.WriteAt(b, of.pos)
-	of.pos += int64(n)
-	if n > 0 {
-		of.written = true
-	}
-	p.k.Stats.BytesWritten += int64(n)
-	return n, err
 }
 
 // Seek repositions the file offset to pos (absolute). It emits a seek

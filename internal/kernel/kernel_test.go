@@ -1,7 +1,6 @@
 package kernel
 
 import (
-	"bytes"
 	"errors"
 	"testing"
 
@@ -220,7 +219,7 @@ func TestTruncateEvent(t *testing.T) {
 func TestExecEvent(t *testing.T) {
 	h := newHarness()
 	p := h.k.NewProc(3)
-	if _, err := h.k.FS().Mkdir("/bin"); err != nil {
+	if _, err := h.k.FS().MkdirAll("/bin"); err != nil {
 		t.Fatal(err)
 	}
 	fd, _ := p.Create("/bin/cc", trace.WriteOnly)
@@ -259,49 +258,9 @@ func TestOpenIDsUniqueAcrossProcs(t *testing.T) {
 	}
 }
 
-func TestCloseAll(t *testing.T) {
-	h := newHarness()
-	p := h.k.NewProc(1)
-	for i := 0; i < 5; i++ {
-		if _, err := p.Create("/f", trace.WriteOnly); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if p.OpenFDs() != 5 {
-		t.Fatalf("OpenFDs = %d", p.OpenFDs())
-	}
-	p.CloseAll()
-	if p.OpenFDs() != 0 {
-		t.Errorf("OpenFDs after CloseAll = %d", p.OpenFDs())
-	}
-}
-
-func TestDataVariants(t *testing.T) {
-	h := newHarness()
-	p := h.k.NewProc(1)
-	fd, _ := p.Create("/f", trace.ReadWrite)
-	msg := []byte("trace-driven analysis")
-	if n, err := p.WriteData(fd, msg); err != nil || n != len(msg) {
-		t.Fatalf("WriteData: %d %v", n, err)
-	}
-	if _, err := p.Seek(fd, 0); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, len(msg))
-	if n, err := p.ReadData(fd, buf); err != nil || n != len(msg) {
-		t.Fatalf("ReadData: %d %v", n, err)
-	}
-	if !bytes.Equal(buf, msg) {
-		t.Errorf("ReadData = %q", buf)
-	}
-	if h.k.Stats.BytesWritten != int64(len(msg)) || h.k.Stats.BytesRead != int64(len(msg)) {
-		t.Errorf("byte stats wrong: %+v", h.k.Stats)
-	}
-}
-
 func TestOpenDirFails(t *testing.T) {
 	h := newHarness()
-	h.k.FS().Mkdir("/d")
+	h.k.FS().MkdirAll("/d")
 	p := h.k.NewProc(1)
 	if _, err := p.Open("/d", trace.ReadOnly); !errors.Is(err, vfs.ErrIsDir) {
 		t.Errorf("Open dir = %v", err)

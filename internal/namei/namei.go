@@ -166,17 +166,8 @@ func (c *lruCache) touch(key string) bool {
 	return false
 }
 
-// drop removes a key if present.
-func (c *lruCache) drop(key string) {
-	if n, ok := c.items[key]; ok {
-		c.unlink(n)
-		delete(c.items, key)
-	}
-}
-
 // Simulator implements kernel.MetaHook.
 type Simulator struct {
-	cfg    Config
 	names  *lruCache // path prefix through the component: "/usr/include"
 	inodes *lruCache // path of file or directory
 	dirs   *lruCache // directory path -> contents block
@@ -187,15 +178,11 @@ type Simulator struct {
 func New(cfg Config) *Simulator {
 	cfg.fill()
 	return &Simulator{
-		cfg:    cfg,
 		names:  newLRU(cfg.NameEntries),
 		inodes: newLRU(cfg.InodeEntries),
 		dirs:   newLRU(cfg.DirBlocks),
 	}
 }
-
-// Config returns the (default-filled) configuration.
-func (s *Simulator) Config() Config { return s.cfg }
 
 // Resolve walks the path through the caches (kernel.MetaHook). Empty
 // components are skipped and "." is a component like any other; a path

@@ -109,7 +109,7 @@ func TestResolveMatchesOracle(t *testing.T) {
 	}
 	for i, s := range tw.sims {
 		if o := tw.oracles[i]; s.Stats != o.Stats || s.Stats.NameMisses == 0 || s.Stats.NameHits == 0 {
-			t.Errorf("%d name entries: Resolve %+v, oracle %+v", s.cfg.NameEntries, s.Stats, o.Stats)
+			t.Errorf("%d name entries: Resolve %+v, oracle %+v", s.names.cap, s.Stats, o.Stats)
 		}
 	}
 
@@ -244,9 +244,8 @@ func TestUpdates(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	s := New(Config{})
-	c := s.Config()
-	if c.NameEntries <= 0 || c.InodeEntries <= 0 || c.DirBlocks <= 0 {
-		t.Errorf("defaults not filled: %+v", c)
+	if s.names.cap <= 0 || s.inodes.cap <= 0 || s.dirs.cap <= 0 {
+		t.Errorf("defaults not filled: %d names, %d inodes, %d dir blocks", s.names.cap, s.inodes.cap, s.dirs.cap)
 	}
 }
 

@@ -33,7 +33,6 @@ func TestDisabledRegistryIsNoOpFactory(t *testing.T) {
 			t.Fatalf("%s registry histogram is live: %v", name, hs)
 		}
 		sp := reg.StartSpan("s")
-		sp.AddIn(1)
 		sp.AddOut(1)
 		sp.AddBytes(1)
 		sp.End()
@@ -77,7 +76,7 @@ func TestSpanLifecycle(t *testing.T) {
 	reg := NewRegistry()
 	reg.SetEnabled(true)
 	sp := reg.StartSpan("stage")
-	sp.AddIn(10)
+	sp.eventsIn.Add(10)
 	sp.AddOut(7)
 	sp.AddBytes(4096)
 	sp.End()
@@ -93,7 +92,7 @@ func TestSpanLifecycle(t *testing.T) {
 		t.Fatalf("Events() = %d, want events-out when nonzero", sp.Events())
 	}
 	in := reg.StartSpan("input-only")
-	in.AddIn(3)
+	in.eventsIn.Add(3)
 	in.End()
 	if in.Events() != 3 {
 		t.Fatalf("Events() = %d, want events-in fallback", in.Events())

@@ -30,7 +30,7 @@ func (r *Registry) Instrument(name string, src trace.Source) trace.Source {
 // SpanSource wraps src so every event it yields counts into an existing
 // span's events-out total and a clean EOF ends the span. It is
 // Instrument for callers that already hold the stage span (and want,
-// say, AddBytes or AddIn on the same record). Returns src unchanged
+// say, AddBytes on the same record). Returns src unchanged
 // when sp is nil.
 func SpanSource(sp *Span, src trace.Source) trace.Source {
 	if sp == nil {
@@ -50,6 +50,3 @@ func (s *InstrumentedSource) NextBatch(buf []trace.Event) (int, error) {
 	}
 	return n, err
 }
-
-// Span returns the span counting this source's events.
-func (s *InstrumentedSource) Span() *Span { return s.span }

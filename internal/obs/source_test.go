@@ -48,7 +48,7 @@ func TestInstrumentCountsAndEndsOnEOF(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sp := is.Span()
+	sp := is.span
 	if got := sp.EventsOut(); got != n {
 		t.Fatalf("span counted %d events, want %d", got, n)
 	}

@@ -56,14 +56,6 @@ func (r *Registry) StartSpan(name string) *Span {
 	return s
 }
 
-// AddIn counts events consumed by the stage.
-func (s *Span) AddIn(n int64) {
-	if s == nil {
-		return
-	}
-	s.eventsIn.Add(n)
-}
-
 // AddOut counts events emitted by the stage.
 func (s *Span) AddOut(n int64) {
 	if s == nil {

@@ -93,9 +93,6 @@ func New() *Engine { return &Engine{} }
 // Now returns the current virtual time.
 func (e *Engine) Now() trace.Time { return e.now }
 
-// Pending returns the number of scheduled events not yet run.
-func (e *Engine) Pending() int { return len(e.queue) }
-
 // At schedules fn to run at absolute virtual time t. Scheduling in the
 // past (t < Now) runs fn at the current time instead: the clock never
 // moves backwards.

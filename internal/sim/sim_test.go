@@ -82,8 +82,8 @@ func TestRunRespectsDeadline(t *testing.T) {
 	if !reflect.DeepEqual(ran, []trace.Time{10, 20}) {
 		t.Errorf("ran = %v", ran)
 	}
-	if e.Pending() != 2 {
-		t.Errorf("Pending = %d, want 2", e.Pending())
+	if len(e.queue) != 2 {
+		t.Errorf("pending = %d, want 2", len(e.queue))
 	}
 	// Deadline-exact events run.
 	e.Run(30)
@@ -115,7 +115,7 @@ func TestEvery(t *testing.T) {
 	if count != 4 {
 		t.Errorf("Every ran %d times, want 4", count)
 	}
-	if e.Pending() != 0 {
+	if len(e.queue) != 0 {
 		t.Errorf("Every left events pending")
 	}
 }

@@ -30,7 +30,7 @@ func decodeAll(t *testing.T, data []byte) ([]Event, SkipStats) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	events, err := r.ReadAll()
+	events, err := ReadSource(r)
 	if err != nil {
 		t.Fatalf("v2 reader returned a decode error (it should self-heal): %v", err)
 	}
@@ -140,7 +140,7 @@ func TestV2BitFlipLosesOneSegment(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		got, err := r.ReadAll()
+		got, err := ReadSource(r)
 		if err != nil {
 			t.Fatalf("trial %d: v2 reader errored instead of healing: %v", trial, err)
 		}
@@ -237,7 +237,7 @@ func TestV2GarbageRegionResync(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		got, err := r.ReadAll()
+		got, err := ReadSource(r)
 		if err != nil {
 			t.Fatalf("trial %d: reader errored: %v", trial, err)
 		}
@@ -275,7 +275,7 @@ func TestV2TruncationDropsUnverifiedTail(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := r.ReadAll()
+		got, err := ReadSource(r)
 		if err != nil {
 			t.Fatalf("cut %d: reader errored: %v", cut, err)
 		}
@@ -311,7 +311,7 @@ func TestV2SkipRecordEstimate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := r.ReadAll()
+	got, err := ReadSource(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +348,7 @@ func TestReaderErrorContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = r.ReadAll()
+	_, err = ReadSource(r)
 	if err == nil {
 		t.Fatal("truncated v1 stream fully decoded")
 	}

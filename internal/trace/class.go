@@ -59,13 +59,3 @@ type ClassedSource interface {
 	Source
 	Class() Class
 }
-
-// SourceClass returns the class a source declares, defaulting to
-// ClassLogical for sources that predate the taxonomy (every native
-// source: readers, merges, shard streams, fan-out legs).
-func SourceClass(src Source) Class {
-	if cs, ok := src.(ClassedSource); ok {
-		return cs.Class()
-	}
-	return ClassLogical
-}

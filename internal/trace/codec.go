@@ -192,9 +192,6 @@ func (w *Writer) Write(e Event) error {
 	return w.err
 }
 
-// Count returns the number of events successfully written.
-func (w *Writer) Count() int64 { return w.count }
-
 // Flush writes any buffered data to the underlying stream. An empty trace
 // still gets a header so that readers can distinguish "empty trace" from
 // "not a trace". A version-2 writer first seals any open segment with a
@@ -325,9 +322,6 @@ func NewReader(r io.Reader) (*Reader, error) {
 	return rd, nil
 }
 
-// Version returns the stream's format version (1 or 2).
-func (r *Reader) Version() int { return int(r.version) }
-
 // Skipped returns the reader's self-healing accounting. It is always
 // zero for a version-1 stream (which fails fast instead) and for an
 // undamaged version-2 stream; a caller that requires complete ingestion
@@ -430,13 +424,6 @@ func (r *Reader) varint() (int64, error) { return binary.ReadVarint(r.r) }
 
 func (r *Reader) uvarint() (uint64, error) { return binary.ReadUvarint(r.r) }
 
-// ReadAll decodes the remainder of the stream — everything not yet
-// consumed — into one in-memory slice. It exists for tests and small
-// traces; scale-sensitive consumers should instead pull batches through
-// NextBatch (a Reader is a Source) so the trace never has to fit in
-// memory. See analyzer.AnalyzeSource and xfer.BuildTape.
-func (r *Reader) ReadAll() ([]Event, error) { return ReadSource(r) }
-
 // WriteFile encodes events to a file in the binary format.
 func WriteFile(path string, events []Event) error {
 	f, err := os.Create(path)
@@ -455,18 +442,4 @@ func WriteFile(path string, events []Event) error {
 		return err
 	}
 	return f.Close()
-}
-
-// ReadFile decodes an entire binary trace file into memory.
-func ReadFile(path string) ([]Event, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	r, err := NewReader(f)
-	if err != nil {
-		return nil, err
-	}
-	return r.ReadAll()
 }

@@ -130,7 +130,7 @@ func FuzzCheckpointReader(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		back, err := r2.ReadAll()
+		back, err := ReadSource(r2)
 		if err != nil {
 			t.Fatalf("re-decoding: %v", err)
 		}

@@ -115,7 +115,7 @@ func FuzzReaderNext(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		back, err := r2.ReadAll()
+		back, err := ReadSource(r2)
 		if err != nil {
 			t.Fatalf("re-decoding: %v", err)
 		}

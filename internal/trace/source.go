@@ -59,8 +59,7 @@ func Each(src Source, f func(Event) error) error {
 	}
 }
 
-// ReadSource drains a Source into memory. It is the streaming analogue of
-// Reader.ReadAll, for tests and small traces.
+// ReadSource drains a Source into memory, for tests and small traces.
 func ReadSource(src Source) ([]Event, error) {
 	var out []Event
 	err := Each(src, func(e Event) error {

@@ -173,20 +173,6 @@ func ParseEvent(line string) (Event, error) {
 	return e, nil
 }
 
-// WriteText writes events in the text format, one per line.
-func WriteText(w io.Writer, events []Event) error {
-	bw := bufio.NewWriter(w)
-	for _, e := range events {
-		if _, err := bw.WriteString(formatEvent(e)); err != nil {
-			return err
-		}
-		if err := bw.WriteByte('\n'); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
 // ReadText parses a text-format trace. Blank lines and '#' comments are
 // skipped.
 func ReadText(r io.Reader) ([]Event, error) {

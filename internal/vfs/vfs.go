@@ -1,14 +1,11 @@
 // Package vfs implements the in-memory hierarchical file system that stands
 // in for the 4.2 BSD fast file system in the simulated kernel.
 //
-// The file system provides the semantics the trace study depends on:
-// inodes with stable, never-reused identifiers (the trace's file ids),
-// hierarchical directories, unlink with link counts, truncation, and sparse
-// file content. Content is stored in lazily allocated fixed-size chunks so
-// that workloads which only care about sizes (the common case in the
-// simulator) pay nothing for data they never materialize: SetSize extends
-// or shrinks a file without allocating, and reads of unmaterialized ranges
-// return zero bytes, exactly like reading a hole in an FFS file.
+// The file system provides the namespace and sizes the trace study
+// depends on: inodes with stable, never-reused identifiers (the trace's
+// file ids), hierarchical directories, unlink and truncation. It stores
+// no file content: the tracer logged positions and sizes, never data, so
+// a file is its size.
 //
 // The package is deliberately not safe for concurrent use; the simulated
 // kernel is single-goroutine, like a 1985 VAX.
@@ -35,49 +32,28 @@ const (
 	TypeDir
 )
 
-// String returns "file" or "dir".
-func (t FileType) String() string {
-	if t == TypeDir {
-		return "dir"
-	}
-	return "file"
-}
-
 // Errors returned by file system operations.
 var (
 	ErrNotExist = errors.New("vfs: file does not exist")
-	ErrExist    = errors.New("vfs: file already exists")
 	ErrIsDir    = errors.New("vfs: is a directory")
 	ErrNotDir   = errors.New("vfs: not a directory")
-	ErrNotEmpty = errors.New("vfs: directory not empty")
 	ErrInvalid  = errors.New("vfs: invalid argument")
 )
 
-// Inode is one file or directory. Exported fields are read-only to
-// callers; all mutation goes through FS and Inode methods so invariants
-// (sizes, link counts, chunk maps) stay consistent.
+// Inode is one file or directory. All mutation goes through FS and
+// Inode methods.
 type Inode struct {
 	ino      Ino
 	typ      FileType
 	size     int64
-	nlink    int
 	children map[string]*Inode // directories only
-	content  *content          // regular files only, nil until materialized
 }
 
 // Ino returns the inode number.
 func (n *Inode) Ino() Ino { return n.ino }
 
-// Type returns the file type.
-func (n *Inode) Type() FileType { return n.typ }
-
 // Size returns the current file size in bytes (0 for directories).
 func (n *Inode) Size() int64 { return n.size }
-
-// Nlink returns the link count. A regular file with Nlink 0 has been
-// unlinked and survives only while something holds a reference (an open
-// file descriptor in the kernel layer).
-func (n *Inode) Nlink() int { return n.nlink }
 
 // IsDir reports whether the inode is a directory.
 func (n *Inode) IsDir() bool { return n.typ == TypeDir }
@@ -86,8 +62,6 @@ func (n *Inode) IsDir() bool { return n.typ == TypeDir }
 type FS struct {
 	root    *Inode
 	nextIno Ino
-	nfiles  int64 // live regular files (nlink > 0)
-	ndirs   int64 // live directories, including root
 }
 
 // New creates an empty file system containing only the root directory.
@@ -95,8 +69,6 @@ type FS struct {
 func New() *FS {
 	fs := &FS{nextIno: 1}
 	fs.root = fs.newInode(TypeDir)
-	fs.root.nlink = 1
-	fs.ndirs = 1
 	return fs
 }
 
@@ -108,12 +80,6 @@ func (fs *FS) newInode(t FileType) *Inode {
 	}
 	return n
 }
-
-// NumFiles returns the number of live regular files.
-func (fs *FS) NumFiles() int64 { return fs.nfiles }
-
-// NumDirs returns the number of live directories, including the root.
-func (fs *FS) NumDirs() int64 { return fs.ndirs }
 
 // split cleans an absolute path into its components. It rejects relative
 // and empty paths; the simulated kernel always works with absolute paths.
@@ -142,7 +108,9 @@ func split(path string) ([]string, error) {
 // directory and the final name. A path naming the root returns (root, "").
 // Components are scanned in place — name resolution is the single hottest
 // operation the simulated kernel performs, and this path allocates
-// nothing (the returned name is a substring of path).
+// nothing (the returned name is a substring of path). A missing component
+// is the bare ErrNotExist: the workload probes paths that may not exist,
+// and a message built per miss would be read by no one.
 func (fs *FS) walk(path string) (dir *Inode, name string, err error) {
 	if len(path) == 0 || path[0] != '/' {
 		return nil, "", fmt.Errorf("%w: path %q is not absolute", ErrInvalid, path)
@@ -165,7 +133,7 @@ func (fs *FS) walk(path string) (dir *Inode, name string, err error) {
 		if name != "" {
 			next, ok := cur.children[name]
 			if !ok {
-				return nil, "", fmt.Errorf("%w: %q (component %q)", ErrNotExist, path, name)
+				return nil, "", ErrNotExist
 			}
 			if !next.IsDir() {
 				return nil, "", fmt.Errorf("%w: %q (component %q)", ErrNotDir, path, name)
@@ -177,7 +145,8 @@ func (fs *FS) walk(path string) (dir *Inode, name string, err error) {
 	return cur, name, nil
 }
 
-// Lookup resolves a path to its inode.
+// Lookup resolves a path to its inode. A path that does not resolve
+// returns the bare ErrNotExist, without allocating.
 func (fs *FS) Lookup(path string) (*Inode, error) {
 	dir, name, err := fs.walk(path)
 	if err != nil {
@@ -188,15 +157,9 @@ func (fs *FS) Lookup(path string) (*Inode, error) {
 	}
 	n, ok := dir.children[name]
 	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNotExist, path)
+		return nil, ErrNotExist
 	}
 	return n, nil
-}
-
-// Exists reports whether the path resolves.
-func (fs *FS) Exists(path string) bool {
-	_, err := fs.Lookup(path)
-	return err == nil
 }
 
 // Create makes a regular file at path. If the file already exists it is
@@ -215,33 +178,12 @@ func (fs *FS) Create(path string) (n *Inode, created bool, err error) {
 		if existing.IsDir() {
 			return nil, false, fmt.Errorf("%w: %q", ErrIsDir, path)
 		}
-		existing.truncate(0)
+		existing.size = 0
 		return existing, false, nil
 	}
 	n = fs.newInode(TypeRegular)
-	n.nlink = 1
 	dir.children[name] = n
-	fs.nfiles++
 	return n, true, nil
-}
-
-// Mkdir creates a directory at path. The parent must exist.
-func (fs *FS) Mkdir(path string) (*Inode, error) {
-	dir, name, err := fs.walk(path)
-	if err != nil {
-		return nil, err
-	}
-	if name == "" {
-		return nil, fmt.Errorf("%w: root already exists", ErrExist)
-	}
-	if _, ok := dir.children[name]; ok {
-		return nil, fmt.Errorf("%w: %q", ErrExist, path)
-	}
-	n := fs.newInode(TypeDir)
-	n.nlink = 1
-	dir.children[name] = n
-	fs.ndirs++
-	return n, nil
 }
 
 // MkdirAll creates a directory and any missing parents.
@@ -255,9 +197,7 @@ func (fs *FS) MkdirAll(path string) (*Inode, error) {
 		next, ok := cur.children[p]
 		if !ok {
 			next = fs.newInode(TypeDir)
-			next.nlink = 1
 			cur.children[p] = next
-			fs.ndirs++
 		} else if !next.IsDir() {
 			return nil, fmt.Errorf("%w: %q (component %q)", ErrNotDir, path, p)
 		}
@@ -266,9 +206,9 @@ func (fs *FS) MkdirAll(path string) (*Inode, error) {
 	return cur, nil
 }
 
-// Unlink removes the directory entry for a regular file. The inode's link
-// count is decremented; its content survives until the last reference
-// (kernel-held open files) is gone, matching UNIX semantics — the paper's
+// Unlink removes the directory entry for a regular file and returns its
+// inode. The inode survives while something still references it
+// (kernel-held open files), matching UNIX semantics — the paper's
 // short-lifetime temp files are routinely deleted while still open.
 func (fs *FS) Unlink(path string) (*Inode, error) {
 	dir, name, err := fs.walk(path)
@@ -286,93 +226,10 @@ func (fs *FS) Unlink(path string) (*Inode, error) {
 		return nil, fmt.Errorf("%w: %q", ErrIsDir, path)
 	}
 	delete(dir.children, name)
-	n.nlink--
-	if n.nlink == 0 {
-		fs.nfiles--
-	}
 	return n, nil
 }
 
-// Rmdir removes an empty directory.
-func (fs *FS) Rmdir(path string) error {
-	dir, name, err := fs.walk(path)
-	if err != nil {
-		return err
-	}
-	if name == "" {
-		return fmt.Errorf("%w: cannot remove root", ErrInvalid)
-	}
-	n, ok := dir.children[name]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrNotExist, path)
-	}
-	if !n.IsDir() {
-		return fmt.Errorf("%w: %q", ErrNotDir, path)
-	}
-	if len(n.children) != 0 {
-		return fmt.Errorf("%w: %q", ErrNotEmpty, path)
-	}
-	delete(dir.children, name)
-	n.nlink--
-	fs.ndirs--
-	return nil
-}
-
-// Link creates a hard link: a new directory entry at newPath naming the
-// inode at oldPath. Directories cannot be hard-linked.
-func (fs *FS) Link(oldPath, newPath string) error {
-	n, err := fs.Lookup(oldPath)
-	if err != nil {
-		return err
-	}
-	if n.IsDir() {
-		return fmt.Errorf("%w: %q", ErrIsDir, oldPath)
-	}
-	dir, name, err := fs.walk(newPath)
-	if err != nil {
-		return err
-	}
-	if name == "" {
-		return fmt.Errorf("%w: cannot link over root", ErrInvalid)
-	}
-	if _, ok := dir.children[name]; ok {
-		return fmt.Errorf("%w: %q", ErrExist, newPath)
-	}
-	dir.children[name] = n
-	n.nlink++
-	return nil
-}
-
-// Rename moves a file or directory. The destination must not exist.
-func (fs *FS) Rename(oldPath, newPath string) error {
-	oldDir, oldName, err := fs.walk(oldPath)
-	if err != nil {
-		return err
-	}
-	if oldName == "" {
-		return fmt.Errorf("%w: cannot rename root", ErrInvalid)
-	}
-	n, ok := oldDir.children[oldName]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrNotExist, oldPath)
-	}
-	newDir, newName, err := fs.walk(newPath)
-	if err != nil {
-		return err
-	}
-	if newName == "" {
-		return fmt.Errorf("%w: cannot rename over root", ErrInvalid)
-	}
-	if _, ok := newDir.children[newName]; ok {
-		return fmt.Errorf("%w: %q", ErrExist, newPath)
-	}
-	delete(oldDir.children, oldName)
-	newDir.children[newName] = n
-	return nil
-}
-
-// Truncate changes the size of the regular file at path. Growing a file
-// creates a hole; shrinking discards content beyond the new length.
+// Truncate changes the size of the regular file at path.
 func (fs *FS) Truncate(path string, size int64) (*Inode, error) {
 	if size < 0 {
 		return nil, fmt.Errorf("%w: negative size %d", ErrInvalid, size)
@@ -384,91 +241,17 @@ func (fs *FS) Truncate(path string, size int64) (*Inode, error) {
 	if n.IsDir() {
 		return nil, fmt.Errorf("%w: %q", ErrIsDir, path)
 	}
-	n.truncate(size)
+	n.size = size
 	return n, nil
 }
 
-// ReadDir returns the sorted names in the directory at path.
-func (fs *FS) ReadDir(path string) ([]string, error) {
-	n, err := fs.Lookup(path)
-	if err != nil {
-		return nil, err
-	}
-	if !n.IsDir() {
-		return nil, fmt.Errorf("%w: %q", ErrNotDir, path)
-	}
-	names := make([]string, 0, len(n.children))
-	for name := range n.children {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names, nil
-}
-
-// truncate implements size changes on a regular file's inode.
-func (n *Inode) truncate(size int64) {
-	if n.content != nil {
-		n.content.truncate(size)
-	}
-	n.size = size
-}
-
-// SetSize sets the file size without materializing content. It is the
-// fast path the simulated kernel uses for workload writes, where only the
-// byte counts matter. Shrinking discards materialized content beyond the
-// new size, like truncate.
+// SetSize sets the file size; the simulated kernel calls it when a write
+// passes end of file.
 func (n *Inode) SetSize(size int64) {
 	if size < 0 {
 		panic("vfs: SetSize with negative size")
 	}
-	n.truncate(size)
-}
-
-// WriteAt writes b at offset off, extending the file as needed.
-func (n *Inode) WriteAt(b []byte, off int64) (int, error) {
-	if n.IsDir() {
-		return 0, ErrIsDir
-	}
-	if off < 0 {
-		return 0, fmt.Errorf("%w: negative offset", ErrInvalid)
-	}
-	if len(b) == 0 {
-		return 0, nil
-	}
-	if n.content == nil {
-		n.content = newContent()
-	}
-	n.content.writeAt(b, off)
-	if end := off + int64(len(b)); end > n.size {
-		n.size = end
-	}
-	return len(b), nil
-}
-
-// ReadAt reads into b from offset off. Reads of holes and unmaterialized
-// ranges return zero bytes. Reading at or past the end of file returns
-// (0, io.EOF-like short count): the returned count is the bytes available.
-func (n *Inode) ReadAt(b []byte, off int64) (int, error) {
-	if n.IsDir() {
-		return 0, ErrIsDir
-	}
-	if off < 0 {
-		return 0, fmt.Errorf("%w: negative offset", ErrInvalid)
-	}
-	if off >= n.size {
-		return 0, nil
-	}
-	avail := n.size - off
-	if int64(len(b)) > avail {
-		b = b[:avail]
-	}
-	for i := range b {
-		b[i] = 0
-	}
-	if n.content != nil {
-		n.content.readAt(b, off)
-	}
-	return len(b), nil
+	n.size = size
 }
 
 // Walk visits every inode in the file system in depth-first order with

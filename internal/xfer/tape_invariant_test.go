@@ -12,7 +12,7 @@ import (
 
 // The tape invariant consumers rely on: no transfer has zero (or
 // negative) length. emitRun drops empty runs, NewTape drops zero-size
-// execs, and block-span arithmetic downstream (CountTapeAccesses,
+// execs, and block-span arithmetic downstream (the simulator's access count,
 // resolve) divides (End()-1) by the block size — sound only if every
 // run covers at least one byte. Drive a kernel through adversarial
 // zero-length operations (zero-byte reads and writes, seeks to the
@@ -73,7 +73,9 @@ func TestTapeTransfersPositiveLength(t *testing.T) {
 				p.Exec(paths[rng.Intn(len(paths))])
 			}
 		}
-		p.CloseAll()
+		for _, fd := range fds {
+			p.Close(fd)
+		}
 
 		tape, err := NewTape(events)
 		if err != nil {

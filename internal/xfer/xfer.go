@@ -295,16 +295,3 @@ func (s *Scanner) Finish() int {
 	s.opens = make(map[trace.OpenID]openState)
 	return n
 }
-
-// Scan runs a complete trace through a scanner with the given callbacks
-// and returns the number of unclosed opens discarded at the end.
-func Scan(events []trace.Event, onTransfer func(Transfer), onOpenEnd func(OpenSummary), onDeath func(FileDeath)) (unclosed int, errs []error) {
-	s := NewScanner()
-	s.OnTransfer = onTransfer
-	s.OnOpenEnd = onOpenEnd
-	s.OnDeath = onDeath
-	for _, e := range events {
-		s.Feed(e)
-	}
-	return s.Finish(), s.Errs()
-}

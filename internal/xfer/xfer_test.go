@@ -276,10 +276,9 @@ func TestScanHelper(t *testing.T) {
 		{Time: 0, Kind: trace.KindOpen, OpenID: 1, File: 3, Mode: trace.ReadOnly, Size: 100},
 		{Time: 5, Kind: trace.KindClose, OpenID: 1, NewPos: 100},
 	}
-	var n int
-	unclosed, errs := Scan(events, func(Transfer) { n++ }, nil, nil)
-	if unclosed != 0 || len(errs) != 0 || n != 1 {
-		t.Errorf("Scan = %d %v, n=%d", unclosed, errs, n)
+	c := collect(t, events)
+	if c.unclosed != 0 || len(c.errs) != 0 || len(c.transfers) != 1 {
+		t.Errorf("scan = %d %v, %d transfers", c.unclosed, c.errs, len(c.transfers))
 	}
 }
 
@@ -318,15 +317,16 @@ func TestReconstructionMatchesKernel(t *testing.T) {
 	p.Close(fd)
 
 	var readBytes, writeBytes int64
-	unclosed, errs := Scan(events, func(x Transfer) {
+	c := collect(t, events)
+	if c.unclosed != 0 || len(c.errs) != 0 {
+		t.Fatalf("unclosed=%d errs=%v", c.unclosed, c.errs)
+	}
+	for _, x := range c.transfers {
 		if x.Write {
 			writeBytes += x.Length
 		} else {
 			readBytes += x.Length
 		}
-	}, nil, nil)
-	if unclosed != 0 || len(errs) != 0 {
-		t.Fatalf("unclosed=%d errs=%v", unclosed, errs)
 	}
 	if writeBytes != k.Stats.BytesWritten {
 		t.Errorf("reconstructed writes = %d, kernel wrote %d", writeBytes, k.Stats.BytesWritten)
@@ -400,12 +400,18 @@ func TestReconstructionPropertyRandomOps(t *testing.T) {
 				}
 			}
 		}
-		p.CloseAll()
+		for _, f := range fds {
+			p.Close(f.fd)
+		}
 
 		// Reconstruct. Read-write opens have ambiguous direction, so
 		// compare the total; for RO/WO opens compare per direction.
 		var total, roBytes, woBytes int64
-		_, errs := Scan(events, func(x Transfer) {
+		c := collect(t, events)
+		if len(c.errs) != 0 {
+			return false
+		}
+		for _, x := range c.transfers {
 			total += x.Length
 			switch x.Mode {
 			case trace.ReadOnly:
@@ -413,9 +419,6 @@ func TestReconstructionPropertyRandomOps(t *testing.T) {
 			case trace.WriteOnly:
 				woBytes += x.Length
 			}
-		}, nil, nil)
-		if len(errs) != 0 {
-			return false
 		}
 		if total != k.Stats.BytesRead+k.Stats.BytesWritten {
 			return false
