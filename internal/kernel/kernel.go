@@ -72,6 +72,10 @@ type Kernel struct {
 	nextPID    int
 	meta       MetaHook
 	Stats      Stats
+
+	// spare holds the empty descriptor tables of processes that closed
+	// their last descriptor, for the next process that opens a file.
+	spare [][]OpenFile
 }
 
 // New creates a kernel over the given file system. clock must be non-nil;
@@ -100,15 +104,17 @@ func (k *Kernel) record(e trace.Event) {
 }
 
 // Proc is a simulated process: a user identity plus a file descriptor
-// table. Processes are cheap; workloads create one per simulated program
-// run. Descriptors are dense small integers, so the table is a slice
-// indexed by fd (nil = closed) rather than a map — processes are created
-// at program-run rates and a map would cost an allocation each.
+// table. The table holds open files by value, indexed by descriptor; a
+// closed slot is the zero OpenFile. Open and Create take the lowest free
+// slot, as UNIX does. Processes are created at program-run rates and most
+// hold a descriptor or two for milliseconds, so a process that closes its
+// last descriptor hands its table back to the kernel and the next process
+// to open a file takes it: opening a file allocates nothing.
 type Proc struct {
 	k    *Kernel
 	pid  int
 	user trace.UserID
-	fds  []*OpenFile
+	fds  []OpenFile
 	open int
 }
 
@@ -121,26 +127,41 @@ func (k *Kernel) NewProc(user trace.UserID) *Proc {
 
 // OpenFile is one entry in the system open-file table: the object an open
 // system call creates and a file descriptor names. It carries the access
-// position that makes UNIX I/O implicitly sequential.
+// position that makes UNIX I/O implicitly sequential. Open IDs start at
+// 1, so a zero openID marks a free slot.
 type OpenFile struct {
 	openID  trace.OpenID
 	inode   *vfs.Inode
-	mode    trace.Mode
 	pos     int64
+	mode    trace.Mode
 	written bool
 }
 
-func (p *Proc) install(of *OpenFile) int {
-	p.fds = append(p.fds, of)
+// install puts of in the lowest free descriptor slot and returns the
+// descriptor.
+func (p *Proc) install(of OpenFile) int {
 	p.open++
+	for fd := range p.fds {
+		if p.fds[fd].openID == 0 {
+			p.fds[fd] = of
+			return fd
+		}
+	}
+	if p.fds == nil {
+		if n := len(p.k.spare); n > 0 {
+			p.fds = p.k.spare[n-1]
+			p.k.spare = p.k.spare[:n-1]
+		}
+	}
+	p.fds = append(p.fds, of)
 	return len(p.fds) - 1
 }
 
 func (p *Proc) lookupFD(fd int) (*OpenFile, error) {
-	if fd < 0 || fd >= len(p.fds) || p.fds[fd] == nil {
+	if fd < 0 || fd >= len(p.fds) || p.fds[fd].openID == 0 {
 		return nil, fmt.Errorf("%w: %d", ErrBadFD, fd)
 	}
-	return p.fds[fd], nil
+	return &p.fds[fd], nil
 }
 
 // Open opens an existing file for access in the given mode and returns a
@@ -155,7 +176,7 @@ func (p *Proc) Open(path string, mode trace.Mode) (int, error) {
 	if n.IsDir() {
 		return -1, fmt.Errorf("%w: %q", vfs.ErrIsDir, path)
 	}
-	of := &OpenFile{openID: p.k.nextOpenID, inode: n, mode: mode}
+	of := OpenFile{openID: p.k.nextOpenID, inode: n, mode: mode}
 	p.k.nextOpenID++
 	p.k.Stats.Opens++
 	p.k.record(trace.Event{
@@ -181,7 +202,7 @@ func (p *Proc) Create(path string, mode trace.Mode) (int, error) {
 	if created {
 		p.k.metaDirUpdate(path)
 	}
-	of := &OpenFile{openID: p.k.nextOpenID, inode: n, mode: mode}
+	of := OpenFile{openID: p.k.nextOpenID, inode: n, mode: mode}
 	p.k.nextOpenID++
 	p.k.Stats.Creates++
 	p.k.record(trace.Event{
@@ -199,17 +220,32 @@ func (p *Proc) Close(fd int) error {
 	if err != nil {
 		return err
 	}
-	p.fds[fd] = nil
+	closed := *of
+	*of = OpenFile{}
 	p.open--
-	if of.written {
+	if p.open == 0 {
+		p.k.spare = append(p.k.spare, p.fds[:0])
+		p.fds = nil
+	}
+	if closed.written {
 		p.k.metaInodeUpdate()
 	}
 	p.k.Stats.Closes++
 	p.k.record(trace.Event{
 		Time: p.k.now(), Kind: trace.KindClose,
-		OpenID: of.openID, NewPos: of.pos,
+		OpenID: closed.openID, NewPos: closed.pos,
 	})
 	return nil
+}
+
+// Fstat returns the size of the file open on fd: what stat(2) on the
+// descriptor reports, with no pathname to resolve again.
+func (p *Proc) Fstat(fd int) (int64, error) {
+	of, err := p.lookupFD(fd)
+	if err != nil {
+		return 0, err
+	}
+	return of.inode.Size(), nil
 }
 
 // OpenFDs returns the number of open descriptors.

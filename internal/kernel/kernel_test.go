@@ -326,3 +326,151 @@ func TestKernelEmitsValidTrace(t *testing.T) {
 		t.Errorf("unclosed opens: %d", unclosed)
 	}
 }
+
+// After a close the next open takes the lowest free descriptor, and the
+// reused slot starts afresh: position 0, the new mode, and no pending
+// i-node update from the old descriptor's writes.
+func TestDescriptorReuse(t *testing.T) {
+	h := newHarness()
+	meta := &countMeta{}
+	h.k.SetMeta(meta)
+	p := h.k.NewProc(1)
+	var fds [3]int
+	for i, path := range []string{"/a", "/b", "/c"} {
+		fd, err := p.Create(path, trace.WriteOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fd != i {
+			t.Fatalf("fresh descriptor %d, want %d", fd, i)
+		}
+		fds[i] = fd
+	}
+	p.Write(fds[1], 700)
+	if err := p.Close(fds[1]); err != nil {
+		t.Fatal(err)
+	}
+	fd, err := p.Open("/a", trace.ReadOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fd != 1 {
+		t.Fatalf("open after closing fd 1 got fd %d, want the lowest free, 1", fd)
+	}
+	if _, err := p.Write(fd, 10); !errors.Is(err, ErrAccess) {
+		t.Errorf("write on the reused read-only slot = %v, want ErrAccess", err)
+	}
+	updates := meta.inodeUpdates
+	if err := p.Close(fd); err != nil {
+		t.Fatal(err)
+	}
+	if ev := h.lastEvent(t); ev.NewPos != 0 {
+		t.Errorf("reused slot closed at position %d, want 0", ev.NewPos)
+	}
+	if meta.inodeUpdates != updates {
+		t.Errorf("closing the unwritten reused slot dirtied an i-node")
+	}
+	if fd, _ := p.Open("/b", trace.ReadOnly); fd != 1 {
+		t.Errorf("second reuse got fd %d, want 1", fd)
+	}
+	if p.OpenFDs() != 3 {
+		t.Errorf("OpenFDs = %d, want 3", p.OpenFDs())
+	}
+}
+
+// countMeta counts i-node updates.
+type countMeta struct{ inodeUpdates int }
+
+func (m *countMeta) Resolve(string)   {}
+func (m *countMeta) InodeUpdate()     { m.inodeUpdates++ }
+func (m *countMeta) DirUpdate(string) {}
+
+// Every descriptor call on a closed descriptor fails with ErrBadFD, also
+// once the process has closed its last descriptor and given its table
+// back, and once another process has taken that table.
+func TestClosedDescriptorIsBad(t *testing.T) {
+	h := newHarness()
+	p := h.k.NewProc(1)
+	keep, _ := p.Create("/keep", trace.ReadWrite)
+	fd, _ := p.Create("/f", trace.ReadWrite)
+	p.Close(fd)
+	check := func(when string, fd int) {
+		t.Helper()
+		if _, err := p.Read(fd, 1); !errors.Is(err, ErrBadFD) {
+			t.Errorf("%s: Read = %v", when, err)
+		}
+		if _, err := p.Write(fd, 1); !errors.Is(err, ErrBadFD) {
+			t.Errorf("%s: Write = %v", when, err)
+		}
+		if _, err := p.Seek(fd, 0); !errors.Is(err, ErrBadFD) {
+			t.Errorf("%s: Seek = %v", when, err)
+		}
+		if _, err := p.Fstat(fd); !errors.Is(err, ErrBadFD) {
+			t.Errorf("%s: Fstat = %v", when, err)
+		}
+		if err := p.Close(fd); !errors.Is(err, ErrBadFD) {
+			t.Errorf("%s: Close = %v", when, err)
+		}
+	}
+	check("closed slot below an open one", fd)
+	p.Close(keep)
+	check("after the last close", keep)
+	q := h.k.NewProc(2)
+	if _, err := q.Open("/keep", trace.ReadOnly); err != nil {
+		t.Fatal(err)
+	}
+	check("with the table reused by another process", keep)
+	if q.OpenFDs() != 1 || p.OpenFDs() != 0 {
+		t.Errorf("OpenFDs = %d and %d, want 1 and 0", q.OpenFDs(), p.OpenFDs())
+	}
+}
+
+// Fstat reports the size the open event recorded, and follows writes.
+func TestFstatMatchesOpenSize(t *testing.T) {
+	h := newHarness()
+	p := h.k.NewProc(1)
+	fd, _ := p.Create("/f", trace.WriteOnly)
+	p.Write(fd, 3333)
+	p.Close(fd)
+	fd, err := p.Open("/f", trace.ReadWrite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	size, err := p.Fstat(fd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ev := h.lastEvent(t); ev.Kind != trace.KindOpen || size != ev.Size || size != 3333 {
+		t.Errorf("Fstat = %d, open event recorded %+v", size, ev)
+	}
+	p.SeekEnd(fd)
+	p.Write(fd, 100)
+	if size, _ := p.Fstat(fd); size != 3433 {
+		t.Errorf("Fstat after an appending write = %d, want 3433", size)
+	}
+}
+
+// On a warm process, an open, a read and a close allocate nothing.
+func TestOpenReadCloseAllocateNothing(t *testing.T) {
+	events := 0
+	k := New(vfs.New(), func() trace.Time { return 0 }, func(trace.Event) { events++ })
+	p := k.NewProc(1)
+	fd, _ := p.Create("/f", trace.WriteOnly)
+	p.Write(fd, 4096)
+	p.Close(fd)
+	cycle := func() {
+		fd, err := p.Open("/f", trace.ReadOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Read(fd, 1024)
+		p.Close(fd)
+	}
+	cycle()
+	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
+		t.Errorf("Open+Read+Close allocates %.1f objects, want 0", avg)
+	}
+	if events != 2+2*102 {
+		t.Errorf("traced %d events, want %d", events, 2+2*102)
+	}
+}

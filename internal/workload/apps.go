@@ -49,7 +49,7 @@ func (g *generator) readWhole(src *dist.Source, p *kernel.Proc, path string) tra
 	if err != nil {
 		return 0
 	}
-	sz := g.size(path)
+	sz, _ := p.Fstat(fd)
 	// Not every reader finishes the file: pagers are quit after the
 	// first screen, file(1) looks only at the magic number, grep -l
 	// stops at the first match. These abandoned sequential reads are a
@@ -65,10 +65,7 @@ func (g *generator) readWhole(src *dist.Source, p *kernel.Proc, path string) tra
 	case src.Bool(0.25):
 		dur += trace.Time(src.Exp(2_500)) * trace.Millisecond
 	}
-	g.eng.After(dur, func() {
-		p.Read(fd, amount)
-		p.Close(fd)
-	})
+	g.closeAfter(dur, taskRead, p, fd, amount)
 	return dur
 }
 
@@ -86,10 +83,7 @@ func (g *generator) readPart(src *dist.Source, p *kernel.Proc, path string, n in
 		return 0
 	}
 	dur := g.xferDur(src, n)
-	g.eng.After(dur, func() {
-		p.Read(fd, n)
-		p.Close(fd)
-	})
+	g.closeAfter(dur, taskRead, p, fd, n)
 	return dur
 }
 
@@ -101,10 +95,7 @@ func (g *generator) writeWhole(src *dist.Source, p *kernel.Proc, path string, n 
 		return 0
 	}
 	dur := g.xferDur(src, n)
-	g.eng.After(dur, func() {
-		p.Write(fd, n)
-		p.Close(fd)
-	})
+	g.closeAfter(dur, taskWrite, p, fd, n)
 	return dur
 }
 
@@ -152,55 +143,61 @@ func (g *generator) adminLookup(src *dist.Source, p *kernel.Proc, path string, s
 	if err != nil {
 		return 0
 	}
-	fileSize := g.size(path)
-	if fileSize < 4096 {
+	t := g.newTask(taskAdmin)
+	t.src, t.p, t.fd, t.writes = src, p, fd, writes
+	t.n, _ = p.Fstat(fd)
+	if t.n < 4096 {
 		seeks = 1
 	}
-	var total trace.Time
-	var step func(remaining int)
-	step = func(remaining int) {
-		if remaining == 0 {
-			p.Close(fd)
-			return
-		}
-		// Seek to an entry and transfer a few hundred bytes. Lookups
-		// concentrate heavily on a hot region — recent logins in the
-		// log, popular hosts in the network table — with an occasional
-		// cold probe; this is what keeps the paper's moderate-sized
-		// caches effective on these megabyte-scale files.
-		span := maxi64(fileSize-2048, 1)
-		var off int64
-		if src.Bool(0.85) {
-			off = int64(src.Exp(float64(span) / 24))
-			if off >= span {
-				off = span - 1
-			}
-		} else {
-			off = src.Int63n(span)
-		}
-		p.Seek(fd, off)
-		n := int64(src.LogNormal(900, 1.8))
-		if n < 64 {
-			n = 64
-		}
-		if n > 64<<10 {
-			n = 64 << 10
-		}
-		if writes && src.Bool(0.5) {
-			p.Write(fd, n)
-		} else {
-			p.Read(fd, n)
-		}
-		d := trace.Time(3+src.Intn(25)) * trace.Millisecond
-		if src.Bool(0.2) {
-			d += trace.Time(src.Exp(800)) * trace.Millisecond
-		}
-		g.eng.After(d, func() { step(remaining - 1) })
-	}
+	t.i = seeks
 	d0 := trace.Time(2+src.Intn(8)) * trace.Millisecond
-	g.eng.After(d0, func() { step(seeks) })
-	total = d0 + trace.Time(seeks*16)*trace.Millisecond
-	return total
+	g.eng.AfterRunner(d0, t)
+	return d0 + trace.Time(seeks*16)*trace.Millisecond
+}
+
+// adminStep runs one step of an adminLookup: the close once no transfers
+// are left, else one (seek, transfer) pair and the schedule of the next.
+func (g *generator) adminStep(t *task) {
+	if t.i == 0 {
+		t.p.Close(t.fd)
+		g.release(t)
+		return
+	}
+	src := t.src
+	// Seek to an entry and transfer a few hundred bytes. Lookups
+	// concentrate heavily on a hot region — recent logins in the log,
+	// popular hosts in the network table — with an occasional cold
+	// probe; this is what keeps the paper's moderate-sized caches
+	// effective on these megabyte-scale files.
+	span := maxi64(t.n-2048, 1)
+	var off int64
+	if src.Bool(0.85) {
+		off = int64(src.Exp(float64(span) / 24))
+		if off >= span {
+			off = span - 1
+		}
+	} else {
+		off = src.Int63n(span)
+	}
+	t.p.Seek(t.fd, off)
+	n := int64(src.LogNormal(900, 1.8))
+	if n < 64 {
+		n = 64
+	}
+	if n > 64<<10 {
+		n = 64 << 10
+	}
+	if t.writes && src.Bool(0.5) {
+		t.p.Write(t.fd, n)
+	} else {
+		t.p.Read(t.fd, n)
+	}
+	d := trace.Time(3+src.Intn(25)) * trace.Millisecond
+	if src.Bool(0.2) {
+		d += trace.Time(src.Exp(800)) * trace.Millisecond
+	}
+	t.i--
+	g.eng.AfterRunner(d, t)
 }
 
 // adminSeeks draws the number of positioned transfers for one
@@ -235,7 +232,8 @@ func (g *generator) compile(src *dist.Source, uid trace.UserID, seqno int64) tra
 		return 0
 	}
 	p := g.k.NewProc(uid)
-	srcPath := sources[src.Intn(len(sources))]
+	sf := sources[src.Intn(len(sources))]
+	srcPath := sf.path
 	srcSize := g.size(srcPath)
 	if srcSize < 0 {
 		return 0
@@ -263,8 +261,7 @@ func (g *generator) compile(src *dist.Source, uid trace.UserID, seqno int64) tra
 			p3 := g.k.NewProc(uid)
 			p3.Exec(g.img.as)
 			d2 := g.readWhole(src, p3, tmp)
-			obj := objPath(srcPath)
-			d3 := g.writeWhole(src, p3, obj, srcSize*5/4+int64(src.Intn(2048)))
+			d3 := g.writeWhole(src, p3, sf.obj, srcSize*5/4+int64(src.Intn(2048)))
 			dd := maxt(d2, d3) + trace.Time(5+src.Intn(20))*trace.Millisecond
 			g.eng.After(dd, func() {
 				// Temp deleted seconds after creation: a short lifetime.
@@ -282,14 +279,6 @@ func maxt(a, b trace.Time) trace.Time {
 	return b
 }
 
-// objPath derives the object file path from a source path.
-func objPath(srcPath string) string {
-	if len(srcPath) > 2 && srcPath[len(srcPath)-2:] == ".c" {
-		return srcPath[:len(srcPath)-2] + ".o"
-	}
-	return srcPath + ".o"
-}
-
 // link models an occasional ld run: reads the user's object files and
 // parts of the libraries, writes the executable.
 func (g *generator) link(src *dist.Source, uid trace.UserID) trace.Time {
@@ -297,9 +286,8 @@ func (g *generator) link(src *dist.Source, uid trace.UserID) trace.Time {
 	p.Exec(g.img.ld)
 	var elapsed trace.Time
 	for _, s := range g.img.srcFiles[uid] {
-		obj := objPath(s)
-		if g.size(obj) >= 0 && src.Bool(0.7) {
-			elapsed += g.readWhole(src, p, obj)
+		if g.size(s.obj) >= 0 && src.Bool(0.7) {
+			elapsed += g.readWhole(src, p, s.obj)
 		}
 	}
 	// Archives are consulted by offset, not read whole.
@@ -434,7 +422,7 @@ func (g *generator) cadRun(src *dist.Source, uid trace.UserID, seqno int64) trac
 	if len(decks) == 0 {
 		return 0
 	}
-	deck := decks[src.Intn(len(decks))]
+	deck := decks[src.Intn(len(decks))].path
 	sz := g.size(deck)
 	if sz < 0 {
 		return 0
@@ -513,18 +501,22 @@ func (g *generator) rwhoCheck(src *dist.Source, uid trace.UserID) trace.Time {
 	p := g.k.NewProc(uid)
 	p.Exec(g.img.commands[18]) // who
 	n := 4 + src.Intn(10)
-	var step func(i int)
-	var total trace.Time
-	step = func(i int) {
-		if i >= n {
-			return
-		}
-		d := g.readWhole(src, p, g.img.status[(i*7)%len(g.img.status)])
-		g.eng.After(d+trace.Time(1+src.Intn(6))*trace.Millisecond, func() { step(i + 1) })
+	t := g.newTask(taskRwho)
+	t.src, t.p, t.limit = src, p, n
+	g.rwhoStep(t)
+	return trace.Time(n*15) * trace.Millisecond
+}
+
+// rwhoStep reads the next status file of an rwhoCheck and schedules the
+// step after it, or ends the walk.
+func (g *generator) rwhoStep(t *task) {
+	if t.i >= t.limit {
+		g.release(t)
+		return
 	}
-	step(0)
-	total = trace.Time(n*15) * trace.Millisecond
-	return total
+	d := g.readWhole(t.src, t.p, g.img.status[(t.i*7)%len(g.img.status)])
+	t.i++
+	g.eng.AfterRunner(d+trace.Time(1+t.src.Intn(6))*trace.Millisecond, t)
 }
 
 // debugSession models dbx-style positioned reads of a large binary: open
@@ -542,7 +534,7 @@ func (g *generator) debugSession(src *dist.Source, uid trace.UserID) trace.Time 
 	if err != nil {
 		return 0
 	}
-	sz := g.size(bin)
+	sz, _ := p.Fstat(fd)
 	n := 2 + src.Intn(4)
 	var step func(i int)
 	step = func(i int) {
@@ -616,8 +608,7 @@ func (g *generator) shellCommand(src *dist.Source, uid trace.UserID) trace.Time 
 		}
 	case src.Bool(0.55):
 		// Page through part of a random source/doc file.
-		if files := g.userFiles(uid); len(files) > 0 {
-			f := files[src.Intn(len(files))]
+		if f := g.userFile(src, uid); f != "" {
 			if sz := g.size(f); sz > 0 {
 				n := sz
 				if src.Bool(0.5) {
@@ -666,13 +657,17 @@ func (g *generator) browseArchive(src *dist.Source, uid trace.UserID) trace.Time
 	return total
 }
 
-// userFiles returns whatever collection of personal files the user has.
-func (g *generator) userFiles(uid trace.UserID) []string {
+// userFile picks one of the personal files of whichever kind the user
+// has: sources, documents or decks. It returns "" if the user has none.
+func (g *generator) userFile(src *dist.Source, uid trace.UserID) string {
 	if f := g.img.srcFiles[uid]; len(f) > 0 {
-		return f
+		return f[src.Intn(len(f))].path
 	}
 	if f := g.img.docFiles[uid]; len(f) > 0 {
-		return f
+		return f[src.Intn(len(f))]
 	}
-	return g.img.decks[uid]
+	if f := g.img.decks[uid]; len(f) > 0 {
+		return f[src.Intn(len(f))].path
+	}
+	return ""
 }
