@@ -14,7 +14,6 @@ package vfs
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -254,31 +253,18 @@ func (n *Inode) SetSize(size int64) {
 	n.size = size
 }
 
-// Walk visits every inode in the file system in depth-first order with
-// deterministic (sorted) traversal, calling fn with each absolute path.
-// The root is visited as "/". It is how the static-scan analyses (in the
+// Walk calls fn for every inode in the file system, the root included,
+// in no particular order. It is how the static-scan analyses (in the
 // style of Satyanarayanan's disk scans, which the paper compares against)
-// enumerate the live file population.
-func (fs *FS) Walk(fn func(path string, n *Inode)) {
-	var walk func(path string, n *Inode)
-	walk = func(path string, n *Inode) {
-		fn(path, n)
-		if !n.IsDir() {
-			return
-		}
-		names := make([]string, 0, len(n.children))
-		for name := range n.children {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			child := n.children[name]
-			childPath := path + "/" + name
-			if path == "/" {
-				childPath = "/" + name
-			}
-			walk(childPath, child)
+// enumerate the live file population; a caller that needs a stable order
+// sorts what it collects.
+func (fs *FS) Walk(fn func(n *Inode)) {
+	var walk func(n *Inode)
+	walk = func(n *Inode) {
+		fn(n)
+		for _, c := range n.children {
+			walk(c)
 		}
 	}
-	walk("/", fs.root)
+	walk(fs.root)
 }

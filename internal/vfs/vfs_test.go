@@ -3,6 +3,7 @@ package vfs
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -207,18 +208,18 @@ func TestWalk(t *testing.T) {
 	fs.Create("/a/b/f1")
 	fs.Create("/a/f2")
 	fs.Create("/z")
-	var paths []string
-	fs.Walk(func(path string, n *Inode) {
-		paths = append(paths, path)
-	})
-	want := []string{"/", "/a", "/a/b", "/a/b/f1", "/a/f2", "/z"}
-	if !reflect.DeepEqual(paths, want) {
-		t.Errorf("Walk order = %v, want %v", paths, want)
+	var want []Ino
+	for _, p := range []string{"/", "/a", "/a/b", "/a/b/f1", "/a/f2", "/z"} {
+		n, err := fs.Lookup(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, n.Ino())
 	}
-	// Deterministic across runs.
-	var again []string
-	fs.Walk(func(path string, n *Inode) { again = append(again, path) })
-	if !reflect.DeepEqual(paths, again) {
-		t.Errorf("Walk not deterministic")
+	var got []Ino
+	fs.Walk(func(n *Inode) { got = append(got, n.Ino()) })
+	slices.Sort(got)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Walk visited inodes %v, want each of %v once", got, want)
 	}
 }

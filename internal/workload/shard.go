@@ -200,11 +200,16 @@ func generateSharded(cfg Config, sink Sink) (*Result, error) {
 	}
 
 	out := &Result{Profile: full}
+	files := 0
 	for _, s := range shards {
 		<-s.done
 		if s.err != nil {
 			return nil, s.err
 		}
+		files += len(s.res.StaticSizes)
+	}
+	out.StaticSizes = make([]int64, 0, files)
+	for _, s := range shards {
 		ks := s.res.KernelStats
 		out.KernelStats.Opens += ks.Opens
 		out.KernelStats.Creates += ks.Creates
