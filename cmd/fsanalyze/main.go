@@ -330,40 +330,7 @@ func run(out io.Writer, paths []string, opts options) error {
 // renderSections prints the logical battery (and any -top listings) for
 // analyzed logical-class traces.
 func renderSections(w io.Writer, tr report.Traces, tops []*analyzer.TopAccum, opts options) {
-	want := opts.want
-	if want("tableIII") {
-		report.TableIII(tr).Render(w)
-	}
-	if want("tableIV") {
-		report.TableIV(tr).Render(w)
-	}
-	if want("tableV") {
-		report.TableV(tr).Render(w)
-	}
-	if want("intervals") {
-		report.EventIntervalTable(tr).Render(w)
-	}
-	if want("sharing") {
-		report.SharingTable(tr).Render(w)
-	}
-	if want("fig1") {
-		for _, c := range report.Figure1(tr) {
-			c.Render(w)
-		}
-	}
-	if want("fig2") {
-		for _, c := range report.Figure2(tr) {
-			c.Render(w)
-		}
-	}
-	if want("fig3") {
-		report.Figure3(tr).Render(w)
-	}
-	if want("fig4") {
-		for _, c := range report.Figure4(tr) {
-			c.Render(w)
-		}
-	}
+	report.Section5(w, tr, opts.want)
 
 	if opts.top > 0 {
 		for i, top := range tops {

@@ -34,7 +34,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"slices"
@@ -208,58 +207,6 @@ func main() {
 	}
 }
 
-// generateSpill streams one machine's trace into a binary spill file,
-// under a per-machine generation span when observation is on, and
-// returns the generation result (Events nil — the trace lives on disk).
-func generateSpill(cfg workload.Config, path string, reg *obs.Registry) (*workload.Result, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, err
-	}
-	w := trace.NewWriter(f)
-	sink := w.Write
-	var sp *obs.Span
-	if reg.Enabled() {
-		sp = reg.StartSpan("generate/" + cfg.Profile)
-		sink = func(e trace.Event) error { sp.AddOut(1); return w.Write(e) }
-	}
-	res, err := workload.GenerateStream(cfg, sink)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if err := f.Close(); err != nil {
-		return nil, err
-	}
-	if sp != nil {
-		if st, err := os.Stat(path); err == nil {
-			sp.AddBytes(st.Size())
-		}
-		sp.End()
-	}
-	workload.PublishStats(reg, "kernel."+cfg.Profile, res.KernelStats)
-	return res, nil
-}
-
-// openTrace opens a spill file for one streaming pass. The caller closes
-// the file when the pass ends.
-func openTrace(path string) (*trace.Reader, *os.File, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	r, err := trace.NewReader(f)
-	if err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	return r, f, nil
-}
-
 // checkFlags refuses flag values that parse but make no sense, by
 // fstrace's rules. main calls it before it creates -o or -cpuprofile or
 // starts -debug-addr, so a refused run leaves existing files intact;
@@ -380,33 +327,21 @@ func runStability(w io.Writer, duration time.Duration, baseSeed int64, n int) er
 }
 
 // runDegrade is the loss-sensitivity sweep: how much trace damage can
-// the headline numbers absorb? The A5 trace is generated once into a
-// spill file; each sweep rate re-reads it through the fault-injecting
-// mangler (drop-only — silently discarded records, the damage mode a
-// real degraded tracer produces) and the self-healing recovery layer,
-// then re-runs the reference-pattern analyzer and the four Table VI
-// write-policy simulations. The table reports each headline value's
-// drift against the clean baseline, plus the repair budget the recovery
-// layer spent getting there. Rates run on parallel workers; results
-// land in rate-ordered slots, so the output is deterministic.
+// the headline numbers absorb? The A5 trace is generated once and teed
+// (trace.Fanout) to one consumer per sweep rate, which reads it through
+// the fault-injecting mangler (drop-only — silently discarded records,
+// the damage mode a real degraded tracer produces) and the self-healing
+// recovery layer, then re-runs the reference-pattern analyzer and the
+// four Table VI write-policy simulations. The table reports each
+// headline value's drift against the clean baseline, plus the repair
+// budget the recovery layer spent getting there. Results land in
+// rate-ordered slots, so the output is deterministic.
 func runDegrade(w io.Writer, duration time.Duration, seed int64) error {
 	if err := checkDuration(duration); err != nil {
 		return err
 	}
 	rates := []float64{0, 0.0001, 0.001, 0.01, 0.05}
 	policies := cachesim.PaperPolicies()
-
-	spillDir, err := os.MkdirTemp("", "fsreport-degrade")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(spillDir)
-	path := filepath.Join(spillDir, "a5.trace")
-	if _, err := generateSpill(workload.Config{
-		Profile: "A5", Seed: seed, Duration: trace.Time(duration.Milliseconds()),
-	}, path, nil); err != nil {
-		return err
-	}
 
 	type degradeRow struct {
 		seq    float64 // sequential runs among read-only accesses (%)
@@ -417,62 +352,74 @@ func runDegrade(w io.Writer, duration time.Duration, seed int64) error {
 		repair trace.RepairStats
 	}
 	rows := make([]*degradeRow, len(rates))
-	if err := par.Run(len(rates), func(i int) error {
-		r, f, err := openTrace(path)
-		if err != nil {
-			return err
+	f := trace.NewFanout(len(rates))
+	var g group
+	g.spawn(func() error {
+		_, err := workload.GenerateStream(workload.Config{
+			Profile: "A5", Seed: seed, Duration: trace.Time(duration.Milliseconds()),
+		}, f.Write)
+		if err == trace.ErrFanoutDone {
+			err = nil // every rate stopped early and reported its own error
 		}
-		defer f.Close()
-		var src trace.Source = r
-		var mg *fault.TraceMangler
-		if rates[i] > 0 {
-			// Per-rate seed: each rate damages different records, so the
-			// sweep measures the loss rate, not one unlucky pattern.
-			mg = fault.NewTraceMangler(src, fault.MangleConfig{
-				Seed: seed + int64(i), Drop: rates[i],
-			})
-			src = mg
-		}
-		rec := trace.NewRecoverSource(src)
-		s := analyzer.NewStream(analyzer.Options{})
-		tb := s.AttachTape()
-		if err := trace.Each(rec, func(e trace.Event) error {
-			s.Feed(e)
-			return nil
-		}); err != nil {
-			return err
-		}
-		a := s.Finish()
-		tape, err := tb.Finish()
-		if err != nil {
-			return fmt.Errorf("rate %g: malformed trace after repair: %v", rates[i], err)
-		}
-		cfgs := make([]cachesim.Config, len(policies))
-		for j, p := range policies {
-			cfgs[j] = cachesim.Config{
-				BlockSize: 4096, CacheSize: 2 << 20,
-				Write: p.Write, FlushInterval: p.Interval,
+		f.Close(err)
+		return err
+	})
+	for i := range rates {
+		sub := f.Source(i)
+		g.spawn(func() error {
+			defer sub.Cancel()
+			var src trace.Source = sub
+			var mg *fault.TraceMangler
+			if rates[i] > 0 {
+				// Per-rate seed: each rate damages different records, so the
+				// sweep measures the loss rate, not one unlucky pattern.
+				mg = fault.NewTraceMangler(src, fault.MangleConfig{
+					Seed: seed + int64(i), Drop: rates[i],
+				})
+				src = mg
 			}
-		}
-		rs, err := cachesim.MultiSimulate(tape, cfgs)
-		if err != nil {
-			return err
-		}
-		row := &degradeRow{
-			seq:    100 * a.Sequentiality.SequentialFraction(analyzer.ClassReadOnly),
-			whole:  100 * a.Sequentiality.WholeFileFraction(analyzer.ClassReadOnly),
-			small:  100 * a.FileSizesByFiles.FractionAtOrBelow(10*1024),
-			repair: rec.Stats(),
-		}
-		if mg != nil {
-			row.mangle = mg.Stats()
-		}
-		for _, r := range rs {
-			row.miss = append(row.miss, 100*r.MissRatio())
-		}
-		rows[i] = row
-		return nil
-	}); err != nil {
+			rec := trace.NewRecoverSource(src)
+			s := analyzer.NewStream(analyzer.Options{})
+			tb := s.AttachTape()
+			if err := trace.Each(rec, func(e trace.Event) error {
+				s.Feed(e)
+				return nil
+			}); err != nil {
+				return err
+			}
+			a := s.Finish()
+			tape, err := tb.Finish()
+			if err != nil {
+				return fmt.Errorf("rate %g: malformed trace after repair: %v", rates[i], err)
+			}
+			cfgs := make([]cachesim.Config, len(policies))
+			for j, p := range policies {
+				cfgs[j] = cachesim.Config{
+					BlockSize: 4096, CacheSize: 2 << 20,
+					Write: p.Write, FlushInterval: p.Interval,
+				}
+			}
+			rs, err := cachesim.MultiSimulate(tape, cfgs)
+			if err != nil {
+				return err
+			}
+			row := &degradeRow{
+				seq:    100 * a.Sequentiality.SequentialFraction(analyzer.ClassReadOnly),
+				whole:  100 * a.Sequentiality.WholeFileFraction(analyzer.ClassReadOnly),
+				small:  100 * a.FileSizesByFiles.FractionAtOrBelow(10*1024),
+				repair: rec.Stats(),
+			}
+			if mg != nil {
+				row.mangle = mg.Stats()
+			}
+			for _, r := range rs {
+				row.miss = append(row.miss, 100*r.MissRatio())
+			}
+			rows[i] = row
+			return nil
+		})
+	}
+	if err := g.wait(); err != nil {
 		return err
 	}
 
@@ -632,39 +579,7 @@ func run(out io.Writer, cfg reportConfig) error {
 	if want("tableI") {
 		report.TableI(tr.Analyses[0], policy, block).Render(w)
 	}
-	if want("tableIII") {
-		report.TableIII(tr).Render(w)
-	}
-	if want("tableIV") {
-		report.TableIV(tr).Render(w)
-	}
-	if want("tableV") {
-		report.TableV(tr).Render(w)
-	}
-	if want("intervals") {
-		report.EventIntervalTable(tr).Render(w)
-	}
-	if want("sharing") {
-		report.SharingTable(tr).Render(w)
-	}
-	if want("fig1") {
-		for _, c := range report.Figure1(tr) {
-			c.Render(w)
-		}
-	}
-	if want("fig2") {
-		for _, c := range report.Figure2(tr) {
-			c.Render(w)
-		}
-	}
-	if want("fig3") {
-		report.Figure3(tr).Render(w)
-	}
-	if want("fig4") {
-		for _, c := range report.Figure4(tr) {
-			c.Render(w)
-		}
-	}
+	report.Section5(w, tr, want)
 	if want("tableVI") {
 		report.TableVI(cacheSizes, policies, policy).Render(w)
 	}
@@ -809,24 +724,7 @@ func fanOut(cfg reportConfig, names []string, needTape bool) (*fleet, error) {
 		fl.meta = newMetaSims()
 	}
 
-	var (
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-	)
-	spawn := func(job func() error) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := job(); err != nil {
-				errMu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				errMu.Unlock()
-			}
-		}()
-	}
+	var g group
 	// wrap applies the lenient repair layer when asked. Generated
 	// streams are pristine, so the repair pass is a provable no-op; it
 	// runs anyway so a -lenient report exercises exactly the ingestion
@@ -859,7 +757,7 @@ func fanOut(cfg reportConfig, names []string, needTape bool) (*fleet, error) {
 		if i == 0 && fl.meta != nil && cfg.shards <= 1 {
 			gen.Meta = fl.meta
 		}
-		spawn(func() error {
+		g.spawn(func() error {
 			sink := workload.Sink(f.Write)
 			var sp *obs.Span
 			if cfg.reg.Enabled() {
@@ -891,7 +789,7 @@ func fanOut(cfg reportConfig, names []string, needTape bool) (*fleet, error) {
 		// The analyzer consumer, building the machine's tape in the same
 		// scan when a section replays it (A5's is the sweep tape).
 		analyzeSub := f.Source(0)
-		spawn(func() error {
+		g.spawn(func() error {
 			defer analyzeSub.Cancel()
 			src := cfg.reg.Instrument("analyze/"+names[i], wrap(analyzeSub))
 			s := analyzer.NewStream(analyzer.Options{})
@@ -924,7 +822,7 @@ func fanOut(cfg reportConfig, names []string, needTape bool) (*fleet, error) {
 		// geometry after its stream ends.
 		if needFrag && i == 0 {
 			fragSub := f.Source(1)
-			spawn(func() error {
+			g.spawn(func() error {
 				defer fragSub.Cancel()
 				rows, err := ffs.WasteSweepSource(wrap(fragSub),
 					[]int64{1 << 10, 4 << 10, 8 << 10, 16 << 10, 32 << 10})
@@ -937,8 +835,36 @@ func fanOut(cfg reportConfig, names []string, needTape bool) (*fleet, error) {
 		}
 	}
 
-	wg.Wait()
-	return fl, firstErr
+	return fl, g.wait()
+}
+
+// group runs jobs on goroutines of their own and keeps the first error.
+// A tee needs a goroutine per subscriber, which a bounded pool
+// (par.Run) cannot promise.
+type group struct {
+	wg  sync.WaitGroup
+	mu  sync.Mutex
+	err error
+}
+
+func (g *group) spawn(job func() error) {
+	g.wg.Add(1)
+	go func() {
+		defer g.wg.Done()
+		if err := job(); err != nil {
+			g.mu.Lock()
+			if g.err == nil {
+				g.err = err
+			}
+			g.mu.Unlock()
+		}
+	}()
+}
+
+// wait returns the first error once every job has returned.
+func (g *group) wait() error {
+	g.wg.Wait()
+	return g.err
 }
 
 // metaSims fans one kernel's metadata hook out to the metadata table's

@@ -29,7 +29,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
@@ -83,7 +82,6 @@ func run(args []string, stdout io.Writer) error {
 		text     = fs.Bool("text", false, "write the text format instead of binary")
 		v2       = fs.Bool("v2", false, "write the checkpointed version-2 binary framing (damage-resilient)")
 		ckpt     = fs.Int("checkpoint", 0, "with -v2, records per resync checkpoint (0 = default)")
-		lenient  = fs.Bool("lenient", false, "repair damaged spill streams on the merge path instead of failing")
 		diurnal  = fs.Bool("diurnal", false, "apply a day/night load cycle (use with -duration 24h or more)")
 		quiet    = fs.Bool("q", false, "suppress the summary")
 		manifest = fs.String("manifest", "", "write the run manifest (config, stage spans, metrics) to this file")
@@ -156,64 +154,31 @@ func run(args []string, stdout io.Writer) error {
 	if len(profiles) == 1 {
 		// Single machine (possibly sharded): generate straight into the
 		// output file.
-		name := strings.TrimSpace(profiles[0])
+		if res, err = generate(cfg(profiles[0]), reg, w.write); err != nil {
+			return err
+		}
+	} else {
+		// Several machines: each generates on its own goroutine, and a
+		// k-way merge streams them into the output with identifier
+		// remapping. Memory stays bounded by the fan-out's batches per
+		// machine.
+		producers := make([]func(func(trace.Event) error) error, len(profiles))
+		for i, name := range profiles {
+			producers[i] = func(emit func(trace.Event) error) error {
+				_, err := generate(cfg(name), reg, emit)
+				return err
+			}
+		}
 		sink := w.write
 		var sp *obs.Span
 		if reg.Enabled() {
-			sp = reg.StartSpan("generate/" + name)
+			sp = reg.StartSpan("merge")
 			sink = func(e trace.Event) error { sp.AddOut(1); return w.write(e) }
 		}
-		if res, err = workload.GenerateStream(cfg(profiles[0]), sink); err != nil {
+		if err := trace.MergeProducers(sink, producers...); err != nil {
 			return err
 		}
 		sp.End()
-		workload.PublishStats(reg, "kernel."+name, res.KernelStats)
-	} else {
-		// Several machines: each generates into a spill file, then a
-		// k-way merge streams them into the output with identifier
-		// remapping. Memory stays bounded by the merge's one batch per
-		// source.
-		spillDir, err := os.MkdirTemp("", "fstrace-merge")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(spillDir)
-		sources := make([]trace.Source, len(profiles))
-		for i, name := range profiles {
-			path := filepath.Join(spillDir, fmt.Sprintf("m%d.trace", i))
-			if res, err = generateToFile(cfg(name), path, reg); err != nil {
-				return err
-			}
-			sf, err := os.Open(path)
-			if err != nil {
-				return err
-			}
-			defer sf.Close()
-			r, err := trace.NewReader(sf)
-			if err != nil {
-				return err
-			}
-			sources[i] = r
-		}
-		var merged trace.Source = trace.NewMergeSource(sources...)
-		var ls *trace.LenientSource
-		if *lenient {
-			ls = trace.NewLenientSource(merged)
-			merged = ls
-		}
-		merged = reg.Instrument("merge", merged)
-		if err := trace.Each(merged, w.write); err != nil {
-			return err
-		}
-		if ls != nil {
-			if trunc := ls.Truncated(); trunc != nil {
-				fmt.Fprintf(os.Stderr, "fstrace: merge truncated at decode error: %v\n", trunc)
-			}
-			if st := ls.Stats(); !st.Zero() {
-				fmt.Fprintf(os.Stderr, "fstrace: degraded merge: repaired: %v\n", st)
-			}
-			obs.PublishRepair(reg, "repair.merge", ls.Stats())
-		}
 	}
 
 	if err := w.flush(); err != nil {
@@ -244,7 +209,6 @@ func run(args []string, stdout io.Writer) error {
 				"shards":   fmt.Sprintf("%d", *shards),
 				"text":     fmt.Sprintf("%t", *text),
 				"v2":       fmt.Sprintf("%t", *v2),
-				"lenient":  fmt.Sprintf("%t", *lenient),
 				"diurnal":  fmt.Sprintf("%t", *diurnal),
 			},
 		})
@@ -275,30 +239,20 @@ func run(args []string, stdout io.Writer) error {
 	return nil
 }
 
-// generateToFile streams one machine's trace into a binary spill file,
-// under a per-profile generation span when observation is on.
-func generateToFile(cfg workload.Config, path string, reg *obs.Registry) (*workload.Result, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, err
-	}
-	w := trace.NewWriter(f)
-	sink := w.Write
+// generate streams one machine's trace into sink, under a per-profile
+// generation span when observation is on.
+func generate(cfg workload.Config, reg *obs.Registry, sink func(trace.Event) error) (*workload.Result, error) {
 	var sp *obs.Span
 	if reg.Enabled() {
 		sp = reg.StartSpan("generate/" + cfg.Profile)
-		sink = func(e trace.Event) error { sp.AddOut(1); return w.Write(e) }
+		out := sink
+		sink = func(e trace.Event) error { sp.AddOut(1); return out(e) }
 	}
 	res, err := workload.GenerateStream(cfg, sink)
 	if err != nil {
-		f.Close()
 		return nil, err
 	}
 	sp.End()
 	workload.PublishStats(reg, "kernel."+cfg.Profile, res.KernelStats)
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return res, f.Close()
+	return res, nil
 }

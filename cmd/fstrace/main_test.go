@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -219,6 +221,31 @@ func TestRunMergesProfiles(t *testing.T) {
 	for i := 1; i < len(merged); i++ {
 		if merged[i].Time < merged[i-1].Time {
 			t.Fatalf("merged event %d out of order", i)
+		}
+	}
+
+	// The three machines' merge, unsharded and with two shards per
+	// machine, pinned to the SHA-256 of the files the spill-file merge
+	// (generate each machine into a file, read the files back and merge
+	// them) wrote before the merge ran on the live streams.
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{nil, "37172529e07296e9b35bc87cb82af13a9240ac718f7317fb5e8af0c214a9f323"},
+		{[]string{"-shards", "2"}, "2ecbddf3a5daf3dbaa82689222e4b8c6fa7b74bc4c0eb73f740e8f122d16dba6"},
+	} {
+		out := filepath.Join(t.TempDir(), "server.trace")
+		args := append([]string{"-q", "-profile", "A5,E3,C4", "-duration", "1h", "-o", out}, tc.args...)
+		if err := run(args, &buf); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum := sha256.Sum256(data); hex.EncodeToString(sum[:]) != tc.want {
+			t.Errorf("fstrace %v: SHA-256 %x, want %s", args, sum, tc.want)
 		}
 	}
 }

@@ -817,26 +817,10 @@ func (d *daemon) handleStats(w http.ResponseWriter, r *http.Request) {
 	enc.Encode(&p)
 }
 
-// renderReport writes the full fsanalyze output sequence — Tables
-// III-V, the §3.1 intervals, the sharing extension, Figures 1-4 — so
+// renderReport writes the whole Section-5 battery, as fsanalyze does, so
 // the daemon's report is byte-comparable with the batch tool's.
 func renderReport(w io.Writer, name string, an *analyzer.Analysis) {
-	tr := report.Traces{Names: []string{name}, Analyses: []*analyzer.Analysis{an}}
-	report.TableIII(tr).Render(w)
-	report.TableIV(tr).Render(w)
-	report.TableV(tr).Render(w)
-	report.EventIntervalTable(tr).Render(w)
-	report.SharingTable(tr).Render(w)
-	for _, c := range report.Figure1(tr) {
-		c.Render(w)
-	}
-	for _, c := range report.Figure2(tr) {
-		c.Render(w)
-	}
-	report.Figure3(tr).Render(w)
-	for _, c := range report.Figure4(tr) {
-		c.Render(w)
-	}
+	report.Section5(w, report.Traces{Names: []string{name}, Analyses: []*analyzer.Analysis{an}}, nil)
 }
 
 func (d *daemon) handleReport(w http.ResponseWriter, r *http.Request) {

@@ -93,14 +93,11 @@ func (a *activityAccum) decodeState(buf []byte, user func(trace.UserID) *user) (
 	if buf, err = a.row.PerUserThroughput.DecodeState(buf); err != nil {
 		return nil, err
 	}
-	n, buf, err := stats.DecodeUvarint(buf)
+	n, buf, err := stats.DecodeCount(buf)
 	if err != nil {
 		return nil, err
 	}
-	if n > 1<<28 {
-		return nil, stats.ErrCorruptState
-	}
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		var u uint64
 		var b int64
 		if u, buf, err = stats.DecodeUvarint(buf); err != nil {
@@ -306,14 +303,11 @@ func RestoreStream(data []byte, opts Options) (*Stream, error) {
 		return nil, err
 	}
 
-	n, buf, err := stats.DecodeUvarint(buf)
+	n, buf, err := stats.DecodeCount(buf)
 	if err != nil {
 		return nil, err
 	}
-	if n > 1<<28 {
-		return nil, stats.ErrCorruptState
-	}
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		var u uint64
 		if u, buf, err = stats.DecodeUvarint(buf); err != nil {
 			return nil, err
@@ -321,14 +315,11 @@ func RestoreStream(data []byte, opts Options) (*Stream, error) {
 		s.user(trace.UserID(u))
 	}
 
-	if n, buf, err = stats.DecodeUvarint(buf); err != nil {
+	if n, buf, err = stats.DecodeCount(buf); err != nil {
 		return nil, err
 	}
-	if n > 1<<28 {
-		return nil, stats.ErrCorruptState
-	}
 	s.openUser = make(map[trace.OpenID]*user, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		var o, u uint64
 		if o, buf, err = stats.DecodeUvarint(buf); err != nil {
 			return nil, err
@@ -339,14 +330,11 @@ func RestoreStream(data []byte, opts Options) (*Stream, error) {
 		s.openUser[trace.OpenID(o)] = s.user(trace.UserID(u))
 	}
 
-	if n, buf, err = stats.DecodeUvarint(buf); err != nil {
+	if n, buf, err = stats.DecodeCount(buf); err != nil {
 		return nil, err
 	}
-	if n > 1<<28 {
-		return nil, stats.ErrCorruptState
-	}
 	s.lives = make(map[trace.FileID]lifeState, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		var f uint64
 		var birth, bytes int64
 		if f, buf, err = stats.DecodeUvarint(buf); err != nil {
@@ -361,14 +349,11 @@ func RestoreStream(data []byte, opts Options) (*Stream, error) {
 		s.lives[trace.FileID(f)] = lifeState{birth: trace.Time(birth), bytes: bytes}
 	}
 
-	if n, buf, err = stats.DecodeUvarint(buf); err != nil {
+	if n, buf, err = stats.DecodeCount(buf); err != nil {
 		return nil, err
 	}
-	if n > 1<<28 {
-		return nil, stats.ErrCorruptState
-	}
 	s.shares = make(map[trace.FileID]fileShare, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		var f, first uint64
 		var users, accesses int64
 		if f, buf, err = stats.DecodeUvarint(buf); err != nil {

@@ -3,8 +3,10 @@ package analyzer
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"testing"
 
+	"bsdtrace/internal/stats"
 	"bsdtrace/internal/trace"
 )
 
@@ -139,6 +141,39 @@ func TestRestoreStreamCorrupt(t *testing.T) {
 	}
 	if _, err := RestoreStream(nil, Options{}); err == nil {
 		t.Fatalf("RestoreStream accepted nil")
+	}
+}
+
+// TestRestoreStreamBoundsCounts: an open-table count that claims 1<<22
+// entries with a few bytes left is refused before a table is sized from
+// it. (Sized from such a count, the table alone takes over 100 MB.)
+func TestRestoreStreamBoundsCounts(t *testing.T) {
+	s := NewStream(Options{})
+	s.Feed(trace.Event{Time: 1, Kind: trace.KindOpen, OpenID: 300000, File: 5, User: 77, Mode: trace.ReadOnly})
+	blob, err := s.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The user table (one user, 77), then the open table (one open,
+	// 300000 by user 77).
+	tables := stats.AppendUvarint([]byte{1, 77, 1}, 300000)
+	tables = append(tables, 77)
+	at := bytes.Index(blob, tables)
+	if at < 0 || bytes.LastIndex(blob, tables) != at {
+		t.Fatalf("user and open tables not found once in the blob")
+	}
+	at += 2 // the open table's count
+	corrupt := append(stats.AppendUvarint(blob[:at:at], 1<<22), blob[at+1:at+5]...)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = RestoreStream(corrupt, Options{})
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("RestoreStream accepted a count past the end of its input")
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Errorf("RestoreStream allocated %d bytes for a %d-byte blob", alloc, len(corrupt))
 	}
 }
 

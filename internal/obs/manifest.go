@@ -25,13 +25,12 @@ type RunInfo struct {
 }
 
 // StageRecord is one pipeline stage in the manifest's stage table.
-// Name, events, and bytes are deterministic; seconds, rate, and the
+// Name and events are deterministic; seconds, rate, and the
 // allocation deltas are volatile.
 type StageRecord struct {
 	Name         string  `json:"name"`
 	EventsIn     int64   `json:"events_in"`
 	EventsOut    int64   `json:"events_out"`
-	Bytes        int64   `json:"bytes,omitempty"`
 	Seconds      float64 `json:"seconds,omitempty"`
 	EventsPerSec float64 `json:"events_per_sec,omitempty"`
 	AllocBytes   int64   `json:"alloc_bytes,omitempty"`
@@ -96,7 +95,6 @@ func (r *Registry) Manifest(info RunInfo) *Manifest {
 			Name:         s.Name(),
 			EventsIn:     s.EventsIn(),
 			EventsOut:    s.EventsOut(),
-			Bytes:        s.Bytes(),
 			Seconds:      s.Wall().Seconds(),
 			EventsPerSec: s.EventsPerSec(),
 			AllocBytes:   ab,

@@ -34,7 +34,6 @@ func TestDisabledRegistryIsNoOpFactory(t *testing.T) {
 		}
 		sp := reg.StartSpan("s")
 		sp.AddOut(1)
-		sp.AddBytes(1)
 		sp.End()
 		if sp.EventsIn() != 0 || sp.Name() != "" {
 			t.Fatalf("%s registry span is live", name)
@@ -78,15 +77,14 @@ func TestSpanLifecycle(t *testing.T) {
 	sp := reg.StartSpan("stage")
 	sp.eventsIn.Add(10)
 	sp.AddOut(7)
-	sp.AddBytes(4096)
 	sp.End()
 	w := sp.Wall()
 	sp.End() // idempotent: wall stays frozen
 	if sp.Wall() != w {
 		t.Fatal("second End moved the frozen wall time")
 	}
-	if sp.EventsIn() != 10 || sp.EventsOut() != 7 || sp.Bytes() != 4096 {
-		t.Fatalf("span totals = %d/%d/%d", sp.EventsIn(), sp.EventsOut(), sp.Bytes())
+	if sp.EventsIn() != 10 || sp.EventsOut() != 7 {
+		t.Fatalf("span totals = %d/%d", sp.EventsIn(), sp.EventsOut())
 	}
 	if sp.Events() != 7 {
 		t.Fatalf("Events() = %d, want events-out when nonzero", sp.Events())
@@ -152,7 +150,6 @@ func fillRegistry(t *testing.T) *Registry {
 	reg.SetEnabled(true)
 	sp := reg.StartSpan("stage/a")
 	sp.AddOut(42)
-	sp.AddBytes(1 << 20)
 	sp.End()
 	reg.Counter("events.total").Set(42)
 	reg.Gauge("depth").Set(3)

@@ -29,9 +29,8 @@ func (r *Registry) Instrument(name string, src trace.Source) trace.Source {
 
 // SpanSource wraps src so every event it yields counts into an existing
 // span's events-out total and a clean EOF ends the span. It is
-// Instrument for callers that already hold the stage span (and want,
-// say, AddBytes on the same record). Returns src unchanged
-// when sp is nil.
+// Instrument for callers that already hold the stage span. Returns src
+// unchanged when sp is nil.
 func SpanSource(sp *Span, src trace.Source) trace.Source {
 	if sp == nil {
 		return src

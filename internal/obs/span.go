@@ -9,12 +9,11 @@ import (
 )
 
 // Span measures one pipeline stage: wall time from StartSpan to End,
-// events in and out, an optional payload byte count, and the process's
-// allocation delta over the stage (runtime.ReadMemStats, so the numbers
+// events in and out, and the process's allocation delta over the stage (runtime.ReadMemStats, so the numbers
 // are process-wide — exact for serial stages, an attribution
 // approximation when stages overlap).
 //
-// Event and byte totals are deterministic; wall time and allocation
+// Event totals are deterministic; wall time and allocation
 // deltas are volatile. A nil Span ignores all operations, which is how
 // the disabled path stays free.
 type Span struct {
@@ -26,7 +25,6 @@ type Span struct {
 
 	eventsIn  atomic.Int64
 	eventsOut atomic.Int64
-	bytes     atomic.Int64
 
 	mu         sync.Mutex
 	ended      bool
@@ -62,16 +60,6 @@ func (s *Span) AddOut(n int64) {
 		return
 	}
 	s.eventsOut.Add(n)
-}
-
-// AddBytes counts payload bytes attributed to the stage (e.g. the size
-// of a spill file it wrote). Deterministic, unlike the allocation
-// deltas End records.
-func (s *Span) AddBytes(n int64) {
-	if s == nil {
-		return
-	}
-	s.bytes.Add(n)
 }
 
 // End closes the span, freezing its wall time and allocation deltas.
@@ -115,14 +103,6 @@ func (s *Span) EventsOut() int64 {
 		return 0
 	}
 	return s.eventsOut.Load()
-}
-
-// Bytes returns the payload byte total.
-func (s *Span) Bytes() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.bytes.Load()
 }
 
 // Wall returns the stage's wall time: frozen if ended, live otherwise.

@@ -2,6 +2,7 @@ package report
 
 import (
 	"fmt"
+	"io"
 
 	"bsdtrace/internal/analyzer"
 	"bsdtrace/internal/cachesim"
@@ -295,6 +296,40 @@ func EventIntervalTable(tr Traces) *Table {
 		t.AddRow(cells...)
 	}
 	return t
+}
+
+// Section5 renders the Section-5 battery in report order: Tables III-V,
+// the inter-event interval and sharing tables, then Figures 1-4, each
+// item only when want accepts its name (a nil want accepts all). Like
+// the commands' other sections it leaves write errors to w.
+func Section5(w io.Writer, tr Traces, want func(item string) bool) {
+	tables := []struct {
+		name  string
+		build func(Traces) *Table
+	}{
+		{"tableIII", TableIII}, {"tableIV", TableIV}, {"tableV", TableV},
+		{"intervals", EventIntervalTable}, {"sharing", SharingTable},
+	}
+	for _, t := range tables {
+		if want == nil || want(t.name) {
+			t.build(tr).Render(w)
+		}
+	}
+	figures := []struct {
+		name  string
+		build func(Traces) []*Chart
+	}{
+		{"fig1", Figure1}, {"fig2", Figure2},
+		{"fig3", func(tr Traces) []*Chart { return []*Chart{Figure3(tr)} }},
+		{"fig4", Figure4},
+	}
+	for _, f := range figures {
+		if want == nil || want(f.name) {
+			for _, c := range f.build(tr) {
+				c.Render(w)
+			}
+		}
+	}
 }
 
 // TableVI reproduces miss ratio as a function of cache size and write

@@ -45,6 +45,21 @@ func DecodeUvarint(buf []byte) (uint64, []byte, error) {
 	return x, buf[n:], nil
 }
 
+// DecodeCount decodes an entry count appended by AppendUvarint and
+// rejects one larger than the bytes left: every entry takes at least a
+// byte, so a corrupt count cannot make the caller size a table past its
+// input.
+func DecodeCount(buf []byte) (int, []byte, error) {
+	n, buf, err := DecodeUvarint(buf)
+	if err != nil {
+		return 0, nil, err
+	}
+	if n > uint64(len(buf)) {
+		return 0, nil, fmt.Errorf("%w: %d entries in %d bytes", ErrCorruptState, n, len(buf))
+	}
+	return int(n), buf, nil
+}
+
 // AppendVarint appends x in signed varint encoding.
 func AppendVarint(buf []byte, x int64) []byte {
 	return binary.AppendVarint(buf, x)

@@ -41,8 +41,10 @@ type Fanout struct {
 
 // fanoutChanBuffer is each subscriber's channel capacity in batches:
 // enough slack that subscribers at slightly different speeds do not
-// convoy, small enough that fan-out memory stays trivial.
-const fanoutChanBuffer = 8
+// convoy, and that a merge of concurrent producers (MergeProducers)
+// rarely waits on one of them, small enough that fan-out memory stays
+// trivial.
+const fanoutChanBuffer = 16
 
 // ErrFanoutDone is returned by Write once every subscriber has
 // canceled: nothing is listening, so the producer may stop early.

@@ -1,9 +1,6 @@
 package trace
 
-import (
-	"container/heap"
-	"io"
-)
+import "io"
 
 // RemapIDs renames the identifiers of an event from source s of n merged
 // sources so events from different sources can never collide: identifier
@@ -33,34 +30,50 @@ func RemapIDs(e Event, n, s int) Event {
 // runner-up, so a switch between lists costs len(lists) comparisons.
 func Interleave[T any](lists [][]T, at func(*T) Time, emit func(list int, v *T)) {
 	heads := make([]int, len(lists))
-	for {
-		lead, runner := -1, -1
-		var leadT, runnerT Time
-		for l, xs := range lists {
-			if heads[l] == len(xs) {
-				continue
-			}
-			switch t := at(&xs[heads[l]]); {
-			case lead < 0 || t < leadT:
-				lead, leadT, runner, runnerT = l, t, lead, leadT
-			case runner < 0 || t < runnerT:
-				runner, runnerT = l, t
-			}
+	head := func(l int) (Time, bool) {
+		if heads[l] == len(lists[l]) {
+			return 0, false
 		}
+		return at(&lists[l][heads[l]]), true
+	}
+	for {
+		lead, runner, runnerT := pickLead(len(lists), head)
 		if lead < 0 {
 			return
 		}
 		xs, i := lists[lead], heads[lead]
-		for ; i < len(xs); i++ {
-			if runner >= 0 {
-				if t := at(&xs[i]); t > runnerT || (t == runnerT && lead > runner) {
-					break
-				}
-			}
+		for ; i < len(xs) && leads(at(&xs[i]), lead, runner, runnerT); i++ {
 			emit(lead, &xs[i])
 		}
 		heads[lead] = i
 	}
+}
+
+// pickLead returns the stream with the earliest head among n streams,
+// the runner-up and the runner-up's head time, ties going to the lower
+// index; lead is -1 when no stream has a head, runner when fewer than
+// two have. head reports stream i's head time, or false once stream i
+// is exhausted.
+func pickLead(n int, head func(i int) (Time, bool)) (lead, runner int, runnerT Time) {
+	lead, runner = -1, -1
+	var leadT Time
+	for i := 0; i < n; i++ {
+		t, ok := head(i)
+		switch {
+		case !ok:
+		case lead < 0 || t < leadT:
+			lead, leadT, runner, runnerT = i, t, lead, leadT
+		case runner < 0 || t < runnerT:
+			runner, runnerT = i, t
+		}
+	}
+	return lead, runner, runnerT
+}
+
+// leads reports whether the lead stream, whose next head is at t, still
+// goes before the runner-up in the (time, index) order.
+func leads(t Time, lead, runner int, runnerT Time) bool {
+	return runner < 0 || t < runnerT || (t == runnerT && lead < runner)
 }
 
 // MergeSource interleaves several time-ordered Sources into one
@@ -75,10 +88,10 @@ func Interleave[T any](lists [][]T, at func(*T) Time, emit func(list int, v *T))
 // order, so the merged order is a pure function of the source streams and
 // never of scheduling.
 type MergeSource struct {
-	n       int
-	pending []mergeItem // sources not yet loaded into the heap
-	items   []mergeItem // min-heap on (head.Time, source index)
-	err     error
+	n      int
+	items  []mergeItem // the live sources, in source order
+	primed bool
+	err    error
 }
 
 type mergeItem struct {
@@ -93,43 +106,42 @@ type mergeItem struct {
 func NewMergeSource(sources ...Source) *MergeSource {
 	m := &MergeSource{n: len(sources)}
 	for s, src := range sources {
-		m.pending = append(m.pending, mergeItem{in: NewCursor(src), source: s})
+		m.items = append(m.items, mergeItem{in: NewCursor(src), source: s})
 	}
 	return m
 }
 
-// NextBatch drains the minimum source while it stays the minimum,
-// remapping as it copies. The heap is touched only when the lead source
-// changes or ends, so merging k ordered streams costs far less than one
-// sift per event when runs of consecutive events come from one source —
-// exactly the common case for coarse-grained shard interleavings.
+// NextBatch drains the lead source while it stays ahead of the
+// runner-up, remapping as it copies, and picks the lead again only when
+// the lead falls behind or ends. So merging k ordered streams costs one
+// comparison per event plus k per switch between sources, and runs of
+// consecutive events from one source — the common case for
+// coarse-grained shard interleavings — cost no more than a copy.
 func (m *MergeSource) NextBatch(buf []Event) (int, error) {
 	if m.err != nil {
 		return 0, m.err
 	}
-	if m.pending != nil {
+	if !m.primed {
 		if err := m.prime(); err != nil {
 			return 0, err
 		}
 	}
 	n := 0
 	for n < len(buf) {
-		if len(m.items) == 0 {
+		lead, runner, runnerT := pickLead(len(m.items), m.head)
+		if lead < 0 {
 			if n > 0 {
 				return n, nil
 			}
 			return 0, io.EOF
 		}
-		it := &m.items[0]
-		// The lead source may emit without re-heapifying while its head
-		// stays ahead of the runner-up in the (time, source) order.
-		runnerTime, runnerSource, haveRunner := m.runnerUp()
+		it := &m.items[lead]
 		for n < len(buf) {
 			buf[n] = RemapIDs(it.head, m.n, it.source)
 			n++
 			e, err := it.in.Next()
 			if err == io.EOF {
-				m.popLead()
+				m.items = append(m.items[:lead], m.items[lead+1:]...)
 				break
 			}
 			if err != nil {
@@ -139,8 +151,7 @@ func (m *MergeSource) NextBatch(buf []Event) (int, error) {
 				return n, nil
 			}
 			it.head = e
-			if haveRunner && (e.Time > runnerTime || (e.Time == runnerTime && it.source > runnerSource)) {
-				m.fixLead()
+			if !leads(e.Time, lead, runner, runnerT) {
 				break
 			}
 		}
@@ -148,27 +159,13 @@ func (m *MergeSource) NextBatch(buf []Event) (int, error) {
 	return n, nil
 }
 
-// runnerUp returns the (time, source) key of the second-smallest heap
-// item — the threshold the lead source must stay under to keep emitting
-// without a sift.
-func (m *MergeSource) runnerUp() (t Time, source int, ok bool) {
-	switch len(m.items) {
-	case 0, 1:
-		return 0, 0, false
-	case 2:
-		return m.items[1].head.Time, m.items[1].source, true
-	}
-	i := 1
-	if m.Less(2, 1) {
-		i = 2
-	}
-	return m.items[i].head.Time, m.items[i].source, true
-}
+func (m *MergeSource) head(i int) (Time, bool) { return m.items[i].head.Time, true }
 
-// prime loads the first event of every source into the heap. It runs
-// once, on the first pull.
+// prime loads the first event of every source and drops the empty
+// ones. It runs once, on the first pull.
 func (m *MergeSource) prime() error {
-	for _, it := range m.pending {
+	live := m.items[:0]
+	for _, it := range m.items {
 		e, err := it.in.Next()
 		if err == io.EOF {
 			continue
@@ -178,39 +175,30 @@ func (m *MergeSource) prime() error {
 			return err
 		}
 		it.head = e
-		m.items = append(m.items, it)
+		live = append(live, it)
 	}
-	m.pending = nil
-	heap.Init(m)
+	m.items, m.primed = live, true
 	return nil
 }
 
-// popLead removes the drained lead source; fixLead restores the heap
-// after the lead's head advanced. popLead moves the last item to the
-// root rather than calling heap.Pop, which would box the item.
-func (m *MergeSource) popLead() {
-	last := len(m.items) - 1
-	m.items[0] = m.items[last]
-	m.items = m.items[:last]
-	if last > 0 {
-		m.fixLead()
+// MergeProducers runs each producer on its own goroutine and merges
+// their streams into sink through a MergeSource: in time order, ties in
+// producer order, with RemapIDs' renaming. A producer writes its events
+// through emit into a one-subscriber Fanout, so it runs at most the
+// fan-out's channel depth ahead of the merge. On a nil return every
+// producer has returned: a stream ends only when its producer does. On
+// an error, the sink's or a producer's as the merge reaches it,
+// MergeProducers returns at once and every other producer's emit
+// returns ErrFanoutDone from its next batch on; a producer that runs on
+// without emitting (a simulation does) finishes in the background.
+func MergeProducers(sink func(Event) error, producers ...func(emit func(Event) error) error) error {
+	subs := make([]Source, len(producers))
+	for i, produce := range producers {
+		f := NewFanout(1)
+		sub := f.Source(0)
+		defer sub.Cancel()
+		subs[i] = sub
+		go func() { f.Close(produce(f.Write)) }()
 	}
-}
-func (m *MergeSource) fixLead() { heap.Fix(m, 0) }
-
-func (m *MergeSource) Len() int { return len(m.items) }
-func (m *MergeSource) Less(i, j int) bool {
-	a, b := &m.items[i], &m.items[j]
-	if a.head.Time != b.head.Time {
-		return a.head.Time < b.head.Time
-	}
-	return a.source < b.source
-}
-func (m *MergeSource) Swap(i, j int) { m.items[i], m.items[j] = m.items[j], m.items[i] }
-func (m *MergeSource) Push(x any)    { m.items = append(m.items, x.(mergeItem)) }
-func (m *MergeSource) Pop() any {
-	old := m.items
-	it := old[len(old)-1]
-	m.items = old[:len(old)-1]
-	return it
+	return Each(NewMergeSource(subs...), sink)
 }

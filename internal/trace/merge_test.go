@@ -1,10 +1,14 @@
 package trace
 
 import (
+	"errors"
 	"reflect"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestMergeEmpty(t *testing.T) {
@@ -153,4 +157,116 @@ func TestWindowedTraceValidates(t *testing.T) {
 	for _, err := range errs {
 		t.Errorf("validator: %v", err)
 	}
+}
+
+// within fails the test if f has not returned within a generous
+// deadline.
+func within(t *testing.T, what string, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() { f(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatalf("%s did not return", what)
+	}
+}
+
+// TestMergeProducers: the merged stream equals the merge oracle and
+// every producer has returned by the time MergeProducers returns nil; a
+// sink error comes back promptly and every producer's emit fails with
+// ErrFanoutDone; a producer's error comes back as the merge's.
+func TestMergeProducers(t *testing.T) {
+	// emitUntil emits events 1 ms apart, n of them (n < 0: until emit
+	// fails), records emit's error in *got and returns fail or emit's
+	// error. It marks wg done on return.
+	emitUntil := func(wg *sync.WaitGroup, n int, got *error, fail error) func(func(Event) error) error {
+		wg.Add(1)
+		return func(emit func(Event) error) error {
+			defer wg.Done()
+			for i := 0; i != n; i++ {
+				if err := emit(Event{Time: Time(i), Kind: KindExec, File: 1, User: 1}); err != nil {
+					*got = err
+					return err
+				}
+			}
+			return fail
+		}
+	}
+
+	t.Run("clean", func(t *testing.T) {
+		lists := [][]Event{randomValidTrace(1), randomValidTrace(2), nil, randomValidTrace(3)}
+		var returned atomic.Int32
+		producers := make([]func(func(Event) error) error, len(lists))
+		for i, l := range lists {
+			producers[i] = func(emit func(Event) error) error {
+				defer returned.Add(1)
+				for _, e := range l {
+					if err := emit(e); err != nil {
+						return err
+					}
+				}
+				return nil
+			}
+		}
+		var got []Event
+		var err error
+		within(t, "MergeProducers", func() {
+			err = MergeProducers(func(e Event) error { got = append(got, e); return nil }, producers...)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := returned.Load(); n != int32(len(lists)) {
+			t.Errorf("%d of %d producers had returned", n, len(lists))
+		}
+		if want := MergeOracle(lists...); !reflect.DeepEqual(got, want) {
+			t.Errorf("merged %d events, want the oracle's %d", len(got), len(want))
+		}
+	})
+
+	t.Run("sink-error", func(t *testing.T) {
+		stop := errors.New("sink full")
+		var wg sync.WaitGroup
+		emitted := make([]error, 3)
+		n := 0
+		sink := func(Event) error {
+			if n++; n == 5000 {
+				return stop
+			}
+			return nil
+		}
+		var err error
+		within(t, "MergeProducers", func() {
+			err = MergeProducers(sink, emitUntil(&wg, -1, &emitted[0], nil),
+				emitUntil(&wg, -1, &emitted[1], nil), emitUntil(&wg, -1, &emitted[2], nil))
+		})
+		if !errors.Is(err, stop) {
+			t.Fatalf("err = %v, want the sink's", err)
+		}
+		within(t, "the producers", wg.Wait)
+		for i, e := range emitted {
+			if !errors.Is(e, ErrFanoutDone) {
+				t.Errorf("producer %d: emit returned %v, want ErrFanoutDone", i, e)
+			}
+		}
+	})
+
+	t.Run("producer-error", func(t *testing.T) {
+		boom := errors.New("generation failed")
+		var wg sync.WaitGroup
+		emitted := make([]error, 3)
+		var err error
+		within(t, "MergeProducers", func() {
+			err = MergeProducers(func(Event) error { return nil }, emitUntil(&wg, -1, &emitted[0], nil),
+				emitUntil(&wg, 3000, &emitted[1], boom), emitUntil(&wg, -1, &emitted[2], nil))
+		})
+		if !errors.Is(err, boom) {
+			t.Fatalf("err = %v, want the producer's", err)
+		}
+		within(t, "the producers", wg.Wait)
+		if !errors.Is(emitted[0], ErrFanoutDone) || !errors.Is(emitted[2], ErrFanoutDone) {
+			t.Errorf("the other producers' emit returned %v and %v, want ErrFanoutDone", emitted[0], emitted[2])
+		}
+	})
 }

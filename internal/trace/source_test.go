@@ -2,6 +2,7 @@ package trace
 
 import (
 	"io"
+	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -19,18 +20,35 @@ func TestSliceSourceRoundTrip(t *testing.T) {
 }
 
 // TestMergeSourceMatchesMerge: the streaming k-way merge yields exactly
-// the merge oracle — a stable time sort of the remapped inputs.
+// the merge oracle — a stable time sort of the remapped inputs — for
+// three, five and eight valid traces, and for as many streams dense
+// with ties across sources.
 func TestMergeSourceMatchesMerge(t *testing.T) {
-	a := randomValidTrace(1)
-	b := randomValidTrace(2)
-	c := randomValidTrace(3)
-	want := MergeOracle(a, b, c)
-	got, err := ReadSource(NewMergeSource(NewSliceSource(a), NewSliceSource(b), NewSliceSource(c)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("MergeSource diverges from the merge oracle: %d vs %d events", len(got), len(want))
+	rng := rand.New(rand.NewSource(1))
+	for _, k := range []int{3, 5, 8} {
+		valid := make([][]Event, k)
+		ties := make([][]Event, k)
+		for i := range valid {
+			valid[i] = randomValidTrace(int64(i + 1))
+			deltas := make([]byte, 200)
+			for j := range deltas {
+				deltas[j] = byte(rng.Intn(3))
+			}
+			ties[i] = fuzzTrace(deltas, UserID(i+1))
+		}
+		for _, lists := range [][][]Event{valid, ties} {
+			srcs := make([]Source, k)
+			for i, l := range lists {
+				srcs[i] = NewSliceSource(l)
+			}
+			got, err := ReadSource(NewMergeSource(srcs...))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := MergeOracle(lists...); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%d-way MergeSource diverges from the merge oracle: %d vs %d events", k, len(got), len(want))
+			}
+		}
 	}
 }
 
@@ -59,14 +77,15 @@ func TestMergeSourceEmpty(t *testing.T) {
 }
 
 // TestMergeSourceConstantAllocs guards the merge's bounded-memory
-// contract: once primed, draining must not allocate per event. (The heap
-// reorders a fixed item slice; events pass through by value.)
+// contract: once primed, draining must not allocate per event. (The lead
+// is picked by a scan of a fixed item slice; events pass through by
+// value.)
 func TestMergeSourceConstantAllocs(t *testing.T) {
 	a := randomValidTrace(7)
 	b := randomValidTrace(8)
 	m := NewMergeSource(NewSliceSource(a), NewSliceSource(b))
 	one := make([]Event, 1)
-	if _, err := m.NextBatch(one); err != nil { // prime: heap + input batches
+	if _, err := m.NextBatch(one); err != nil { // prime: heads + input batches
 		t.Fatal(err)
 	}
 	avg := testing.AllocsPerRun(len(a)+len(b)-2, func() {

@@ -112,15 +112,12 @@ func (v *Validator) DecodeState(buf []byte) ([]byte, error) {
 		return nil, stats.ErrCorruptState
 	}
 
-	n, buf, err := stats.DecodeUvarint(buf)
+	n, buf, err := stats.DecodeCount(buf)
 	if err != nil {
 		return nil, err
 	}
-	if n > 1<<28 {
-		return nil, stats.ErrCorruptState
-	}
 	open := make(map[OpenID]*openState, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		var id, file, mode uint64
 		if id, buf, err = stats.DecodeUvarint(buf); err != nil {
 			return nil, err

@@ -80,10 +80,6 @@ func (s *Scanner) AppendState(buf []byte) []byte {
 	return stats.AppendUvarint(buf, uint64(len(s.errs)))
 }
 
-// maxStateEntries bounds map sizes claimed by a state blob so a corrupt
-// length prefix cannot force a giant allocation before the decode fails.
-const maxStateEntries = 1 << 28
-
 // DecodeState replaces the scanner's state with one appended by
 // AppendState, returning the remaining bytes. Callbacks are untouched.
 func (s *Scanner) DecodeState(buf []byte) ([]byte, error) {
@@ -95,15 +91,12 @@ func (s *Scanner) DecodeState(buf []byte) ([]byte, error) {
 		return nil, fmt.Errorf("xfer: scanner state version %d, want %d", v, scannerStateVersion)
 	}
 
-	n, buf, err := stats.DecodeUvarint(buf)
+	n, buf, err := stats.DecodeCount(buf)
 	if err != nil {
 		return nil, err
 	}
-	if n > maxStateEntries {
-		return nil, stats.ErrCorruptState
-	}
 	opens := make(map[trace.OpenID]openState, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		var st openState
 		sum := &st.summary
 		var u int64
@@ -174,15 +167,12 @@ func (s *Scanner) DecodeState(buf []byte) ([]byte, error) {
 		opens[sum.OpenID] = st
 	}
 
-	n, buf, err = stats.DecodeUvarint(buf)
+	n, buf, err = stats.DecodeCount(buf)
 	if err != nil {
 		return nil, err
 	}
-	if n > maxStateEntries {
-		return nil, stats.ErrCorruptState
-	}
 	sizes := make(map[trace.FileID]int64, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		var f uint64
 		var sz int64
 		if f, buf, err = stats.DecodeUvarint(buf); err != nil {

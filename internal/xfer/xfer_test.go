@@ -3,10 +3,12 @@ package xfer
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
 	"bsdtrace/internal/kernel"
+	"bsdtrace/internal/stats"
 	"bsdtrace/internal/trace"
 	"bsdtrace/internal/vfs"
 )
@@ -428,5 +430,30 @@ func TestReconstructionPropertyRandomOps(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestDecodeStateBoundsCounts: an open- or size-table count that claims
+// 1<<22 entries with a few bytes left is refused before a table is
+// sized from it. (Sized from such a count, the table alone takes over
+// 100 MB.)
+func TestDecodeStateBoundsCounts(t *testing.T) {
+	for _, empty := range []int{0, 1} { // 0: the open table, 1: the size table
+		blob := stats.AppendUvarint(nil, scannerStateVersion)
+		for i := 0; i < empty; i++ {
+			blob = stats.AppendUvarint(blob, 0)
+		}
+		blob = append(stats.AppendUvarint(blob, 1<<22), 1, 2, 3, 4)
+
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := NewScanner().DecodeState(blob)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("table %d: DecodeState accepted a count past the end of its input", empty)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+			t.Errorf("table %d: DecodeState allocated %d bytes for a %d-byte blob", empty, alloc, len(blob))
+		}
 	}
 }

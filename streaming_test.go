@@ -53,8 +53,8 @@ func equivTrace(t *testing.T) []trace.Event {
 }
 
 // TestStreamingAnalysisEquivalence: the incremental analyzer fed one
-// event at a time — through the binary codec, as fsanalyze consumes spill
-// files — produces an Analysis identical to the in-memory Analyze on the
+// event at a time — through the binary codec, as fsanalyze consumes
+// trace files — produces an Analysis identical to the in-memory Analyze on the
 // full seed trace.
 func TestStreamingAnalysisEquivalence(t *testing.T) {
 	events := equivTrace(t)
