@@ -78,74 +78,6 @@ func main() {
 	}
 }
 
-// open returns a stream over one trace file. Binary traces stream straight
-// off the file; the text format is line-oriented and small, so it is read
-// whole and replayed from memory. The returned Reader is non-nil for
-// binary input, so the caller can check Skipped() after the stream ends.
-func open(path string, opts options) (trace.Source, *trace.Reader, io.Closer, error) {
-	var src trace.Source
-	var rdr *trace.Reader
-	var closer io.Closer
-	if opts.text {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		events, err := trace.ReadText(f)
-		f.Close()
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		src = trace.NewSliceSource(events)
-	} else {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		r, err := trace.NewReader(f)
-		if err != nil {
-			f.Close()
-			return nil, nil, nil, err
-		}
-		src, rdr, closer = r, r, f
-	}
-	if opts.from > 0 || opts.to > 0 {
-		to := trace.Time(math.MaxInt64)
-		if opts.to > 0 {
-			to = trace.Time(opts.to.Milliseconds())
-		}
-		src = trace.WindowSource(src, trace.Time(opts.from.Milliseconds()), to)
-	}
-	return src, rdr, closer, nil
-}
-
-// ingestDamage enforces the partial-ingest contract once a stream has
-// been consumed: a strict run fails on any skipped bytes (non-zero exit
-// from main), a lenient run reports the damage budget to stderr and
-// carries on with what survived.
-func ingestDamage(path string, rdr *trace.Reader, ls *trace.LenientSource, lenient bool) error {
-	var skip trace.SkipStats
-	if rdr != nil {
-		skip = rdr.Skipped()
-	}
-	if !lenient {
-		if !skip.Zero() {
-			return fmt.Errorf("%s: partial ingest (%v); rerun with -lenient to repair and continue", path, skip)
-		}
-		return nil
-	}
-	if ls == nil {
-		return nil
-	}
-	if trunc := ls.Truncated(); trunc != nil {
-		fmt.Fprintf(os.Stderr, "fsanalyze: %s: stream truncated at decode error: %v\n", path, trunc)
-	}
-	if st := ls.Stats(); !st.Zero() || !skip.Zero() {
-		fmt.Fprintf(os.Stderr, "fsanalyze: %s: degraded ingest: %v; repaired: %v\n", path, skip, st)
-	}
-	return nil
-}
-
 // checkRanges rejects a window that would select nothing or that a
 // negative offset would silently widen, and a negative -top.
 func (o options) checkRanges() error {
@@ -227,104 +159,162 @@ func run(out io.Writer, paths []string, opts options) error {
 		return m.WriteFile(opts.manifest)
 	}
 
-	if format != adapt.FormatBSD {
-		if err := runForeign(w, paths, format, opts, reg); err != nil {
+	// Logical-class traces (native ones and strace imports) get the
+	// Section-5 battery; block and page imports only the transfer-level
+	// sections, because their open/close events are adapter scaffolding.
+	// A foreign import also builds its tape in the same pass.
+	class := format.Class()
+	foreign := format != adapt.FormatBSD
+	if opts.only != "" {
+		if err := analyzer.CheckSection(opts.only, class); err != nil {
 			return err
 		}
-		return writeManifest()
+	}
+	if opts.top > 0 && class != trace.ClassLogical {
+		return fmt.Errorf("-top needs logical structure: %w",
+			&analyzer.UnsupportedClassError{Metric: "busiest files", Class: class})
 	}
 
 	tr := report.Traces{}
-	var tops []*analyzer.TopAccum
+	var (
+		names []string
+		tops  []*analyzer.TopAccum
+		sums  []xfer.Summary
+		stats []adapt.Stats
+	)
 	for _, path := range paths {
-		src, rdr, closer, err := open(path, opts)
+		name := strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
+		f, err := os.Open(path)
 		if err != nil {
 			return fmt.Errorf("%s: %w", path, err)
 		}
-		name := strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
+		in, err := adapt.NewInput(f, format, opts.text, opts.lenient)
+		if err != nil {
+			f.Close()
+			return fmt.Errorf("%s: %w", path, err)
+		}
+		var src trace.Source = in
+		if opts.from > 0 || opts.to > 0 {
+			to := trace.Time(math.MaxInt64)
+			if opts.to > 0 {
+				to = trace.Time(opts.to.Milliseconds())
+			}
+			src = trace.WindowSource(src, trace.Time(opts.from.Milliseconds()), to)
+		}
 
-		if opts.validate {
-			src = reg.Instrument("validate/"+name, src)
-			v := trace.NewValidator(0)
-			var n int
-			if err := trace.Each(src, func(e trace.Event) error {
+		// One pass feeds the validator, or the analyzer (which drives
+		// the tape, when there is one) and the busiest-file accumulator.
+		stage := "analyze/"
+		var (
+			v   *trace.Validator
+			s   *analyzer.Stream
+			tb  *xfer.TapeBuilder
+			top *analyzer.TopAccum
+			n   int
+		)
+		switch {
+		case opts.validate:
+			stage, v = "validate/", trace.NewValidator(0)
+		case class == trace.ClassLogical:
+			s = analyzer.NewStream(analyzer.Options{})
+			if foreign {
+				tb = s.AttachTape()
+			}
+			if opts.top > 0 {
+				top = analyzer.NewTopAccum()
+			}
+		default:
+			tb = xfer.NewTapeBuilder()
+		}
+		err = trace.Each(reg.Instrument(stage+name, src), func(e trace.Event) error {
+			n++
+			switch {
+			case v != nil:
 				v.Check(e)
-				n++
-				return nil
-			}); err != nil {
-				return fmt.Errorf("%s: %w", path, err)
+			case s != nil:
+				s.Feed(e)
+			default:
+				tb.Add(e)
 			}
-			unclosed := v.Finish()
-			for _, e := range v.Errs() {
-				fmt.Fprintf(w, "%s: %v\n", path, e)
-			}
-			if fb := v.FirstBad(); fb != nil {
-				fmt.Fprintf(w, "%s: first failing event: %s\n", path, fb)
-			}
-			c := v.Stats()
-			var kinds []string
-			for k := trace.KindCreate; int(k) <= trace.NumKinds; k++ {
-				kinds = append(kinds, fmt.Sprintf("%d %s", c.ByKind[k], k))
-			}
-			fmt.Fprintf(w, "%s: seen %s\n", path, strings.Join(kinds, ", "))
-			fmt.Fprintf(w, "%s: %d events, %d validation errors, %d unclosed opens\n",
-				path, n, len(v.Errs()), unclosed)
-			if reg.Enabled() {
-				reg.Counter("validate." + name + ".events").Set(int64(n))
-				reg.Counter("validate." + name + ".errors").Set(int64(len(v.Errs())))
-				reg.Counter("validate." + name + ".unclosed").Set(int64(unclosed))
-			}
-			if closer != nil {
-				closer.Close()
-			}
-			continue
-		}
-
-		var ls *trace.LenientSource
-		if opts.lenient {
-			ls = trace.NewLenientSource(src)
-			src = ls
-		}
-		src = reg.Instrument("analyze/"+name, src)
-
-		// One pass feeds the analyzer and, when asked for, the busiest-file
-		// accumulator.
-		s := analyzer.NewStream(analyzer.Options{})
-		var top *analyzer.TopAccum
-		if opts.top > 0 {
-			top = analyzer.NewTopAccum()
-		}
-		if err := trace.Each(src, func(e trace.Event) error {
-			s.Feed(e)
 			if top != nil {
 				top.Feed(e)
 			}
 			return nil
-		}); err != nil {
+		})
+		f.Close()
+		if cerr := in.Check(); cerr != nil {
+			return fmt.Errorf("%s: %w; rerun with -lenient to repair and continue", path, cerr)
+		}
+		if err != nil {
 			return fmt.Errorf("%s: %w", path, err)
 		}
-		if closer != nil {
-			closer.Close()
+		for _, d := range in.Damage() {
+			fmt.Fprintf(os.Stderr, "fsanalyze: %s: %s\n", path, d)
 		}
-		if err := ingestDamage(path, rdr, ls, opts.lenient); err != nil {
-			return err
+		in.Publish(reg, "skip."+name, "repair."+name)
+
+		if v != nil {
+			printValidation(w, path, name, n, v, in, format, reg)
+			continue
 		}
-		if rdr != nil {
-			obs.PublishSkip(reg, "skip."+name, rdr.Skipped())
+		if s != nil {
+			tr.Names = append(tr.Names, name)
+			tr.Analyses = append(tr.Analyses, s.Finish())
+			tops = append(tops, top)
 		}
-		if ls != nil {
-			obs.PublishRepair(reg, "repair."+name, ls.Stats())
+		if tb != nil {
+			tape, err := tb.Finish()
+			if err != nil {
+				return fmt.Errorf("%s: %w", path, err)
+			}
+			sums = append(sums, xfer.Summarize(tape))
+			stats = append(stats, in.Stats())
+			names = append(names, name)
 		}
-		tr.Names = append(tr.Names, name)
-		tr.Analyses = append(tr.Analyses, s.Finish())
-		tops = append(tops, top)
 	}
 	if opts.validate {
 		return writeManifest()
 	}
 
-	renderSections(w, tr, tops, opts)
+	if class == trace.ClassLogical {
+		renderSections(w, tr, tops, opts)
+	}
+	if foreign && opts.want("transfers") {
+		report.TransferSummaryTable(names, sums).Render(w)
+	}
+	if foreign && opts.only == "" {
+		report.AdapterStatsTable(names, stats).Render(w)
+	}
 	return writeManifest()
+}
+
+// printValidation prints one validated trace's findings and tally: the
+// kinds seen for a native trace, the import accounting for a foreign one.
+func printValidation(w io.Writer, path, name string, n int, v *trace.Validator, in *adapt.Input, format adapt.Format, reg *obs.Registry) {
+	unclosed := v.Finish()
+	for _, e := range v.Errs() {
+		fmt.Fprintf(w, "%s: %v\n", path, e)
+	}
+	if format == adapt.FormatBSD {
+		if fb := v.FirstBad(); fb != nil {
+			fmt.Fprintf(w, "%s: first failing event: %s\n", path, fb)
+		}
+		c := v.Stats()
+		var kinds []string
+		for k := trace.KindCreate; int(k) <= trace.NumKinds; k++ {
+			kinds = append(kinds, fmt.Sprintf("%d %s", c.ByKind[k], k))
+		}
+		fmt.Fprintf(w, "%s: seen %s\n", path, strings.Join(kinds, ", "))
+	} else {
+		fmt.Fprintf(w, "%s: %s import: %s\n", path, format, in.Stats().String())
+	}
+	fmt.Fprintf(w, "%s: %d events, %d validation errors, %d unclosed opens\n",
+		path, n, len(v.Errs()), unclosed)
+	if reg.Enabled() {
+		reg.Counter("validate." + name + ".events").Set(int64(n))
+		reg.Counter("validate." + name + ".errors").Set(int64(len(v.Errs())))
+		reg.Counter("validate." + name + ".unclosed").Set(int64(unclosed))
+	}
 }
 
 // renderSections prints the logical battery (and any -top listings) for
@@ -352,138 +342,4 @@ func renderSections(w io.Writer, tr report.Traces, tops []*analyzer.TopAccum, op
 			t.Render(w)
 		}
 	}
-}
-
-// runForeign analyzes foreign traces imported through the adapt package.
-// The adapter's class gates the battery: logical-class imports (strace)
-// get the full Section-5 analysis, block- and page-class imports only
-// the transfer-level sections — asking for a logical section fails with
-// analyzer.ErrUnsupportedClass instead of printing numbers whose
-// open/close structure is adapter scaffolding.
-func runForeign(w io.Writer, paths []string, format adapt.Format, opts options, reg *obs.Registry) error {
-	if opts.text {
-		return fmt.Errorf("-text applies only to -format bsd")
-	}
-	if opts.lenient {
-		return fmt.Errorf("-lenient applies only to -format bsd (foreign adapters fail on damaged lines)")
-	}
-	class := format.Class()
-	if opts.only != "" {
-		if err := analyzer.CheckSection(opts.only, class); err != nil {
-			return err
-		}
-	}
-	if opts.top > 0 && class != trace.ClassLogical {
-		return fmt.Errorf("-top needs logical structure: %w",
-			&analyzer.UnsupportedClassError{Metric: "busiest files", Class: class})
-	}
-
-	tr := report.Traces{}
-	var (
-		names []string
-		tops  []*analyzer.TopAccum
-		sums  []xfer.Summary
-		stats []adapt.Stats
-	)
-	for _, path := range paths {
-		f, err := os.Open(path)
-		if err != nil {
-			return err
-		}
-		asrc, err := adapt.NewSource(format, f)
-		if err != nil {
-			f.Close()
-			return err
-		}
-		var src trace.Source = asrc
-		if opts.from > 0 || opts.to > 0 {
-			to := trace.Time(math.MaxInt64)
-			if opts.to > 0 {
-				to = trace.Time(opts.to.Milliseconds())
-			}
-			src = trace.WindowSource(src, trace.Time(opts.from.Milliseconds()), to)
-		}
-		name := strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
-		src = reg.Instrument("analyze/"+name, src)
-
-		if opts.validate {
-			v := trace.NewValidator(0)
-			var n int
-			err := trace.Each(src, func(e trace.Event) error {
-				v.Check(e)
-				n++
-				return nil
-			})
-			f.Close()
-			if err != nil {
-				return fmt.Errorf("%s: %w", path, err)
-			}
-			unclosed := v.Finish()
-			for _, e := range v.Errs() {
-				fmt.Fprintf(w, "%s: %v\n", path, e)
-			}
-			st := asrc.Stats()
-			fmt.Fprintf(w, "%s: %s import: %s\n", path, format, st.String())
-			fmt.Fprintf(w, "%s: %d events, %d validation errors, %d unclosed opens\n",
-				path, n, len(v.Errs()), unclosed)
-			continue
-		}
-
-		// One pass builds the tape (every class) and, for logical
-		// imports, runs the Section-5 analyzer, which then builds the
-		// tape in its own scan.
-		var s *analyzer.Stream
-		var tb *xfer.TapeBuilder
-		var top *analyzer.TopAccum
-		if class == trace.ClassLogical {
-			s = analyzer.NewStream(analyzer.Options{})
-			tb = s.AttachTape()
-			if opts.top > 0 {
-				top = analyzer.NewTopAccum()
-			}
-		} else {
-			tb = xfer.NewTapeBuilder()
-		}
-		err = trace.Each(src, func(e trace.Event) error {
-			if s != nil {
-				s.Feed(e) // drives tb
-			} else {
-				tb.Add(e)
-			}
-			if top != nil {
-				top.Feed(e)
-			}
-			return nil
-		})
-		f.Close()
-		if err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-		if s != nil {
-			tr.Names = append(tr.Names, name)
-			tr.Analyses = append(tr.Analyses, s.Finish())
-			tops = append(tops, top)
-		}
-		tape, err := tb.Finish()
-		if err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-		sums = append(sums, xfer.Summarize(tape))
-		stats = append(stats, asrc.Stats())
-		names = append(names, name)
-	}
-	if opts.validate {
-		return nil
-	}
-
-	if class == trace.ClassLogical {
-		renderSections(w, tr, tops, opts)
-	}
-	if opts.want("transfers") {
-		report.TransferSummaryTable(names, sums).Render(w)
-	}
-	if opts.only == "" {
-		report.AdapterStatsTable(names, stats).Render(w)
-	}
-	return nil
 }

@@ -187,24 +187,35 @@ func writeDamagedV2Trace(t *testing.T) string {
 	return path
 }
 
-// TestRunPartialIngestExit: the satellite exit-path contract — a damaged
-// trace fails a strict run and succeeds (with repairs) under -lenient.
+// TestRunPartialIngestExit: the partial-ingest contract at the exit
+// path, for analysis and -validate alike — a damaged trace fails a
+// strict run and succeeds (with repairs) under -lenient, where
+// -validate checks the repaired stream the analysis reads.
 func TestRunPartialIngestExit(t *testing.T) {
 	path := writeDamagedV2Trace(t)
-	var buf bytes.Buffer
-	err := run(&buf, []string{path}, options{only: "tableIII"})
-	if err == nil {
-		t.Fatal("strict run accepted a partial ingest")
-	}
-	if !strings.Contains(err.Error(), "partial ingest") || !strings.Contains(err.Error(), "-lenient") {
-		t.Fatalf("partial-ingest error not actionable: %v", err)
-	}
-	buf.Reset()
-	if err := run(&buf, []string{path}, options{only: "tableIII", lenient: true}); err != nil {
-		t.Fatalf("lenient run failed: %v", err)
-	}
-	if !strings.Contains(buf.String(), "Table III.") {
-		t.Errorf("lenient run produced no analysis:\n%s", buf.String())
+	for _, c := range []struct {
+		opts options
+		want string
+	}{
+		{options{only: "tableIII"}, "Table III."},
+		{options{validate: true}, " 0 validation errors"},
+	} {
+		var buf bytes.Buffer
+		err := run(&buf, []string{path}, c.opts)
+		if err == nil {
+			t.Fatalf("%+v: strict run accepted a partial ingest", c.opts)
+		}
+		if !strings.Contains(err.Error(), "partial ingest") || !strings.Contains(err.Error(), "-lenient") {
+			t.Fatalf("%+v: partial-ingest error not actionable: %v", c.opts, err)
+		}
+		buf.Reset()
+		c.opts.lenient = true
+		if err := run(&buf, []string{path}, c.opts); err != nil {
+			t.Fatalf("%+v: lenient run failed: %v", c.opts, err)
+		}
+		if !strings.Contains(buf.String(), c.want) {
+			t.Errorf("%+v: lenient run lacks %q:\n%s", c.opts, c.want, buf.String())
+		}
 	}
 }
 

@@ -174,7 +174,7 @@ func main() {
 	}
 
 	if *crashN > 0 {
-		if err := runCrashSweep(w, tape, cfg.BlockSize, cfg.CacheSize, *crashN, reg); err != nil {
+		if err := report.CrashLoss(w, tape, cfg.BlockSize, cfg.CacheSize, *crashN, reg); err != nil {
 			prog.Stop()
 			fmt.Fprintln(os.Stderr, "fscachesim:", err)
 			os.Exit(1)
@@ -239,75 +239,39 @@ func writeSummary(w io.Writer, cfg cachesim.Config, r *cachesim.Result) error {
 }
 
 // buildTape streams a trace file into a transfer tape, under a
-// tape-build span when observation is on. A strict build fails on any
-// damage; a lenient one repairs the stream first and reports the
-// budget to stderr. Foreign formats import through the adapt package:
-// their transfers are faithful for every trace class, so the resulting
-// tape feeds any simulation below.
+// tape-build span when observation is on. The input follows the shared
+// partial-ingest contract: a strict build fails on skipped damage, a
+// lenient one repairs the stream first and reports the budget to
+// stderr. Foreign formats import through their adapters: their
+// transfers are faithful for every trace class, so the resulting tape
+// feeds any simulation below.
 func buildTape(path, format string, lenient bool, reg *obs.Registry) (*xfer.Tape, error) {
 	ff, err := adapt.ParseFormat(format)
 	if err != nil {
 		return nil, err
-	}
-	if ff != adapt.FormatBSD {
-		if lenient {
-			return nil, fmt.Errorf("-lenient applies only to -format bsd (foreign adapters fail on damaged lines)")
-		}
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		src, err := adapt.NewSource(ff, f)
-		if err != nil {
-			return nil, err
-		}
-		tape, err := xfer.BuildTape(reg.Instrument("tape-build", src))
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		tape.PublishMetrics(reg, "tape")
-		return tape, nil
 	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	r, err := trace.NewReader(f)
+	in, err := adapt.NewInput(f, ff, false, lenient)
 	if err != nil {
 		return nil, err
 	}
-	var src trace.Source = r
-	var ls *trace.LenientSource
-	if lenient {
-		ls = trace.NewLenientSource(r)
-		src = ls
+	tape, err := xfer.BuildTape(reg.Instrument("tape-build", in))
+	// Skipped damage is checked first: the orphaned events it leaves
+	// behind are what break a strict tape build.
+	if cerr := in.Check(); cerr != nil {
+		return nil, fmt.Errorf("%s: %w; rerun with -lenient to repair and continue", path, cerr)
 	}
-	src = reg.Instrument("tape-build", src)
-	tape, err := xfer.BuildTape(src)
 	if err != nil {
-		if skip := r.Skipped(); !lenient && !skip.Zero() {
-			// The reader skipped damage and the orphaned events it left
-			// behind broke the tape build downstream.
-			return nil, fmt.Errorf("malformed trace after partial ingest (%v): %v; rerun with -lenient to repair and continue", skip, err)
-		}
-		return nil, fmt.Errorf("malformed trace: %w", err)
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	if skip := r.Skipped(); !lenient && !skip.Zero() {
-		return nil, fmt.Errorf("%s: partial ingest (%v); rerun with -lenient to repair and continue", path, skip)
-	} else if lenient {
-		if trunc := ls.Truncated(); trunc != nil {
-			fmt.Fprintf(os.Stderr, "fscachesim: %s: stream truncated at decode error: %v\n", path, trunc)
-		}
-		if st := ls.Stats(); !st.Zero() || !skip.Zero() {
-			fmt.Fprintf(os.Stderr, "fscachesim: %s: degraded ingest: %v; repaired: %v\n", path, skip, st)
-		}
+	for _, d := range in.Damage() {
+		fmt.Fprintf(os.Stderr, "fscachesim: %s: %s\n", path, d)
 	}
-	obs.PublishSkip(reg, "skip", r.Skipped())
-	if ls != nil {
-		obs.PublishRepair(reg, "repair", ls.Stats())
-	}
+	in.Publish(reg, "skip", "repair")
 	tape.PublishMetrics(reg, "tape")
 	return tape, nil
 }
@@ -360,47 +324,9 @@ func runSweep(w *os.File, tape *xfer.Tape, name string, fit int, reg *obs.Regist
 		}
 		return report.Figure7(sizes, res).Render(w)
 	case "replacement":
-		res, err := cachesim.ReplacementSweepTape(tape, 4096, 2<<20, 1)
-		if err != nil {
-			return err
-		}
-		for _, rp := range []cachesim.Replacement{cachesim.LRU, cachesim.Clock, cachesim.FIFO, cachesim.Random} {
-			cachesim.PublishResults(reg, "sim", res[rp])
-		}
-		t := &report.Table{
-			Title:  "Ablation A1. Replacement policy at a 2-Mbyte delayed-write cache.",
-			Header: []string{"Policy", "Disk I/Os", "Miss Ratio"},
-			Note:   "The paper's simulator is LRU-only; this quantifies that choice.",
-		}
-		for _, rp := range []cachesim.Replacement{cachesim.LRU, cachesim.Clock, cachesim.FIFO, cachesim.Random} {
-			r := res[rp]
-			t.AddRow(rp.String(), report.Count(r.DiskIOs()), report.Pct(r.MissRatio()))
-		}
-		return t.Render(w)
+		return report.ReplacementAblation(w, tape, reg)
 	case "zoo":
-		sizes := cachesim.PaperCacheSizes()
-		res, err := cachesim.ZooSweepTape(tape, 4096, sizes, 1)
-		if err != nil {
-			return err
-		}
-		for _, row := range res {
-			cachesim.PublishResults(reg, "sim", row...)
-		}
-		if err := report.ZooTable(sizes, res).Render(w); err != nil {
-			return err
-		}
-		bres, err := cachesim.ZooBlockSizeSweepTape(tape, cachesim.PaperBlockSizes(), 2<<20, 1)
-		if err != nil {
-			return err
-		}
-		if err := report.ZooBlockTable(cachesim.PaperBlockSizes(), 2<<20, bres).Render(w); err != nil {
-			return err
-		}
-		pres, err := cachesim.ZooPagingSweepTape(tape, 4096, sizes, 1)
-		if err != nil {
-			return err
-		}
-		return report.ZooPagingTable(sizes, pres).Render(w)
+		return report.PolicyZoo(w, tape, 1, reg)
 	case "tiers":
 		res, err := cachesim.HierarchySimulateTapes([]*xfer.Tape{tape}, cachesim.HierarchyConfig{
 			BlockSize: 4096,
@@ -465,41 +391,9 @@ func runSweep(w *os.File, tape *xfer.Tape, name string, fit int, reg *obs.Regist
 		t.AddRow("distinct blocks", report.Count(r.DistinctBlocks()))
 		return t.Render(w)
 	case "flush":
-		intervals := []trace.Time{
-			1 * trace.Second, 5 * trace.Second, 30 * trace.Second,
-			trace.Minute, 5 * trace.Minute, 15 * trace.Minute, trace.Hour,
-		}
-		res, err := cachesim.FlushIntervalSweepTape(tape, 4096, 2<<20, intervals)
-		if err != nil {
-			return err
-		}
-		cachesim.PublishResults(reg, "sim", res...)
-		t := &report.Table{
-			Title:  "Ablation A2. Flush-back interval sweep at a 2-Mbyte cache.",
-			Header: []string{"Interval", "Disk Writes", "Miss Ratio"},
-			Note: "Write-through is the interval->0 limit and delayed-write the " +
-				"interval->infinity limit; the paper evaluates only 30 s and 5 min.",
-		}
-		for i, iv := range intervals {
-			t.AddRow(iv.String(), report.Count(res[i].DiskWrites), report.Pct(res[i].MissRatio()))
-		}
-		return t.Render(w)
+		return report.FlushAblation(w, tape, reg)
 	}
 	return fmt.Errorf("unknown sweep %q", name)
-}
-
-// runCrashSweep samples n crash points across the trace and reports, for
-// each of the paper's write policies, what a crash would lose — one tape
-// replay per policy, all points sampled in the same pass.
-func runCrashSweep(w *os.File, tape *xfer.Tape, blockSize, cacheSize int64, n int, reg *obs.Registry) error {
-	points := fault.Points(tape, n)
-	pols := cachesim.PaperPolicies()
-	reps, err := fault.PolicySweepTape(tape, blockSize, cacheSize, pols, points)
-	if err != nil {
-		return err
-	}
-	fault.PublishReports(reg, "crash", reps)
-	return report.Reliability(pols, reps, cacheSize, blockSize, len(points)).Render(w)
 }
 
 // runCrashAt reports the loss of a single crash instant under one

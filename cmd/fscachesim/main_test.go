@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"bsdtrace/internal/cachesim"
+	"bsdtrace/internal/report"
 	"bsdtrace/internal/trace"
 	"bsdtrace/internal/workload"
 	"bsdtrace/internal/xfer"
@@ -176,7 +177,7 @@ func TestRunCrashSweepAndCrashAt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := runCrashSweep(f, tape, 4096, 2<<20, 16, nil); err != nil {
+	if err := report.CrashLoss(f, tape, 4096, 2<<20, 16, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := runCrashAt(f, tape, cachesim.Config{
@@ -219,8 +220,8 @@ func TestWriteErrorsReturned(t *testing.T) {
 	}
 	closed.Close()
 
-	if err := runCrashSweep(closed, tape, 4096, 2<<20, 8, nil); err == nil {
-		t.Error("runCrashSweep into a closed file returned nil")
+	if err := report.CrashLoss(closed, tape, 4096, 2<<20, 8, nil); err == nil {
+		t.Error("CrashLoss into a closed file returned nil")
 	}
 	cfg := cachesim.Config{BlockSize: 4096, CacheSize: 2 << 20, Write: cachesim.DelayedWrite}
 	if err := runCrashAt(closed, tape, cfg, 10*trace.Minute, nil); err == nil {

@@ -38,7 +38,7 @@ func runForeign(out io.Writer, path, formatName string, fit int) error {
 		return err
 	}
 	defer f.Close()
-	src, err := adapt.NewSource(format, f)
+	in, err := adapt.NewInput(f, format, false, false)
 	if err != nil {
 		return err
 	}
@@ -53,7 +53,7 @@ func runForeign(out io.Writer, path, formatName string, fit int) error {
 	} else {
 		tb = xfer.NewTapeBuilder()
 	}
-	if err := trace.Each(src, func(e trace.Event) error {
+	if err := trace.Each(in, func(e trace.Event) error {
 		if s != nil {
 			s.Feed(e) // drives tb
 		} else {
@@ -78,7 +78,7 @@ func runForeign(out io.Writer, path, formatName string, fit int) error {
 		class, supportedSets(class))
 
 	name := path
-	report.AdapterStatsTable([]string{name}, []adapt.Stats{src.Stats()}).Render(w)
+	report.AdapterStatsTable([]string{name}, []adapt.Stats{in.Stats()}).Render(w)
 	report.TransferSummaryTable([]string{name}, []xfer.Summary{xfer.Summarize(tape)}).Render(w)
 
 	if a != nil {

@@ -600,7 +600,7 @@ func run(out io.Writer, cfg reportConfig) error {
 		report.ResidencyTable(policy[3][3]).Render(w)
 	}
 	if want("reliability") {
-		if err := runReliability(w, a5Tape, cfg.reg); err != nil {
+		if err := report.CrashLoss(w, a5Tape, 4096, 2<<20, 64, cfg.reg); err != nil {
 			return err
 		}
 	}
@@ -662,7 +662,7 @@ func run(out io.Writer, cfg reportConfig) error {
 		}
 	}
 	if needZoo {
-		if err := runZoo(w, a5Tape, cfg.seed); err != nil {
+		if err := report.PolicyZoo(w, a5Tape, cfg.seed, nil); err != nil {
 			return err
 		}
 	}
@@ -1102,34 +1102,6 @@ func runDiskless(w io.Writer, duration time.Duration, tapes []*xfer.Tape) error 
 	return t.Render(w)
 }
 
-// runZoo renders the policy-zoo comparison: the Figure 5, 6, and 7
-// experiments re-run with one column per replacement policy in the
-// simulator's zoo. The lru column of the first table reproduces Table
-// VI's delayed-write column cell for cell (the golden tests pin this).
-func runZoo(w io.Writer, tape *xfer.Tape, seed int64) error {
-	cacheSizes := cachesim.PaperCacheSizes()
-	zoo, err := cachesim.ZooSweepTape(tape, 4096, cacheSizes, seed)
-	if err != nil {
-		return err
-	}
-	if err := report.ZooTable(cacheSizes, zoo).Render(w); err != nil {
-		return err
-	}
-	const zooCache = 2 << 20
-	blocks, err := cachesim.ZooBlockSizeSweepTape(tape, cachesim.PaperBlockSizes(), zooCache, seed)
-	if err != nil {
-		return err
-	}
-	if err := report.ZooBlockTable(cachesim.PaperBlockSizes(), zooCache, blocks).Render(w); err != nil {
-		return err
-	}
-	paging, err := cachesim.ZooPagingSweepTape(tape, 4096, cacheSizes, seed)
-	if err != nil {
-		return err
-	}
-	return report.ZooPagingTable(cacheSizes, paging).Render(w)
-}
-
 // runWorkingSet prints Denning's W(T): the distinct data touched per
 // window of each length. It is the mechanistic explanation for Table VI's
 // knee — the miss-ratio curve bends where the cache first covers the
@@ -1188,67 +1160,19 @@ func runStatic(w io.Writer, staticSizes []int64, a *analyzer.Analysis) error {
 	return t.Render(w)
 }
 
-// runReliability prices each Table VI write policy in the currency the
-// paper argues about but never measures: the data a crash destroys.
-// Crash points are sampled across the trace in a single replay per
-// policy (internal/fault), off the same shared tape as every other sweep.
-func runReliability(w io.Writer, tape *xfer.Tape, reg *obs.Registry) error {
-	const (
-		cacheSize = 2 << 20
-		blockSize = 4096
-		nPoints   = 64
-	)
-	policies := cachesim.PaperPolicies()
-	points := fault.Points(tape, nPoints)
-	reps, err := fault.PolicySweepTape(tape, blockSize, cacheSize, policies, points)
-	if err != nil {
-		return err
-	}
-	fault.PublishReports(reg, "crash", reps)
-	return report.Reliability(policies, reps, cacheSize, blockSize, len(points)).Render(w)
-}
-
 func runAblations(w io.Writer, tape *xfer.Tape) error {
-	// A1: replacement policy.
-	rep, err := cachesim.ReplacementSweepTape(tape, 4096, 2<<20, 1)
-	if err != nil {
+	if err := report.ReplacementAblation(w, tape, nil); err != nil {
 		return err
 	}
-	t := &report.Table{
-		Title:  "Ablation A1. Replacement policy (2-Mbyte delayed-write cache, 4-kbyte blocks).",
-		Header: []string{"Policy", "Disk I/Os", "Miss Ratio"},
-		Note:   "The paper fixes LRU without comparison; this quantifies the choice.",
-	}
-	for _, rp := range []cachesim.Replacement{cachesim.LRU, cachesim.Clock, cachesim.FIFO, cachesim.Random} {
-		r := rep[rp]
-		t.AddRow(rp.String(), report.Count(r.DiskIOs()), report.Pct(r.MissRatio()))
-	}
-	t.Render(w)
-
-	// A2: flush interval continuum.
-	intervals := []trace.Time{
-		1 * trace.Second, 5 * trace.Second, 30 * trace.Second,
-		trace.Minute, 5 * trace.Minute, 15 * trace.Minute, trace.Hour,
-	}
-	fl, err := cachesim.FlushIntervalSweepTape(tape, 4096, 2<<20, intervals)
-	if err != nil {
+	if err := report.FlushAblation(w, tape, nil); err != nil {
 		return err
 	}
-	t = &report.Table{
-		Title:  "Ablation A2. Flush-back interval (2-Mbyte cache, 4-kbyte blocks).",
-		Header: []string{"Interval", "Disk Writes", "Miss Ratio"},
-		Note:   "Bridges the paper's two flush points toward its write-through and delayed-write limits.",
-	}
-	for i, iv := range intervals {
-		t.AddRow(iv.String(), report.Count(fl[i].DiskWrites), report.Pct(fl[i].MissRatio()))
-	}
-	t.Render(w)
 
 	// A3: billing time sensitivity. The cache replays accesses in event
 	// order either way, so billing only matters where wall-clock time
 	// does: under a flush-back policy, whose periodic scans may catch or
 	// miss a write depending on when it is billed.
-	t = &report.Table{
+	t := &report.Table{
 		Title:  "Ablation A3. Transfer billing time (2-Mbyte cache, 30-second flush-back).",
 		Header: []string{"Billing", "Disk I/Os", "Miss Ratio"},
 		Note: "The no-read-write tracer only bounds transfer times; the paper bills " +

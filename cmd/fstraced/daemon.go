@@ -18,6 +18,7 @@ import (
 	"bsdtrace/internal/obs"
 	"bsdtrace/internal/report"
 	"bsdtrace/internal/trace"
+	"bsdtrace/internal/trace/adapt"
 	"bsdtrace/internal/workload"
 )
 
@@ -608,9 +609,10 @@ func (d *daemon) handleEvents(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleIngest accepts a binary trace upload and runs it through the
-// online analysis pipeline: strict mode rejects any damage, lenient
-// mode (?lenient=1) repairs what it can via trace.LenientSource and
-// reports the damage budget alongside the analysis headline.
+// online analysis pipeline under the shared partial-ingest contract
+// (adapt.Input): strict mode rejects any damage, lenient mode
+// (?lenient=1) repairs what it can and reports the damage budget
+// alongside the analysis headline.
 func (d *daemon) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST a binary trace", http.StatusMethodNotAllowed)
@@ -641,42 +643,28 @@ func (d *daemon) handleIngest(w http.ResponseWriter, r *http.Request) {
 		d.reg.Counter("fstraced.ingest.rejected").Inc()
 		http.Error(w, fmt.Sprintf(format, args...), code)
 	}
-	rdr, err := trace.NewReader(r.Body)
+	in, err := adapt.NewInput(r.Body, adapt.FormatBSD, false, lenient)
 	if err != nil {
 		fail(http.StatusBadRequest, "not a trace stream: %v", err)
 		return
 	}
-	var src trace.Source = rdr
-	var ls *trace.LenientSource
-	if lenient {
-		ls = trace.NewLenientSource(rdr)
-		src = ls
-	}
 	s := analyzer.NewStream(analyzer.Options{})
 	v := trace.NewValidator(16)
 	var events int64
-	batch := trace.GetBatch()
-	defer trace.PutBatch(batch)
-	for {
-		n, err := src.NextBatch(batch)
-		for _, e := range batch[:n] {
-			s.Feed(e)
-			v.Check(e)
-		}
-		events += int64(n)
-		if n == 0 {
-			if err == io.EOF {
-				break
-			}
-			fail(http.StatusBadRequest, "%s: decode failed after %d events: %v; retry with ?lenient=1", name, events, err)
-			return
-		}
-	}
-	skip := rdr.Skipped()
-	if !lenient && !skip.Zero() {
-		fail(http.StatusBadRequest, "%s: partial ingest (%v); retry with ?lenient=1", name, skip)
+	if err := trace.Each(in, func(e trace.Event) error {
+		s.Feed(e)
+		v.Check(e)
+		events++
+		return nil
+	}); err != nil {
+		fail(http.StatusBadRequest, "%s: decode failed after %d events: %v; retry with ?lenient=1", name, events, err)
 		return
 	}
+	if err := in.Check(); err != nil {
+		fail(http.StatusBadRequest, "%s: %v; retry with ?lenient=1", name, err)
+		return
+	}
+	skip, st := in.Skipped(), in.Repairs()
 	an := s.Finish()
 	sum := ingestSummary{
 		Name:             name,
@@ -691,19 +679,15 @@ func (d *daemon) handleIngest(w http.ResponseWriter, r *http.Request) {
 		SkippedBytes:     skip.Bytes,
 		SkippedRecords:   skip.Records,
 		SkippedSegments:  skip.Segments,
+		RepairedDropped:  st.Dropped,
+		RepairedSynth:    st.Synthesized,
+		RepairedRewrites: st.Rewritten,
 		AvgThroughput:    an.Activity.AvgThroughput,
 	}
-	if ls != nil {
-		st := ls.Stats()
-		sum.RepairedDropped = st.Dropped
-		sum.RepairedSynth = st.Synthesized
-		sum.RepairedRewrites = st.Rewritten
-		if terr := ls.Truncated(); terr != nil {
-			sum.Truncated = terr.Error()
-		}
-		obs.PublishRepair(d.reg, "fstraced.ingest.repair", st)
+	if terr := in.Truncated(); terr != nil {
+		sum.Truncated = terr.Error()
 	}
-	obs.PublishSkip(d.reg, "fstraced.ingest.skip", skip)
+	in.Publish(d.reg, "fstraced.ingest.skip", "fstraced.ingest.repair")
 	d.reg.Counter("fstraced.ingest.accepted").Inc()
 	d.reg.Counter("fstraced.ingest.events").Add(events)
 	d.ing.add(sum)

@@ -672,9 +672,9 @@ func Analyze(events []trace.Event, opts Options) *Analysis {
 }
 
 // AnalyzeSource pulls a time-ordered event stream to completion and
-// analyzes it: the source's trace never needs to fit in memory. It is the
-// entry point the command-line tools use on trace files (*trace.Reader is
-// a Source) and merged shard streams.
+// analyzes it: the source's trace never needs to fit in memory. fsbench
+// times it; the other commands feed a Stream themselves, because their
+// one pass also feeds other consumers.
 func AnalyzeSource(src trace.Source, opts Options) (*Analysis, error) {
 	s := NewStream(opts)
 	if err := trace.Each(src, func(e trace.Event) error {

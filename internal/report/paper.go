@@ -6,7 +6,6 @@ import (
 
 	"bsdtrace/internal/analyzer"
 	"bsdtrace/internal/cachesim"
-	"bsdtrace/internal/fault"
 	"bsdtrace/internal/stats"
 	"bsdtrace/internal/trace"
 )
@@ -471,34 +470,5 @@ func SharingTable(tr Traces) *Table {
 	row("Accesses to shared files", func(a *analyzer.Analysis) string {
 		return fmt.Sprintf("%s (%s)", Count(a.Sharing.AccessesToShared), Pct(a.Sharing.SharedAccessFraction()))
 	})
-	return t
-}
-
-// Reliability reports the crash-loss side of the write-policy trade:
-// Table VI prices each policy in disk traffic, this table prices it in
-// the data a crash would destroy. Reports come from internal/fault's
-// single-pass crash sweep; policies and reports are parallel slices.
-func Reliability(policies []cachesim.PolicySpec, reps []*fault.Report, cacheSize, blockSize int64, nPoints int) *Table {
-	t := &Table{
-		Title: fmt.Sprintf("Reliability. Data lost to a crash, by write policy (%s cache, %s blocks, %d sampled crash points).",
-			Size(cacheSize), Size(blockSize), nPoints),
-		Header: []string{"Policy", "Vulnerable", "Mean Loss", "Worst Loss", "Oldest Loss", "Disk Writes"},
-		Note: "The paper adopts the 30-second flush-back because it keeps write traffic " +
-			"near delayed-write levels while a crash loses at most one interval of dirty " +
-			"data; write-through pays maximal disk writes for zero loss. \"Vulnerable\" is " +
-			"the fraction of crash points that lose anything; \"Oldest Loss\" is how long " +
-			"the most stale lost block had gone unwritten.",
-	}
-	for j, p := range policies {
-		r := reps[j]
-		worst := r.MaxLoss()
-		t.AddRow(p.Name,
-			Pct(r.VulnerableFraction()),
-			Size(int64(r.MeanLossBytes())),
-			Size(worst.Bytes),
-			r.MaxAge().String(),
-			Count(r.Result.DiskWrites),
-		)
-	}
 	return t
 }

@@ -45,10 +45,10 @@ func ZooTable(cacheSizes []int64, res [][]*cachesim.Result) *Table {
 	return t
 }
 
-// ZooBlockTable is the Figure 6 comparison across the zoo: disk I/Os
+// zooBlockTable is the Figure 6 comparison across the zoo: disk I/Os
 // vs. block size at one cache size under delayed-write. res is indexed
 // [blockSize][policy] (cachesim.ZooBlockSizeSweepTape).
-func ZooBlockTable(blockSizes []int64, cacheSize int64, res [][]*cachesim.Result) *Table {
+func zooBlockTable(blockSizes []int64, cacheSize int64, res [][]*cachesim.Result) *Table {
 	t := &Table{
 		Title:  "Policy zoo: disk I/Os vs. block size (" + Size(cacheSize) + " delayed-write cache, trace A5).",
 		Header: zooHeader("Block Size"),
@@ -65,10 +65,10 @@ func ZooBlockTable(blockSizes []int64, cacheSize int64, res [][]*cachesim.Result
 	return t
 }
 
-// ZooPagingTable is the Figure 7 comparison across the zoo: miss ratio
+// zooPagingTable is the Figure 7 comparison across the zoo: miss ratio
 // vs. cache size with program page-in simulated. res is indexed
 // [cacheSize][policy] (cachesim.ZooPagingSweepTape).
-func ZooPagingTable(cacheSizes []int64, res [][]*cachesim.Result) *Table {
+func zooPagingTable(cacheSizes []int64, res [][]*cachesim.Result) *Table {
 	t := &Table{
 		Title:  "Policy zoo: miss ratio with paging simulated (4-kbyte blocks, delayed-write, trace A5).",
 		Header: zooHeader("Cache Size"),

@@ -21,9 +21,10 @@ func (f funcRunner) Run() { f() }
 
 // Engine is a single-goroutine discrete-event scheduler over virtual time.
 type Engine struct {
-	now   trace.Time
-	queue []scheduled
-	seq   uint64
+	now     trace.Time
+	queue   []scheduled
+	seq     uint64
+	stopped bool
 }
 
 type scheduled struct {
@@ -132,17 +133,21 @@ func (e *Engine) Every(d, interval trace.Time, fn func() bool) {
 	e.After(d, tick)
 }
 
-// Run processes events until the queue is empty or the next event is after
-// the deadline. Events scheduled exactly at the deadline still run. The
-// clock finishes at the deadline, or where it was if the deadline is
-// already past.
+// Stop ends Run after the continuation that calls it returns: no later
+// event runs, and the clock stays at the stopping event's time.
+func (e *Engine) Stop() { e.stopped = true }
+
+// Run processes events until the queue is empty, the next event is after
+// the deadline, or a continuation calls Stop. Events scheduled exactly at
+// the deadline still run. Unless stopped, the clock finishes at the
+// deadline, or where it was if the deadline is already past.
 func (e *Engine) Run(until trace.Time) {
-	for len(e.queue) > 0 && e.queue[0].at <= until {
+	for !e.stopped && len(e.queue) > 0 && e.queue[0].at <= until {
 		it := e.pop()
 		e.now = it.at
 		it.r.Run()
 	}
-	if e.now < until {
+	if !e.stopped && e.now < until {
 		e.now = until
 	}
 }

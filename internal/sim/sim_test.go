@@ -44,6 +44,30 @@ func TestOrdering(t *testing.T) {
 	}
 }
 
+// TestStopEndsRun: a continuation that calls Stop is the last to run;
+// the clock stays at its time, and a later Run runs nothing.
+func TestStopEndsRun(t *testing.T) {
+	e := New()
+	var ran []trace.Time
+	for _, at := range []trace.Time{10, 20, 20, 30} {
+		at := at
+		e.At(at, func() {
+			ran = append(ran, at)
+			if len(ran) == 2 {
+				e.Stop()
+			}
+		})
+	}
+	e.Run(100)
+	e.Run(200)
+	if !reflect.DeepEqual(ran, []trace.Time{10, 20}) {
+		t.Errorf("ran = %v", ran)
+	}
+	if e.Now() != 20 {
+		t.Errorf("clock = %v, want 20", e.Now())
+	}
+}
+
 func TestTieBreakBySchedulingOrder(t *testing.T) {
 	e := New()
 	var order []int

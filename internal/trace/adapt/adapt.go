@@ -103,16 +103,16 @@ type Source interface {
 }
 
 // NewSource returns the adapter for a foreign format reading from r.
-// FormatBSD is not a foreign format; callers open native traces with
-// trace.NewReader or trace.ReadText.
+// FormatBSD is not a foreign format and has no adapter: NewInput reads
+// every format, the native one included.
 func NewSource(f Format, r io.Reader) (Source, error) {
 	switch f {
 	case FormatBlockCSV:
 		return NewBlockCSV(r, BlockCSVConfig{}), nil
 	case FormatPageRef:
-		return NewPageRef(r, PageRefConfig{}), nil
+		return NewPageRef(r), nil
 	case FormatStrace:
-		return NewStrace(r, StraceConfig{}), nil
+		return NewStrace(r), nil
 	}
 	return nil, fmt.Errorf("adapt: no adapter for format %v", f)
 }
@@ -125,21 +125,12 @@ func NewSource(f Format, r io.Reader) (Source, error) {
 const (
 	maxIOOffset   = int64(1) << 56 // largest accepted offset/position/length argument
 	maxIORequest  = int64(1) << 30 // largest accepted single block-request size
-	maxBlockShift = 20             // block/page sizes are clamped to [512, 1<<20]
+	maxBlockShift = 20             // page numbers stay below maxIOOffset>>maxBlockShift
 )
 
-// clampUnit forces a configured block or page size into a sane range.
-func clampUnit(size int64, def int64) int64 {
-	switch {
-	case size <= 0:
-		return def
-	case size < 512:
-		return 512
-	case size > 1<<maxBlockShift:
-		return 1 << maxBlockShift
-	}
-	return size
-}
+// unitSize is the block adapter's alignment unit and the page adapter's
+// page size: 4 kbytes, the paper's simulated block size.
+const unitSize = 4096
 
 // Stats counts what an adapter did with its input. The accounting
 // identity every adapter maintains: Lines = Records + Skipped + (1 if a

@@ -112,20 +112,14 @@ func ParseBlockCSVLine(line string) (BlockRecord, error) {
 const filetimeThreshold = 1e14
 
 // BlockCSVConfig configures the block adapter. The zero value is the
-// MSR default: 4-kbyte blocks, warmup reads kept.
+// MSR default: warmup reads kept. Blocks are unitSize bytes.
 type BlockCSVConfig struct {
-	// BlockSize is the alignment unit. Default 4096.
-	BlockSize int64
 	// SkipWarmup drops read requests whose blocks were never written
 	// earlier in the trace, as a replayer without a warmup phase must
 	// (the data does not exist on its disk). The default keeps them:
 	// the adapter opens reads with a grown extent, so warmup data reads
 	// as valid — the equivalent of the replayer's pre-write phase.
 	SkipWarmup bool
-}
-
-func (c *BlockCSVConfig) fill() {
-	c.BlockSize = clampUnit(c.BlockSize, 4096)
 }
 
 // BlockCSV adapts a block-trace CSV stream to a trace.Source of class
@@ -150,7 +144,6 @@ type blockKey struct {
 
 // NewBlockCSV returns a block-trace adapter reading CSV lines from r.
 func NewBlockCSV(r io.Reader, cfg BlockCSVConfig) *BlockCSV {
-	cfg.fill()
 	return &BlockCSV{
 		cfg:     cfg,
 		ls:      newLineScanner(r),
@@ -206,7 +199,7 @@ func looksLikeHeader(line string) bool {
 // ingest re-encodes one accepted record into native events.
 func (b *BlockCSV) ingest(rec BlockRecord) {
 	b.em.stats.Records++
-	bs := b.cfg.BlockSize
+	const bs = unitSize
 
 	// Block alignment, as the asterinas replayer does: a misaligned
 	// offset rounds up to the next block boundary; the size rounds up

@@ -71,7 +71,7 @@ func TestBlockCSVAlignment(t *testing.T) {
 	// Misaligned offset rounds UP to the next block; size rounds up to
 	// whole blocks (the asterinas replayer convention).
 	const input = "0,h,0,Write,100,5000\n"
-	src := adapt.NewBlockCSV(strings.NewReader(input), adapt.BlockCSVConfig{BlockSize: 4096})
+	src := adapt.NewBlockCSV(strings.NewReader(input), adapt.BlockCSVConfig{})
 	got, err := trace.ReadSource(src)
 	if err != nil {
 		t.Fatal(err)

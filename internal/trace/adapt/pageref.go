@@ -64,28 +64,11 @@ func ParsePageRefLine(line string) (PageRecord, error) {
 	return rec, nil
 }
 
-// PageRefConfig configures the page-reference adapter. The zero value
-// uses 4-kbyte pages one millisecond apart.
-type PageRefConfig struct {
-	// PageSize is the bytes per page. Default 4096.
-	PageSize int64
-	// Tick is the synthesized time between references. Default 1 ms.
-	Tick trace.Time
-}
-
-func (c *PageRefConfig) fill() {
-	c.PageSize = clampUnit(c.PageSize, 4096)
-	if c.Tick <= 0 {
-		c.Tick = 1
-	}
-}
-
 // PageRef adapts a page-reference stream to a trace.Source of class
 // ClassPage.
 type PageRef struct {
-	cfg PageRefConfig
-	ls  *lineScanner
-	em  emitter
+	ls *lineScanner
+	em emitter
 
 	extent int64 // bytes known to exist in the single backing file
 	nextID uint64
@@ -95,9 +78,9 @@ type PageRef struct {
 const pageFile = trace.FileID(1)
 
 // NewPageRef returns a page-reference adapter reading lines from r.
-func NewPageRef(r io.Reader, cfg PageRefConfig) *PageRef {
-	cfg.fill()
-	return &PageRef{cfg: cfg, ls: newLineScanner(r)}
+// Pages are unitSize bytes, and references are one millisecond apart.
+func NewPageRef(r io.Reader) *PageRef {
+	return &PageRef{ls: newLineScanner(r)}
 }
 
 // Class reports ClassPage: a bare reference string.
@@ -133,9 +116,9 @@ func (p *PageRef) parseLine() error {
 // ingest re-encodes one page reference into native events.
 func (p *PageRef) ingest(rec PageRecord) {
 	p.em.stats.Records++
-	off := rec.Page * p.cfg.PageSize
-	end := off + p.cfg.PageSize
-	t := trace.Time(int64(p.em.stats.Records-1)) * p.cfg.Tick
+	off := rec.Page * unitSize
+	end := off + unitSize
+	t := trace.Time(p.em.stats.Records - 1)
 
 	// Same extent rules as the block adapter: reads open with the file
 	// grown to cover the page (the data is valid, the fetch is real);

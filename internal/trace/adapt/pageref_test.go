@@ -17,18 +17,18 @@ const pageSample = `# zipf benchmark excerpt
 0, 2
 `
 
-func pageFactory(input string, cfg adapt.PageRefConfig) adapttest.Factory {
+func pageFactory(input string) adapttest.Factory {
 	return func(t *testing.T) adapt.Source {
-		return adapt.NewPageRef(strings.NewReader(input), cfg)
+		return adapt.NewPageRef(strings.NewReader(input))
 	}
 }
 
 func TestPageRefConformance(t *testing.T) {
-	adapttest.Run(t, pageFactory(pageSample, adapt.PageRefConfig{}))
+	adapttest.Run(t, pageFactory(pageSample))
 }
 
 func TestPageRefEvents(t *testing.T) {
-	src := adapt.NewPageRef(strings.NewReader(pageSample), adapt.PageRefConfig{})
+	src := adapt.NewPageRef(strings.NewReader(pageSample))
 	got, err := trace.ReadSource(src)
 	if err != nil {
 		t.Fatal(err)
@@ -63,25 +63,6 @@ func TestPageRefEvents(t *testing.T) {
 	}
 }
 
-func TestPageRefConfig(t *testing.T) {
-	src := adapt.NewPageRef(strings.NewReader("0, 3\n"), adapt.PageRefConfig{PageSize: 512, Tick: 10})
-	got, err := trace.ReadSource(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seek := got[1]; seek.NewPos != 3*512 {
-		t.Errorf("seek to %d, want %d", seek.NewPos, 3*512)
-	}
-	src = adapt.NewPageRef(strings.NewReader("0, 0\n0, 0\n"), adapt.PageRefConfig{Tick: 10})
-	got, err = trace.ReadSource(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if last := got[len(got)-1].Time; last != 10 {
-		t.Errorf("second reference at t=%v, want 10ms tick", last)
-	}
-}
-
 func TestPageRefErrors(t *testing.T) {
 	cases := map[string]string{
 		"truncated":     "0 17\n",
@@ -93,9 +74,9 @@ func TestPageRefErrors(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			input := "0, 1\n" + bad
 			sourcetest.RunSticky(t, func(t *testing.T) trace.Source {
-				return adapt.NewPageRef(strings.NewReader(input), adapt.PageRefConfig{})
+				return adapt.NewPageRef(strings.NewReader(input))
 			}, 3) // open+seek+close of the good reference
-			src := adapt.NewPageRef(strings.NewReader(input), adapt.PageRefConfig{})
+			src := adapt.NewPageRef(strings.NewReader(input))
 			_, err := trace.ReadSource(src)
 			if err == nil || !strings.Contains(err.Error(), "line 2") {
 				t.Fatalf("error %v does not name line 2", err)

@@ -534,17 +534,12 @@ func unquote(s string) (string, error) {
 	return body, nil
 }
 
-// StraceConfig configures the strace adapter. There are no options yet;
-// the zero value is ready to use.
-type StraceConfig struct{}
-
 // Strace adapts an strace-shaped syscall log to a trace.Source of class
 // ClassLogical.
 type Strace struct {
-	cfg StraceConfig
-	ls  *lineScanner
-	em  emitter
-	tl  timeline
+	ls *lineScanner
+	em emitter
+	tl timeline
 
 	paths   map[string]trace.FileID // live path incarnations
 	sizes   map[trace.FileID]int64  // learned file sizes
@@ -578,9 +573,8 @@ func (st *fdState) advance(n int64) {
 }
 
 // NewStrace returns a syscall-log adapter reading lines from r.
-func NewStrace(r io.Reader, cfg StraceConfig) *Strace {
+func NewStrace(r io.Reader) *Strace {
 	return &Strace{
-		cfg:   cfg,
 		ls:    newLineScanner(r),
 		paths: make(map[string]trace.FileID),
 		sizes: make(map[trace.FileID]int64),

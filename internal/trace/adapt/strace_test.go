@@ -30,7 +30,7 @@ const straceSample = `1234  1700000000.000000 execve("/bin/cat", ["cat", "notes"
 
 func straceFactory(input string) adapttest.Factory {
 	return func(t *testing.T) adapt.Source {
-		return adapt.NewStrace(strings.NewReader(input), adapt.StraceConfig{})
+		return adapt.NewStrace(strings.NewReader(input))
 	}
 }
 
@@ -39,7 +39,7 @@ func TestStraceConformance(t *testing.T) {
 }
 
 func TestStraceEvents(t *testing.T) {
-	src := adapt.NewStrace(strings.NewReader(straceSample), adapt.StraceConfig{})
+	src := adapt.NewStrace(strings.NewReader(straceSample))
 	got, err := trace.ReadSource(src)
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +85,7 @@ func TestStraceSeekTruncate(t *testing.T) {
 `
 	adapttest.Run(t, straceFactory(input))
 
-	src := adapt.NewStrace(strings.NewReader(input), adapt.StraceConfig{})
+	src := adapt.NewStrace(strings.NewReader(input))
 	got, err := trace.ReadSource(src)
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +122,7 @@ close(3) = 0
 `
 	adapttest.Run(t, straceFactory(input))
 
-	src := adapt.NewStrace(strings.NewReader(input), adapt.StraceConfig{})
+	src := adapt.NewStrace(strings.NewReader(input))
 	got, err := trace.ReadSource(src)
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +150,7 @@ unlink("tmp") = 0
 creat("tmp", 0644) = 3
 close(3) = 0
 `
-	src := adapt.NewStrace(strings.NewReader(input), adapt.StraceConfig{})
+	src := adapt.NewStrace(strings.NewReader(input))
 	got, err := trace.ReadSource(src)
 	if err != nil {
 		t.Fatal(err)
@@ -177,9 +177,9 @@ func TestStraceErrors(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			input := "open(\"a\", O_RDONLY) = 3\n" + bad + "\n"
 			sourcetest.RunSticky(t, func(t *testing.T) trace.Source {
-				return adapt.NewStrace(strings.NewReader(input), adapt.StraceConfig{})
+				return adapt.NewStrace(strings.NewReader(input))
 			}, 1) // the open event arrives before the error
-			src := adapt.NewStrace(strings.NewReader(input), adapt.StraceConfig{})
+			src := adapt.NewStrace(strings.NewReader(input))
 			_, err := trace.ReadSource(src)
 			if err == nil || !strings.Contains(err.Error(), "line 2") {
 				t.Fatalf("error %v does not name line 2", err)

@@ -2,13 +2,13 @@ package trace
 
 import "fmt"
 
-// DefaultMaxForwardJump is the largest forward time step RecoverSource
+// maxForwardJump is the largest forward time step RecoverSource
 // accepts before treating the timestamp as corrupt. The workload's
 // daemons fire every few minutes, so a clean trace never goes quiet for
 // an hour; a jump that large is a damaged varint, and rewriting it (to
 // the previous time) stops one flipped high bit from dragging every
 // subsequent clamped timestamp along with it.
-const DefaultMaxForwardJump = Hour
+const maxForwardJump = Hour
 
 // RepairStats is the error budget of a RecoverSource pass: exactly what
 // the repair cost. The accounting identity
@@ -56,7 +56,7 @@ func (s RepairStats) String() string {
 // than rejection, so downstream analyses always see a well-formed trace:
 //
 //   - backward time steps are clamped to the previous time, and forward
-//     jumps beyond MaxForwardJump (a flipped high bit in a time varint)
+//     jumps beyond maxForwardJump (a flipped high bit in a time varint)
 //     are pulled back to it;
 //   - an Open or Create reusing a live open id first gets a synthesized
 //     Close for the orphaned open, at its last known position;
@@ -78,10 +78,6 @@ func (s RepairStats) String() string {
 // RepairStats quantifies the first; the loss-sensitivity sweep
 // (fsreport -degrade) quantifies the rest.
 type RecoverSource struct {
-	// MaxForwardJump is the forward time-step tolerance; fields may be
-	// set before the first NextBatch call. Zero means DefaultMaxForwardJump.
-	MaxForwardJump Time
-
 	in      *Cursor
 	stats   RepairStats
 	open    map[OpenID]*recOpen
@@ -100,10 +96,9 @@ type recOpen struct {
 // NewRecoverSource wraps src in a repair pass.
 func NewRecoverSource(src Source) *RecoverSource {
 	return &RecoverSource{
-		MaxForwardJump: DefaultMaxForwardJump,
-		in:             NewCursor(src),
-		open:           make(map[OpenID]*recOpen),
-		seen:           make(map[FileID]struct{}),
+		in:   NewCursor(src),
+		open: make(map[OpenID]*recOpen),
+		seen: make(map[FileID]struct{}),
 	}
 }
 
@@ -164,11 +159,7 @@ func (r *RecoverSource) repair(e Event) (_ Event, emit bool, synth *Event) {
 	}
 
 	rewritten := false
-	maxJump := r.MaxForwardJump
-	if maxJump <= 0 {
-		maxJump = DefaultMaxForwardJump
-	}
-	if r.started && (e.Time < r.prev || e.Time > r.prev+maxJump) {
+	if r.started && (e.Time < r.prev || e.Time > r.prev+maxForwardJump) {
 		e.Time = r.prev
 		rewritten = true
 	}

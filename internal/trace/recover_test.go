@@ -126,9 +126,9 @@ func TestRecoverKeepsUnlinkOfSeenFile(t *testing.T) {
 func TestRecoverClampsTime(t *testing.T) {
 	in := []Event{
 		{Time: 1000, Kind: KindExec, File: 1, Size: 1},
-		{Time: 400, Kind: KindExec, File: 2, Size: 1},                            // backwards
-		{Time: 1000 + 2*DefaultMaxForwardJump, Kind: KindExec, File: 3, Size: 1}, // absurd jump
-		{Time: 1100, Kind: KindExec, File: 4, Size: 1},                           // sane again
+		{Time: 400, Kind: KindExec, File: 2, Size: 1},                     // backwards
+		{Time: 1000 + 2*maxForwardJump, Kind: KindExec, File: 3, Size: 1}, // absurd jump
+		{Time: 1100, Kind: KindExec, File: 4, Size: 1},                    // sane again
 	}
 	out, stats := recoverOne(t, in)
 	wantTimes := []Time{1000, 1000, 1000, 1100}

@@ -225,18 +225,22 @@ func GenerateStream(cfg Config, sink Sink) (*Result, error) {
 // generateProfile runs one machine: the full event-driven simulation of
 // prof's population against one kernel and file system.
 func generateProfile(cfg Config, prof Profile, sink Sink) (*Result, error) {
-	var sinkErr error
-	emit := func(e trace.Event) {
-		if sinkErr != nil || sink == nil {
-			return
-		}
-		sinkErr = sink(e)
-	}
 	g := &generator{
 		cfg:  cfg,
 		prof: prof,
 		eng:  sim.New(),
 		src:  dist.NewSource(cfg.Seed),
+	}
+	// The first sink error stops the simulation: nothing after it would
+	// be delivered, so simulating on to the deadline is wasted work.
+	var sinkErr error
+	emit := func(e trace.Event) {
+		if sinkErr != nil || sink == nil {
+			return
+		}
+		if sinkErr = sink(e); sinkErr != nil {
+			g.eng.Stop()
+		}
 	}
 	fs := vfs.New()
 	g.k = kernel.New(fs, g.eng.Now, emit)

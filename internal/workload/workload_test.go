@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -315,6 +316,43 @@ func TestNonFiniteScaleRejected(t *testing.T) {
 	for _, scale := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		if _, err := GenerateStream(Config{Profile: "A5", Seed: 1, Duration: 10 * trace.Minute, UserScale: scale}, nil); err == nil {
 			t.Errorf("UserScale %v accepted", scale)
+		}
+	}
+}
+
+// resolveCount is a kernel.MetaHook that counts path resolutions.
+type resolveCount struct{ n int }
+
+func (m *resolveCount) Resolve(string)   { m.n++ }
+func (m *resolveCount) InodeUpdate()     {}
+func (m *resolveCount) DirUpdate(string) {}
+
+// TestSinkErrorStopsGeneration: the first sink error is returned and
+// stops the simulation with the continuation that emitted the refused
+// event. At each k below that event's continuation makes no further
+// lookup, so a path resolution after it would come from a later
+// continuation; without the stop, lookups run on to the deadline.
+func TestSinkErrorStopsGeneration(t *testing.T) {
+	errStop := errors.New("sink full")
+	for _, k := range []int{100, 5000} {
+		meta := &resolveCount{}
+		var events, atFail int
+		_, err := GenerateStream(Config{Profile: "A5", Seed: 3, Duration: 8 * trace.Hour, Meta: meta},
+			func(trace.Event) error {
+				if events++; events == k {
+					atFail = meta.n
+					return errStop
+				}
+				return nil
+			})
+		if !errors.Is(err, errStop) {
+			t.Fatalf("k=%d: GenerateStream error = %v, want the sink's", k, err)
+		}
+		if events != k {
+			t.Errorf("k=%d: sink called %d times", k, events)
+		}
+		if meta.n != atFail {
+			t.Errorf("k=%d: %d path resolutions after the failing event", k, meta.n-atFail)
 		}
 	}
 }
