@@ -162,9 +162,11 @@ func run(out io.Writer, paths []string, opts options) error {
 	// Logical-class traces (native ones and strace imports) get the
 	// Section-5 battery; block and page imports only the transfer-level
 	// sections, because their open/close events are adapter scaffolding.
-	// A foreign import also builds its tape in the same pass.
+	// A foreign import, or any trace under -only transfers, also builds
+	// its tape in the same pass.
 	class := format.Class()
 	foreign := format != adapt.FormatBSD
+	tape := foreign || strings.EqualFold(opts.only, "transfers")
 	if opts.only != "" {
 		if err := analyzer.CheckSection(opts.only, class); err != nil {
 			return err
@@ -217,7 +219,7 @@ func run(out io.Writer, paths []string, opts options) error {
 			stage, v = "validate/", trace.NewValidator(0)
 		case class == trace.ClassLogical:
 			s = analyzer.NewStream(analyzer.Options{})
-			if foreign {
+			if tape {
 				tb = s.AttachTape()
 			}
 			if opts.top > 0 {
@@ -279,7 +281,7 @@ func run(out io.Writer, paths []string, opts options) error {
 	if class == trace.ClassLogical {
 		renderSections(w, tr, tops, opts)
 	}
-	if foreign && opts.want("transfers") {
+	if tape && opts.want("transfers") {
 		report.TransferSummaryTable(names, sums).Render(w)
 	}
 	if foreign && opts.only == "" {

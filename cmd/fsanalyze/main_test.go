@@ -70,6 +70,23 @@ func TestRunWriteErrorReturned(t *testing.T) {
 	}
 }
 
+// TestRunOnlyTransfers: -only transfers on a native trace builds the
+// tape and prints the transfer summary, and nothing else.
+func TestRunOnlyTransfers(t *testing.T) {
+	path := writeTestTrace(t, false)
+	var buf bytes.Buffer
+	if err := run(&buf, []string{path}, options{only: "transfers"}); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	if !strings.Contains(out, "Transfer summary.") {
+		t.Errorf("-only transfers printed no transfer summary:\n%s", out)
+	}
+	if strings.Contains(out, "Table III.") {
+		t.Error("-only transfers printed more than the requested section")
+	}
+}
+
 func TestRunTextInput(t *testing.T) {
 	path := writeTestTrace(t, true)
 	var buf bytes.Buffer

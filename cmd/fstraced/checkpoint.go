@@ -29,7 +29,6 @@ import (
 //	               a different configuration generates a different trace
 //	position       events analyzed (N), time of the last analyzed event
 //	stream         analyzer.Stream blob (length-prefixed)
-//	validator      trace.Validator blob (length-prefixed)
 //	ingest log     total, name sequence, recent summaries (JSON)
 //	counters       registry counters, sorted by name
 //	crc32          of all preceding bytes, little-endian
@@ -37,12 +36,13 @@ import (
 // A resumed daemon regenerates the deterministic workload, fast-forwards
 // past the first N events, and continues analysis from the restored
 // stream — the final report is byte-identical to an uninterrupted run.
-// Everything is bounds-checked; a corrupt or truncated file yields an
-// error, never a panic (FuzzDecodeCheckpoint).
+// The validator is not stored: the producer rebuilds it from the same N
+// regenerated events. Everything is bounds-checked; a corrupt or
+// truncated file yields an error, never a panic (FuzzDecodeCheckpoint).
 
 var ckptMagic = [8]byte{'F', 'S', 'D', 'C', 'K', 'P', 'T', '1'}
 
-const ckptVersion = 1
+const ckptVersion = 2
 
 // errCkptFinished reports a checkpoint attempt after the analysis
 // finished: a finished run has nothing left to resume.
@@ -53,7 +53,6 @@ type daemonState struct {
 	events    int64
 	lastTime  trace.Time
 	stream    *analyzer.Stream
-	validator *trace.Validator
 	ingTotal  int64
 	ingSeq    int64
 	ingRecent []ingestSummary
@@ -88,7 +87,6 @@ func (d *daemon) checkpointBytes() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	vBlob := d.live.validator.AppendState(nil)
 	events := d.live.events
 	lastTime := d.live.stream.LastTime()
 	ingTotal, ingSeq, recent := d.ing.state()
@@ -105,7 +103,6 @@ func (d *daemon) checkpointBytes() ([]byte, error) {
 	buf = stats.AppendVarint(buf, events)
 	buf = stats.AppendVarint(buf, int64(lastTime))
 	buf = appendCkptBytes(buf, streamBlob)
-	buf = appendCkptBytes(buf, vBlob)
 	buf = stats.AppendVarint(buf, ingTotal)
 	buf = stats.AppendVarint(buf, ingSeq)
 	buf = stats.AppendUvarint(buf, uint64(len(recent)))
@@ -225,18 +222,6 @@ func decodeCheckpoint(data []byte, cfg config) (*daemonState, error) {
 	if st.stream.Events() != st.events {
 		return nil, fmt.Errorf("fstraced: checkpoint position %d disagrees with stream state %d", st.events, st.stream.Events())
 	}
-	vBlob, buf, err := decodeCkptBytes(buf)
-	if err != nil {
-		return nil, err
-	}
-	st.validator = trace.NewValidator(16)
-	rest, err := st.validator.DecodeState(vBlob)
-	if err != nil {
-		return nil, err
-	}
-	if len(rest) != 0 {
-		return nil, stats.ErrCorruptState
-	}
 
 	if st.ingTotal, buf, err = stats.DecodeVarint(buf); err != nil {
 		return nil, err
@@ -298,14 +283,14 @@ func loadCheckpoint(path string, cfg config) (*daemonState, error) {
 
 // restore primes a not-yet-started daemon with checkpointed state: the
 // analysis continues from the restored stream, the producer will
-// fast-forward past the first st.events regenerated events, and the
-// recorder will frame its output as a resumed v2 stream whose first
-// checkpoint announces the resume position to joining readers.
+// fast-forward past the first st.events regenerated events, checking
+// them into the fresh validator, and the recorder will frame its output
+// as a resumed v2 stream whose first checkpoint announces the resume
+// position to joining readers.
 func (d *daemon) restore(st *daemonState) {
 	d.resumeFrom = st.events
 	d.resumeTime = st.lastTime
 	d.live.stream = st.stream
-	d.live.validator = st.validator
 	d.live.events = st.events
 	d.ing.mu.Lock()
 	d.ing.total = st.ingTotal

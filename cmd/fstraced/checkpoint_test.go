@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"io"
 	"net/http/httptest"
 	"path/filepath"
@@ -128,13 +130,22 @@ func TestDaemonCheckpointResumeRoundTrip(t *testing.T) {
 
 	<-d2.genDone
 	d2.live.mu.Lock()
-	final, done, verrs := d2.live.final, d2.live.done, len(d2.live.validator.Errs())
+	final, done, v := d2.live.final, d2.live.done, d2.live.validator
 	d2.live.mu.Unlock()
 	if !done || final == nil {
 		t.Fatal("resumed run did not finish")
 	}
-	if verrs != 0 {
-		t.Fatalf("validator flagged %d errors across the stop boundary", verrs)
+	// The resumed validator was rebuilt from the regenerated prefix, not
+	// restored: it must equal one that checked the whole trace.
+	want := trace.NewValidator(16)
+	for _, e := range golden {
+		want.Check(e)
+	}
+	if v.Stats() != want.Stats() || v.Finish() != want.Finish() ||
+		!reflect.DeepEqual(v.Errs(), want.Errs()) || !reflect.DeepEqual(v.FirstBad(), want.FirstBad()) {
+		t.Fatalf("resumed validator: counts %+v, %d unclosed, %d errors, first bad %v; uninterrupted: %+v, %d, %d, %v",
+			v.Stats(), v.Finish(), len(v.Errs()), v.FirstBad(),
+			want.Stats(), want.Finish(), len(want.Errs()), want.FirstBad())
 	}
 	if !reflect.DeepEqual(final, goldenAn) {
 		t.Fatal("resumed final analysis differs from an uninterrupted batch Analyze")
@@ -194,7 +205,6 @@ func ckptBlob(t testing.TB, cfg config) []byte {
 		},
 		func(e trace.Event) error {
 			d.live.stream.Feed(e)
-			d.live.validator.Check(e)
 			d.live.events++
 			if fed++; fed >= 500 {
 				return errStopped
@@ -212,13 +222,25 @@ func ckptBlob(t testing.TB, cfg config) []byte {
 }
 
 // TestDecodeCheckpointRejects: resume refuses a checkpoint from a
-// different run configuration, and corrupt or truncated files error out
-// without panicking — and without a wrong accept.
+// different run configuration or of another version, and corrupt or
+// truncated files error out without panicking — and without a wrong
+// accept.
 func TestDecodeCheckpointRejects(t *testing.T) {
 	cfg := config{profile: "A5", seed: 5, duration: trace.Hour, scale: 1, shards: 1, interval: 64}
 	blob := ckptBlob(t, cfg)
 	if _, err := decodeCheckpoint(blob, cfg); err != nil {
 		t.Fatalf("valid checkpoint rejected: %v", err)
+	}
+	// A version-1 checkpoint (which also carried the validator), with a
+	// valid CRC: refused by version, not resumed.
+	v1 := append([]byte(nil), blob[:len(blob)-4]...)
+	if v1[len(ckptMagic)] != ckptVersion {
+		t.Fatalf("version byte %d, want %d", v1[len(ckptMagic)], ckptVersion)
+	}
+	v1[len(ckptMagic)] = 1
+	v1 = binary.LittleEndian.AppendUint32(v1, crc32.ChecksumIEEE(v1))
+	if _, err := decodeCheckpoint(v1, cfg); err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("version-1 checkpoint: %v, want a refusal naming version 1", err)
 	}
 	mismatches := map[string]config{
 		"profile":  {profile: "A4", seed: 5, duration: trace.Hour, scale: 1, shards: 1, interval: 64},

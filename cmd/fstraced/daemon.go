@@ -113,7 +113,6 @@ type liveState struct {
 	validator *trace.Validator
 	events    int64
 	final     *analyzer.Analysis // set once the stream ends
-	unclosed  int
 	genErr    error
 	done      bool
 	aborted   bool // generation stopped early: analysis left unfinished, resumable
@@ -278,14 +277,27 @@ func (d *daemon) producer() {
 	// On a resumed run the deterministic workload is regenerated from
 	// the same seed, and the already-analyzed prefix is fast-forwarded
 	// past at full speed: not paced, not fanned out, not counted again
-	// (the gen.events counter was restored from the checkpoint).
+	// (the gen.events counter was restored from the checkpoint). The
+	// prefix does rebuild the validator, which the checkpoint does not
+	// carry: it is checked in batches, one lock per batch, and the last
+	// batch is checked before the first live record is fanned out.
 	var idx int64
+	prefix := trace.GetBatch()[:0]
+	defer trace.PutBatch(prefix)
 	sink := func(e trace.Event) error {
 		if d.stopped.Load() {
 			return errStopped
 		}
 		if idx < d.resumeFrom {
 			idx++
+			if prefix = append(prefix, e); len(prefix) == cap(prefix) || idx == d.resumeFrom {
+				d.live.mu.Lock()
+				for _, p := range prefix {
+					d.live.validator.Check(p)
+				}
+				d.live.mu.Unlock()
+				prefix = prefix[:0]
+			}
 			return nil
 		}
 		idx++
@@ -365,11 +377,11 @@ func (d *daemon) recorder(sub *trace.FanoutSub, w *trace.Writer, buf *bytes.Buff
 }
 
 // analysisLoop is the online analysis subscriber: it feeds the rolling
-// analyzer.Stream and Validator, and finalizes both at end of stream —
-// but only when generation actually completed. An aborted run (shutdown
-// mid-stream) must leave the stream unfinished: Finish is destructive
-// (censored lifetimes, flushed intervals), and the final checkpoint has
-// to stay resumable.
+// analyzer.Stream and Validator, and finalizes the stream at end of
+// stream — but only when generation actually completed. An aborted run
+// (shutdown mid-stream) must leave the stream unfinished: Finish is
+// destructive (censored lifetimes, flushed intervals), and the final
+// checkpoint has to stay resumable.
 func (d *daemon) analysisLoop(sub *trace.FanoutSub) {
 	defer d.wg.Done()
 	defer sub.Cancel()
@@ -395,7 +407,6 @@ func (d *daemon) analysisLoop(sub *trace.FanoutSub) {
 			d.live.genErr = err
 		}
 		if d.genComplete.Load() {
-			d.live.unclosed = d.live.validator.Finish()
 			d.live.final = d.live.stream.Finish()
 			d.live.done = true
 		} else {

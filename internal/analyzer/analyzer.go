@@ -320,15 +320,8 @@ func (a *activityAccum) bytes(t trace.Time, u *user, n int64) {
 	a.touch(t, u).bytes += n
 }
 
-// finish flushes the final partial interval.
-func (a *activityAccum) finish() {
-	if a.started {
-		a.flush()
-	}
-}
-
-// rowSoFar returns the row finish would produce now, leaving the
-// accumulator's row and its users' slots untouched.
+// rowSoFar returns the row with the current interval folded in, leaving
+// the accumulator's row and its users' slots untouched.
 func (a *activityAccum) rowSoFar() ActivityRow {
 	row := a.row
 	if a.started {
@@ -371,13 +364,11 @@ type Stream struct {
 
 	// The trace's size in the binary format, for EncodedSize: the
 	// header plus each valid event's record, which trace.AppendRecord
-	// encodes into the scratch buffer rec to be measured. records and
-	// prev are the record count and delta-time base a writer of the
-	// same trace would hold.
-	size    int64
-	records int64
-	prev    trace.Time
-	rec     []byte
+	// encodes into the scratch buffer rec to be measured. prev is the
+	// delta-time base a writer of the same trace would hold.
+	size int64
+	prev trace.Time
+	rec  []byte
 
 	finished bool
 }
@@ -493,7 +484,6 @@ func (s *Stream) Feed(e trace.Event) {
 	if e.Kind.Valid() {
 		s.rec = trace.AppendRecord(s.rec[:0], s.prev, e)
 		s.size += int64(len(s.rec))
-		s.records++
 		s.prev = e.Time
 	}
 
@@ -570,6 +560,8 @@ func (s *Stream) Snapshot() *Analysis {
 	an.Overall.UnclosedOpens = s.sc.OpenCount()
 	an.Overall.EncodedSize = s.size
 
+	// Censor survivors into the top bucket so the by-files and by-bytes
+	// CDFs are normalized over all new files, as Figure 4 is.
 	const censored = 1e18
 	lifeFiles := s.lifeFiles.Clone()
 	lifeBytes := s.lifeBytes.Clone()
@@ -606,60 +598,24 @@ func (s *Stream) Snapshot() *Analysis {
 	return &an
 }
 
-// Finish completes the analysis and returns it. Further Feed calls after
-// Finish are invalid; calling Finish again returns the same Analysis.
+// Finish completes the analysis and returns it: the Snapshot of the
+// whole stream. Further Feed calls after Finish are invalid; calling
+// Finish again returns the same Analysis.
 func (s *Stream) Finish() *Analysis {
 	if s.finished {
 		return s.an
 	}
+	s.an = s.Snapshot()
 	s.finished = true
-	an := s.an
 	if s.tb != nil {
 		// The builder finishes the shared scanner, once, discarding the
 		// opens still outstanding. The tape and any complaint are for
 		// the builder's owner, whose own Finish returns them.
-		an.Overall.UnclosedOpens = s.sc.OpenCount()
 		_, _ = s.tb.Finish()
 	} else {
-		an.Overall.UnclosedOpens = s.sc.Finish()
+		s.sc.Finish()
 	}
-	an.Overall.EncodedSize = s.size
-
-	// Censor survivors into the top bucket so the by-files and by-bytes
-	// CDFs are normalized over all new files, as Figure 4 is.
-	const censored = 1e18
-	for _, st := range s.lives {
-		s.lifeFiles.Add(censored, 1)
-		s.lifeBytes.Add(censored, float64(st.bytes))
-	}
-
-	s.longAcc.finish()
-	s.shortAcc.finish()
-	an.Activity.Long = s.longAcc.row
-	an.Activity.Short = s.shortAcc.row
-	an.Activity.TotalUsers = len(s.users)
-	if an.Overall.Duration > 0 {
-		an.Activity.AvgThroughput = float64(an.Overall.BytesTransferred) / an.Overall.Duration.Seconds()
-	}
-
-	for _, sh := range s.shares {
-		an.Sharing.FilesAccessed++
-		an.Sharing.AccessesTotal += sh.accesses
-		if sh.users > 1 {
-			an.Sharing.FilesShared++
-			an.Sharing.AccessesToShared += sh.accesses
-		}
-	}
-
-	an.RunLengthsByRuns = s.runLenRuns.CDF()
-	an.RunLengthsByBytes = s.runLenBytes.CDF()
-	an.FileSizesByFiles = s.sizeFiles.CDF()
-	an.FileSizesByBytes = s.sizeBytes.CDF()
-	an.OpenTimes = s.openTimes.CDF()
-	an.Lifetimes.ByFiles = s.lifeFiles.CDF()
-	an.Lifetimes.ByBytes = s.lifeBytes.CDF()
-	an.EventIntervals = s.gaps.CDF()
-	return an
+	return s.an
 }
 
 // Analyze runs the full Section-5 analysis over a time-ordered trace.

@@ -14,22 +14,21 @@ import (
 //
 // MarshalBinary captures the complete incremental state of an unfinished
 // Stream — histograms, activity accumulators, the user/open/live/share
-// tables, the transfer scanner, and the byte count, record count and
-// delta-time base that back EncodedSize — and RestoreStream rebuilds a
-// Stream from it. The restore invariant, pinned by
-// TestStreamCheckpointRoundTrip, is byte-exactness: feeding events
-// e(n+1)..e(N) into a Stream restored at position n and finishing
-// produces an Analysis (and a rendered report) identical to feeding
-// e(1)..e(N) into one Stream without interruption. Floating-point state
-// round-trips through exact bit patterns, and all maps are serialized in
-// sorted key order, so the blob itself is a deterministic function of
-// the stream's state.
+// tables, the transfer scanner, and the byte count and delta-time base
+// that back EncodedSize — and RestoreStream rebuilds a Stream from it.
+// The restore invariant, pinned by TestStreamCheckpointRoundTrip, is
+// byte-exactness: feeding events e(n+1)..e(N) into a Stream restored at
+// position n and finishing produces an Analysis (and a rendered report)
+// identical to feeding e(1)..e(N) into one Stream without interruption.
+// Floating-point state round-trips through exact bit patterns, and all
+// maps are serialized in sorted key order, so the blob itself is a
+// deterministic function of the stream's state.
 //
 // The format is a versioned byte string read with bounds-checked
 // decoders: RestoreStream never panics on corrupt input (fuzzed by
 // FuzzRestoreStream), it returns an error.
 
-const streamStateVersion = 1
+const streamStateVersion = 2
 
 // ErrFinished reports an attempt to checkpoint a Stream after Finish:
 // finishing consumes the incremental state (censored lifetimes, flushed
@@ -206,12 +205,10 @@ func (s *Stream) MarshalBinary() ([]byte, error) {
 	// Transfer scanner.
 	buf = s.sc.AppendState(buf)
 
-	// Encoder position: byte count (header included), record count and
-	// delta base, so EncodedSize stays continuous across a restore. The
-	// final true is the header's "begun" flag, which the count always
-	// includes.
+	// Encoder position: byte count (header included) and delta base, so
+	// EncodedSize stays continuous across a restore. The final true is
+	// the header's "begun" flag, which the count always includes.
 	buf = stats.AppendVarint(buf, s.size)
-	buf = stats.AppendVarint(buf, s.records)
 	buf = stats.AppendVarint(buf, int64(s.prev))
 	return appendBool(buf, true), nil
 }
@@ -378,9 +375,6 @@ func RestoreStream(data []byte, opts Options) (*Stream, error) {
 	}
 
 	if s.size, buf, err = stats.DecodeVarint(buf); err != nil {
-		return nil, err
-	}
-	if s.records, buf, err = stats.DecodeVarint(buf); err != nil {
 		return nil, err
 	}
 	if x, buf, err = stats.DecodeVarint(buf); err != nil {

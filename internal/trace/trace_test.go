@@ -7,12 +7,9 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
-
-	"bsdtrace/internal/stats"
 )
 
 // randomEvent produces a structurally valid event of a random kind. It is
@@ -512,29 +509,5 @@ func TestWriterWriteAllocs(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("%s: %v allocations per %d writes, want 0", tc.name, allocs, len(kinds))
 		}
-	}
-}
-
-// TestValidatorDecodeStateBoundsCounts: an open-table count that claims
-// 1<<22 entries with a few bytes left is refused before the table is
-// sized from it. (Sized from such a count, the table alone takes over
-// 100 MB.)
-func TestValidatorDecodeStateBoundsCounts(t *testing.T) {
-	blob := stats.AppendUvarint(nil, validatorStateVersion)
-	blob = stats.AppendVarint(blob, 0)  // prev
-	blob = appendStateBool(blob, false) // started
-	blob = stats.AppendVarint(blob, 20) // maxErrs
-	blob = stats.AppendUvarint(blob, 1<<22)
-	blob = append(blob, 1, 2, 3, 4)
-
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, err := NewValidator(20).DecodeState(blob)
-	runtime.ReadMemStats(&after)
-	if err == nil {
-		t.Fatal("DecodeState accepted a count past the end of its input")
-	}
-	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
-		t.Errorf("DecodeState allocated %d bytes for a %d-byte blob", alloc, len(blob))
 	}
 }

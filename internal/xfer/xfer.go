@@ -86,18 +86,8 @@ type OpenSummary struct {
 	Sequential bool
 }
 
-// FileDeath describes data dying: the file was unlinked, truncated to
-// zero, or overwritten by a new create of the same file. The lifetime
-// analyses (paper Figure 4) consume these.
-type FileDeath struct {
-	Time trace.Time
-	File trace.FileID
-	// Reason is "unlink", "truncate", or "overwrite".
-	Reason string
-}
-
 // Scanner consumes trace events in time order and emits reconstructed
-// transfers, per-open summaries, and file deaths through callbacks. Any
+// transfers, per-open summaries and event gaps through callbacks. Any
 // callback may be nil.
 type Scanner struct {
 	// OnTransfer is called for every non-empty run, in bill-time order,
@@ -106,8 +96,6 @@ type Scanner struct {
 	OnTransfer func(Transfer)
 	// OnOpenEnd is called at each close with the session summary.
 	OnOpenEnd func(OpenSummary)
-	// OnDeath is called when a file's data dies.
-	OnDeath func(FileDeath)
 	// OnEventGap is called with the time since the previous event of the
 	// same open, for every close and seek (the §3.1 measurement of how
 	// tight the no-read-write time bounds are).
@@ -200,9 +188,6 @@ func (s *Scanner) Feed(e trace.Event) {
 		}
 		if e.Kind == trace.KindCreate {
 			// New data: anything previously in the file is overwritten.
-			if old, ok := s.sizes[e.File]; ok && old > 0 && s.OnDeath != nil {
-				s.OnDeath(FileDeath{Time: e.Time, File: e.File, Reason: "overwrite"})
-			}
 			s.sizes[e.File] = 0
 		} else {
 			s.sizes[e.File] = e.Size
@@ -260,17 +245,9 @@ func (s *Scanner) Feed(e trace.Event) {
 		}
 
 	case trace.KindUnlink:
-		if s.OnDeath != nil {
-			s.OnDeath(FileDeath{Time: e.Time, File: e.File, Reason: "unlink"})
-		}
 		delete(s.sizes, e.File)
 
 	case trace.KindTruncate:
-		if e.Size == 0 {
-			if old, ok := s.sizes[e.File]; ok && old > 0 && s.OnDeath != nil {
-				s.OnDeath(FileDeath{Time: e.Time, File: e.File, Reason: "truncate"})
-			}
-		}
 		s.sizes[e.File] = e.Size
 
 	case trace.KindExec:

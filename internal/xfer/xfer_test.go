@@ -17,7 +17,6 @@ import (
 type collected struct {
 	transfers []Transfer
 	opens     []OpenSummary
-	deaths    []FileDeath
 	gaps      []trace.Time
 	unclosed  int
 	errs      []error
@@ -29,7 +28,6 @@ func collect(t *testing.T, events []trace.Event) collected {
 	s := NewScanner()
 	s.OnTransfer = func(x Transfer) { c.transfers = append(c.transfers, x) }
 	s.OnOpenEnd = func(o OpenSummary) { c.opens = append(c.opens, o) }
-	s.OnDeath = func(d FileDeath) { c.deaths = append(c.deaths, d) }
 	s.OnEventGap = func(g trace.Time) { c.gaps = append(c.gaps, g) }
 	for _, e := range events {
 		s.Feed(e)
@@ -187,45 +185,6 @@ func TestReadWriteDirectionInference(t *testing.T) {
 	}
 	if !c.transfers[1].Write {
 		t.Errorf("extending rw run classified read: %+v", c.transfers[1])
-	}
-}
-
-func TestDeaths(t *testing.T) {
-	events := []trace.Event{
-		{Time: 0, Kind: trace.KindCreate, OpenID: 1, File: 3, Mode: trace.WriteOnly},
-		{Time: 10, Kind: trace.KindClose, OpenID: 1, NewPos: 500},
-		// Overwrite by re-create.
-		{Time: 100, Kind: trace.KindCreate, OpenID: 2, File: 3, Mode: trace.WriteOnly},
-		{Time: 110, Kind: trace.KindClose, OpenID: 2, NewPos: 700},
-		// Truncate to zero.
-		{Time: 200, Kind: trace.KindTruncate, File: 3, Size: 0},
-		// Unlink.
-		{Time: 300, Kind: trace.KindUnlink, File: 3},
-	}
-	c := collect(t, events)
-	if len(c.deaths) != 3 {
-		t.Fatalf("deaths = %+v", c.deaths)
-	}
-	if c.deaths[0].Reason != "overwrite" || c.deaths[0].Time != 100 {
-		t.Errorf("death 0 = %+v", c.deaths[0])
-	}
-	if c.deaths[1].Reason != "truncate" || c.deaths[1].Time != 200 {
-		t.Errorf("death 1 = %+v", c.deaths[1])
-	}
-	if c.deaths[2].Reason != "unlink" || c.deaths[2].Time != 300 {
-		t.Errorf("death 2 = %+v", c.deaths[2])
-	}
-}
-
-func TestTruncateToZeroOfEmptyFileNoDeath(t *testing.T) {
-	events := []trace.Event{
-		{Time: 0, Kind: trace.KindCreate, OpenID: 1, File: 3, Mode: trace.WriteOnly},
-		{Time: 10, Kind: trace.KindClose, OpenID: 1, NewPos: 0},
-		{Time: 20, Kind: trace.KindTruncate, File: 3, Size: 0},
-	}
-	c := collect(t, events)
-	if len(c.deaths) != 0 {
-		t.Errorf("empty file truncation reported death: %+v", c.deaths)
 	}
 }
 
