@@ -211,18 +211,16 @@ type Analysis struct {
 	Sharing Sharing
 }
 
-// lifeState tracks one live "new file" for the lifetime analysis.
-type lifeState struct {
-	birth trace.Time
-	bytes int64
-}
-
-// fileShare tracks whether a file was touched by more than one user
-// without storing the full user set.
-type fileShare struct {
-	first    trace.UserID
-	users    int // 1 or 2 ("more than one")
-	accesses int64
+// file is one entry of the stream's file table: the file's sharing and,
+// while it lives, its lifetime. Sharing records whether more than one
+// user touched the file without storing the full user set.
+type file struct {
+	birth    trace.Time   // when the live file was born
+	bytes    int64        // bytes written to the live file
+	accesses int64        // opens, creates and execs
+	first    trace.UserID // the first user to access the file
+	users    uint8        // users seen: 0, 1 or 2 ("more than one")
+	live     bool         // born during the trace and not yet dead
 }
 
 // user is one entry of the stream's user table, which holds every user
@@ -259,6 +257,9 @@ func (a *activityAccum) interval(t trace.Time) int64 { return int64(t / a.width)
 // advance flushes completed intervals up to (not including) the interval
 // containing t.
 func (a *activityAccum) advance(t trace.Time) {
+	if a.started && a.current >= 0 && t < trace.Time(a.current+1)*a.width {
+		return // still in the current interval: no division
+	}
 	idx := a.interval(t)
 	if !a.started {
 		a.current = idx
@@ -354,10 +355,8 @@ type Stream struct {
 
 	longAcc  *activityAccum
 	shortAcc *activityAccum
-	users    map[trace.UserID]*user
-	openUser map[trace.OpenID]*user
-	lives    map[trace.FileID]lifeState
-	shares   map[trace.FileID]fileShare
+	users    trace.Table[trace.UserID, *user]
+	files    trace.Table[trace.FileID, file]
 
 	sc *xfer.Scanner
 	tb *xfer.TapeBuilder // nil unless AttachTape; drives sc when set
@@ -388,10 +387,6 @@ func NewStream(opts Options) *Stream {
 		gaps:        stats.NewLogHistogram(0.01, 1.25, 70), // seconds
 		longAcc:     newActivityAccum(opts.LongInterval, 0),
 		shortAcc:    newActivityAccum(opts.ShortInterval, 1),
-		users:       make(map[trace.UserID]*user),
-		openUser:    make(map[trace.OpenID]*user),
-		lives:       make(map[trace.FileID]lifeState),
-		shares:      make(map[trace.FileID]fileShare),
 		size:        trace.HeaderSize,
 	}
 
@@ -410,9 +405,8 @@ func NewStream(opts Options) *Stream {
 		s.longAcc.bytes(x.Time, u, x.Length)
 		s.shortAcc.bytes(x.Time, u, x.Length)
 		if x.Write {
-			if st, ok := s.lives[x.File]; ok {
-				st.bytes += x.Length
-				s.lives[x.File] = st
+			if f := s.files.Get(x.File); f != nil && f.live {
+				f.bytes += x.Length
 			}
 		}
 	}
@@ -452,25 +446,30 @@ func (s *Stream) AttachTape() *xfer.TapeBuilder {
 
 // user returns id's entry in the user table, adding it if new.
 func (s *Stream) user(id trace.UserID) *user {
-	u := s.users[id]
-	if u == nil {
-		u = &user{id: id}
-		s.users[id] = u
+	u := s.users.Put(id)
+	if *u == nil {
+		*u = &user{id: id}
 	}
-	return u
+	return *u
 }
 
-// die closes out one live file for the lifetime analysis.
-func (s *Stream) die(f trace.FileID, t trace.Time) {
-	st, ok := s.lives[f]
-	if !ok {
+// die closes out f's life, if it is live, for the lifetime analysis.
+func (s *Stream) die(f *file, t trace.Time) {
+	if !f.live {
 		return
 	}
-	age := (t - st.birth).Seconds()
+	age := (t - f.birth).Seconds()
 	s.lifeFiles.Add(age, 1)
-	s.lifeBytes.Add(age, float64(st.bytes))
+	s.lifeBytes.Add(age, float64(f.bytes))
 	s.an.Lifetimes.DeadFiles++
-	delete(s.lives, f)
+	f.live = false
+}
+
+// rebirth starts a new life of f at t, closing out the previous one.
+func (s *Stream) rebirth(f *file, t trace.Time) {
+	s.die(f, t)
+	f.live, f.birth, f.bytes = true, t, 0
+	s.an.Lifetimes.NewFiles++
 }
 
 // Feed analyzes one event. Events must arrive in time order.
@@ -487,31 +486,24 @@ func (s *Stream) Feed(e trace.Event) {
 		s.prev = e.Time
 	}
 
-	// Sharing: record which users touch which files.
-	switch e.Kind {
-	case trace.KindCreate, trace.KindOpen, trace.KindExec:
-		sh, ok := s.shares[e.File]
-		if !ok {
-			sh = fileShare{first: e.User, users: 1}
-		} else if sh.users == 1 && e.User != sh.first {
-			sh.users = 2
-		}
-		sh.accesses++
-		s.shares[e.File] = sh
-	}
-
-	// Attribute the event to a user for the activity analysis.
+	// Sharing: record which users touch which files; and attribute the
+	// event to a user for the activity analysis.
+	var f *file
 	var u *user
 	switch e.Kind {
-	case trace.KindCreate, trace.KindOpen:
-		u = s.user(e.User)
-		s.openUser[e.OpenID] = u
-	case trace.KindExec:
+	case trace.KindCreate, trace.KindOpen, trace.KindExec:
+		f = s.files.Put(e.File)
+		switch {
+		case f.users == 0:
+			f.first, f.users = e.User, 1
+		case f.users == 1 && e.User != f.first:
+			f.users = 2
+		}
+		f.accesses++
 		u = s.user(e.User)
 	case trace.KindClose, trace.KindSeek:
-		u = s.openUser[e.OpenID]
-		if e.Kind == trace.KindClose {
-			delete(s.openUser, e.OpenID)
+		if id, ok := s.sc.OpenUser(e.OpenID); ok {
+			u = s.user(id)
 		}
 	}
 	if u != nil {
@@ -523,17 +515,15 @@ func (s *Stream) Feed(e trace.Event) {
 	// truncate-to-zero, deaths at unlink, overwrite, and truncation.
 	switch e.Kind {
 	case trace.KindCreate:
-		s.die(e.File, e.Time) // overwrite of previous incarnation
-		s.lives[e.File] = lifeState{birth: e.Time}
-		an.Lifetimes.NewFiles++
+		s.rebirth(f, e.Time) // overwrite of previous incarnation
 	case trace.KindTruncate:
 		if e.Size == 0 {
-			s.die(e.File, e.Time)
-			s.lives[e.File] = lifeState{birth: e.Time}
-			an.Lifetimes.NewFiles++
+			s.rebirth(s.files.Put(e.File), e.Time)
 		}
 	case trace.KindUnlink:
-		s.die(e.File, e.Time)
+		if f := s.files.Get(e.File); f != nil {
+			s.die(f, e.Time)
+		}
 	}
 
 	if s.tb != nil {
@@ -565,26 +555,27 @@ func (s *Stream) Snapshot() *Analysis {
 	const censored = 1e18
 	lifeFiles := s.lifeFiles.Clone()
 	lifeBytes := s.lifeBytes.Clone()
-	for _, st := range s.lives {
-		lifeFiles.Add(censored, 1)
-		lifeBytes.Add(censored, float64(st.bytes))
-	}
+	an.Sharing = Sharing{}
+	s.files.Each(func(_ trace.FileID, f *file) {
+		if f.live {
+			lifeFiles.Add(censored, 1)
+			lifeBytes.Add(censored, float64(f.bytes))
+		}
+		if f.users > 0 {
+			an.Sharing.FilesAccessed++
+			an.Sharing.AccessesTotal += f.accesses
+			if f.users > 1 {
+				an.Sharing.FilesShared++
+				an.Sharing.AccessesToShared += f.accesses
+			}
+		}
+	})
 
 	an.Activity.Long = s.longAcc.rowSoFar()
 	an.Activity.Short = s.shortAcc.rowSoFar()
-	an.Activity.TotalUsers = len(s.users)
+	an.Activity.TotalUsers = s.users.Len()
 	if an.Overall.Duration > 0 {
 		an.Activity.AvgThroughput = float64(an.Overall.BytesTransferred) / an.Overall.Duration.Seconds()
-	}
-
-	an.Sharing = Sharing{}
-	for _, sh := range s.shares {
-		an.Sharing.FilesAccessed++
-		an.Sharing.AccessesTotal += sh.accesses
-		if sh.users > 1 {
-			an.Sharing.FilesShared++
-			an.Sharing.AccessesToShared += sh.accesses
-		}
 	}
 
 	an.RunLengthsByRuns = s.runLenRuns.CDF()

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 
 	"bsdtrace/internal/stats"
 	"bsdtrace/internal/trace"
@@ -20,9 +19,9 @@ import (
 // byte-exactness: feeding events e(n+1)..e(N) into a Stream restored at
 // position n and finishing produces an Analysis (and a rendered report)
 // identical to feeding e(1)..e(N) into one Stream without interruption.
-// Floating-point state round-trips through exact bit patterns, and all
-// maps are serialized in sorted key order, so the blob itself is a
-// deterministic function of the stream's state.
+// Floating-point state round-trips through exact bit patterns, and every
+// table is serialized in ID order, so the blob itself is a deterministic
+// function of the stream's state.
 //
 // The format is a versioned byte string read with bounds-checked
 // decoders: RestoreStream never panics on corrupt input (fuzzed by
@@ -153,54 +152,45 @@ func (s *Stream) MarshalBinary() ([]byte, error) {
 	buf = s.longAcc.appendState(buf)
 	buf = s.shortAcc.appendState(buf)
 
-	// User / open / live-file / share tables, sorted.
-	buf = stats.AppendUvarint(buf, uint64(len(s.users)))
-	users := make([]trace.UserID, 0, len(s.users))
-	for u := range s.users {
-		users = append(users, u)
-	}
-	sort.Slice(users, func(i, j int) bool { return users[i] < users[j] })
-	for _, u := range users {
-		buf = stats.AppendUvarint(buf, uint64(u))
-	}
+	// User / open / live-file / share tables, in ID order.
+	buf = stats.AppendUvarint(buf, uint64(s.users.Len()))
+	s.users.Each(func(id trace.UserID, _ **user) {
+		buf = stats.AppendUvarint(buf, uint64(id))
+	})
 
-	buf = stats.AppendUvarint(buf, uint64(len(s.openUser)))
-	opens := make([]trace.OpenID, 0, len(s.openUser))
-	for o := range s.openUser {
-		opens = append(opens, o)
-	}
-	sort.Slice(opens, func(i, j int) bool { return opens[i] < opens[j] })
+	opens := s.sc.Opens()
+	buf = stats.AppendUvarint(buf, uint64(len(opens)))
 	for _, o := range opens {
-		buf = stats.AppendUvarint(buf, uint64(o))
-		buf = stats.AppendUvarint(buf, uint64(s.openUser[o].id))
+		buf = stats.AppendUvarint(buf, uint64(o.OpenID))
+		buf = stats.AppendUvarint(buf, uint64(o.User))
 	}
 
-	buf = stats.AppendUvarint(buf, uint64(len(s.lives)))
-	lives := make([]trace.FileID, 0, len(s.lives))
-	for f := range s.lives {
-		lives = append(lives, f)
-	}
-	sort.Slice(lives, func(i, j int) bool { return lives[i] < lives[j] })
-	for _, f := range lives {
-		st := s.lives[f]
-		buf = stats.AppendUvarint(buf, uint64(f))
-		buf = stats.AppendVarint(buf, int64(st.birth))
-		buf = stats.AppendVarint(buf, st.bytes)
-	}
-
-	buf = stats.AppendUvarint(buf, uint64(len(s.shares)))
-	shared := make([]trace.FileID, 0, len(s.shares))
-	for f := range s.shares {
-		shared = append(shared, f)
-	}
-	sort.Slice(shared, func(i, j int) bool { return shared[i] < shared[j] })
-	for _, f := range shared {
-		sh := s.shares[f]
-		buf = stats.AppendUvarint(buf, uint64(f))
-		buf = stats.AppendUvarint(buf, uint64(sh.first))
-		buf = stats.AppendVarint(buf, int64(sh.users))
-		buf = stats.AppendVarint(buf, sh.accesses)
-	}
+	var lives, shared int
+	s.files.Each(func(_ trace.FileID, f *file) {
+		if f.live {
+			lives++
+		}
+		if f.users > 0 {
+			shared++
+		}
+	})
+	buf = stats.AppendUvarint(buf, uint64(lives))
+	s.files.Each(func(id trace.FileID, f *file) {
+		if f.live {
+			buf = stats.AppendUvarint(buf, uint64(id))
+			buf = stats.AppendVarint(buf, int64(f.birth))
+			buf = stats.AppendVarint(buf, f.bytes)
+		}
+	})
+	buf = stats.AppendUvarint(buf, uint64(shared))
+	s.files.Each(func(id trace.FileID, f *file) {
+		if f.users > 0 {
+			buf = stats.AppendUvarint(buf, uint64(id))
+			buf = stats.AppendUvarint(buf, uint64(f.first))
+			buf = stats.AppendVarint(buf, int64(f.users))
+			buf = stats.AppendVarint(buf, f.accesses)
+		}
+	})
 
 	// Transfer scanner.
 	buf = s.sc.AppendState(buf)
@@ -312,29 +302,23 @@ func RestoreStream(data []byte, opts Options) (*Stream, error) {
 		s.user(trace.UserID(u))
 	}
 
+	// The open table: the scanner's state below holds each open's user.
 	if n, buf, err = stats.DecodeCount(buf); err != nil {
 		return nil, err
 	}
-	s.openUser = make(map[trace.OpenID]*user, n)
-	for i := 0; i < n; i++ {
-		var o, u uint64
-		if o, buf, err = stats.DecodeUvarint(buf); err != nil {
+	for i := 0; i < 2*n; i++ {
+		if _, buf, err = stats.DecodeUvarint(buf); err != nil {
 			return nil, err
 		}
-		if u, buf, err = stats.DecodeUvarint(buf); err != nil {
-			return nil, err
-		}
-		s.openUser[trace.OpenID(o)] = s.user(trace.UserID(u))
 	}
 
 	if n, buf, err = stats.DecodeCount(buf); err != nil {
 		return nil, err
 	}
-	s.lives = make(map[trace.FileID]lifeState, n)
 	for i := 0; i < n; i++ {
-		var f uint64
+		var id uint64
 		var birth, bytes int64
-		if f, buf, err = stats.DecodeUvarint(buf); err != nil {
+		if id, buf, err = stats.DecodeUvarint(buf); err != nil {
 			return nil, err
 		}
 		if birth, buf, err = stats.DecodeVarint(buf); err != nil {
@@ -343,17 +327,17 @@ func RestoreStream(data []byte, opts Options) (*Stream, error) {
 		if bytes, buf, err = stats.DecodeVarint(buf); err != nil {
 			return nil, err
 		}
-		s.lives[trace.FileID(f)] = lifeState{birth: trace.Time(birth), bytes: bytes}
+		f := s.files.Put(trace.FileID(id))
+		f.live, f.birth, f.bytes = true, trace.Time(birth), bytes
 	}
 
 	if n, buf, err = stats.DecodeCount(buf); err != nil {
 		return nil, err
 	}
-	s.shares = make(map[trace.FileID]fileShare, n)
 	for i := 0; i < n; i++ {
-		var f, first uint64
+		var id, first uint64
 		var users, accesses int64
-		if f, buf, err = stats.DecodeUvarint(buf); err != nil {
+		if id, buf, err = stats.DecodeUvarint(buf); err != nil {
 			return nil, err
 		}
 		if first, buf, err = stats.DecodeUvarint(buf); err != nil {
@@ -365,9 +349,11 @@ func RestoreStream(data []byte, opts Options) (*Stream, error) {
 		if accesses, buf, err = stats.DecodeVarint(buf); err != nil {
 			return nil, err
 		}
-		s.shares[trace.FileID(f)] = fileShare{
-			first: trace.UserID(first), users: int(users), accesses: accesses,
+		if users != 1 && users != 2 {
+			return nil, stats.ErrCorruptState
 		}
+		f := s.files.Put(trace.FileID(id))
+		f.first, f.users, f.accesses = trace.UserID(first), uint8(users), accesses
 	}
 
 	if buf, err = s.sc.DecodeState(buf); err != nil {

@@ -34,8 +34,8 @@ func (f *FileStat) Accesses() int64 { return f.Opens + f.Execs }
 // is bounded by the number of distinct files, never the event count. Feed
 // events in time order, then call Top.
 type TopAccum struct {
-	m  map[trace.FileID]*topAcc
-	sc *xfer.Scanner
+	files trace.Table[trace.FileID, topAcc]
+	sc    *xfer.Scanner
 }
 
 type topAcc struct {
@@ -45,7 +45,7 @@ type topAcc struct {
 
 // NewTopAccum creates an empty accumulator.
 func NewTopAccum() *TopAccum {
-	a := &TopAccum{m: make(map[trace.FileID]*topAcc), sc: xfer.NewScanner()}
+	a := &TopAccum{sc: xfer.NewScanner()}
 	a.sc.OnTransfer = func(t xfer.Transfer) {
 		a.get(t.File).stat.Bytes += t.Length
 	}
@@ -56,11 +56,8 @@ func NewTopAccum() *TopAccum {
 }
 
 func (a *TopAccum) get(f trace.FileID) *topAcc {
-	t := a.m[f]
-	if t == nil {
-		t = &topAcc{stat: FileStat{File: f}}
-		a.m[f] = t
-	}
+	t := a.files.Put(f)
+	t.stat.File = f
 	return t
 }
 
@@ -96,10 +93,10 @@ func (a *TopAccum) Feed(e trace.Event) {
 // (opens + execs), ties broken by bytes then id for determinism.
 func (a *TopAccum) Top(n int) []FileStat {
 	a.sc.Finish()
-	out := make([]FileStat, 0, len(a.m))
-	for _, t := range a.m {
+	out := make([]FileStat, 0, a.files.Len())
+	a.files.Each(func(_ trace.FileID, t *topAcc) {
 		out = append(out, t.stat)
-	}
+	})
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Accesses() != out[j].Accesses() {
 			return out[i].Accesses() > out[j].Accesses()

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"strconv"
@@ -44,7 +45,7 @@ func parseModeToken(s string) (Mode, error) {
 	case "rw":
 		return ReadWrite, nil
 	}
-	return 0, fmt.Errorf("trace: bad mode %q", s)
+	return 0, fmt.Errorf("trace: bad mode %s", clip(s))
 }
 
 func formatEvent(e Event) string {
@@ -66,27 +67,51 @@ func formatEvent(e Event) string {
 	return fmt.Sprintf("%d %s", e.Time, e.Kind)
 }
 
+// clip quotes s for an error message, cut to a bounded prefix: a
+// binary file read as text is one huge "line".
+func clip(s string) string {
+	const max = 64
+	if len(s) > max {
+		return fmt.Sprintf("%q...", s[:max])
+	}
+	return fmt.Sprintf("%q", s)
+}
+
+// parseInt parses a decimal field. Its error leaves the field out, as
+// the caller's message quotes the line.
+func parseInt(s string) (int64, error) {
+	v, err := strconv.ParseInt(s, 10, 64)
+	if err != nil {
+		return 0, err.(*strconv.NumError).Err
+	}
+	return v, nil
+}
+
 // ParseEvent parses one line of the text format.
 func ParseEvent(line string) (Event, error) {
 	fields := strings.Fields(line)
 	if len(fields) < 2 {
-		return Event{}, fmt.Errorf("trace: short line %q", line)
+		return Event{}, fmt.Errorf("trace: short line %s", clip(line))
 	}
-	ms, err := strconv.ParseInt(fields[0], 10, 64)
+	ms, err := parseInt(fields[0])
 	if err != nil {
-		return Event{}, fmt.Errorf("trace: bad time in %q: %v", line, err)
+		return Event{}, fmt.Errorf("trace: bad time in %s: %v", clip(line), err)
 	}
 	e := Event{Time: Time(ms)}
 	args := fields[2:]
 	n := func(i int) (int64, error) {
 		if i >= len(args) {
-			return 0, fmt.Errorf("trace: missing field %d in %q", i, line)
+			return 0, fmt.Errorf("trace: missing field %d in %s", i, clip(line))
 		}
-		return strconv.ParseInt(args[i], 10, 64)
+		v, err := parseInt(args[i])
+		if err != nil {
+			return 0, fmt.Errorf("trace: bad field %d in %s: %v", i, clip(line), err)
+		}
+		return v, nil
 	}
 	need := func(want int) error {
 		if len(args) != want {
-			return fmt.Errorf("trace: %s event needs %d fields, got %d in %q", fields[1], want, len(args), line)
+			return fmt.Errorf("trace: %s event needs %d fields, got %d in %s", fields[1], want, len(args), clip(line))
 		}
 		return nil
 	}
@@ -119,7 +144,7 @@ func ParseEvent(line string) (Event, error) {
 		open, err1 := n(0)
 		pos, err2 := n(1)
 		if err1 != nil || err2 != nil {
-			return Event{}, fmt.Errorf("trace: bad close %q", line)
+			return Event{}, fmt.Errorf("trace: bad close %s", clip(line))
 		}
 		e.OpenID, e.NewPos = OpenID(open), pos
 	case "seek":
@@ -131,7 +156,7 @@ func ParseEvent(line string) (Event, error) {
 		oldPos, err2 := n(1)
 		newPos, err3 := n(2)
 		if err1 != nil || err2 != nil || err3 != nil {
-			return Event{}, fmt.Errorf("trace: bad seek %q", line)
+			return Event{}, fmt.Errorf("trace: bad seek %s", clip(line))
 		}
 		e.OpenID, e.OldPos, e.NewPos = OpenID(open), oldPos, newPos
 	case "unlink":
@@ -152,7 +177,7 @@ func ParseEvent(line string) (Event, error) {
 		file, err1 := n(0)
 		size, err2 := n(1)
 		if err1 != nil || err2 != nil {
-			return Event{}, fmt.Errorf("trace: bad truncate %q", line)
+			return Event{}, fmt.Errorf("trace: bad truncate %s", clip(line))
 		}
 		e.File, e.Size = FileID(file), size
 	case "execve":
@@ -164,19 +189,24 @@ func ParseEvent(line string) (Event, error) {
 		user, err2 := n(1)
 		size, err3 := n(2)
 		if err1 != nil || err2 != nil || err3 != nil {
-			return Event{}, fmt.Errorf("trace: bad execve %q", line)
+			return Event{}, fmt.Errorf("trace: bad execve %s", clip(line))
 		}
 		e.File, e.User, e.Size = FileID(file), UserID(user), size
 	default:
-		return Event{}, fmt.Errorf("trace: unknown event kind %q", fields[1])
+		return Event{}, fmt.Errorf("trace: unknown event kind %s", clip(fields[1]))
 	}
 	return e, nil
 }
 
 // ReadText parses a text-format trace. Blank lines and '#' comments are
-// skipped.
+// skipped. Input that starts with the binary format's magic is refused
+// whole.
 func ReadText(r io.Reader) ([]Event, error) {
-	sc := bufio.NewScanner(r)
+	br := bufio.NewReader(r)
+	if head, _ := br.Peek(len(magic)); bytes.Equal(head, magic[:]) {
+		return nil, fmt.Errorf("trace: input is a binary trace (magic %q), not the text format", magic[:])
+	}
+	sc := bufio.NewScanner(br)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	var out []Event
 	lineNo := 0

@@ -250,6 +250,48 @@ func TestParseEventErrors(t *testing.T) {
 	}
 }
 
+// TestReadTextRefusesBinary: a binary trace read as text fails with one
+// short line that names the format, not with its first "line" quoted.
+func TestReadTextRefusesBinary(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	for _, e := range randomTrace(3, 500) {
+		if err := w.Write(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	_, err := ReadText(&buf)
+	if err == nil {
+		t.Fatal("ReadText accepted a binary trace")
+	}
+	if msg := err.Error(); len(msg) > 100 || strings.Contains(msg, "\n") || !strings.Contains(msg, "binary") {
+		t.Errorf("ReadText of a binary trace: %d-byte error %q, want one short line naming the binary format", len(msg), msg)
+	}
+}
+
+// TestParseEventBoundsMessage: the error for a long bad line quotes a
+// bounded prefix of it, once.
+func TestParseEventBoundsMessage(t *testing.T) {
+	long := strings.Repeat("9", 5000)
+	for _, line := range []string{
+		"x" + long + " open 1 2 3 r 0",
+		"100 open 1 2 3 r " + long,
+		"100 " + long,
+		"100 open 1 2 3 " + long + " 0",
+	} {
+		_, err := ParseEvent(line)
+		if err == nil {
+			t.Fatalf("ParseEvent accepted a %d-byte bad line", len(line))
+		}
+		if msg := err.Error(); len(msg) > 200 {
+			t.Errorf("ParseEvent of a %d-byte bad line: %d-byte error", len(line), len(msg))
+		}
+	}
+}
+
 func TestEventStringParses(t *testing.T) {
 	events := randomTrace(9, 100)
 	for _, e := range events {

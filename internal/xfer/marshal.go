@@ -2,7 +2,6 @@ package xfer
 
 import (
 	"fmt"
-	"sort"
 
 	"bsdtrace/internal/stats"
 	"bsdtrace/internal/trace"
@@ -11,8 +10,8 @@ import (
 // Scanner state serialization, for the online-analysis checkpoint: a
 // restored Scanner fed the remainder of a trace produces exactly the
 // callbacks the original would have, so transfer reconstruction survives
-// a daemon restart without rescanning the prefix. Maps are serialized in
-// sorted key order, making the encoding a deterministic function of the
+// a daemon restart without rescanning the prefix. Tables are serialized
+// in ID order, making the encoding a deterministic function of the
 // scanner's state. Accumulated error strings are not preserved — a
 // checkpointed stream has already validated clean — only their count is,
 // so the 20-error cap keeps working across a restore.
@@ -37,14 +36,8 @@ func decodeBool(buf []byte) (bool, []byte, error) {
 func (s *Scanner) AppendState(buf []byte) []byte {
 	buf = stats.AppendUvarint(buf, scannerStateVersion)
 
-	buf = stats.AppendUvarint(buf, uint64(len(s.opens)))
-	ids := make([]trace.OpenID, 0, len(s.opens))
-	for id := range s.opens {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		st := s.opens[id]
+	buf = stats.AppendUvarint(buf, uint64(s.opens.n))
+	for _, st := range s.opens.sorted() {
 		sum := &st.summary
 		buf = stats.AppendUvarint(buf, uint64(sum.OpenID))
 		buf = stats.AppendUvarint(buf, uint64(sum.File))
@@ -66,16 +59,11 @@ func (s *Scanner) AppendState(buf []byte) []byte {
 		buf = appendBool(buf, st.broken)
 	}
 
-	buf = stats.AppendUvarint(buf, uint64(len(s.sizes)))
-	files := make([]trace.FileID, 0, len(s.sizes))
-	for f := range s.sizes {
-		files = append(files, f)
-	}
-	sort.Slice(files, func(i, j int) bool { return files[i] < files[j] })
-	for _, f := range files {
+	buf = stats.AppendUvarint(buf, uint64(s.sizes.Len()))
+	s.sizes.Each(func(f trace.FileID, sz *int64) {
 		buf = stats.AppendUvarint(buf, uint64(f))
-		buf = stats.AppendVarint(buf, s.sizes[f])
-	}
+		buf = stats.AppendVarint(buf, *sz)
+	})
 
 	return stats.AppendUvarint(buf, uint64(len(s.errs)))
 }
@@ -95,7 +83,7 @@ func (s *Scanner) DecodeState(buf []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	opens := make(map[trace.OpenID]openState, n)
+	var opens openTable
 	for i := 0; i < n; i++ {
 		var st openState
 		sum := &st.summary
@@ -164,14 +152,15 @@ func (s *Scanner) DecodeState(buf []byte) ([]byte, error) {
 		if st.broken, buf, err = decodeBool(buf); err != nil {
 			return nil, err
 		}
-		opens[sum.OpenID] = st
+		p, _ := opens.put(sum.OpenID)
+		*p = st
 	}
 
 	n, buf, err = stats.DecodeCount(buf)
 	if err != nil {
 		return nil, err
 	}
-	sizes := make(map[trace.FileID]int64, n)
+	var sizes trace.Table[trace.FileID, int64]
 	for i := 0; i < n; i++ {
 		var f uint64
 		var sz int64
@@ -181,7 +170,7 @@ func (s *Scanner) DecodeState(buf []byte) ([]byte, error) {
 		if sz, buf, err = stats.DecodeVarint(buf); err != nil {
 			return nil, err
 		}
-		sizes[trace.FileID(f)] = sz
+		*sizes.Put(trace.FileID(f)) = sz
 	}
 
 	nerrs, buf, err := stats.DecodeUvarint(buf)

@@ -101,8 +101,8 @@ type Scanner struct {
 	// tight the no-read-write time bounds are).
 	OnEventGap func(gap trace.Time)
 
-	opens map[trace.OpenID]openState // by value: no heap object per open
-	sizes map[trace.FileID]int64
+	opens openTable
+	sizes trace.Table[trace.FileID, int64]
 	errs  []error
 }
 
@@ -115,12 +115,7 @@ type openState struct {
 }
 
 // NewScanner creates a Scanner.
-func NewScanner() *Scanner {
-	return &Scanner{
-		opens: make(map[trace.OpenID]openState),
-		sizes: make(map[trace.FileID]int64),
-	}
-}
+func NewScanner() *Scanner { return &Scanner{} }
 
 func (s *Scanner) errorf(format string, args ...any) {
 	if len(s.errs) < 20 {
@@ -135,7 +130,12 @@ func (s *Scanner) Errs() []error { return s.errs }
 // knownSize returns the current size estimate for a file. Sizes are
 // learned from open events (which record size at open), create and
 // truncate events, and writes that extend files.
-func (s *Scanner) knownSize(f trace.FileID) int64 { return s.sizes[f] }
+func (s *Scanner) knownSize(f trace.FileID) int64 {
+	if sz := s.sizes.Get(f); sz != nil {
+		return *sz
+	}
+	return 0
+}
 
 // emitRun records the run [st.pos, endPos) for the open, billed at now
 // and started at the open's previous position-recording event.
@@ -151,7 +151,7 @@ func (s *Scanner) emitRun(st *openState, endPos int64, now trace.Time) {
 		isWrite = true
 	case trace.ReadWrite:
 		// Inferred: extending the file means writing.
-		isWrite = endPos > s.sizes[sum.File]
+		isWrite = endPos > s.knownSize(sum.File)
 	}
 	t := Transfer{
 		Time:   now,
@@ -173,8 +173,8 @@ func (s *Scanner) emitRun(st *openState, endPos int64, now trace.Time) {
 	if s.OnTransfer != nil {
 		s.OnTransfer(t)
 	}
-	if isWrite && endPos > s.sizes[sum.File] {
-		s.sizes[sum.File] = endPos
+	if isWrite && endPos > s.knownSize(sum.File) {
+		*s.sizes.Put(sum.File) = endPos
 	}
 }
 
@@ -182,73 +182,67 @@ func (s *Scanner) emitRun(st *openState, endPos int64, now trace.Time) {
 func (s *Scanner) Feed(e trace.Event) {
 	switch e.Kind {
 	case trace.KindCreate, trace.KindOpen:
-		if _, dup := s.opens[e.OpenID]; dup {
+		st, dup := s.opens.put(e.OpenID)
+		if dup {
 			s.errorf("t=%v: open id %d reused", e.Time, e.OpenID)
 			return
 		}
 		if e.Kind == trace.KindCreate {
 			// New data: anything previously in the file is overwritten.
-			s.sizes[e.File] = 0
+			*s.sizes.Put(e.File) = 0
 		} else {
-			s.sizes[e.File] = e.Size
+			*s.sizes.Put(e.File) = e.Size
 		}
-		s.opens[e.OpenID] = openState{
-			summary: OpenSummary{
-				OpenID:     e.OpenID,
-				File:       e.File,
-				User:       e.User,
-				Mode:       e.Mode,
-				Created:    e.Kind == trace.KindCreate,
-				OpenTime:   e.Time,
-				SizeAtOpen: e.Size,
-			},
-			lastEvent: e.Time,
-		}
+		sum := &st.summary
+		sum.File, sum.User, sum.Mode = e.File, e.User, e.Mode
+		sum.Created = e.Kind == trace.KindCreate
+		sum.OpenTime, sum.SizeAtOpen = e.Time, e.Size
+		st.lastEvent = e.Time
 
 	case trace.KindSeek:
-		st, ok := s.opens[e.OpenID]
-		if !ok {
+		st := s.opens.get(e.OpenID)
+		if st == nil {
 			s.errorf("t=%v: seek on unknown open id %d", e.Time, e.OpenID)
 			return
 		}
 		if s.OnEventGap != nil {
 			s.OnEventGap(e.Time - st.lastEvent)
 		}
-		s.emitRun(&st, e.OldPos, e.Time)
+		s.emitRun(st, e.OldPos, e.Time)
 		st.lastEvent = e.Time
 		// A trailing seek with no bytes after it does not break
 		// sequentiality; only a second non-empty run does, and emitRun
 		// marks that.
 		st.summary.Seeks++
 		st.pos = e.NewPos
-		s.opens[e.OpenID] = st
 
 	case trace.KindClose:
-		st, ok := s.opens[e.OpenID]
-		if !ok {
+		i := s.opens.find(e.OpenID)
+		if i < 0 {
 			s.errorf("t=%v: close of unknown open id %d", e.Time, e.OpenID)
 			return
 		}
+		st := &s.opens.slots[i].st
 		if s.OnEventGap != nil {
 			s.OnEventGap(e.Time - st.lastEvent)
 		}
-		s.emitRun(&st, e.NewPos, e.Time)
-		delete(s.opens, e.OpenID)
+		s.emitRun(st, e.NewPos, e.Time)
 		sum := &st.summary
 		sum.CloseTime = e.Time
-		sum.SizeAtClose = s.sizes[sum.File]
+		sum.SizeAtClose = s.knownSize(sum.File)
 		sum.Sequential = !st.broken
 		sum.WholeFile = sum.Sequential && sum.Runs == 1 && sum.Seeks == 0 &&
 			sum.Bytes == sum.SizeAtClose && sum.SizeAtClose > 0
 		if s.OnOpenEnd != nil {
 			s.OnOpenEnd(*sum)
 		}
+		s.opens.removeAt(i)
 
 	case trace.KindUnlink:
-		delete(s.sizes, e.File)
+		s.sizes.Delete(e.File)
 
 	case trace.KindTruncate:
-		s.sizes[e.File] = e.Size
+		*s.sizes.Put(e.File) = e.Size
 
 	case trace.KindExec:
 		// Execs carry no position information; the cache simulator's
@@ -260,7 +254,26 @@ func (s *Scanner) Feed(e trace.Event) {
 }
 
 // OpenCount returns the number of opens still outstanding.
-func (s *Scanner) OpenCount() int { return len(s.opens) }
+func (s *Scanner) OpenCount() int { return s.opens.n }
+
+// OpenUser returns the user of the outstanding open id, and false if no
+// such open is outstanding.
+func (s *Scanner) OpenUser(id trace.OpenID) (trace.UserID, bool) {
+	if st := s.opens.get(id); st != nil {
+		return st.summary.User, true
+	}
+	return 0, false
+}
+
+// Opens returns the summaries so far of the outstanding opens, in
+// OpenID order.
+func (s *Scanner) Opens() []OpenSummary {
+	var out []OpenSummary
+	for _, st := range s.opens.sorted() {
+		out = append(out, st.summary)
+	}
+	return out
+}
 
 // Finish discards outstanding opens (a live trace ends with some files
 // open) and returns how many were discarded. Their partial transfers up to
@@ -268,7 +281,7 @@ func (s *Scanner) OpenCount() int { return len(s.opens) }
 // position event and the never-seen close are unknowable, exactly as they
 // were for the paper's analyzers.
 func (s *Scanner) Finish() int {
-	n := len(s.opens)
-	s.opens = make(map[trace.OpenID]openState)
+	n := s.opens.n
+	s.opens.reset()
 	return n
 }

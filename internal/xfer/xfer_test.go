@@ -416,3 +416,27 @@ func TestDecodeStateBoundsCounts(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodeStateSparseFile: a state naming one open and one file at ID
+// 2^62 restores with memory for one entry each, not for the ID range,
+// and appends the same bytes again.
+func TestDecodeStateSparseFile(t *testing.T) {
+	s := NewScanner()
+	s.Feed(trace.Event{Time: 1, Kind: trace.KindOpen, OpenID: 1 << 62, File: 1 << 62, User: 3, Mode: trace.ReadOnly, Size: 4096})
+	blob := s.AppendState(nil)
+
+	r := NewScanner()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := r.DecodeState(blob)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Errorf("DecodeState of a file at ID 2^62 allocated %d bytes", alloc)
+	}
+	if got := r.AppendState(nil); !reflect.DeepEqual(got, blob) {
+		t.Errorf("restored scanner appends %x, want %x", got, blob)
+	}
+}
