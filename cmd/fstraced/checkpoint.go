@@ -59,22 +59,6 @@ type daemonState struct {
 	counters  map[string]int64
 }
 
-func appendCkptBytes(buf, b []byte) []byte {
-	buf = stats.AppendUvarint(buf, uint64(len(b)))
-	return append(buf, b...)
-}
-
-func decodeCkptBytes(buf []byte) ([]byte, []byte, error) {
-	n, buf, err := stats.DecodeUvarint(buf)
-	if err != nil {
-		return nil, nil, err
-	}
-	if uint64(len(buf)) < n {
-		return nil, nil, stats.ErrCorruptState
-	}
-	return buf[:n], buf[n:], nil
-}
-
 // checkpointBytes serializes the daemon's resumable state. It fails
 // with errCkptFinished once the analysis has finished.
 func (d *daemon) checkpointBytes() ([]byte, error) {
@@ -94,7 +78,7 @@ func (d *daemon) checkpointBytes() ([]byte, error) {
 
 	buf := append([]byte(nil), ckptMagic[:]...)
 	buf = stats.AppendUvarint(buf, ckptVersion)
-	buf = appendCkptBytes(buf, []byte(d.cfg.profile))
+	buf = stats.AppendBytes(buf, []byte(d.cfg.profile))
 	buf = stats.AppendVarint(buf, d.cfg.seed)
 	buf = stats.AppendVarint(buf, int64(d.cfg.duration))
 	buf = stats.AppendFloat(buf, d.cfg.scale)
@@ -102,7 +86,7 @@ func (d *daemon) checkpointBytes() ([]byte, error) {
 	buf = stats.AppendVarint(buf, int64(d.cfg.interval))
 	buf = stats.AppendVarint(buf, events)
 	buf = stats.AppendVarint(buf, int64(lastTime))
-	buf = appendCkptBytes(buf, streamBlob)
+	buf = stats.AppendBytes(buf, streamBlob)
 	buf = stats.AppendVarint(buf, ingTotal)
 	buf = stats.AppendVarint(buf, ingSeq)
 	buf = stats.AppendUvarint(buf, uint64(len(recent)))
@@ -111,7 +95,7 @@ func (d *daemon) checkpointBytes() ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		buf = appendCkptBytes(buf, js)
+		buf = stats.AppendBytes(buf, js)
 	}
 	buf = stats.AppendUvarint(buf, uint64(len(counters)))
 	names := make([]string, 0, len(counters))
@@ -120,7 +104,7 @@ func (d *daemon) checkpointBytes() ([]byte, error) {
 	}
 	sort.Strings(names)
 	for _, k := range names {
-		buf = appendCkptBytes(buf, []byte(k))
+		buf = stats.AppendBytes(buf, []byte(k))
 		buf = stats.AppendVarint(buf, counters[k])
 	}
 	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf)), nil
@@ -161,113 +145,66 @@ func decodeCheckpoint(data []byte, cfg config) (*daemonState, error) {
 	if string(payload[:len(ckptMagic)]) != string(ckptMagic[:]) {
 		return nil, errors.New("fstraced: not a daemon checkpoint")
 	}
-	buf := payload[len(ckptMagic):]
-	ver, buf, err := stats.DecodeUvarint(buf)
-	if err != nil {
-		return nil, err
-	}
-	if ver != ckptVersion {
-		return nil, fmt.Errorf("fstraced: checkpoint version %d, want %d", ver, ckptVersion)
+	d := stats.NewDecoder(payload[len(ckptMagic):])
+	if ver := d.Uvarint(); ver != ckptVersion {
+		d.Fail(fmt.Errorf("fstraced: checkpoint version %d, want %d", ver, ckptVersion))
+		return nil, d.Err()
 	}
 
-	profile, buf, err := decodeCkptBytes(buf)
-	if err != nil {
-		return nil, err
-	}
-	var seed, duration, shards, interval int64
-	var scale float64
-	if seed, buf, err = stats.DecodeVarint(buf); err != nil {
-		return nil, err
-	}
-	if duration, buf, err = stats.DecodeVarint(buf); err != nil {
-		return nil, err
-	}
-	if scale, buf, err = stats.DecodeFloat(buf); err != nil {
-		return nil, err
-	}
-	if shards, buf, err = stats.DecodeVarint(buf); err != nil {
-		return nil, err
-	}
-	if interval, buf, err = stats.DecodeVarint(buf); err != nil {
-		return nil, err
-	}
-	if string(profile) != cfg.profile || seed != cfg.seed ||
-		trace.Time(duration) != cfg.duration ||
+	profile := string(d.Bytes())
+	seed := d.Varint()
+	duration := trace.Time(d.Varint())
+	scale := d.Float()
+	shards := int(d.Varint())
+	interval := int(d.Varint())
+	if profile != cfg.profile || seed != cfg.seed || duration != cfg.duration ||
 		math.Float64bits(scale) != math.Float64bits(cfg.scale) ||
-		int(shards) != cfg.shards || int(interval) != cfg.interval {
-		return nil, fmt.Errorf("fstraced: checkpoint is for profile=%s seed=%d duration=%v scale=%g shards=%d checkpoint=%d; flags differ — refusing to resume a different run",
-			profile, seed, trace.Time(duration), scale, shards, interval)
+		shards != cfg.shards || interval != cfg.interval {
+		d.Fail(fmt.Errorf("fstraced: checkpoint is for profile=%s seed=%d duration=%v scale=%g shards=%d checkpoint=%d; flags differ — refusing to resume a different run",
+			profile, seed, duration, scale, shards, interval))
 	}
 
 	st := &daemonState{}
-	var x int64
-	if st.events, buf, err = stats.DecodeVarint(buf); err != nil {
-		return nil, err
-	}
+	st.events = d.Varint()
 	if st.events < 0 {
-		return nil, stats.ErrCorruptState
+		d.Fail(stats.ErrCorruptState)
 	}
-	if x, buf, err = stats.DecodeVarint(buf); err != nil {
-		return nil, err
-	}
-	st.lastTime = trace.Time(x)
-
-	streamBlob, buf, err := decodeCkptBytes(buf)
-	if err != nil {
-		return nil, err
-	}
-	if st.stream, err = analyzer.RestoreStream(streamBlob, analyzer.Options{}); err != nil {
-		return nil, err
-	}
-	if st.stream.Events() != st.events {
-		return nil, fmt.Errorf("fstraced: checkpoint position %d disagrees with stream state %d", st.events, st.stream.Events())
+	st.lastTime = trace.Time(d.Varint())
+	var err error
+	if st.stream, err = analyzer.RestoreStream(d.Bytes(), analyzer.Options{}); err != nil {
+		d.Fail(err)
+	} else if st.stream.Events() != st.events {
+		d.Fail(fmt.Errorf("fstraced: checkpoint position %d disagrees with stream state %d", st.events, st.stream.Events()))
 	}
 
-	if st.ingTotal, buf, err = stats.DecodeVarint(buf); err != nil {
-		return nil, err
-	}
-	if st.ingSeq, buf, err = stats.DecodeVarint(buf); err != nil {
-		return nil, err
-	}
-	n, buf, err := stats.DecodeUvarint(buf)
-	if err != nil {
-		return nil, err
-	}
+	st.ingTotal = d.Varint()
+	st.ingSeq = d.Varint()
+	n := d.Count()
 	if n > 1<<16 {
-		return nil, stats.ErrCorruptState
+		d.Fail(stats.ErrCorruptState)
 	}
-	for i := uint64(0); i < n; i++ {
-		var js []byte
-		if js, buf, err = decodeCkptBytes(buf); err != nil {
-			return nil, err
-		}
+	for ; n > 0 && d.Err() == nil; n-- {
 		var sum ingestSummary
-		if err := json.Unmarshal(js, &sum); err != nil {
-			return nil, fmt.Errorf("fstraced: checkpoint ingest summary: %w", err)
+		if err := json.Unmarshal(d.Bytes(), &sum); err != nil {
+			d.Fail(fmt.Errorf("fstraced: checkpoint ingest summary: %w", err))
 		}
 		st.ingRecent = append(st.ingRecent, sum)
 	}
 
-	if n, buf, err = stats.DecodeUvarint(buf); err != nil {
-		return nil, err
-	}
+	n = d.Count()
 	if n > 1<<16 {
-		return nil, stats.ErrCorruptState
+		d.Fail(stats.ErrCorruptState)
 	}
-	st.counters = make(map[string]int64, n)
-	for i := uint64(0); i < n; i++ {
-		var name []byte
-		var v int64
-		if name, buf, err = decodeCkptBytes(buf); err != nil {
-			return nil, err
-		}
-		if v, buf, err = stats.DecodeVarint(buf); err != nil {
-			return nil, err
-		}
-		st.counters[string(name)] = v
+	st.counters = make(map[string]int64)
+	for ; n > 0 && d.Err() == nil; n-- {
+		name := string(d.Bytes())
+		st.counters[name] = d.Varint()
 	}
-	if len(buf) != 0 {
-		return nil, fmt.Errorf("fstraced: %d trailing bytes in checkpoint", len(buf))
+	if d.Len() != 0 {
+		d.Fail(fmt.Errorf("fstraced: %d trailing bytes in checkpoint", d.Len()))
+	}
+	if err := d.Err(); err != nil {
+		return nil, err
 	}
 	return st, nil
 }

@@ -372,19 +372,27 @@ type Stream struct {
 	finished bool
 }
 
+// The stream histograms' three bucket shapes, built once: NewStream
+// clones them, and a clone shares the bounds and lookup table.
+var (
+	byteBuckets     = stats.NewLogHistogram(64, 1.3, 60)    // bytes: 64 B .. ~400 MB
+	secondBuckets   = stats.NewLogHistogram(0.01, 1.25, 70) // seconds: 10 ms .. ~60 ks
+	lifetimeBuckets = stats.NewLinearHistogram(600, 1)      // seconds, 1 s bins to 10 min
+)
+
 // NewStream creates an incremental analyzer.
 func NewStream(opts Options) *Stream {
 	opts.fill()
 	s := &Stream{
 		an:          &Analysis{},
-		runLenRuns:  stats.NewLogHistogram(64, 1.3, 60), // bytes: 64 B .. ~400 MB
-		runLenBytes: stats.NewLogHistogram(64, 1.3, 60),
-		sizeFiles:   stats.NewLogHistogram(64, 1.3, 60),
-		sizeBytes:   stats.NewLogHistogram(64, 1.3, 60),
-		openTimes:   stats.NewLogHistogram(0.01, 1.25, 70), // seconds: 10 ms .. ~60 ks
-		lifeFiles:   stats.NewLinearHistogram(600, 1),      // seconds, 1 s bins to 10 min
-		lifeBytes:   stats.NewLinearHistogram(600, 1),
-		gaps:        stats.NewLogHistogram(0.01, 1.25, 70), // seconds
+		runLenRuns:  byteBuckets.Clone(),
+		runLenBytes: byteBuckets.Clone(),
+		sizeFiles:   byteBuckets.Clone(),
+		sizeBytes:   byteBuckets.Clone(),
+		openTimes:   secondBuckets.Clone(),
+		lifeFiles:   lifetimeBuckets.Clone(),
+		lifeBytes:   lifetimeBuckets.Clone(),
+		gaps:        secondBuckets.Clone(),
 		longAcc:     newActivityAccum(opts.LongInterval, 0),
 		shortAcc:    newActivityAccum(opts.ShortInterval, 1),
 		size:        trace.HeaderSize,

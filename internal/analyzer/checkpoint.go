@@ -23,9 +23,12 @@ import (
 // table is serialized in ID order, so the blob itself is a deterministic
 // function of the stream's state.
 //
-// The format is a versioned byte string read with bounds-checked
-// decoders: RestoreStream never panics on corrupt input (fuzzed by
-// FuzzRestoreStream), it returns an error.
+// The format is a versioned byte string. RestoreStream reads all of it
+// through one stats.Decoder, which the histograms, the activity
+// accumulators and the transfer scanner read from in turn: the first
+// short read, malformed value or failed validation sticks, and the
+// blob's one error check returns it. So RestoreStream never panics on
+// corrupt input (fuzzed by FuzzRestoreStream); it returns an error.
 
 const streamStateVersion = 2
 
@@ -34,24 +37,10 @@ const streamStateVersion = 2
 // intervals), so a finished stream is not resumable.
 var ErrFinished = errors.New("analyzer: cannot checkpoint a finished Stream")
 
-func appendBool(buf []byte, b bool) []byte {
-	if b {
-		return append(buf, 1)
-	}
-	return append(buf, 0)
-}
-
-func decodeBool(buf []byte) (bool, []byte, error) {
-	if len(buf) < 1 {
-		return false, nil, stats.ErrCorruptState
-	}
-	return buf[0] != 0, buf[1:], nil
-}
-
 func (a *activityAccum) appendState(buf []byte) []byte {
 	buf = stats.AppendVarint(buf, int64(a.width))
 	buf = stats.AppendVarint(buf, a.current)
-	buf = appendBool(buf, a.started)
+	buf = stats.AppendBool(buf, a.started)
 	buf = stats.AppendVarint(buf, int64(a.row.MaxActiveUsers))
 	buf = a.row.ActiveUsers.AppendState(buf)
 	buf = a.row.PerUserThroughput.AppendState(buf)
@@ -64,49 +53,21 @@ func (a *activityAccum) appendState(buf []byte) []byte {
 	return buf
 }
 
-// decodeState restores the accumulator, taking its active users' entries
-// from the stream's user table through user.
-func (a *activityAccum) decodeState(buf []byte, user func(trace.UserID) *user) ([]byte, error) {
-	w, buf, err := stats.DecodeVarint(buf)
-	if err != nil {
-		return nil, err
+// decodeState restores the accumulator from d, taking its active users'
+// entries from the stream's user table through user.
+func (a *activityAccum) decodeState(d *stats.Decoder, user func(trace.UserID) *user) {
+	if w := trace.Time(d.Varint()); w != a.width {
+		d.Fail(fmt.Errorf("analyzer: checkpoint interval %v, stream has %v", w, a.width))
 	}
-	if trace.Time(w) != a.width {
-		return nil, fmt.Errorf("analyzer: checkpoint interval %v, stream has %v", trace.Time(w), a.width)
+	a.current = d.Varint()
+	a.started = d.Bool()
+	a.row.MaxActiveUsers = int(d.Varint())
+	a.row.ActiveUsers.DecodeState(d)
+	a.row.PerUserThroughput.DecodeState(d)
+	for range d.Count() {
+		u := user(trace.UserID(d.Uvarint()))
+		a.mark(u).bytes = d.Varint()
 	}
-	if a.current, buf, err = stats.DecodeVarint(buf); err != nil {
-		return nil, err
-	}
-	if a.started, buf, err = decodeBool(buf); err != nil {
-		return nil, err
-	}
-	var x int64
-	if x, buf, err = stats.DecodeVarint(buf); err != nil {
-		return nil, err
-	}
-	a.row.MaxActiveUsers = int(x)
-	if buf, err = a.row.ActiveUsers.DecodeState(buf); err != nil {
-		return nil, err
-	}
-	if buf, err = a.row.PerUserThroughput.DecodeState(buf); err != nil {
-		return nil, err
-	}
-	n, buf, err := stats.DecodeCount(buf)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < n; i++ {
-		var u uint64
-		var b int64
-		if u, buf, err = stats.DecodeUvarint(buf); err != nil {
-			return nil, err
-		}
-		if b, buf, err = stats.DecodeVarint(buf); err != nil {
-			return nil, err
-		}
-		a.mark(user(trace.UserID(u))).bytes = b
-	}
-	return buf, nil
 }
 
 // MarshalBinary serializes the stream's complete incremental state. It
@@ -200,7 +161,7 @@ func (s *Stream) MarshalBinary() ([]byte, error) {
 	// the header's "begun" flag, which the count always includes.
 	buf = stats.AppendVarint(buf, s.size)
 	buf = stats.AppendVarint(buf, int64(s.prev))
-	return appendBool(buf, true), nil
+	return stats.AppendBool(buf, true), nil
 }
 
 // histograms returns the stream's histograms in serialization order.
@@ -218,164 +179,73 @@ func (s *Stream) histograms() []*stats.Histogram {
 // zero Options works for streams created with it); a mismatch is
 // detected and reported.
 func RestoreStream(data []byte, opts Options) (*Stream, error) {
-	ver, buf, err := stats.DecodeUvarint(data)
-	if err != nil {
-		return nil, err
-	}
-	if ver != streamStateVersion {
-		return nil, fmt.Errorf("analyzer: stream state version %d, want %d", ver, streamStateVersion)
+	d := stats.NewDecoder(data)
+	if ver := d.Uvarint(); ver != streamStateVersion {
+		d.Fail(fmt.Errorf("analyzer: stream state version %d, want %d", ver, streamStateVersion))
+		return nil, d.Err()
 	}
 	s := NewStream(opts)
 	an := s.an
 
-	var x int64
-	if x, buf, err = stats.DecodeVarint(buf); err != nil {
-		return nil, err
-	}
-	an.Overall.Duration = trace.Time(x)
+	an.Overall.Duration = trace.Time(d.Varint())
 	for i := range an.Overall.Counts.ByKind {
-		if an.Overall.Counts.ByKind[i], buf, err = stats.DecodeVarint(buf); err != nil {
-			return nil, err
-		}
+		an.Overall.Counts.ByKind[i] = d.Varint()
 	}
-	if an.Overall.Counts.Total, buf, err = stats.DecodeVarint(buf); err != nil {
-		return nil, err
-	}
-	if an.Overall.BytesTransferred, buf, err = stats.DecodeVarint(buf); err != nil {
-		return nil, err
-	}
-	if an.Overall.BytesRead, buf, err = stats.DecodeVarint(buf); err != nil {
-		return nil, err
-	}
-	if an.Overall.BytesWritten, buf, err = stats.DecodeVarint(buf); err != nil {
-		return nil, err
-	}
+	an.Overall.Counts.Total = d.Varint()
+	an.Overall.BytesTransferred = d.Varint()
+	an.Overall.BytesRead = d.Varint()
+	an.Overall.BytesWritten = d.Varint()
 	for c := ModeClass(0); c < numClasses; c++ {
-		if an.Sequentiality.Accesses[c], buf, err = stats.DecodeVarint(buf); err != nil {
-			return nil, err
-		}
-		if an.Sequentiality.WholeFile[c], buf, err = stats.DecodeVarint(buf); err != nil {
-			return nil, err
-		}
-		if an.Sequentiality.Sequential[c], buf, err = stats.DecodeVarint(buf); err != nil {
-			return nil, err
-		}
+		an.Sequentiality.Accesses[c] = d.Varint()
+		an.Sequentiality.WholeFile[c] = d.Varint()
+		an.Sequentiality.Sequential[c] = d.Varint()
 	}
-	if an.Sequentiality.BytesTotal, buf, err = stats.DecodeVarint(buf); err != nil {
-		return nil, err
-	}
-	if an.Sequentiality.BytesWholeFile, buf, err = stats.DecodeVarint(buf); err != nil {
-		return nil, err
-	}
-	if an.Sequentiality.BytesSequential, buf, err = stats.DecodeVarint(buf); err != nil {
-		return nil, err
-	}
-	if an.Lifetimes.NewFiles, buf, err = stats.DecodeVarint(buf); err != nil {
-		return nil, err
-	}
-	if an.Lifetimes.DeadFiles, buf, err = stats.DecodeVarint(buf); err != nil {
-		return nil, err
-	}
+	an.Sequentiality.BytesTotal = d.Varint()
+	an.Sequentiality.BytesWholeFile = d.Varint()
+	an.Sequentiality.BytesSequential = d.Varint()
+	an.Lifetimes.NewFiles = d.Varint()
+	an.Lifetimes.DeadFiles = d.Varint()
 
 	for _, h := range s.histograms() {
-		if buf, err = h.DecodeState(buf); err != nil {
-			return nil, err
-		}
+		h.DecodeState(d)
 	}
+	s.longAcc.decodeState(d, s.user)
+	s.shortAcc.decodeState(d, s.user)
 
-	if buf, err = s.longAcc.decodeState(buf, s.user); err != nil {
-		return nil, err
+	for range d.Count() {
+		s.user(trace.UserID(d.Uvarint()))
 	}
-	if buf, err = s.shortAcc.decodeState(buf, s.user); err != nil {
-		return nil, err
-	}
-
-	n, buf, err := stats.DecodeCount(buf)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < n; i++ {
-		var u uint64
-		if u, buf, err = stats.DecodeUvarint(buf); err != nil {
-			return nil, err
-		}
-		s.user(trace.UserID(u))
-	}
-
 	// The open table: the scanner's state below holds each open's user.
-	if n, buf, err = stats.DecodeCount(buf); err != nil {
-		return nil, err
+	for range 2 * d.Count() {
+		d.Uvarint()
 	}
-	for i := 0; i < 2*n; i++ {
-		if _, buf, err = stats.DecodeUvarint(buf); err != nil {
-			return nil, err
-		}
+	for range d.Count() {
+		f := s.files.Put(trace.FileID(d.Uvarint()))
+		f.live, f.birth, f.bytes = true, trace.Time(d.Varint()), d.Varint()
 	}
-
-	if n, buf, err = stats.DecodeCount(buf); err != nil {
-		return nil, err
-	}
-	for i := 0; i < n; i++ {
-		var id uint64
-		var birth, bytes int64
-		if id, buf, err = stats.DecodeUvarint(buf); err != nil {
-			return nil, err
-		}
-		if birth, buf, err = stats.DecodeVarint(buf); err != nil {
-			return nil, err
-		}
-		if bytes, buf, err = stats.DecodeVarint(buf); err != nil {
-			return nil, err
-		}
-		f := s.files.Put(trace.FileID(id))
-		f.live, f.birth, f.bytes = true, trace.Time(birth), bytes
-	}
-
-	if n, buf, err = stats.DecodeCount(buf); err != nil {
-		return nil, err
-	}
-	for i := 0; i < n; i++ {
-		var id, first uint64
-		var users, accesses int64
-		if id, buf, err = stats.DecodeUvarint(buf); err != nil {
-			return nil, err
-		}
-		if first, buf, err = stats.DecodeUvarint(buf); err != nil {
-			return nil, err
-		}
-		if users, buf, err = stats.DecodeVarint(buf); err != nil {
-			return nil, err
-		}
-		if accesses, buf, err = stats.DecodeVarint(buf); err != nil {
-			return nil, err
-		}
+	for range d.Count() {
+		f := s.files.Put(trace.FileID(d.Uvarint()))
+		f.first = trace.UserID(d.Uvarint())
+		users := d.Varint()
 		if users != 1 && users != 2 {
-			return nil, stats.ErrCorruptState
+			d.Fail(stats.ErrCorruptState)
 		}
-		f := s.files.Put(trace.FileID(id))
-		f.first, f.users, f.accesses = trace.UserID(first), uint8(users), accesses
+		f.users = uint8(users)
+		f.accesses = d.Varint()
 	}
 
-	if buf, err = s.sc.DecodeState(buf); err != nil {
-		return nil, err
-	}
+	s.sc.DecodeState(d)
 
-	if s.size, buf, err = stats.DecodeVarint(buf); err != nil {
+	s.size = d.Varint()
+	s.prev = trace.Time(d.Varint())
+	if !d.Bool() { // the header's "begun" flag
+		d.Fail(stats.ErrCorruptState)
+	}
+	if d.Len() != 0 {
+		d.Fail(fmt.Errorf("analyzer: %d trailing bytes after stream state", d.Len()))
+	}
+	if err := d.Err(); err != nil {
 		return nil, err
-	}
-	if x, buf, err = stats.DecodeVarint(buf); err != nil {
-		return nil, err
-	}
-	s.prev = trace.Time(x)
-	begun, buf, err := decodeBool(buf)
-	if err != nil {
-		return nil, err
-	}
-	if !begun {
-		return nil, stats.ErrCorruptState
-	}
-	if len(buf) != 0 {
-		return nil, fmt.Errorf("analyzer: %d trailing bytes after stream state", len(buf))
 	}
 	return s, nil
 }

@@ -247,7 +247,7 @@ func runClients(tapes []*xfer.Tape, blockSize int64, cfg Config, overStore bool)
 	// m's local block ID i becomes global ID blockBase[m]+i (likewise
 	// for file slots), and its per-file block lists are translated to
 	// match, so purge boundaries resolve in global IDs.
-	merged := &resolved{blockSize: blockSize}
+	merged := &resolved{}
 	blockBase := make([]int32, len(tapes))
 	fileBase := make([]int32, len(tapes))
 	for m, r := range machineRes {

@@ -16,7 +16,6 @@ import (
 // and the resolution is computed once per (tape, block size) and shared
 // read-only by every configuration at that size (see Tape.Memo).
 type resolved struct {
-	blockSize int64
 	// blockIdx gives each dense block ID's block index within its file.
 	blockIdx []int64
 	// accessIDs[accessOff[i]:accessOff[i+1]] are the block IDs touched
@@ -110,7 +109,6 @@ func resolveTape(t *xfer.Tape, blockSize int64) *resolved {
 		nAccess += (tr.End()-1)/blockSize - tr.Offset/blockSize + 1
 	}
 	r := &resolved{
-		blockSize: blockSize,
 		accessOff: make([]int64, len(t.Transfers)+1),
 		accessIDs: make([]int32, 0, nAccess),
 	}

@@ -69,7 +69,6 @@ type Kernel struct {
 	sink  Sink
 
 	nextOpenID trace.OpenID
-	nextPID    int
 	meta       MetaHook
 	Stats      Stats
 
@@ -84,7 +83,7 @@ func New(fs *vfs.FS, clock Clock, sink Sink) *Kernel {
 	if fs == nil || clock == nil {
 		panic("kernel: New needs a file system and a clock")
 	}
-	return &Kernel{fs: fs, clock: clock, sink: sink, nextOpenID: 1, nextPID: 1}
+	return &Kernel{fs: fs, clock: clock, sink: sink, nextOpenID: 1}
 }
 
 // FS returns the underlying file system, for setup code that populates
@@ -112,7 +111,6 @@ func (k *Kernel) record(e trace.Event) {
 // to open a file takes it: opening a file allocates nothing.
 type Proc struct {
 	k    *Kernel
-	pid  int
 	user trace.UserID
 	fds  []OpenFile
 	open int
@@ -120,9 +118,7 @@ type Proc struct {
 
 // NewProc creates a process owned by the given user.
 func (k *Kernel) NewProc(user trace.UserID) *Proc {
-	p := &Proc{k: k, pid: k.nextPID, user: user}
-	k.nextPID++
-	return p
+	return &Proc{k: k, user: user}
 }
 
 // OpenFile is one entry in the system open-file table: the object an open

@@ -33,7 +33,7 @@ func TableI(a *analyzer.Analysis, policy [][]*cachesim.Result, block *cachesim.B
 	wfAcc := float64(a.Sequentiality.WholeFile[analyzer.ClassReadOnly]+
 		a.Sequentiality.WholeFile[analyzer.ClassWriteOnly]+
 		a.Sequentiality.WholeFile[analyzer.ClassReadWrite]) /
-		float64(maxI64(a.Sequentiality.Accesses[0]+a.Sequentiality.Accesses[1]+a.Sequentiality.Accesses[2], 1))
+		float64(max(a.Sequentiality.Accesses[0]+a.Sequentiality.Accesses[1]+a.Sequentiality.Accesses[2], 1))
 	t.AddRow(fmt.Sprintf("Whole-file transfers: %s of accesses (paper: ~70%%)", Pct(wfAcc)))
 	if a.Sequentiality.BytesTotal > 0 {
 		t.AddRow(fmt.Sprintf("Bytes moved in whole-file transfers: %s (paper: ~50%%)",
@@ -54,13 +54,6 @@ func TableI(a *analyzer.Analysis, policy [][]*cachesim.Result, block *cachesim.B
 			Size(bestBlock(block, 0)), Size(bestBlock(block, 2))))
 	}
 	return t
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // bestBlock returns the block size minimizing disk I/Os at cache column j.

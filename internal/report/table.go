@@ -98,13 +98,6 @@ func (t *Table) Render(w io.Writer) error {
 	return err
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // wrap reflows text to the given width.
 func wrap(s string, width int) string {
 	words := strings.Fields(s)

@@ -12,8 +12,14 @@ import (
 // fstraced daemon state file). Floating-point state round-trips through
 // math.Float64bits, so a restored accumulator is bit-identical to the
 // original: every downstream mean, standard deviation, and CDF renders
-// byte-for-byte the same. Decoders validate lengths and never panic on
-// corrupt input; they return an error instead.
+// byte-for-byte the same.
+//
+// The Append functions write a blob one field at a time, and a Decoder
+// reads it back in the same order. Every checkpoint decoder reads its
+// blob through one Decoder: a read past the end or a malformed value
+// latches a failure, later reads return zero, and the caller checks Err
+// once at the end. So corrupt input never panics and needs no error
+// check per field.
 
 // ErrCorruptState reports a state blob that does not decode.
 var ErrCorruptState = errors.New("stats: corrupt accumulator state")
@@ -23,41 +29,9 @@ func AppendFloat(buf []byte, f float64) []byte {
 	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
 }
 
-// DecodeFloat decodes a float appended by AppendFloat.
-func DecodeFloat(buf []byte) (float64, []byte, error) {
-	if len(buf) < 8 {
-		return 0, nil, ErrCorruptState
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(buf)), buf[8:], nil
-}
-
 // AppendUvarint appends x in unsigned varint encoding.
 func AppendUvarint(buf []byte, x uint64) []byte {
 	return binary.AppendUvarint(buf, x)
-}
-
-// DecodeUvarint decodes a value appended by AppendUvarint.
-func DecodeUvarint(buf []byte) (uint64, []byte, error) {
-	x, n := binary.Uvarint(buf)
-	if n <= 0 {
-		return 0, nil, ErrCorruptState
-	}
-	return x, buf[n:], nil
-}
-
-// DecodeCount decodes an entry count appended by AppendUvarint and
-// rejects one larger than the bytes left: every entry takes at least a
-// byte, so a corrupt count cannot make the caller size a table past its
-// input.
-func DecodeCount(buf []byte) (int, []byte, error) {
-	n, buf, err := DecodeUvarint(buf)
-	if err != nil {
-		return 0, nil, err
-	}
-	if n > uint64(len(buf)) {
-		return 0, nil, fmt.Errorf("%w: %d entries in %d bytes", ErrCorruptState, n, len(buf))
-	}
-	return int(n), buf, nil
 }
 
 // AppendVarint appends x in signed varint encoding.
@@ -65,13 +39,109 @@ func AppendVarint(buf []byte, x int64) []byte {
 	return binary.AppendVarint(buf, x)
 }
 
-// DecodeVarint decodes a value appended by AppendVarint.
-func DecodeVarint(buf []byte) (int64, []byte, error) {
-	x, n := binary.Varint(buf)
-	if n <= 0 {
-		return 0, nil, ErrCorruptState
+// AppendBool appends b as one byte, 1 or 0.
+func AppendBool(buf []byte, b bool) []byte {
+	if b {
+		return append(buf, 1)
 	}
-	return x, buf[n:], nil
+	return append(buf, 0)
+}
+
+// AppendBytes appends b with its length in front, as AppendUvarint
+// writes it.
+func AppendBytes(buf, b []byte) []byte {
+	return append(AppendUvarint(buf, uint64(len(b))), b...)
+}
+
+// Decoder reads a blob written by the Append functions. Its first
+// failure sticks: after it, every read returns zero and Err returns
+// that failure. A loop bound or table size read from the blob should
+// come from Count, which caps it by the bytes left.
+type Decoder struct {
+	buf []byte
+	err error
+}
+
+// NewDecoder returns a Decoder reading buf.
+func NewDecoder(buf []byte) *Decoder { return &Decoder{buf: buf} }
+
+// Err returns the decoder's first failure, or nil. A failed read wraps
+// ErrCorruptState.
+func (d *Decoder) Err() error { return d.err }
+
+// Fail records err as the decoder's failure unless an earlier one
+// stands, so a caller's own validation latches like a failed read.
+func (d *Decoder) Fail(err error) {
+	if d.err == nil {
+		d.err, d.buf = err, nil
+	}
+}
+
+// Len returns the number of bytes not yet read: 0 after a failure.
+func (d *Decoder) Len() int { return len(d.buf) }
+
+// take returns the next n bytes, or nil once fewer are left.
+func (d *Decoder) take(n uint64) []byte {
+	if n > uint64(len(d.buf)) {
+		d.Fail(ErrCorruptState)
+		return nil
+	}
+	b := d.buf[:n:n]
+	d.buf = d.buf[n:]
+	return b
+}
+
+// Uvarint reads a value appended by AppendUvarint.
+func (d *Decoder) Uvarint() uint64 {
+	x, n := binary.Uvarint(d.buf)
+	if n <= 0 {
+		d.Fail(ErrCorruptState)
+		return 0
+	}
+	d.buf = d.buf[n:]
+	return x
+}
+
+// Varint reads a value appended by AppendVarint.
+func (d *Decoder) Varint() int64 {
+	x, n := binary.Varint(d.buf)
+	if n <= 0 {
+		d.Fail(ErrCorruptState)
+		return 0
+	}
+	d.buf = d.buf[n:]
+	return x
+}
+
+// Float reads a value appended by AppendFloat.
+func (d *Decoder) Float() float64 {
+	if b := d.take(8); b != nil {
+		return math.Float64frombits(binary.LittleEndian.Uint64(b))
+	}
+	return 0
+}
+
+// Bool reads a value appended by AppendBool.
+func (d *Decoder) Bool() bool {
+	b := d.take(1)
+	return b != nil && b[0] != 0
+}
+
+// Bytes reads a byte string appended by AppendBytes. The result aliases
+// the blob.
+func (d *Decoder) Bytes() []byte { return d.take(d.Uvarint()) }
+
+// Count reads an entry count appended by AppendUvarint and fails on one
+// larger than the bytes left: every entry takes at least a byte, so a
+// corrupt count cannot make the caller size a table or run a loop past
+// its input.
+func (d *Decoder) Count() int {
+	n := d.Uvarint()
+	if n > uint64(len(d.buf)) {
+		d.Fail(fmt.Errorf("%w: %d entries in %d bytes", ErrCorruptState, n, len(d.buf)))
+		return 0
+	}
+	return int(n)
 }
 
 // AppendState appends the accumulator's complete state.
@@ -84,25 +154,13 @@ func (w *Welford) AppendState(buf []byte) []byte {
 }
 
 // DecodeState replaces the accumulator's state with one appended by
-// AppendState and returns the remaining bytes.
-func (w *Welford) DecodeState(buf []byte) ([]byte, error) {
-	var err error
-	if w.n, buf, err = DecodeVarint(buf); err != nil {
-		return nil, err
-	}
-	if w.mean, buf, err = DecodeFloat(buf); err != nil {
-		return nil, err
-	}
-	if w.m2, buf, err = DecodeFloat(buf); err != nil {
-		return nil, err
-	}
-	if w.min, buf, err = DecodeFloat(buf); err != nil {
-		return nil, err
-	}
-	if w.max, buf, err = DecodeFloat(buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
+// AppendState, read from d.
+func (w *Welford) DecodeState(d *Decoder) {
+	w.n = d.Varint()
+	w.mean = d.Float()
+	w.m2 = d.Float()
+	w.min = d.Float()
+	w.max = d.Float()
 }
 
 // AppendState appends the histogram's mutable state: bucket weights,
@@ -116,37 +174,20 @@ func (h *Histogram) AppendState(buf []byte) []byte {
 	}
 	buf = AppendFloat(buf, h.total)
 	buf = AppendFloat(buf, h.maxSeen)
-	if h.anySeen {
-		return append(buf, 1)
-	}
-	return append(buf, 0)
+	return AppendBool(buf, h.anySeen)
 }
 
 // DecodeState replaces the histogram's weights with state appended by
-// AppendState. The receiver must have the same bucket structure as the
-// histogram that produced the state.
-func (h *Histogram) DecodeState(buf []byte) ([]byte, error) {
-	n, buf, err := DecodeUvarint(buf)
-	if err != nil {
-		return nil, err
-	}
-	if int(n) != len(h.weights) {
-		return nil, fmt.Errorf("%w: %d weights for a %d-bucket histogram", ErrCorruptState, n, len(h.weights))
+// AppendState, read from d. The receiver must have the same bucket
+// structure as the histogram that produced the state.
+func (h *Histogram) DecodeState(d *Decoder) {
+	if n := d.Uvarint(); n != uint64(len(h.weights)) {
+		d.Fail(fmt.Errorf("%w: %d weights for a %d-bucket histogram", ErrCorruptState, n, len(h.weights)))
 	}
 	for i := range h.weights {
-		if h.weights[i], buf, err = DecodeFloat(buf); err != nil {
-			return nil, err
-		}
+		h.weights[i] = d.Float()
 	}
-	if h.total, buf, err = DecodeFloat(buf); err != nil {
-		return nil, err
-	}
-	if h.maxSeen, buf, err = DecodeFloat(buf); err != nil {
-		return nil, err
-	}
-	if len(buf) < 1 {
-		return nil, ErrCorruptState
-	}
-	h.anySeen = buf[0] != 0
-	return buf[1:], nil
+	h.total = d.Float()
+	h.maxSeen = d.Float()
+	h.anySeen = d.Bool()
 }

@@ -58,7 +58,7 @@ func (g *generator) readWhole(src *dist.Source, p *kernel.Proc, path string) tra
 	if sz > 1024 && src.Bool(0.22) {
 		amount = sz * int64(10+src.Intn(80)) / 100
 	}
-	dur := g.xferDur(src, minI64(amount, sz))
+	dur := g.xferDur(src, min(amount, sz))
 	switch {
 	case src.Bool(0.08):
 		dur += trace.Time(src.Exp(25_000)) * trace.Millisecond
@@ -67,13 +67,6 @@ func (g *generator) readWhole(src *dist.Source, p *kernel.Proc, path string) tra
 	}
 	g.closeAfter(dur, taskRead, p, fd, amount)
 	return dur
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // readPart opens path read-only and reads just the first n bytes.
@@ -169,7 +162,7 @@ func (g *generator) adminStep(t *task) {
 	// popular hosts in the network table — with an occasional cold
 	// probe; this is what keeps the paper's moderate-sized caches
 	// effective on these megabyte-scale files.
-	span := maxi64(t.n-2048, 1)
+	span := max(t.n-2048, 1)
 	var off int64
 	if src.Bool(0.85) {
 		off = int64(src.Exp(float64(span) / 24))
@@ -209,13 +202,6 @@ func adminSeeks(src *dist.Source) int {
 		return 2 + src.Intn(8)
 	}
 	return 1
-}
-
-func maxi64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // compile models one edit-compile cycle's compiler run: the canonical
@@ -262,7 +248,7 @@ func (g *generator) compile(src *dist.Source, uid trace.UserID, seqno int64) tra
 			p3.Exec(g.img.as)
 			d2 := g.readWhole(src, p3, tmp)
 			d3 := g.writeWhole(src, p3, sf.obj, srcSize*5/4+int64(src.Intn(2048)))
-			dd := maxt(d2, d3) + trace.Time(5+src.Intn(20))*trace.Millisecond
+			dd := max(d2, d3) + trace.Time(5+src.Intn(20))*trace.Millisecond
 			g.eng.After(dd, func() {
 				// Temp deleted seconds after creation: a short lifetime.
 				p3.Unlink(tmp)
@@ -270,13 +256,6 @@ func (g *generator) compile(src *dist.Source, uid trace.UserID, seqno int64) tra
 		})
 	})
 	return after + trace.Time(500)*trace.Millisecond
-}
-
-func maxt(a, b trace.Time) trace.Time {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // link models an occasional ld run: reads the user's object files and
@@ -542,7 +521,7 @@ func (g *generator) debugSession(src *dist.Source, uid trace.UserID) trace.Time 
 			p.Close(fd)
 			return
 		}
-		off := src.Int63n(maxi64(sz/4, 1))
+		off := src.Int63n(max(sz/4, 1))
 		p.Seek(fd, off)
 		chunk := int64(8<<10 + src.Intn(16<<10))
 		p.Read(fd, chunk)

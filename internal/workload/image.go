@@ -19,11 +19,10 @@ type image struct {
 	// sampler: a few commands (the shell, the editor, ls, the compiler
 	// passes) absorb most executions.
 	commands []string
-	cmdSizes map[string]int64
 	cmdPick  *dist.Zipf
 
 	// Specific tools the application models exec by name.
-	cc, as, ld, editor, nroff, lpr, spice, shell, mailer string
+	cc, as, ld, editor, nroff, lpr, spice, mailer string
 
 	// headers are /usr/include files, Zipf-popular (stdio.h et al).
 	headers    []string
@@ -34,8 +33,7 @@ type image struct {
 
 	// admin are the megabyte-scale administrative files ("network
 	// tables, a log of all logins"): accessed by seek + small transfer.
-	admin      []string
-	adminSizes map[string]int64
+	admin []string
 
 	// loginLog is append-mode: every session start appends to it.
 	loginLog string
@@ -108,8 +106,6 @@ var archivePaths = sync.OnceValue(func() []string {
 func (g *generator) buildImage(fs *vfs.FS) {
 	src := g.src.Fork()
 	img := &g.img
-	img.cmdSizes = make(map[string]int64)
-	img.adminSizes = make(map[string]int64)
 	img.srcFiles = make(map[trace.UserID][]sourceFile)
 	img.docFiles = make(map[trace.UserID][]string)
 	img.decks = make(map[trace.UserID][]sourceFile)
@@ -151,7 +147,6 @@ func (g *generator) buildImage(fs *vfs.FS) {
 		path := "/bin/" + c.name
 		img.mkfile(fs, path, c.size)
 		img.commands = append(img.commands, path)
-		img.cmdSizes[path] = c.size
 	}
 	img.cmdPick = dist.NewZipf(src, 1.4, len(img.commands))
 	img.cc = "/bin/cc"
@@ -161,7 +156,6 @@ func (g *generator) buildImage(fs *vfs.FS) {
 	img.nroff = "/bin/nroff"
 	img.lpr = "/bin/lpr"
 	img.spice = "/bin/spice"
-	img.shell = "/bin/sh"
 	img.mailer = "/bin/mail"
 
 	// Headers, Zipf-popular. A handful of system headers are read by
@@ -197,7 +191,6 @@ func (g *generator) buildImage(fs *vfs.FS) {
 		path := "/etc/" + a.name
 		img.mkfile(fs, path, a.size)
 		img.admin = append(img.admin, path)
-		img.adminSizes[path] = a.size
 	}
 	img.loginLog = "/etc/wtmp"
 

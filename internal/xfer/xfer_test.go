@@ -406,9 +406,10 @@ func TestDecodeStateBoundsCounts(t *testing.T) {
 
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, err := NewScanner().DecodeState(blob)
+		d := stats.NewDecoder(blob)
+		NewScanner().DecodeState(d)
 		runtime.ReadMemStats(&after)
-		if err == nil {
+		if d.Err() == nil {
 			t.Fatalf("table %d: DecodeState accepted a count past the end of its input", empty)
 		}
 		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
@@ -428,9 +429,10 @@ func TestDecodeStateSparseFile(t *testing.T) {
 	r := NewScanner()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err := r.DecodeState(blob)
+	d := stats.NewDecoder(blob)
+	r.DecodeState(d)
 	runtime.ReadMemStats(&after)
-	if err != nil {
+	if err := d.Err(); err != nil {
 		t.Fatal(err)
 	}
 	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {

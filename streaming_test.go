@@ -151,13 +151,13 @@ func allocDelta(f func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// TestStreamAnalyzeMemoryGuard is the peak-memory regression guard for
-// the streaming analyzer: analyzing N events must allocate less than
-// materializing them would (the event slice alone costs ~88 bytes per
-// event, before any analysis). The analyzer's state scales with the
-// distinct-file population, not the event count — about 49 B/event
-// amortized on the 8-hour seed trace — so the guard trips at 72 B/event,
-// under the materialization floor with room for allocator noise.
+// TestStreamAnalyzeMemoryGuard is the allocation regression guard for
+// the streaming analyzer: analyzing N events must allocate far less
+// than materializing them would (the event slice alone costs ~88 bytes
+// per event, before any analysis). The analyzer's state scales with the
+// distinct-file population, not the event count — about 5.3 B/event
+// amortized on the 8-hour seed trace — so the guard trips at 16 B/event,
+// about three times that.
 func TestStreamAnalyzeMemoryGuard(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation inflates allocation; guard calibrated for the plain allocator")
@@ -181,9 +181,9 @@ func TestStreamAnalyzeMemoryGuard(t *testing.T) {
 	})
 	runtime.KeepAlive(a)
 	perEvent := float64(delta) / float64(len(events))
-	if perEvent > 72 {
+	if perEvent > 16 {
 		t.Errorf("streaming analyzer allocated %.1f B/event over %d events (%d bytes total); "+
-			"the streaming contract requires staying under the 88 B/event materialization floor (guard: 72)",
+			"the guard allows 16, about three times the 5.3 measured",
 			perEvent, len(events), delta)
 	}
 }
