@@ -86,7 +86,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: fscachesim [flags] trace.bin")
 		os.Exit(2)
 	}
-	if err := checkFlags(*crashN, *crashAt, *fit); err != nil {
+	cfg, err := parseConfig(*cache, *block, *policy, *replace, *flush, *paging)
+	if err == nil {
+		err = checkFlags(*crashN, *crashAt, *fit)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "fscachesim:", err)
 		os.Exit(1)
 	}
@@ -147,32 +151,6 @@ func main() {
 		return
 	}
 
-	cfg := cachesim.Config{SimulatePaging: *paging}
-	if cfg.BlockSize, err = parseSize(*block); err != nil {
-		fmt.Fprintln(os.Stderr, "fscachesim:", err)
-		os.Exit(1)
-	}
-	if cfg.CacheSize, err = parseSize(*cache); err != nil {
-		fmt.Fprintln(os.Stderr, "fscachesim:", err)
-		os.Exit(1)
-	}
-	switch strings.ToLower(*policy) {
-	case "through", "write-through", "wt":
-		cfg.Write = cachesim.WriteThrough
-	case "flush", "flush-back", "fb":
-		cfg.Write = cachesim.FlushBack
-		cfg.FlushInterval = trace.Time((*flush).Milliseconds())
-	case "delayed", "delayed-write", "dw":
-		cfg.Write = cachesim.DelayedWrite
-	default:
-		fmt.Fprintf(os.Stderr, "fscachesim: unknown policy %q\n", *policy)
-		os.Exit(1)
-	}
-	if cfg.Replacement, err = cachesim.ParseReplacement(*replace); err != nil {
-		fmt.Fprintln(os.Stderr, "fscachesim:", err)
-		os.Exit(1)
-	}
-
 	if *crashN > 0 {
 		if err := report.CrashLoss(w, tape, cfg.BlockSize, cfg.CacheSize, *crashN, reg); err != nil {
 			prog.Stop()
@@ -205,6 +183,35 @@ func main() {
 		os.Exit(1)
 	}
 	finish()
+}
+
+// parseConfig builds the single-run configuration from the -cache,
+// -block, -policy, -replace, -flush and -paging flags, refusing a bad
+// value before the trace is read.
+func parseConfig(cache, block, policy, replace string, flush time.Duration, paging bool) (cachesim.Config, error) {
+	cfg := cachesim.Config{SimulatePaging: paging}
+	var err error
+	if cfg.BlockSize, err = parseSize(block); err != nil {
+		return cfg, fmt.Errorf("-block: %v", err)
+	}
+	if cfg.CacheSize, err = parseSize(cache); err != nil {
+		return cfg, fmt.Errorf("-cache: %v", err)
+	}
+	switch strings.ToLower(policy) {
+	case "through", "write-through", "wt":
+		cfg.Write = cachesim.WriteThrough
+	case "flush", "flush-back", "fb":
+		cfg.Write = cachesim.FlushBack
+		cfg.FlushInterval = trace.Time(flush.Milliseconds())
+	case "delayed", "delayed-write", "dw":
+		cfg.Write = cachesim.DelayedWrite
+	default:
+		return cfg, fmt.Errorf("-policy: unknown policy %q", policy)
+	}
+	if cfg.Replacement, err = cachesim.ParseReplacement(replace); err != nil {
+		return cfg, fmt.Errorf("-replace: %v", err)
+	}
+	return cfg, nil
 }
 
 // checkFlags refuses a negative count or time before the trace is read;

@@ -27,14 +27,18 @@ func TestMain(m *testing.M) {
 }
 
 // TestMainRejectsNegativeValues: a negative -crash-sweep, -crash-at or
-// -fit exits 1 naming the flag before the trace is read; the trace path
-// here does not exist, so reading it first would name the file instead.
+// -fit, and an unknown -policy or -replace or a malformed -block, exits
+// 1 naming the flag before the trace is read; the trace path here does
+// not exist, so reading it first would name the file instead.
 func TestMainRejectsNegativeValues(t *testing.T) {
 	missing := filepath.Join(t.TempDir(), "missing.trace")
 	for _, args := range [][]string{
 		{"-crash-sweep", "-5"},
 		{"-crash-at", "-1s"},
 		{"-sweep", "tableVI", "-fit", "-3"},
+		{"-policy", "nope"},
+		{"-replace", "nope"},
+		{"-block", "3X"},
 	} {
 		name := args[len(args)-2] // the refused flag
 		cmd := exec.Command(os.Args[0], append(args, missing)...)

@@ -270,6 +270,10 @@ func TestDecodeCheckpointRejects(t *testing.T) {
 }
 
 // FuzzDecodeCheckpoint: arbitrary bytes must never panic the decoder.
+// Each input is decoded twice: as it is, and with its last 4 bytes
+// replaced by the CRC32 of the rest. A mutant almost never carries a
+// valid CRC, so only the second decode takes it past the CRC check to
+// the version, fingerprint, stream, ingest-log and counter checks.
 func FuzzDecodeCheckpoint(f *testing.F) {
 	cfg := config{profile: "A5", seed: 5, duration: trace.Hour, scale: 1, shards: 1, interval: 64}
 	blob := ckptBlob(f, cfg)
@@ -278,5 +282,9 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	f.Add([]byte("FSDCKPT1"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		decodeCheckpoint(data, cfg)
+		if len(data) >= 4 {
+			payload := append([]byte(nil), data[:len(data)-4]...)
+			decodeCheckpoint(binary.LittleEndian.AppendUint32(payload, crc32.ChecksumIEEE(payload)), cfg)
+		}
 	})
 }

@@ -282,13 +282,15 @@ type cache struct {
 	// layer in internal/fault). Nil for plain simulations.
 	obs Observer
 
-	// residency counts drops per residency bucket (see residencyBucket);
-	// resMax is the longest residency seen in the overflow bucket.
-	residency [numResidencyBuckets]int64
-	resMax    trace.Time
+	// residency records the residency of every drop; resOver counts
+	// those over the threshold.
+	residency *stats.Histogram
 	resOver   int64
-	resTotal  int64
 }
+
+// residencyHistogram is the empty histogram every cache clones to
+// record residencies: log-spaced bounds spanning 10 ms to days.
+var residencyHistogram = stats.NewLogHistogram(0.01, 1.35, 60)
 
 func newCache(tape *xfer.Tape, r *resolved, cfg Config) *cache {
 	capacity := int(cfg.CacheSize / cfg.BlockSize)
@@ -296,13 +298,14 @@ func newCache(tape *xfer.Tape, r *resolved, cfg Config) *cache {
 		capacity = 1
 	}
 	c := &cache{
-		cfg:      cfg,
-		tape:     tape,
-		r:        r,
-		capacity: capacity,
-		res:      &Result{Config: cfg},
-		f:        make([]frame, r.nBlocks()),
-		pol:      newReplacer(cfg.Replacement, capacity, cfg.Seed),
+		cfg:       cfg,
+		tape:      tape,
+		r:         r,
+		capacity:  capacity,
+		res:       &Result{Config: cfg},
+		f:         make([]frame, r.nBlocks()),
+		pol:       newReplacer(cfg.Replacement, capacity, cfg.Seed),
+		residency: residencyHistogram.Clone(),
 	}
 	c.pol.bind(c.f, nil)
 	c.nextFlush = math.MaxInt64 // no scans
@@ -350,12 +353,7 @@ func (c *cache) flush(t trace.Time) {
 }
 
 func (c *cache) recordResidency(d trace.Time) {
-	i := residencyBucket(d)
-	c.residency[i]++
-	if i == numResidencyBuckets-1 && d > c.resMax {
-		c.resMax = d
-	}
-	c.resTotal++
+	c.residency.Add(d.Seconds(), 1)
 	if d > c.cfg.ResidencyThreshold {
 		c.resOver++
 	}
@@ -545,9 +543,9 @@ func (c *cache) finish() *Result {
 		}
 		c.recordResidency(c.now - fr.enteredAt)
 	}
-	c.res.Residency = residencyCDF(&c.residency, c.resMax)
-	if c.resTotal > 0 {
-		c.res.ResidencyOver = float64(c.resOver) / float64(c.resTotal)
+	c.res.Residency = c.residency.CDF()
+	if n := c.residency.Total(); n > 0 {
+		c.res.ResidencyOver = float64(c.resOver) / n
 	}
 	return c.res
 }

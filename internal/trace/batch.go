@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"io"
 	"sync"
 )
@@ -79,18 +80,15 @@ func (r *Reader) NextBatch(buf []Event) (int, error) {
 	}
 	n := 0
 	for n < len(buf) {
-		recStart := r.r.off
-		kindByte, err := r.r.ReadByte()
-		if err != nil {
-			if err == io.EOF {
-				return r.finishBatch(n, io.EOF)
-			}
-			return r.finishBatch(n, r.recordErr(recStart, err))
+		e, _, size, err := r.record()
+		if err == io.EOF {
+			return r.finishBatch(n, io.EOF)
 		}
-		e, err := r.decodeBody(kindByte)
 		if err != nil {
-			return r.finishBatch(n, r.recordErr(recStart, err))
+			return r.finishBatch(n, fmt.Errorf("trace: record %d at offset %d: corrupt stream: %w", r.index, r.off, err))
 		}
+		r.discard(size)
+		r.prev = e.Time
 		r.index++
 		buf[n] = e
 		n++

@@ -1,7 +1,9 @@
 package trace
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"io"
 )
@@ -30,10 +32,15 @@ import (
 // The reader holds each segment's decoded events until the closing
 // checkpoint verifies them (bounded by the interval), so corruption that
 // still decodes — a bit flip inside a varint — can never leak an event:
-// either the whole segment checks out or none of it is emitted. On any
-// failure the reader scans forward for the next marker, restores the
-// absolute time and record index from its payload, and resumes; the
-// damage costs at most one segment plus the bytes to the next checkpoint.
+// either the whole segment checks out or none of it is emitted. The
+// reader parses records and checkpoints from its buffered bytes and
+// folds each record's bytes into the segment CRC in one update. On any
+// failure it scans forward for the next marker whose checkpoint
+// verifies, restores the absolute time and record index from its
+// payload, and resumes; the damage costs at most one segment plus the
+// bytes to the next checkpoint. A marker byte that starts no valid
+// checkpoint costs one byte, so a checkpoint cut short cannot hide the
+// next one inside the bytes it would have claimed.
 
 // DefaultCheckpointInterval is the records-per-checkpoint default for
 // NewWriterV2: small enough that one lost segment is a rounding error on
@@ -84,38 +91,42 @@ func (w *Writer) writeCheckpoint() {
 // corruption is absorbed into Skipped().
 func (r *Reader) fillSegment() error {
 	for {
-		r.seg = r.seg[:0]
-		r.segPos = 0
-		r.r.crc = 0
-		segStart := r.r.off
-		prevStart := r.prev
+		r.seg, r.segPos = r.seg[:0], 0
+		var crc uint32
+		segStart, prevStart := r.off, r.prev
 	record:
 		for {
-			boundary := r.r.off
-			crcBefore := r.r.crc
-			b, err := r.r.ReadByte()
-			if err == io.EOF {
-				if r.r.off > segStart {
-					// Truncated tail: records decoded (or bytes consumed)
-					// after the last checkpoint are unverifiable; drop them
-					// rather than emit events no CRC ever covered.
-					r.skip.Bytes += r.r.off - segStart
+			e, p, n, err := r.record()
+			switch {
+			case err == nil:
+				crc = crc32.Update(crc, crc32.IEEETable, p[:n])
+				r.discard(n)
+				r.prev = e.Time
+				r.seg = append(r.seg, e)
+				continue
+			case err == io.EOF:
+				if r.off > segStart {
+					// Truncated tail: records decoded after the last
+					// checkpoint are unverifiable; drop them rather than
+					// emit events no CRC ever covered.
+					r.skip.Bytes += r.off - segStart
 					r.skip.Records += int64(len(r.seg))
 					r.skip.Segments++
 					r.seg = r.seg[:0]
 				}
 				r.eof = true
 				return nil
-			}
-			if err != nil {
-				return err
-			}
-			if b == checkpointMarker[0] {
-				r.r.crc = crcBefore // the marker is not segment data
-				segCRC := r.r.crc
-				ck, ok := r.readCheckpoint(1)
-				if ok &&
-					ck.segCRC == segCRC &&
+			case err == errBadKind(checkpointMarker[0]):
+				boundary := r.off
+				ck, _, size, err := parseItem(r, parseCheckpoint)
+				if err != nil {
+					// Marker byte at a boundary but no valid checkpoint
+					// behind it: leave the switch and scan on from the
+					// byte after the marker byte (n is 1).
+					break
+				}
+				r.discard(size)
+				if ck.segCRC == crc &&
 					ck.segBytes == uint64(boundary-segStart) &&
 					ck.segRecords == uint64(len(r.seg)) &&
 					ck.recordIdx == uint64(r.index)+uint64(len(r.seg)) &&
@@ -127,154 +138,104 @@ func (r *Reader) fillSegment() error {
 					}
 					return nil
 				}
-				if ok {
-					// The checkpoint is intact but the segment is not:
-					// drop the segment and resync right here.
-					r.skip.Bytes += r.r.off - segStart
-					if d := int64(ck.recordIdx) - r.index; d > 0 {
-						r.skip.Records += d
-					}
-					r.skip.Segments++
-					r.index = int64(ck.recordIdx)
-					r.prev = ck.absTime
-					break record
-				}
-				// Marker byte at a boundary but no valid checkpoint
-				// behind it: corruption. Scan forward.
-				if !r.scanToCheckpoint(segStart, prevStart) {
-					return nil // EOF while scanning
-				}
+				// The checkpoint is intact but the segment is not: drop
+				// the segment and resync right here.
+				r.resync(ck, r.off-segStart)
 				break record
+			case len(p) == 0:
+				return err // a read error between records
 			}
-			e, err := r.decodeBody(b)
-			if err != nil {
-				if !r.scanToCheckpoint(segStart, prevStart) {
-					return nil
-				}
-				break record
+			// A malformed record, a bad checkpoint, or a stream that ended
+			// or failed inside a record: drop the segment.
+			r.discard(n)
+			if !r.scan(segStart, prevStart) {
+				return nil // the stream ended while scanning
 			}
-			r.seg = append(r.seg, e)
+			break record
 		}
 	}
 }
 
-// readCheckpoint reads a checkpoint whose first matched bytes of the
-// marker are already consumed, returning ok only if the remaining marker
-// bytes match and the payload verifies against its own CRC. The segment
-// CRC state is unaffected (callers snapshot it before the marker).
-func (r *Reader) readCheckpoint(consumed int) (checkpoint, bool) {
-	crcWas, crcOnWas := r.r.crc, r.r.crcOn
-	r.r.crcOn = false
-	defer func() { r.r.crc, r.r.crcOn = crcWas, crcOnWas }()
+// errBadCheckpoint reports bytes that start with a marker byte but are
+// not a checkpoint whose payload verifies.
+var errBadCheckpoint = errors.New("trace: bad checkpoint")
 
-	for i := consumed; i < len(checkpointMarker); i++ {
-		b, err := r.r.ReadByte()
-		if err != nil || b != checkpointMarker[i] {
-			return checkpoint{}, false
-		}
+// parseCheckpoint parses the checkpoint at the start of p and returns it
+// with its encoded length. It fails with io.ErrUnexpectedEOF if p ends
+// inside a checkpoint, and with errBadCheckpoint if p starts with
+// anything else or with a checkpoint whose payload fails its CRC.
+func parseCheckpoint(p []byte) (checkpoint, int, error) {
+	m := min(len(p), len(checkpointMarker))
+	if !bytes.Equal(p[:m], checkpointMarker[:m]) {
+		return checkpoint{}, 0, errBadCheckpoint
 	}
-	var payload []byte
-	readUvarint := func() (uint64, bool) {
-		var x uint64
-		var shift uint
-		for {
-			b, err := r.r.ReadByte()
-			if err != nil || len(payload) > 64 {
-				return 0, false
-			}
-			payload = append(payload, b)
-			if b < 0x80 {
-				if shift >= 64 || (shift == 63 && b > 1) {
-					return 0, false
-				}
-				return x | uint64(b)<<shift, true
-			}
-			x |= uint64(b&0x7f) << shift
-			shift += 7
-			if shift >= 64 {
-				return 0, false
-			}
-		}
-	}
+	f := fields{p: p, n: m}
 	var ck checkpoint
-	var ok bool
-	if ck.segBytes, ok = readUvarint(); !ok {
-		return checkpoint{}, false
+	ck.segBytes = f.uvarint()
+	ck.segRecords = f.uvarint()
+	ck.recordIdx = f.uvarint()
+	ck.absTime = Time(f.varint())
+	if f.err == nil && len(p)-f.n < 8 {
+		f.err = io.ErrUnexpectedEOF
 	}
-	if ck.segRecords, ok = readUvarint(); !ok {
-		return checkpoint{}, false
+	if f.err != nil {
+		return checkpoint{}, 0, f.err
 	}
-	if ck.recordIdx, ok = readUvarint(); !ok {
-		return checkpoint{}, false
+	ck.segCRC = binary.LittleEndian.Uint32(p[f.n:])
+	if binary.LittleEndian.Uint32(p[f.n+4:]) != crc32.ChecksumIEEE(p[len(checkpointMarker):f.n+4]) {
+		return checkpoint{}, 0, errBadCheckpoint
 	}
-	t, ok := readUvarint()
-	if !ok {
-		return checkpoint{}, false
-	}
-	// Undo the zig-zag encoding of PutVarint by hand so the raw payload
-	// bytes stay available for the payload CRC.
-	ck.absTime = Time(int64(t>>1) ^ -int64(t&1))
-	var crcb [8]byte
-	for i := range crcb {
-		b, err := r.r.ReadByte()
-		if err != nil {
-			return checkpoint{}, false
-		}
-		crcb[i] = b
-	}
-	ck.segCRC = binary.LittleEndian.Uint32(crcb[:4])
-	payload = append(payload, crcb[:4]...)
-	if binary.LittleEndian.Uint32(crcb[4:]) != crc32.ChecksumIEEE(payload) {
-		return checkpoint{}, false
-	}
-	return ck, true
+	return ck, f.n + 8, nil
 }
 
-// scanToCheckpoint discards the current segment and scans byte by byte
-// for the next checkpoint whose payload verifies, restoring the decoding
-// state from it. It reports false at EOF (the reader is finished).
-// segStart and prevStart are the discarded segment's start offset and
-// delta-time base, for the skip accounting and state rollback.
-func (r *Reader) scanToCheckpoint(segStart int64, prevStart Time) bool {
+// resync restores the decoding state from ck, whose segment is lost, and
+// accounts the skip.
+func (r *Reader) resync(ck checkpoint, skipped int64) {
+	r.skip.Bytes += skipped
+	if d := int64(ck.recordIdx) - r.index; d > 0 {
+		r.skip.Records += d
+	}
+	r.skip.Segments++
+	r.index = int64(ck.recordIdx)
+	r.prev = ck.absTime
+}
+
+// scan discards the current segment and scans forward for the next
+// checkpoint whose payload verifies, restoring the decoding state from
+// it. After a marker byte that starts no such checkpoint the scan goes
+// on from the next byte. scan reports false at the end of the stream
+// (the reader is finished). segStart and prevStart are the discarded
+// segment's start offset and delta-time base, for the skip accounting
+// and state rollback.
+func (r *Reader) scan(segStart int64, prevStart Time) bool {
 	decoded := int64(len(r.seg))
 	r.seg = r.seg[:0]
-	r.prev = prevStart // decodeBody may have advanced it into garbage
-	match := 0
+	r.prev = prevStart // the failed segment's records advanced it
 	for {
-		b, err := r.r.ReadByte()
-		if err != nil {
-			r.skip.Bytes += r.r.off - segStart
+		if _, err := r.br.Peek(1); err != nil {
+			r.skip.Bytes += r.off - segStart
 			r.skip.Records += decoded
 			r.skip.Segments++
 			r.eof = true
 			return false
 		}
-		if b != checkpointMarker[match] {
-			match = 0
-			if b == checkpointMarker[0] {
-				match = 1
-			}
+		p, _ := r.br.Peek(r.br.Buffered())
+		i := bytes.IndexByte(p, checkpointMarker[0])
+		if i < 0 {
+			r.discard(len(p))
 			continue
 		}
-		match++
-		if match < len(checkpointMarker) {
-			continue
-		}
-		markerStart := r.r.off - int64(len(checkpointMarker))
-		ck, ok := r.readCheckpoint(len(checkpointMarker))
-		if !ok {
+		r.discard(i)
+		markerStart := r.off
+		ck, _, n, err := parseItem(r, parseCheckpoint)
+		if err != nil {
 			// A false marker inside record data, or a damaged
 			// checkpoint: keep scanning.
-			match = 0
+			r.discard(1)
 			continue
 		}
-		r.skip.Bytes += markerStart - segStart
-		if d := int64(ck.recordIdx) - r.index; d > 0 {
-			r.skip.Records += d
-		}
-		r.skip.Segments++
-		r.index = int64(ck.recordIdx)
-		r.prev = ck.absTime
+		r.discard(n)
+		r.resync(ck, markerStart-segStart)
 		return true
 	}
 }

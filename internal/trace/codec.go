@@ -211,15 +211,23 @@ func (w *Writer) Flush() error {
 
 // Reader decodes events from a binary trace stream, version 1 or 2.
 //
+// It parses each record and checkpoint from the bytes its bufio.Reader
+// already holds, and while one is incomplete it peeks one more byte, so
+// it never waits for a byte past the record or checkpoint it is
+// parsing: a v2 segment goes out as soon as its checkpoint arrives,
+// even if the writer then stalls.
+//
 // A version-2 reader buffers each segment and verifies it against its
 // checkpoint CRC before emitting any event; on CRC mismatch or
 // undecodable bytes it discards the segment, scans forward to the next
 // checkpoint, restores the delta-decoding state from the checkpoint's
 // absolute snapshot, and continues. Skipped() reports what was lost.
-// A version-1 reader fails fast exactly as before, now with record and
-// byte-offset context on every error.
+// A version-1 reader fails fast, with record and byte-offset context on
+// every error.
 type Reader struct {
-	r       *posReader
+	br *bufio.Reader
+	// off is the stream offset of br's next byte.
+	off     int64
 	prev    Time
 	version byte
 	// index is the absolute record index of the next event to return;
@@ -277,39 +285,13 @@ func (s SkipStats) String() string {
 	return fmt.Sprintf("%d bytes, ~%d records, %d segments skipped", s.Bytes, s.Records, s.Segments)
 }
 
-// posReader is a byte reader that tracks the absolute stream offset and
-// an optional running CRC32 of the bytes read (used for version-2
-// segment verification).
-type posReader struct {
-	br    *bufio.Reader
-	off   int64
-	crc   uint32
-	crcOn bool
-}
-
-func (p *posReader) ReadByte() (byte, error) {
-	b, err := p.br.ReadByte()
-	if err != nil {
-		return 0, err
-	}
-	p.off++
-	if p.crcOn {
-		p.crc = crc32.Update(p.crc, crc32.IEEETable, []byte{b})
-	}
-	return b, nil
-}
-
 // NewReader creates a Reader, consuming and checking the header. Version
 // 1 and version 2 streams are both accepted.
 func NewReader(r io.Reader) (*Reader, error) {
-	p := &posReader{br: bufio.NewReaderSize(r, 1<<16)}
-	var hdr [HeaderSize]byte
-	for i := range hdr {
-		b, err := p.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadHeader, err)
-		}
-		hdr[i] = b
+	br := bufio.NewReaderSize(r, 1<<16)
+	hdr, err := br.Peek(HeaderSize)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadHeader, err)
 	}
 	if [4]byte(hdr[:4]) != magic {
 		return nil, fmt.Errorf("%w: magic %q", ErrBadHeader, hdr[:4])
@@ -317,8 +299,8 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if hdr[4] != Version && hdr[4] != Version2 {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadHeader, hdr[4])
 	}
-	rd := &Reader{r: p, version: hdr[4]}
-	rd.r.crcOn = rd.version == Version2
+	rd := &Reader{br: br, version: hdr[4]}
+	rd.discard(HeaderSize)
 	return rd, nil
 }
 
@@ -338,91 +320,138 @@ func (r *Reader) Next() (Event, error) {
 	return one[0], nil
 }
 
-// recordErr wraps a decode error with the failing record's index and the
-// byte offset where the record started.
-func (r *Reader) recordErr(recStart int64, err error) error {
-	if err == io.EOF {
-		err = io.ErrUnexpectedEOF
-	}
-	return fmt.Errorf("trace: record %d at offset %d: corrupt stream: %w", r.index, recStart, err)
+// discard consumes n buffered bytes.
+func (r *Reader) discard(n int) {
+	_, _ = r.br.Discard(n) // the n bytes are buffered, so it cannot fail
+	r.off += int64(n)
 }
 
-// errBadKind is the inner error for an invalid kind byte; recordErr adds
-// the position context.
+// parseItem parses the record or checkpoint at the read position with
+// parse, from the bytes already buffered. While parse finds them too
+// short for the item (io.ErrUnexpectedEOF) it peeks one more byte and
+// parses again. It returns the buffered bytes, valid until the next
+// read, with parse's results and consumes nothing. If the stream ends
+// inside the item, err is io.ErrUnexpectedEOF and n counts the buffered
+// bytes; if it ends before the item, err is io.EOF; a read error other
+// than io.EOF is returned as it is.
+func parseItem[T any](r *Reader, parse func([]byte) (T, int, error)) (v T, p []byte, n int, err error) {
+	p, _ = r.br.Peek(r.br.Buffered())
+	for {
+		if v, n, err = parse(p); err != io.ErrUnexpectedEOF {
+			return v, p, n, err
+		}
+		if _, rerr := r.br.Peek(len(p) + 1); rerr != nil {
+			if rerr != io.EOF || len(p) == 0 {
+				err = rerr
+			}
+			return v, p, len(p), err
+		}
+		p, _ = r.br.Peek(r.br.Buffered())
+	}
+}
+
+// record parses the record at the read position (see parseItem). It
+// makes the first parse, over the bytes already buffered, itself: that
+// one succeeds for every record but the one that straddles the buffer's
+// end, and made through parseItem's function value it slows a v1 decode
+// by about a fifth.
+func (r *Reader) record() (Event, []byte, int, error) {
+	p, _ := r.br.Peek(r.br.Buffered())
+	if e, n, err := parseRecord(p, r.prev); err != io.ErrUnexpectedEOF {
+		return e, p, n, err
+	}
+	return parseItem(r, func(p []byte) (Event, int, error) { return parseRecord(p, r.prev) })
+}
+
+// errBadKind is the error for an invalid kind byte.
 type errBadKind byte
 
 func (e errBadKind) Error() string { return fmt.Sprintf("kind byte %d", byte(e)) }
 
-// decodeBody decodes one record given its already-consumed kind byte,
-// advancing the delta-time state. It is shared by the version-1 fast
-// path and the version-2 segment loop.
-func (r *Reader) decodeBody(kindByte byte) (Event, error) {
-	var e Event
-	e.Kind = Kind(kindByte)
+// parseRecord decodes the record at the start of p, its time
+// delta-decoded against prev, and returns it with its encoded length: it
+// is the inverse of AppendRecord, for both format versions. An error
+// means p does not start with a whole record: io.ErrUnexpectedEOF if p
+// ends inside one, else the record is malformed and n counts its bytes
+// up to the one that showed it.
+func parseRecord(p []byte, prev Time) (Event, int, error) {
+	if len(p) == 0 {
+		return Event{}, 0, io.ErrUnexpectedEOF
+	}
+	e := Event{Kind: Kind(p[0])}
 	if !e.Kind.Valid() {
-		return Event{}, errBadKind(kindByte)
+		return Event{}, 1, errBadKind(p[0])
 	}
-	dt, err := r.varint()
-	if err != nil {
-		return Event{}, err
-	}
-	e.Time = r.prev + Time(dt)
-	r.prev = e.Time
+	f := fields{p: p, n: 1}
+	e.Time = prev + Time(f.varint())
 	switch e.Kind {
 	case KindCreate, KindOpen:
-		var open, file, user, mode uint64
-		if open, err = r.uvarint(); err == nil {
-			if file, err = r.uvarint(); err == nil {
-				if user, err = r.uvarint(); err == nil {
-					if mode, err = r.uvarint(); err == nil {
-						e.Size, err = r.varint()
-					}
-				}
-			}
-		}
-		e.OpenID, e.File, e.User, e.Mode = OpenID(open), FileID(file), UserID(user), Mode(mode)
+		e.OpenID = OpenID(f.uvarint())
+		e.File = FileID(f.uvarint())
+		e.User = UserID(f.uvarint())
+		e.Mode = Mode(f.uvarint())
+		e.Size = f.varint()
 	case KindClose:
-		var open uint64
-		if open, err = r.uvarint(); err == nil {
-			e.NewPos, err = r.varint()
-		}
-		e.OpenID = OpenID(open)
+		e.OpenID = OpenID(f.uvarint())
+		e.NewPos = f.varint()
 	case KindSeek:
-		var open uint64
-		if open, err = r.uvarint(); err == nil {
-			if e.OldPos, err = r.varint(); err == nil {
-				e.NewPos, err = r.varint()
-			}
-		}
-		e.OpenID = OpenID(open)
+		e.OpenID = OpenID(f.uvarint())
+		e.OldPos = f.varint()
+		e.NewPos = f.varint()
 	case KindUnlink:
-		var file uint64
-		file, err = r.uvarint()
-		e.File = FileID(file)
+		e.File = FileID(f.uvarint())
 	case KindTruncate:
-		var file uint64
-		if file, err = r.uvarint(); err == nil {
-			e.Size, err = r.varint()
-		}
-		e.File = FileID(file)
+		e.File = FileID(f.uvarint())
+		e.Size = f.varint()
 	case KindExec:
-		var file, user uint64
-		if file, err = r.uvarint(); err == nil {
-			if user, err = r.uvarint(); err == nil {
-				e.Size, err = r.varint()
-			}
-		}
-		e.File, e.User = FileID(file), UserID(user)
+		e.File = FileID(f.uvarint())
+		e.User = UserID(f.uvarint())
+		e.Size = f.varint()
 	}
-	if err != nil {
-		return Event{}, err
+	if f.err != nil {
+		return Event{}, f.n, f.err
 	}
-	return e, nil
+	return e, f.n, nil
 }
 
-func (r *Reader) varint() (int64, error) { return binary.ReadVarint(r.r) }
+// errOverflow has the text of encoding/binary's error for a varint that
+// does not end within ten bytes, so a v1 stream fails as it always has.
+var errOverflow = errors.New("binary: varint overflows a 64-bit integer")
 
-func (r *Reader) uvarint() (uint64, error) { return binary.ReadUvarint(r.r) }
+// fields reads the varints of one record or checkpoint from p, from
+// offset n on. Like stats.Decoder its first failure sticks, but it tells
+// an item cut short (io.ErrUnexpectedEOF) from a malformed one.
+type fields struct {
+	p   []byte
+	n   int
+	err error
+}
+
+func (f *fields) uvarint() uint64 {
+	if f.err != nil {
+		return 0
+	}
+	x, k := binary.Uvarint(f.p[f.n:])
+	switch {
+	case k > 0:
+		f.n += k
+		return x
+	case k < 0 || len(f.p)-f.n >= binary.MaxVarintLen64:
+		// Ten bytes, as many as binary.ReadUvarint reads before it
+		// gives up.
+		f.n += binary.MaxVarintLen64
+		f.err = errOverflow
+	default:
+		f.n = len(f.p)
+		f.err = io.ErrUnexpectedEOF
+	}
+	return 0
+}
+
+func (f *fields) varint() int64 {
+	x := f.uvarint()
+	return int64(x>>1) ^ -int64(x&1)
+}
 
 // WriteFile encodes events to a file in the binary format.
 func WriteFile(path string, events []Event) error {
