@@ -1168,10 +1168,24 @@ func runAblations(w io.Writer, tape *xfer.Tape) error {
 		return err
 	}
 
+	// A3 and A4 replay their four configurations in one MultiSimulate
+	// call, so they share the parallel workers.
+	//
 	// A3: billing time sensitivity. The cache replays accesses in event
 	// order either way, so billing only matters where wall-clock time
 	// does: under a flush-back policy, whose periodic scans may catch or
 	// miss a write depending on when it is billed.
+	//
+	// A4: purge-on-death.
+	flush30 := cachesim.Config{BlockSize: 4096, CacheSize: 2 << 20, Write: cachesim.FlushBack, FlushInterval: 30 * trace.Second}
+	delayed := cachesim.Config{BlockSize: 4096, CacheSize: 2 << 20, Write: cachesim.DelayedWrite}
+	atStart, noPurge := flush30, delayed
+	atStart.BillAtStart, noPurge.NoPurge = true, true
+	rs, err := cachesim.MultiSimulate(tape, []cachesim.Config{flush30, atStart, delayed, noPurge})
+	if err != nil {
+		return err
+	}
+
 	t := &report.Table{
 		Title:  "Ablation A3. Transfer billing time (2-Mbyte cache, 30-second flush-back).",
 		Header: []string{"Billing", "Disk I/Os", "Miss Ratio"},
@@ -1179,23 +1193,12 @@ func runAblations(w io.Writer, tape *xfer.Tape) error {
 			"each run at the event that ends it. Billing at the event that starts it " +
 			"bounds the error from the other side.",
 	}
-	for _, bill := range []struct {
-		name  string
-		start bool
-	}{{"at run end (paper)", false}, {"at run start", true}} {
-		r, err := cachesim.SimulateTape(tape, cachesim.Config{
-			BlockSize: 4096, CacheSize: 2 << 20,
-			Write: cachesim.FlushBack, FlushInterval: 30 * trace.Second,
-			BillAtStart: bill.start,
-		})
-		if err != nil {
-			return err
-		}
-		t.AddRow(bill.name, report.Count(r.DiskIOs()), report.Pct(r.MissRatio()))
+	for i, name := range []string{"at run end (paper)", "at run start"} {
+		r := rs[i]
+		t.AddRow(name, report.Count(r.DiskIOs()), report.Pct(r.MissRatio()))
 	}
 	t.Render(w)
 
-	// A4: purge-on-death.
 	t = &report.Table{
 		Title:  "Ablation A4. Purging dead blocks (2-Mbyte delayed-write cache).",
 		Header: []string{"Variant", "Disk Writes", "Miss Ratio"},
@@ -1203,18 +1206,9 @@ func runAblations(w io.Writer, tape *xfer.Tape) error {
 			"back at eviction: this isolates how much of delayed-write's win is " +
 			"data dying before ejection.",
 	}
-	for _, v := range []struct {
-		name    string
-		noPurge bool
-	}{{"purge on unlink/overwrite (paper)", false}, {"no purge", true}} {
-		r, err := cachesim.SimulateTape(tape, cachesim.Config{
-			BlockSize: 4096, CacheSize: 2 << 20, Write: cachesim.DelayedWrite,
-			NoPurge: v.noPurge,
-		})
-		if err != nil {
-			return err
-		}
-		t.AddRow(v.name, report.Count(r.DiskWrites), report.Pct(r.MissRatio()))
+	for i, name := range []string{"purge on unlink/overwrite (paper)", "no purge"} {
+		r := rs[2+i]
+		t.AddRow(name, report.Count(r.DiskWrites), report.Pct(r.MissRatio()))
 	}
 	return t.Render(w)
 }

@@ -38,6 +38,17 @@
 // SimulateTape replays it into one configuration and MultiSimulate into
 // many on parallel workers.
 //
+// # One pass per block size
+//
+// LRU is a stack algorithm, so the four LRU sweeps (PolicySweepTape,
+// BlockSizeSweepTape, PagingSweepTape and FlushIntervalSweepTape) do not
+// replay the tape once per configuration: an unexported engine
+// (lrusweep.go) replays it once per block size and paging mode into
+// every cache size and write policy of the sweep at once, with results
+// identical to MultiSimulate's. Every other caller (the zoo, the other
+// ablations, the observers, the hierarchies) replays per configuration,
+// and that replay is the engine's test oracle.
+//
 // # Frames
 //
 // A replay keeps one frame per dense block ID in a single slice: the
@@ -63,7 +74,6 @@ package cachesim
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"bsdtrace/internal/stats"
 	"bsdtrace/internal/trace"
@@ -292,11 +302,12 @@ type cache struct {
 // record residencies: log-spaced bounds spanning 10 ms to days.
 var residencyHistogram = stats.NewLogHistogram(0.01, 1.35, 60)
 
+// capacity returns the cache's block count: CacheSize/BlockSize,
+// rounded down, at least one block.
+func (c *Config) capacity() int { return int(max(c.CacheSize/c.BlockSize, 1)) }
+
 func newCache(tape *xfer.Tape, r *resolved, cfg Config) *cache {
-	capacity := int(cfg.CacheSize / cfg.BlockSize)
-	if capacity < 1 {
-		capacity = 1
-	}
+	capacity := cfg.capacity()
 	c := &cache{
 		cfg:       cfg,
 		tape:      tape,
@@ -406,15 +417,7 @@ func (c *cache) purge(fs int32, size int64) {
 	if c.cfg.NoPurge || fs < 0 {
 		return
 	}
-	ids := c.r.fileBlocks[fs]
-	// Doomed blocks satisfy idx*blockSize >= size, i.e. idx >=
-	// ceil(size/blockSize); they form a suffix of the sorted ID list.
-	bound := (size + c.cfg.BlockSize - 1) / c.cfg.BlockSize
-	lo := 0
-	if bound > 0 {
-		lo = sort.Search(len(ids), func(k int) bool { return c.r.blockIdx[ids[k]] >= bound })
-	}
-	for _, id := range ids[lo:] {
+	for _, id := range c.r.doomed(fs, size, c.cfg.BlockSize) {
 		if c.f[id].resident {
 			c.res.Purged++
 			c.drop(id, false)
@@ -484,20 +487,7 @@ func (c *cache) transfer(xi int32) {
 			}
 			continue
 		}
-		// Miss. A read always fetches. A write fetches only if the
-		// block holds valid bytes outside the written range: the run
-		// covers [t.Offset, t.End()) and bytes beyond oldSize are not
-		// valid data, so a full-block overwrite or an append into
-		// fresh space needs no read (paper §6.1).
-		fetch := true
-		if t.Write {
-			blockStart := c.r.blockIdx[id] * bs
-			blockEnd := blockStart + bs
-			headValid := t.Offset > blockStart && oldSize > blockStart
-			tailValid := t.End() < blockEnd && oldSize > t.End()
-			fetch = headValid || tailValid
-		}
-		if fetch {
+		if needsFetch(t, c.r.blockIdx[id]*bs, bs, oldSize) {
 			c.diskRead(id)
 		}
 		c.insert(id)
@@ -505,6 +495,21 @@ func (c *cache) transfer(xi int32) {
 			c.markDirty(id)
 		}
 	}
+}
+
+// needsFetch reports whether a miss on the block at byte blockStart
+// reads it from disk. A read always fetches. A write fetches only if the
+// block holds valid bytes outside the written range: the run covers
+// [t.Offset, t.End()) and bytes beyond oldSize are not valid data, so a
+// full-block overwrite or an append into fresh space needs no read
+// (paper §6.1).
+func needsFetch(t *xfer.Transfer, blockStart, bs, oldSize int64) bool {
+	if !t.Write {
+		return true
+	}
+	headValid := t.Offset > blockStart && oldSize > blockStart
+	tailValid := t.End() < blockStart+bs && oldSize > t.End()
+	return headValid || tailValid
 }
 
 // run replays the whole tape.

@@ -1,11 +1,13 @@
 package cachesim
 
-// Fuzz targets for the policy seam and the stack analysis. Both run in
-// CI's fuzz smoke (see .github/workflows/ci.yml): a short -fuzztime pass
-// over the generated corpus, looking for panics and invariant breaks
-// rather than deep exploration.
+// Fuzz targets for the policy seam, the stack analysis and the one-pass
+// LRU sweeps. All three run in CI's fuzz smoke (see
+// .github/workflows/ci.yml): a short -fuzztime pass over the generated
+// corpus, looking for panics and invariant breaks rather than deep
+// exploration.
 
 import (
+	"reflect"
 	"testing"
 
 	"bsdtrace/internal/trace"
@@ -77,6 +79,41 @@ func FuzzReplacer(f *testing.F) {
 	})
 }
 
+// fuzzTape builds a syntactically valid trace from the input bytes (via
+// the same builder the unit tests use), two bytes an operation, and
+// returns its tape, or nil if the input holds no operation.
+func fuzzTape(t *testing.T, data []byte) *xfer.Tape {
+	if len(data) > 512 {
+		data = data[:512]
+	}
+	b := newTB()
+	for i := 0; i+1 < len(data); i += 2 {
+		op := data[i] >> 5
+		file := trace.FileID(data[i]&0x1f) + 1
+		size := (int64(data[i+1]) + 1) * 512
+		switch op {
+		case 0, 1:
+			b.write(file, size)
+		case 2, 3, 4:
+			b.read(file, size)
+		case 5:
+			b.truncate(file, size/2)
+		case 6:
+			b.unlink(file)
+		default:
+			b.exec(file, size)
+		}
+	}
+	if len(b.events) == 0 {
+		return nil
+	}
+	tape, err := xfer.NewTape(b.events)
+	if err != nil {
+		t.Fatalf("builder produced invalid trace: %v", err)
+	}
+	return tape
+}
+
 // FuzzStackDistances builds a syntactically valid trace from the input
 // bytes (via the same builder the unit tests use) and checks the stack
 // analysis invariants: the miss curve is monotone non-increasing in
@@ -91,33 +128,9 @@ func FuzzStackDistances(f *testing.F) {
 		if len(data) < 2 {
 			return
 		}
-		if len(data) > 512 {
-			data = data[:512]
-		}
-		b := newTB()
-		for i := 0; i+1 < len(data); i += 2 {
-			op := data[i] >> 5
-			file := trace.FileID(data[i]&0x1f) + 1
-			size := (int64(data[i+1]) + 1) * 512
-			switch op {
-			case 0, 1:
-				b.write(file, size)
-			case 2, 3, 4:
-				b.read(file, size)
-			case 5:
-				b.truncate(file, size/2)
-			case 6:
-				b.unlink(file)
-			default:
-				b.exec(file, size)
-			}
-		}
-		if len(b.events) == 0 {
+		tape := fuzzTape(t, data)
+		if tape == nil {
 			return
-		}
-		tape, err := xfer.NewTape(b.events)
-		if err != nil {
-			t.Fatalf("builder produced invalid trace: %v", err)
 		}
 		for _, bs := range []int64{512, 4096} {
 			sr, err := StackDistancesTape(tape, bs)
@@ -161,6 +174,54 @@ func FuzzStackDistances(f *testing.F) {
 			gen := stackDistancesScan(tape, bs)
 			if gen.ColdMisses != sr.ColdMisses || gen.Misses(capBlocks*bs) != sr.Misses(capBlocks*bs) {
 				t.Fatalf("bs %d: stack oracle disagrees with Fenwick path", bs)
+			}
+		}
+	})
+}
+
+// FuzzLRUSweep holds the one-pass LRU engine to MultiSimulate over a
+// trace built as FuzzStackDistances builds it. shape picks the block
+// size (512 bytes to 8 kbytes) and, by bit 4, the paging mode. Every
+// pair of 1–6 cache sizes (from sizes, one byte each, down to a
+// fraction of a block) and 1–4 write policies (from policies:
+// write-through, delayed-write, or flush-back at an interval of 10 to
+// 860 ms, against the builder's 10-ms event ticks) must give field for
+// field the per-configuration result.
+func FuzzLRUSweep(f *testing.F) {
+	f.Add([]byte{0x21, 0x04, 0x41, 0x04, 0x22, 0x08, 0x61, 0x01, 0xc1, 0x00, 0x42, 0x07}, uint8(3), []byte{4, 1, 9, 4}, []byte{0, 1, 2, 26})
+	f.Add([]byte{0x01, 0x10, 0x81, 0x02, 0xa1, 0x00, 0xc1, 0x03, 0xe1, 0x05}, uint8(0x11), []byte{0, 2, 33}, []byte{6, 10})
+	f.Fuzz(func(t *testing.T, data []byte, shape uint8, sizes, policies []byte) {
+		tape := fuzzTape(t, data)
+		if tape == nil || len(sizes) == 0 || len(policies) == 0 {
+			return
+		}
+		bs := int64(512) << (shape % 5)
+		var cfgs []Config
+		for _, s := range sizes[:min(len(sizes), 6)] {
+			for _, p := range policies[:min(len(policies), 4)] {
+				cfg := Config{BlockSize: bs, CacheSize: int64(s%64+1) * bs / 4, SimulatePaging: shape&0x10 != 0}
+				switch p % 3 {
+				case 0:
+					cfg.Write = WriteThrough
+				case 1:
+					cfg.Write = DelayedWrite
+				default:
+					cfg.Write, cfg.FlushInterval = FlushBack, trace.Time(p/3+1)*10*trace.Millisecond
+				}
+				cfgs = append(cfgs, cfg)
+			}
+		}
+		got, err := lruSweep(tape, cfgs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := MultiSimulate(tape, cfgs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range cfgs {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Fatalf("%+v:\nengine     %+v\nper-config %+v", cfgs[i], got[i], want[i])
 			}
 		}
 	})

@@ -3,6 +3,7 @@ package cachesim
 import (
 	"cmp"
 	"slices"
+	"sort"
 
 	"bsdtrace/internal/trace"
 	"bsdtrace/internal/xfer"
@@ -185,6 +186,20 @@ func resolveTape(t *xfer.Tape, blockSize int64) *resolved {
 		}
 	}
 	return r
+}
+
+// doomed returns the block IDs of file slot fs whose byte range starts
+// at or beyond size at blockSize, in ascending block order: those with
+// idx*blockSize >= size, i.e. idx >= ceil(size/blockSize), a suffix of
+// the sorted list. Size 0 dooms the whole file.
+func (r *resolved) doomed(fs int32, size, blockSize int64) []int32 {
+	ids := r.fileBlocks[fs]
+	bound := (size + blockSize - 1) / blockSize
+	lo := 0
+	if bound > 0 {
+		lo = sort.Search(len(ids), func(k int) bool { return r.blockIdx[ids[k]] >= bound })
+	}
+	return ids[lo:]
 }
 
 // resolvedFor returns the tape's resolution at blockSize, memoized on

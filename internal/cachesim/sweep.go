@@ -7,17 +7,18 @@ import (
 
 // grid replays one tape into a rows × cols grid of configurations,
 // where cell(i, j) is the configuration at row i, column j, and returns
-// the results indexed [row][col]. Every sweep is one grid: one
-// MultiSimulate call over the whole grid, so its configurations share
-// the tape's resolutions and the parallel workers.
-func grid(tape *xfer.Tape, rows, cols int, cell func(i, j int) Config) ([][]*Result, error) {
+// the results indexed [row][col]. Every sweep is one grid, handed whole
+// to run: MultiSimulate, whose per-configuration replays share the
+// tape's resolutions and the parallel workers, or, for the LRU sweeps,
+// lruSweep, which replays the tape once per block size and paging mode.
+func grid(tape *xfer.Tape, rows, cols int, run func(*xfer.Tape, []Config) ([]*Result, error), cell func(i, j int) Config) ([][]*Result, error) {
 	cfgs := make([]Config, 0, rows*cols)
 	for i := 0; i < rows; i++ {
 		for j := 0; j < cols; j++ {
 			cfgs = append(cfgs, cell(i, j))
 		}
 	}
-	rs, err := MultiSimulate(tape, cfgs)
+	rs, err := run(tape, cfgs)
 	if err != nil {
 		return nil, err
 	}
@@ -69,7 +70,7 @@ func PaperBlockCacheSizes() []int64 {
 // ratio as a function of cache size and write policy at a fixed block
 // size. The result is indexed [cacheSize][policy].
 func PolicySweepTape(tape *xfer.Tape, blockSize int64, cacheSizes []int64, policies []PolicySpec) ([][]*Result, error) {
-	return grid(tape, len(cacheSizes), len(policies), func(i, j int) Config {
+	return grid(tape, len(cacheSizes), len(policies), lruSweep, func(i, j int) Config {
 		p := policies[j]
 		return Config{BlockSize: blockSize, CacheSize: cacheSizes[i], Write: p.Write, FlushInterval: p.Interval}
 	})
@@ -88,7 +89,7 @@ type BlockSizeSweepResult struct {
 
 // BlockSizeSweepTape runs the Table VII experiment over a tape.
 func BlockSizeSweepTape(tape *xfer.Tape, blockSizes, cacheSizes []int64) (*BlockSizeSweepResult, error) {
-	rs, err := grid(tape, len(blockSizes), len(cacheSizes), func(i, j int) Config {
+	rs, err := grid(tape, len(blockSizes), len(cacheSizes), lruSweep, func(i, j int) Config {
 		return Config{BlockSize: blockSizes[i], CacheSize: cacheSizes[j], Write: DelayedWrite}
 	})
 	if err != nil {
@@ -110,7 +111,7 @@ func BlockSizeSweepTape(tape *xfer.Tape, blockSizes, cacheSizes []int64) (*Block
 // ratios across cache sizes with and without simulated program page-in.
 // The result is indexed [cacheSize][0 = ignored, 1 = simulated].
 func PagingSweepTape(tape *xfer.Tape, blockSize int64, cacheSizes []int64) ([][2]*Result, error) {
-	rs, err := grid(tape, len(cacheSizes), 2, func(i, j int) Config {
+	rs, err := grid(tape, len(cacheSizes), 2, lruSweep, func(i, j int) Config {
 		return Config{BlockSize: blockSize, CacheSize: cacheSizes[i], Write: DelayedWrite, SimulatePaging: j == 1}
 	})
 	if err != nil {
@@ -127,7 +128,7 @@ func PagingSweepTape(tape *xfer.Tape, blockSize int64, cacheSizes []int64) ([][2
 // replacement policies at one cache configuration, delayed-write.
 func ReplacementSweepTape(tape *xfer.Tape, blockSize, cacheSize int64, seed int64) (map[Replacement]*Result, error) {
 	reps := []Replacement{LRU, FIFO, Clock, Random}
-	rs, err := grid(tape, 1, len(reps), func(_, j int) Config {
+	rs, err := grid(tape, 1, len(reps), MultiSimulate, func(_, j int) Config {
 		return Config{
 			BlockSize: blockSize, CacheSize: cacheSize, Write: DelayedWrite,
 			Replacement: reps[j], Seed: seed,
@@ -147,7 +148,7 @@ func ReplacementSweepTape(tape *xfer.Tape, blockSize, cacheSize int64, seed int6
 // a range of intervals, bracketed by write-through (interval → 0) and
 // delayed-write (interval → ∞).
 func FlushIntervalSweepTape(tape *xfer.Tape, blockSize, cacheSize int64, intervals []trace.Time) ([]*Result, error) {
-	rs, err := grid(tape, 1, len(intervals), func(_, j int) Config {
+	rs, err := grid(tape, 1, len(intervals), lruSweep, func(_, j int) Config {
 		return Config{BlockSize: blockSize, CacheSize: cacheSize, Write: FlushBack, FlushInterval: intervals[j]}
 	})
 	if err != nil {

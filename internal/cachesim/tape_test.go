@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"bsdtrace/internal/trace"
 	"bsdtrace/internal/xfer"
 )
 
@@ -32,11 +33,20 @@ func paperConfigs() []Config {
 	return cfgs
 }
 
+// a2Intervals are ablation A2's flush-back intervals.
+var a2Intervals = []trace.Time{
+	trace.Second, 5 * trace.Second, 30 * trace.Second,
+	trace.Minute, 5 * trace.Minute, 15 * trace.Minute, trace.Hour,
+}
+
 // TestMultiSimulateMatchesSimulate is the tape engine's equivalence
 // oracle: for every paper configuration, replaying a shared tape through
 // MultiSimulate must produce field-for-field the same Result as an
 // independent SimulateTape call on a fresh tape of the raw events (which
-// builds and resolves its own private copy).
+// builds and resolves its own private copy). The one-pass LRU sweeps
+// must in turn equal MultiSimulate: the same 60 configurations built
+// through PolicySweepTape, BlockSizeSweepTape and PagingSweepTape, and
+// A2's seven intervals through FlushIntervalSweepTape.
 func TestMultiSimulateMatchesSimulate(t *testing.T) {
 	events := randomTrace(7, 600)
 	tape, err := xfer.NewTape(events)
@@ -58,6 +68,42 @@ func TestMultiSimulateMatchesSimulate(t *testing.T) {
 		}
 		if !reflect.DeepEqual(multi[i], want) {
 			t.Errorf("config %d (%+v): MultiSimulate %+v != SimulateTape %+v", i, cfg, multi[i], want)
+		}
+	}
+
+	policy, err := PolicySweepTape(tape, 4096, PaperCacheSizes(), PaperPolicies())
+	if err != nil {
+		t.Fatal(err)
+	}
+	block, err := BlockSizeSweepTape(tape, PaperBlockSizes(), PaperBlockCacheSizes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	paging, err := PagingSweepTape(tape, 4096, PaperCacheSizes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	flush, err := FlushIntervalSweepTape(tape, 4096, 2<<20, a2Intervals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var swept []*Result
+	for _, row := range append(policy, block.Results...) {
+		swept = append(swept, row...)
+	}
+	for _, pair := range paging {
+		swept = append(swept, pair[0], pair[1])
+	}
+	swept = append(swept, flush...)
+	for _, iv := range a2Intervals {
+		cfgs = append(cfgs, Config{BlockSize: 4096, CacheSize: 2 << 20, Write: FlushBack, FlushInterval: iv})
+	}
+	if multi, err = MultiSimulate(tape, cfgs); err != nil {
+		t.Fatal(err)
+	}
+	for i, cfg := range cfgs {
+		if !reflect.DeepEqual(swept[i], multi[i]) {
+			t.Errorf("config %d (%+v): sweep %+v != MultiSimulate %+v", i, cfg, swept[i], multi[i])
 		}
 	}
 }

@@ -13,7 +13,7 @@ import "bsdtrace/internal/xfer"
 // replacement policy. Indexed [cacheSize][policy].
 func ZooSweepTape(tape *xfer.Tape, blockSize int64, cacheSizes []int64, seed int64) ([][]*Result, error) {
 	reps := AllReplacements()
-	return grid(tape, len(cacheSizes), len(reps), func(i, j int) Config {
+	return grid(tape, len(cacheSizes), len(reps), MultiSimulate, func(i, j int) Config {
 		return Config{
 			BlockSize: blockSize, CacheSize: cacheSizes[i], Write: DelayedWrite,
 			Replacement: reps[j], Seed: seed,
@@ -26,7 +26,7 @@ func ZooSweepTape(tape *xfer.Tape, blockSize int64, cacheSizes []int64, seed int
 // delayed-write. Indexed [blockSize][policy].
 func ZooBlockSizeSweepTape(tape *xfer.Tape, blockSizes []int64, cacheSize int64, seed int64) ([][]*Result, error) {
 	reps := AllReplacements()
-	return grid(tape, len(blockSizes), len(reps), func(i, j int) Config {
+	return grid(tape, len(blockSizes), len(reps), MultiSimulate, func(i, j int) Config {
 		return Config{
 			BlockSize: blockSizes[i], CacheSize: cacheSize, Write: DelayedWrite,
 			Replacement: reps[j], Seed: seed,
@@ -39,7 +39,7 @@ func ZooBlockSizeSweepTape(tape *xfer.Tape, blockSizes []int64, cacheSize int64,
 // Indexed [cacheSize][policy].
 func ZooPagingSweepTape(tape *xfer.Tape, blockSize int64, cacheSizes []int64, seed int64) ([][]*Result, error) {
 	reps := AllReplacements()
-	return grid(tape, len(cacheSizes), len(reps), func(i, j int) Config {
+	return grid(tape, len(cacheSizes), len(reps), MultiSimulate, func(i, j int) Config {
 		return Config{
 			BlockSize: blockSize, CacheSize: cacheSizes[i], Write: DelayedWrite,
 			Replacement: reps[j], Seed: seed, SimulatePaging: true,

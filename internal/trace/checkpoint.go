@@ -87,8 +87,11 @@ func (w *Writer) writeCheckpoint() {
 // them against it. On corruption — an undecodable record, a checkpoint
 // that fails its own CRC, or a segment that fails the checkpoint's CRC —
 // it discards the segment, resynchronizes at the next trustworthy
-// checkpoint, and tries again. Only genuine I/O errors are returned;
-// corruption is absorbed into Skipped().
+// checkpoint, and tries again; corruption is absorbed into Skipped().
+// The stream ends at io.EOF or at a read error, wherever either lands:
+// fillSegment returns the read error (nil at io.EOF, with r.eof set),
+// and records decoded since the last checkpoint, which no CRC covers,
+// count as skipped.
 func (r *Reader) fillSegment() error {
 	for {
 		r.seg, r.segPos = r.seg[:0], 0
@@ -104,25 +107,16 @@ func (r *Reader) fillSegment() error {
 				r.prev = e.Time
 				r.seg = append(r.seg, e)
 				continue
-			case err == io.EOF:
-				if r.off > segStart {
-					// Truncated tail: records decoded after the last
-					// checkpoint are unverifiable; drop them rather than
-					// emit events no CRC ever covered.
-					r.skip.Bytes += r.off - segStart
-					r.skip.Records += int64(len(r.seg))
-					r.skip.Segments++
-					r.seg = r.seg[:0]
-				}
-				r.eof = true
-				return nil
 			case err == errBadKind(checkpointMarker[0]):
 				boundary := r.off
-				ck, _, size, err := parseItem(r, parseCheckpoint)
-				if err != nil {
-					// Marker byte at a boundary but no valid checkpoint
-					// behind it: leave the switch and scan on from the
-					// byte after the marker byte (n is 1).
+				ck, _, size, cerr := parseItem(r, parseCheckpoint)
+				if cerr != nil {
+					if !isDamage(cerr) {
+						n, err = size, cerr // a read failed inside the checkpoint
+					}
+					// Otherwise a marker byte at a boundary but no valid
+					// checkpoint behind it: scan on from the byte after
+					// the marker byte (n is 1).
 					break
 				}
 				r.discard(size)
@@ -142,18 +136,50 @@ func (r *Reader) fillSegment() error {
 				// the segment and resync right here.
 				r.resync(ck, r.off-segStart)
 				break record
-			case len(p) == 0:
-				return err // a read error between records
 			}
-			// A malformed record, a bad checkpoint, or a stream that ended
-			// or failed inside a record: drop the segment.
 			r.discard(n)
-			if !r.scan(segStart, prevStart) {
-				return nil // the stream ended while scanning
+			decoded := int64(len(r.seg))
+			if isDamage(err) {
+				// A malformed record, a bad checkpoint, or a stream that
+				// ended inside a record: drop the segment and scan.
+				err = r.scan(segStart, prevStart)
+				if err == nil {
+					break record
+				}
 			}
-			break record
+			return r.end(segStart, decoded, err)
 		}
 	}
+}
+
+// isDamage reports whether err, from parsing the item at the read
+// position, is damage in the stream's bytes: a malformed record or
+// checkpoint, or one that io.EOF cut short. Anything else is the end of
+// the stream, io.EOF or a failed read.
+func isDamage(err error) bool {
+	if _, ok := err.(errBadKind); ok {
+		return true
+	}
+	return err == io.ErrUnexpectedEOF || err == errOverflow || err == errBadCheckpoint
+}
+
+// end finishes the stream at err, io.EOF or a read error. The segment
+// that began at segStart, with decoded records in it, is unverifiable:
+// its bytes and records count as skipped rather than emit events no CRC
+// ever covered. end returns nil for io.EOF, setting r.eof, and err
+// otherwise.
+func (r *Reader) end(segStart, decoded int64, err error) error {
+	if r.off > segStart {
+		r.skip.Bytes += r.off - segStart
+		r.skip.Records += decoded
+		r.skip.Segments++
+	}
+	r.seg = r.seg[:0]
+	if err == io.EOF {
+		r.eof = true
+		return nil
+	}
+	return err
 }
 
 // errBadCheckpoint reports bytes that start with a marker byte but are
@@ -203,21 +229,16 @@ func (r *Reader) resync(ck checkpoint, skipped int64) {
 // scan discards the current segment and scans forward for the next
 // checkpoint whose payload verifies, restoring the decoding state from
 // it. After a marker byte that starts no such checkpoint the scan goes
-// on from the next byte. scan reports false at the end of the stream
-// (the reader is finished). segStart and prevStart are the discarded
-// segment's start offset and delta-time base, for the skip accounting
-// and state rollback.
-func (r *Reader) scan(segStart int64, prevStart Time) bool {
-	decoded := int64(len(r.seg))
+// on from the next byte. scan returns nil once it has resynchronized,
+// or the error that ended the stream first: io.EOF or a read error.
+// segStart and prevStart are the discarded segment's start offset and
+// delta-time base, for the skip accounting and state rollback.
+func (r *Reader) scan(segStart int64, prevStart Time) error {
 	r.seg = r.seg[:0]
 	r.prev = prevStart // the failed segment's records advanced it
 	for {
 		if _, err := r.br.Peek(1); err != nil {
-			r.skip.Bytes += r.off - segStart
-			r.skip.Records += decoded
-			r.skip.Segments++
-			r.eof = true
-			return false
+			return err
 		}
 		p, _ := r.br.Peek(r.br.Buffered())
 		i := bytes.IndexByte(p, checkpointMarker[0])
@@ -229,6 +250,10 @@ func (r *Reader) scan(segStart int64, prevStart Time) bool {
 		markerStart := r.off
 		ck, _, n, err := parseItem(r, parseCheckpoint)
 		if err != nil {
+			if !isDamage(err) {
+				r.discard(n)
+				return err
+			}
 			// A false marker inside record data, or a damaged
 			// checkpoint: keep scanning.
 			r.discard(1)
@@ -236,6 +261,6 @@ func (r *Reader) scan(segStart int64, prevStart Time) bool {
 		}
 		r.discard(n)
 		r.resync(ck, markerStart-segStart)
-		return true
+		return nil
 	}
 }

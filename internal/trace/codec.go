@@ -222,8 +222,10 @@ func (w *Writer) Flush() error {
 // undecodable bytes it discards the segment, scans forward to the next
 // checkpoint, restores the delta-decoding state from the checkpoint's
 // absolute snapshot, and continues. Skipped() reports what was lost.
-// A version-1 reader fails fast, with record and byte-offset context on
-// every error.
+// A read error other than io.EOF is not damage: it ends the stream with
+// that error wherever it lands, and the segment it cut off counts as
+// skipped. A version-1 reader fails fast, with record and byte-offset
+// context on every error.
 type Reader struct {
 	br *bufio.Reader
 	// off is the stream offset of br's next byte.

@@ -8,7 +8,7 @@ import "io"
 // resync at, so when its reader fails mid-stream the wrapper ends the
 // stream at the last good record instead of failing the run, keeping the
 // error for the damage report. Version-2 readers self-heal below this
-// layer and only surface real I/O errors, which still propagate.
+// layer and surface only read errors, which end the stream here too.
 type LenientSource struct {
 	rec *RecoverSource
 	in  truncatingSource

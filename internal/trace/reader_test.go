@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"testing/iotest"
 	"time"
 )
 
@@ -152,5 +153,59 @@ func TestV2CutCheckpointResync(t *testing.T) {
 	want := SkipStats{Bytes: int64(second - 8 - HeaderSize), Records: 2, Segments: 1}
 	if len(got) != 2 || got[0] != events[2] || got[1] != events[3] || r.Skipped() != want {
 		t.Fatalf("got %+v, skipped %v; want the last two events, %v", got, r.Skipped(), want)
+	}
+}
+
+// drainBatches reads r to its end in batches of n events and returns the
+// events and the error that ended the stream (io.EOF at a clean end).
+func drainBatches(r *Reader, n int) ([]Event, error) {
+	var out []Event
+	buf := make([]Event, n)
+	for {
+		k, err := r.NextBatch(buf)
+		out = append(out, buf[:k]...)
+		if err != nil {
+			return out, err
+		}
+	}
+}
+
+// TestReadErrorEndsStream: a read error other than io.EOF ends a v2
+// stream with that error wherever it lands, between items or inside a
+// record or checkpoint. A 300-event stream is cut at every 7th byte
+// and the read after the cut fails. At checkpoint intervals 1, 3 and 64
+// and in 1-event and 256-event batches, the reader must end in that
+// error, with the events and the skipped segment of the same stream cut
+// there by io.EOF.
+func TestReadErrorEndsStream(t *testing.T) {
+	events := randomTrace(59, 300)
+	injected := errors.New("injected read error")
+	for _, interval := range []int{1, 3, 64} {
+		data := encodeV2(t, events, interval)
+		for cut := HeaderSize; cut <= len(data); cut += 7 {
+			open := func(rd io.Reader) *Reader {
+				r, err := NewReader(rd)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return r
+			}
+			clean := open(bytes.NewReader(data[:cut]))
+			want, err := drainBatches(clean, DefaultBatchSize)
+			if err != io.EOF {
+				t.Fatalf("interval %d cut %d: the cut stream ended in %v", interval, cut, err)
+			}
+			for _, batch := range []int{1, DefaultBatchSize} {
+				r := open(io.MultiReader(bytes.NewReader(data[:cut]), iotest.ErrReader(injected)))
+				got, err := drainBatches(r, batch)
+				if err != injected || len(got) != len(want) || r.Skipped() != clean.Skipped() {
+					t.Fatalf("interval %d cut %d batch %d: %d events, skipped %v, ended in %v; want %d, %v, the injected error",
+						interval, cut, batch, len(got), r.Skipped(), err, len(want), clean.Skipped())
+				}
+				if _, err := r.NextBatch(make([]Event, batch)); err != injected {
+					t.Fatalf("interval %d cut %d batch %d: the error did not stick: %v", interval, cut, batch, err)
+				}
+			}
+		}
 	}
 }
