@@ -188,7 +188,7 @@ const (
 // store's per-block write counts (wear, in the machine's local IDs).
 type clientPass struct {
 	res  *Result
-	ops  []serverOp
+	ops  trace.Chunks[serverOp]
 	wear []int64
 }
 
@@ -204,20 +204,26 @@ func runClient(tape *xfer.Tape, r *resolved, cfg Config, blockBase, fileBase int
 		p.wear = make([]int64, r.nBlocks())
 		c.onDisk = storeWear(p.wear)
 	} else {
-		c.onDisk = func(id int32, write bool, t trace.Time) {
-			kind := opRead
-			if write {
-				kind = opWrite
-			}
-			p.ops = append(p.ops, serverOp{time: t, kind: kind, id: blockBase + id})
-		}
-		c.onPurge = func(fs int32, size int64, t trace.Time) {
-			p.ops = append(p.ops, serverOp{time: t, kind: opPurge, fs: fileBase + fs, size: size})
-		}
+		c.onDisk, c.onPurge = emitOps(&p.ops, blockBase, fileBase)
 	}
 	c.run()
 	p.res = c.res
 	return p
+}
+
+// emitOps returns the onDisk and onPurge hooks that append a cache
+// tier's traffic to ops, shifting its block IDs by blockBase and its
+// file slots by fileBase.
+func emitOps(ops *trace.Chunks[serverOp], blockBase, fileBase int32) (func(id int32, write bool, t trace.Time), func(fs int32, size int64, t trace.Time)) {
+	return func(id int32, write bool, t trace.Time) {
+			kind := opRead
+			if write {
+				kind = opWrite
+			}
+			ops.Append(serverOp{time: t, kind: kind, id: blockBase + id})
+		}, func(fs int32, size int64, t trace.Time) {
+			ops.Append(serverOp{time: t, kind: opPurge, fs: fileBase + fs, size: size})
+		}
 }
 
 // storeWear is the onDisk hook of the cache tier directly above the
@@ -235,9 +241,9 @@ func storeWear(wear []int64) func(id int32, write bool, t trace.Time) {
 // runClients runs every machine's tier-0 cache on parallel workers. It
 // returns the per-machine passes, the machines' tape resolutions merged
 // into the shared tiers' global ID space, and, unless overStore is set,
-// the tier-0 traffic interleaved by time (ties broken in machine order,
-// then emission order).
-func runClients(tapes []*xfer.Tape, blockSize int64, cfg Config, overStore bool) ([]*clientPass, *resolved, []serverOp) {
+// each machine's tier-0 traffic, in machine order, for the first shared
+// tier to interleave.
+func runClients(tapes []*xfer.Tape, blockSize int64, cfg Config, overStore bool) ([]*clientPass, *resolved, [][][]serverOp) {
 	machineRes := make([]*resolved, len(tapes))
 	par.Run(len(tapes), func(m int) error {
 		machineRes[m] = resolvedFor(tapes[m], blockSize)
@@ -271,40 +277,29 @@ func runClients(tapes []*xfer.Tape, blockSize int64, cfg Config, overStore bool)
 	if overStore {
 		return passes, merged, nil
 	}
-	lists := make([][]serverOp, len(passes))
+	lists := make([][][]serverOp, len(passes))
 	for m, p := range passes {
 		lists[m], p.ops = p.ops, nil
 	}
-	return passes, merged, mergeOps(lists)
+	return passes, merged, lists
 }
 
-// mergeOps interleaves time-ordered op lists by time, ties broken in list
-// order, then in order within a list: the order a stable sort of the
-// concatenated lists gives, in one pass. Every cache tier emits its
-// traffic in time order, because the replay clock never moves backwards.
-func mergeOps(lists [][]serverOp) []serverOp {
-	n := 0
-	for _, l := range lists {
-		n += len(l)
-	}
-	out := make([]serverOp, 0, n)
-	trace.Interleave(lists, func(op *serverOp) trace.Time { return op.time },
-		func(_ int, op *serverOp) { out = append(out, *op) })
-	return out
-}
-
-// replayTierOps drives a time-ordered operation stream into one shared
-// cache tier. Read misses and write-backs surface through onDisk (they
-// are this tier's traffic to the tier below); purges are applied and,
-// when onPurge is non-nil, forwarded down as well. Writes arrive with
-// their data, so a write miss needs no fetch.
-func replayTierOps(ops []serverOp, r *resolved, cfg Config,
+// replayTierOps drives operations into one shared cache tier: the ops of
+// lists, each in time order, interleaved by time, ties broken in list
+// order, then in order within a list. Every cache tier emits its traffic
+// in time order, because the replay clock never moves backwards, so the
+// machines' tier-0 lists feed the first shared tier with no sort and no
+// merged copy, and a shared tier's one list feeds the next as emitted.
+// Read misses and write-backs surface through onDisk (they are this
+// tier's traffic to the tier below); purges are applied and, when
+// onPurge is non-nil, forwarded down as well. Writes arrive with their
+// data, so a write miss needs no fetch.
+func replayTierOps(lists [][][]serverOp, r *resolved, cfg Config,
 	onDisk func(id int32, write bool, t trace.Time),
 	onPurge func(fs int32, size int64, t trace.Time)) *Result {
 	c := newCache(&xfer.Tape{}, r, cfg)
 	c.onDisk = onDisk
-	for i := range ops {
-		op := &ops[i]
+	trace.Interleave(lists, func(op *serverOp) trace.Time { return op.time }, func(_ int, op *serverOp) {
 		c.advance(op.time)
 		switch op.kind {
 		case opPurge:
@@ -317,7 +312,7 @@ func replayTierOps(ops []serverOp, r *resolved, cfg Config,
 			c.res.ReadAccesses++
 			if c.f[op.id].resident {
 				c.pol.access(op.id)
-				continue
+				return
 			}
 			c.diskRead(op.id)
 			c.insert(op.id)
@@ -331,7 +326,7 @@ func replayTierOps(ops []serverOp, r *resolved, cfg Config,
 			}
 			c.markDirty(op.id)
 		}
-	}
+	})
 	return c.finish()
 }
 
@@ -350,7 +345,7 @@ func HierarchySimulateTapes(tapes []*xfer.Tape, cfg HierarchyConfig) (*Hierarchy
 	}
 
 	last := len(cfg.Tiers) - 1
-	passes, merged, ops := runClients(tapes, cfg.BlockSize, tierCfgs[0], last == 1)
+	passes, merged, lists := runClients(tapes, cfg.BlockSize, tierCfgs[0], last == 1)
 	nBlocks := merged.nBlocks()
 
 	// Tier 0: every machine's private cache.
@@ -378,22 +373,13 @@ func HierarchySimulateTapes(tapes []*xfer.Tape, cfg HierarchyConfig) (*Hierarchy
 		tr := &res.Tiers[i]
 		tr.Name, tr.Size = tier.Name, tier.Size
 		wear := make([]int64, nBlocks)
-		var next []serverOp
-		below := func(id int32, write bool, t trace.Time) {
-			kind := opRead
-			if write {
-				kind = opWrite
-			}
-			next = append(next, serverOp{time: t, kind: kind, id: id})
-		}
-		onPurge := func(fs int32, size int64, t trace.Time) {
-			next = append(next, serverOp{time: t, kind: opPurge, fs: fs, size: size})
-		}
+		var next trace.Chunks[serverOp]
+		below, onPurge := emitOps(&next, 0, 0)
 		if i == last-1 {
 			storeWrites = make([]int64, nBlocks)
 			below, onPurge = storeWear(storeWrites), nil
 		}
-		out := replayTierOps(ops, merged, tierCfgs[i],
+		out := replayTierOps(lists, merged, tierCfgs[i],
 			func(id int32, write bool, t trace.Time) {
 				if !write {
 					// A fetch from below fills a block into this tier:
@@ -402,9 +388,13 @@ func HierarchySimulateTapes(tapes []*xfer.Tape, cfg HierarchyConfig) (*Hierarchy
 				}
 				below(id, write, t)
 			}, onPurge)
-		for j := range ops {
-			if ops[j].kind == opWrite {
-				wear[ops[j].id]++
+		for _, ops := range lists {
+			for _, chunk := range ops {
+				for j := range chunk {
+					if chunk[j].kind == opWrite {
+						wear[chunk[j].id]++
+					}
+				}
 			}
 		}
 		tr.Reads, tr.Writes = out.ReadAccesses, out.WriteAccesses
@@ -413,7 +403,7 @@ func HierarchySimulateTapes(tapes []*xfer.Tape, cfg HierarchyConfig) (*Hierarchy
 		tr.BusyTime = tier.ReadLatency*trace.Time(tr.Reads) +
 			tier.WriteLatency*trace.Time(tr.Writes+tr.Fills)
 		tallyWear(tr, wear, tier.EnduranceWrites)
-		ops = next
+		lists = [][][]serverOp{next}
 	}
 
 	// Backing store: everything the last cache tier sent down is a

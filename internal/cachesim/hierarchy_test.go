@@ -264,8 +264,8 @@ func TestTwoLevelErrors(t *testing.T) {
 	}
 }
 
-// stableSortOps is the oracle for mergeOps: the concatenated lists,
-// stable-sorted by time.
+// stableSortOps is the oracle for the first shared tier's merge: the
+// concatenated lists, stable-sorted by time.
 func stableSortOps(lists [][]serverOp) []serverOp {
 	var all []serverOp
 	for _, l := range lists {
@@ -275,25 +275,48 @@ func stableSortOps(lists [][]serverOp) []serverOp {
 	return all
 }
 
-// The linear merge must reproduce the stable sort exactly, ties included:
-// machine order first, then emission order.
+// mergedOps returns the ops of chunk lists in the order replayTierOps
+// reads them.
+func mergedOps(lists [][][]serverOp) []serverOp {
+	var out []serverOp
+	trace.Interleave(lists, func(op *serverOp) trace.Time { return op.time },
+		func(_ int, op *serverOp) { out = append(out, *op) })
+	return out
+}
+
+// The linear merge of the machines' chunk lists must reproduce the
+// stable sort exactly, ties included: machine order first, then
+// emission order, across chunk boundaries too.
 func TestMergeOpsMatchesStableSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	long := 0
 	for trial := 0; trial < 50; trial++ {
-		lists := make([][]serverOp, rng.Intn(5))
+		lists := make([][][]serverOp, rng.Intn(5))
+		flat := make([][]serverOp, len(lists))
 		for m := range lists {
+			n := rng.Intn(40)
+			if trial%5 == 0 {
+				n = 9000 + rng.Intn(4000) // more than two chunks
+			}
+			var ops trace.Chunks[serverOp]
 			var now trace.Time
-			for i := rng.Intn(40); i > 0; i-- {
+			for i := n; i > 0; i-- {
 				now += trace.Time(rng.Intn(3)) // many ties within and across lists
-				lists[m] = append(lists[m], serverOp{time: now, kind: serverOpKind(rng.Intn(3)),
+				ops.Append(serverOp{time: now, kind: serverOpKind(rng.Intn(3)),
 					id: int32(m<<16 | i), size: int64(trial)})
 			}
+			if len(ops) > 2 {
+				long++
+			}
+			lists[m], flat[m] = ops, ops.Flat()
 		}
-		want := stableSortOps(lists)
-		got := mergeOps(append([][]serverOp(nil), lists...))
-		if !slices.Equal(got, want) {
+		want := stableSortOps(flat)
+		if got := mergedOps(lists); !slices.Equal(got, want) {
 			t.Fatalf("trial %d: merge differs from the stable sort:\n%v\nvs\n%v", trial, got, want)
 		}
+	}
+	if long < 4 {
+		t.Fatalf("only %d lists span more than two chunks", long)
 	}
 
 	// Real tier-0 traffic from three machines.
@@ -306,13 +329,13 @@ func TestMergeOpsMatchesStableSort(t *testing.T) {
 	var blockBase, fileBase int32
 	for m, tape := range tapes {
 		r := resolvedFor(tape, 4096)
-		lists[m] = runClient(tape, r, cfg, blockBase, fileBase, false).ops
+		lists[m] = runClient(tape, r, cfg, blockBase, fileBase, false).ops.Flat()
 		blockBase += int32(r.nBlocks())
 		fileBase += int32(len(r.fileBlocks))
 	}
 	want := stableSortOps(lists)
-	_, _, got := runClients(tapes, 4096, cfg, false)
-	if len(want) == 0 || !slices.Equal(got, want) {
+	_, _, chunks := runClients(tapes, 4096, cfg, false)
+	if got := mergedOps(chunks); len(want) == 0 || !slices.Equal(got, want) {
 		t.Fatalf("tier-0 traffic: merged %d ops, the stable sort has %d, or they differ", len(got), len(want))
 	}
 }
@@ -343,14 +366,14 @@ func TestTierTrafficInTimeOrder(t *testing.T) {
 		}
 		for m, tape := range tapes {
 			var times []trace.Time
-			for _, op := range runClient(tape, resolvedFor(tape, 4096), cfg, 0, 0, false).ops {
+			for _, op := range runClient(tape, resolvedFor(tape, 4096), cfg, 0, 0, false).ops.Flat() {
 				times = append(times, op.time)
 			}
 			ordered(w.policy.String()+" tier 0, machine "+string(rune('A'+m)), times)
 		}
-		_, merged, ops := runClients(tapes, 4096, cfg, false)
+		_, merged, lists := runClients(tapes, 4096, cfg, false)
 		var times []trace.Time
-		replayTierOps(ops, merged, cfg,
+		replayTierOps(lists, merged, cfg,
 			func(_ int32, _ bool, tm trace.Time) { times = append(times, tm) },
 			func(_ int32, _ int64, tm trace.Time) { times = append(times, tm) })
 		ordered(w.policy.String()+" shared tier", times)
@@ -358,50 +381,57 @@ func TestTierTrafficInTimeOrder(t *testing.T) {
 }
 
 // storeOracle replays a stack with every cache tier's traffic, purges
-// included, built into an op list, and counts the backing store from the
-// last list.
-func storeOracle(t *testing.T, tapes []*xfer.Tape, cfg HierarchyConfig) TierResult {
+// included, built into chunk lists. It counts the backing store from the
+// last tier's lists, and each shared cache tier's wear from the writes
+// in its input lists and the fills in its output list.
+func storeOracle(t *testing.T, tapes []*xfer.Tape, cfg HierarchyConfig) (store TierResult, shared []TierResult) {
 	t.Helper()
 	tierCfgs, err := cfg.tierConfigs()
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, merged, ops := runClients(tapes, cfg.BlockSize, tierCfgs[0], false)
+	_, merged, lists := runClients(tapes, cfg.BlockSize, tierCfgs[0], false)
 	for i := 1; i < len(tierCfgs); i++ {
-		var next []serverOp
-		replayTierOps(ops, merged, tierCfgs[i],
-			func(id int32, write bool, tm trace.Time) {
-				kind := opRead
-				if write {
-					kind = opWrite
-				}
-				next = append(next, serverOp{time: tm, kind: kind, id: id})
-			},
-			func(fs int32, size int64, tm trace.Time) {
-				next = append(next, serverOp{time: tm, kind: opPurge, fs: fs, size: size})
-			})
-		ops = next
+		var next trace.Chunks[serverOp]
+		onDisk, onPurge := emitOps(&next, 0, 0)
+		replayTierOps(lists, merged, tierCfgs[i], onDisk, onPurge)
+		wear := make([]int64, merged.nBlocks())
+		for _, op := range mergedOps(lists) {
+			if op.kind == opWrite {
+				wear[op.id]++
+			}
+		}
+		for _, op := range next.Flat() {
+			if op.kind == opRead {
+				wear[op.id]++
+			}
+		}
+		var tr TierResult
+		tallyWear(&tr, wear, cfg.Tiers[i].EnduranceWrites)
+		shared = append(shared, tr)
+		lists = [][][]serverOp{next}
 	}
-	store := cfg.Tiers[len(cfg.Tiers)-1]
-	tr := TierResult{Name: store.Name, Size: store.Size}
+	last := cfg.Tiers[len(cfg.Tiers)-1]
+	store = TierResult{Name: last.Name, Size: last.Size}
 	wear := make([]int64, merged.nBlocks())
-	for _, op := range ops {
+	for _, op := range mergedOps(lists) {
 		switch op.kind {
 		case opRead:
-			tr.Reads++
+			store.Reads++
 		case opWrite:
-			tr.Writes++
+			store.Writes++
 			wear[op.id]++
 		}
 	}
-	tr.BusyTime = store.ReadLatency*trace.Time(tr.Reads) + store.WriteLatency*trace.Time(tr.Writes)
-	tallyWear(&tr, wear, store.EnduranceWrites)
-	return tr
+	store.BusyTime = last.ReadLatency*trace.Time(store.Reads) + last.WriteLatency*trace.Time(store.Writes)
+	tallyWear(&store, wear, last.EnduranceWrites)
+	return store, shared
 }
 
 // The backing store counts its reads, writes and wear in place, as the
 // cache tier above emits them; the result must equal counting that
 // tier's traffic as an op list, for stacks of two, three and four tiers.
+// Each shared cache tier's wear must equal the count from its op lists.
 func TestBackingStoreCountsInPlace(t *testing.T) {
 	tapes := hierarchyMachines(t)
 	disk := Tier{Name: "disk", ReadLatency: 10 * trace.Millisecond,
@@ -426,12 +456,21 @@ func TestBackingStoreCountsInPlace(t *testing.T) {
 	for name, tiers := range stacks {
 		cfg := HierarchyConfig{BlockSize: 4096, Tiers: tiers}
 		h := mustHierarchy(t, tapes, cfg)
-		got, want := h.Tiers[len(tiers)-1], storeOracle(t, tapes, cfg)
+		want, shared := storeOracle(t, tapes, cfg)
 		if want.Writes == 0 || want.Reads == 0 {
 			t.Fatalf("%s: oracle store saw %d reads, %d writes; trace too weak", name, want.Reads, want.Writes)
 		}
-		if got != want {
+		if got := h.Tiers[len(tiers)-1]; got != want {
 			t.Errorf("%s tiers: in-place store\n%+v\nop-list count\n%+v", name, got, want)
+		}
+		for i, w := range shared {
+			got := h.Tiers[i+1]
+			if w.MaxBlockWrites == 0 || got.MaxBlockWrites != w.MaxBlockWrites ||
+				got.MeanBlockWrites != w.MeanBlockWrites || got.WearFraction != w.WearFraction {
+				t.Errorf("%s tiers: tier %d wear max %d, mean %v, fraction %v; op lists give %d, %v, %v",
+					name, i+1, got.MaxBlockWrites, got.MeanBlockWrites, got.WearFraction,
+					w.MaxBlockWrites, w.MeanBlockWrites, w.WearFraction)
+			}
 		}
 	}
 }

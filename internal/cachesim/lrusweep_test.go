@@ -2,6 +2,7 @@ package cachesim
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"bsdtrace/internal/trace"
@@ -75,7 +76,8 @@ func checkSweep(t *testing.T, name string, got, want [][]*Result) {
 // TestLRUSweepEdgeCases holds every sweep on the one-pass engine to
 // MultiSimulate over edgeTrace, with unsorted and duplicate cache sizes,
 // block sizes, write policies and intervals, a cache smaller than one
-// block, and empty lists.
+// block, and empty lists. A block-size sweep with block sizes but no
+// cache sizes has no access count to report, and is refused.
 func TestLRUSweepEdgeCases(t *testing.T) {
 	tape := mustTape(t, edgeTrace())
 	const blk = 4096
@@ -110,8 +112,6 @@ func TestLRUSweepEdgeCases(t *testing.T) {
 			return Config{BlockSize: blk, CacheSize: sz[i], Write: DelayedWrite, SimulatePaging: j == 1}
 		}))
 	}
-	// BlockSizeSweepTape reads each block size's access count from its
-	// first cache size, so it needs at least one.
 	for _, bss := range [][]int64{{blk, 1024, blk, 3000}, nil} {
 		block, err := BlockSizeSweepTape(tape, bss, sizes)
 		if err != nil {
@@ -120,6 +120,9 @@ func TestLRUSweepEdgeCases(t *testing.T) {
 		checkSweep(t, "block", block.Results, sweepWant(t, tape, len(bss), len(sizes), func(i, j int) Config {
 			return Config{BlockSize: bss[i], CacheSize: sizes[j], Write: DelayedWrite}
 		}))
+	}
+	if _, err := BlockSizeSweepTape(tape, []int64{blk, 1024}, nil); err == nil || !strings.Contains(err.Error(), "cache-size list is empty") {
+		t.Errorf("block sweep with no cache sizes: error %v, want one naming the empty cache-size list", err)
 	}
 
 	for _, ivs := range [][]trace.Time{{5 * trace.Second, trace.Second, 5 * trace.Second, trace.Hour}, nil} {

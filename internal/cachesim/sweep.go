@@ -1,6 +1,8 @@
 package cachesim
 
 import (
+	"errors"
+
 	"bsdtrace/internal/trace"
 	"bsdtrace/internal/xfer"
 )
@@ -87,8 +89,13 @@ type BlockSizeSweepResult struct {
 	Results    [][]*Result
 }
 
-// BlockSizeSweepTape runs the Table VII experiment over a tape.
+// BlockSizeSweepTape runs the Table VII experiment over a tape. Each
+// block size's access count is read from its first cache size, so the
+// cache-size list must not be empty.
 func BlockSizeSweepTape(tape *xfer.Tape, blockSizes, cacheSizes []int64) (*BlockSizeSweepResult, error) {
+	if len(cacheSizes) == 0 {
+		return nil, errors.New("cachesim: block-size sweep: the cache-size list is empty")
+	}
 	rs, err := grid(tape, len(blockSizes), len(cacheSizes), lruSweep, func(i, j int) Config {
 		return Config{BlockSize: blockSizes[i], CacheSize: cacheSizes[j], Write: DelayedWrite}
 	})

@@ -18,6 +18,7 @@ package ffs
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Geometry describes a simulated disk.
@@ -74,12 +75,19 @@ type File struct {
 	tail   fragRange
 }
 
-// group bookkeeping: a stack of (candidate) wholly free blocks with lazy
-// validation, plus the partially used blocks whose free fragments can
-// hold tails, filed by their longest run of free fragments — the role of
-// the cylinder-group free-run summary (cg_frsum) in FFS.
+// group bookkeeping: the wholly free blocks, which are the fresh blocks
+// (never handed out) plus a stack of the blocks freed since, and the
+// partially used blocks whose free fragments can hold tails, filed by
+// their longest run of free fragments — the role of the cylinder-group
+// free-run summary (cg_frsum) in FFS. A free block comes off the freed
+// stack first, then from the fresh blocks in ascending order: the order
+// one stack pre-filled with every block, lowest on top, gives, without
+// an entry per block.
 type group struct {
-	freeStack []int64
+	// nextFresh is the group's lowest fresh block, as an offset from its
+	// first block; every block from there on is fresh.
+	nextFresh int64
+	freed     []int64 // blocks freed since, handed out before any fresh one
 	// partial[r] lists the blocks whose longest free run is r fragments
 	// (0 < r < fragments per block).
 	partial [][]int64
@@ -91,7 +99,7 @@ type Disk struct {
 	fragsPer int64 // fragments per block
 	bitmap   []uint64
 	used     []int8  // used fragment count per block
-	slot     []int32 // a partial block's position in its group's run list
+	slot     []int32 // a partial block's position in its group's run list; nil without fragments
 	groups   []group
 
 	freeFrags int64
@@ -112,17 +120,15 @@ func NewDisk(geo Geometry) (*Disk, error) {
 		fragsPer:  fragsPer,
 		bitmap:    make([]uint64, (totalBlocks*fragsPer+63)/64),
 		used:      make([]int8, totalBlocks),
-		slot:      make([]int32, totalBlocks),
 		groups:    make([]group, geo.Groups),
 		freeFrags: totalBlocks * fragsPer,
 	}
+	if fragsPer > 1 {
+		// Only a disk with fragments has partial blocks to file.
+		d.slot = make([]int32, totalBlocks)
+	}
 	for g := range d.groups {
 		d.groups[g].partial = make([][]int64, fragsPer)
-		base := int64(g) * int64(geo.BlocksPerGroup)
-		// Push in reverse so low block numbers pop first.
-		for b := int64(geo.BlocksPerGroup) - 1; b >= 0; b-- {
-			d.groups[g].freeStack = append(d.groups[g].freeStack, base+b)
-		}
 	}
 	return d, nil
 }
@@ -169,7 +175,7 @@ func (d *Disk) setRange(r fragRange, use bool) {
 	switch {
 	case nowUsed == 0:
 		if wasUsed != 0 {
-			g.freeStack = append(g.freeStack, block)
+			g.freed = append(g.freed, block)
 		}
 	case nowUsed != int8(d.fragsPer):
 		run := d.longestRun(block)
@@ -206,18 +212,25 @@ func (d *Disk) longestRun(b int64) int64 {
 	return best
 }
 
-// popFreeBlock takes a wholly free block, preferring the given group. The
-// free stacks may hold stale entries (a block pushed on free can be taken
-// for a tail later), so entries are validated on pop.
+// popFreeBlock takes a wholly free block, preferring the given group:
+// its most recently freed block, else its lowest fresh one. A block is
+// pushed when it becomes wholly free and leaves that state only through
+// this pop, because tails go into partially used blocks, so every freed
+// entry is free.
 func (d *Disk) popFreeBlock(pref int) (int64, bool) {
+	per := int64(d.geo.BlocksPerGroup)
 	for gi := 0; gi < d.geo.Groups; gi++ {
-		g := &d.groups[(pref+gi)%d.geo.Groups]
-		for len(g.freeStack) > 0 {
-			b := g.freeStack[len(g.freeStack)-1]
-			g.freeStack = g.freeStack[:len(g.freeStack)-1]
-			if d.used[b] == 0 {
-				return b, true
-			}
+		gn := (pref + gi) % d.geo.Groups
+		g := &d.groups[gn]
+		if n := len(g.freed); n > 0 {
+			b := g.freed[n-1]
+			g.freed = g.freed[:n-1]
+			return b, true
+		}
+		if g.nextFresh < per {
+			b := int64(gn)*per + g.nextFresh
+			g.nextFresh++
+			return b, true
 		}
 	}
 	return 0, false
@@ -441,6 +454,28 @@ func (d *Disk) checkInvariants() error {
 	}
 	if filed != partial {
 		return fmt.Errorf("%d blocks filed in the run lists, %d partially used", filed, partial)
+	}
+	// Every wholly free block is on its group's freed stack or fresh,
+	// once, and nothing else is.
+	per := int64(d.geo.BlocksPerGroup)
+	listed := make([]bool, len(d.used))
+	for gi := range d.groups {
+		g := &d.groups[gi]
+		free := slices.Clone(g.freed)
+		for b := int64(gi)*per + g.nextFresh; b < int64(gi+1)*per; b++ {
+			free = append(free, b)
+		}
+		for _, b := range free {
+			if listed[b] || d.used[b] != 0 || d.groupOf(b) != g {
+				return fmt.Errorf("block %d listed free in group %d: twice, in use or in another group", b, gi)
+			}
+			listed[b] = true
+		}
+	}
+	for b, n := range d.used {
+		if n == 0 && !listed[b] {
+			return fmt.Errorf("free block %d is on no free list", b)
+		}
 	}
 	return nil
 }

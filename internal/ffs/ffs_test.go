@@ -294,6 +294,78 @@ func TestAllocFreeInvariants(t *testing.T) {
 	}
 }
 
+// stackedDisk returns a disk whose free blocks all sit on its freed
+// stacks, one stack per group pushed in reverse so that low block
+// numbers pop first, with no fresh block left: the free stacks NewDisk
+// used to build, one entry per block.
+func stackedDisk(t *testing.T, geo Geometry) *Disk {
+	t.Helper()
+	d := mustDisk(t, geo)
+	per := int64(geo.BlocksPerGroup)
+	for g := range d.groups {
+		for b := per - 1; b >= 0; b-- {
+			d.groups[g].freed = append(d.groups[g].freed, int64(g)*per+b)
+		}
+		d.groups[g].nextFresh = per
+	}
+	return d
+}
+
+// A group's fresh blocks, taken in ascending order once its freed stack
+// is empty, hand out blocks exactly as a stack pre-filled with every
+// block does: over a long random run of resizes and frees that keeps
+// running out of space, every file sits on the same blocks and tail
+// after every step, with and without fragments. The fragmentation
+// golden cannot catch a changed placement, because waste does not
+// depend on where blocks sit.
+func TestFreshBlocksPlaceLikePrebuiltStack(t *testing.T) {
+	for _, geo := range []Geometry{
+		{BlockSize: 4096, FragSize: 1024, Groups: 3, BlocksPerGroup: 20},
+		{BlockSize: 2048, FragSize: 2048, Groups: 2, BlocksPerGroup: 24},
+	} {
+		got, want := mustDisk(t, geo), stackedDisk(t, geo)
+		rng := rand.New(rand.NewSource(geo.BlockSize))
+		gotFiles, wantFiles := make([]*File, 40), make([]*File, 40)
+		full := 0
+		for step := 0; step < 5000; step++ {
+			i := rng.Intn(len(gotFiles))
+			if rng.Intn(4) == 0 {
+				got.Free(gotFiles[i])
+				want.Free(wantFiles[i])
+				gotFiles[i], wantFiles[i] = nil, nil
+			} else {
+				size := rng.Int63n(3 * geo.BlockSize)
+				if rng.Intn(3) == 0 {
+					size = rng.Int63n(12 * geo.BlockSize)
+				}
+				var gotErr, wantErr error
+				gotFiles[i], gotErr = got.Realloc(gotFiles[i], size)
+				wantFiles[i], wantErr = want.Realloc(wantFiles[i], size)
+				if gotErr != wantErr {
+					t.Fatalf("%+v step %d: Realloc(%d) error %v, prebuilt stack %v", geo, step, size, gotErr, wantErr)
+				}
+				if errors.Is(gotErr, ErrNoSpace) {
+					full++
+				}
+			}
+			for k, g := range gotFiles {
+				w := wantFiles[k]
+				if (g == nil) != (w == nil) || g != nil && (!slices.Equal(g.blocks, w.blocks) || g.tail != w.tail) {
+					t.Fatalf("%+v step %d: file %d at %+v, prebuilt stack places it at %+v", geo, step, k, g, w)
+				}
+			}
+			for _, d := range []*Disk{got, want} {
+				if err := d.checkInvariants(); err != nil {
+					t.Fatalf("%+v step %d: %v", geo, step, err)
+				}
+			}
+		}
+		if full < 100 {
+			t.Errorf("%+v: only %d of 5000 steps ran out of space", geo, full)
+		}
+	}
+}
+
 // checkFootprints verifies that the live files' blocks and tails cover
 // exactly the disk's used fragments, each once, and that the disk's byte
 // accounting is the sum of the files'.

@@ -130,6 +130,11 @@ func TestV2BitFlipLosesOneSegment(t *testing.T) {
 	events := randomTrace(13, 1000)
 	valid := encodeV2(t, events, interval)
 	rng := rand.New(rand.NewSource(17))
+	// first maps each event value to its first position in events.
+	first := make(map[Event]int, len(events))
+	for k := len(events) - 1; k >= 0; k-- {
+		first[events[k]] = k
+	}
 
 	for trial := 0; trial < 2000; trial++ {
 		data := append([]byte(nil), valid...)
@@ -182,14 +187,7 @@ func TestV2BitFlipLosesOneSegment(t *testing.T) {
 			missing[segmentOf(j, interval)] = true
 		}
 		for _, e := range got {
-			idx := -1
-			for k := range events {
-				if events[k] == e {
-					idx = k
-					break
-				}
-			}
-			if idx >= 0 && missing[segmentOf(idx, interval)] {
+			if idx, ok := first[e]; ok && missing[segmentOf(idx, interval)] {
 				// An event from a "missing" segment was emitted — only
 				// possible if the same Event value appears twice; verify
 				// by exact positional replay instead.

@@ -24,28 +24,41 @@ func RemapIDs(e Event, n, s int) Event {
 // Interleave visits the elements of lists, each in nondecreasing time,
 // in merged order: by time, ties broken in list order and then in order
 // within a list. That is MergeSource's order, and the order a stable
-// sort of the concatenated lists by time gives. It calls emit with each
-// element and the index of its list. The list with the earliest head
-// emits, with one comparison per element, while it stays ahead of the
-// runner-up, so a switch between lists costs len(lists) comparisons.
-func Interleave[T any](lists [][]T, at func(*T) Time, emit func(list int, v *T)) {
-	heads := make([]int, len(lists))
+// sort of the concatenated lists by time gives. A list is a sequence
+// of slices, such as a Chunks or a one-slice list, read in order. It
+// calls emit with each element and the index of its list. The list
+// with the earliest head emits, with one comparison per element, while
+// it stays ahead of the runner-up, so a switch between lists costs
+// len(lists) comparisons.
+func Interleave[T any](lists [][][]T, at func(*T) Time, emit func(list int, v *T)) {
+	type cursor struct{ chunk, i int }
+	heads := make([]cursor, len(lists))
 	head := func(l int) (Time, bool) {
-		if heads[l] == len(lists[l]) {
+		h, chunks := &heads[l], lists[l]
+		for h.chunk < len(chunks) && h.i == len(chunks[h.chunk]) {
+			h.chunk, h.i = h.chunk+1, 0
+		}
+		if h.chunk == len(chunks) {
 			return 0, false
 		}
-		return at(&lists[l][heads[l]]), true
+		return at(&chunks[h.chunk][h.i]), true
 	}
 	for {
 		lead, runner, runnerT := pickLead(len(lists), head)
 		if lead < 0 {
 			return
 		}
-		xs, i := lists[lead], heads[lead]
-		for ; i < len(xs) && leads(at(&xs[i]), lead, runner, runnerT); i++ {
-			emit(lead, &xs[i])
+		chunks, c, i := lists[lead], heads[lead].chunk, heads[lead].i
+		for ; c < len(chunks); c, i = c+1, 0 {
+			xs := chunks[c]
+			for ; i < len(xs) && leads(at(&xs[i]), lead, runner, runnerT); i++ {
+				emit(lead, &xs[i])
+			}
+			if i < len(xs) {
+				break
+			}
 		}
-		heads[lead] = i
+		heads[lead] = cursor{c, i}
 	}
 }
 

@@ -91,12 +91,17 @@ type Op struct {
 // stream: Add each event as it arrives, then Finish. Its working state is
 // one Scanner — bounded by the live file population, not the event
 // count — so a tape can be built from a stream that never fits in
-// memory. NewTape is exactly a TapeBuilder fed from a slice; the two
-// produce identical tapes by construction.
+// memory. The tape's lists grow in fixed-size chunks, and Finish copies
+// each into a slice of exactly its length, so a tape of unknown length
+// is stored once while it is built and once when it is finished. NewTape
+// is exactly a TapeBuilder fed from a slice; the two produce identical
+// tapes by construction.
 type TapeBuilder struct {
-	t    *Tape
-	sc   *Scanner
-	done bool
+	ops       trace.Chunks[Op]
+	transfers trace.Chunks[Transfer]
+	oldSizes  trace.Chunks[int64]
+	t         *Tape
+	sc        *Scanner
 }
 
 // NewTapeBuilder creates an empty builder over a fresh scanner.
@@ -108,62 +113,53 @@ func NewTapeBuilder() *TapeBuilder { return NewTapeBuilderOn(NewScanner()) }
 // caller's, and Add feeds sc. The caller feeds events through Add only,
 // sets no callback afterwards, and lets the builder's Finish finish sc.
 func NewTapeBuilderOn(sc *Scanner) *TapeBuilder {
-	b := &TapeBuilder{t: &Tape{}, sc: sc}
-	t := b.t
+	b := &TapeBuilder{sc: sc}
 	prev := sc.OnTransfer
 	sc.OnTransfer = func(tr Transfer) {
 		if prev != nil {
 			prev(tr)
 		}
-		t.Ops = append(t.Ops, Op{Kind: OpTransfer, Time: tr.Time, Xfer: int32(len(t.Transfers))})
-		t.Transfers = append(t.Transfers, tr)
-		t.OldSizes = append(t.OldSizes, sc.knownSize(tr.File))
+		b.transfer(OpTransfer, tr)
 	}
 	return b
 }
 
-// grow pre-sizes the tape for an expected event count. Ops is bounded by
-// one per event plus one per transfer; a seek-free trace produces roughly
-// one transfer per read/write pair, so half the event count is a close
-// capacity guess for both slices.
-func (b *TapeBuilder) grow(events int) {
-	b.t.Ops = make([]Op, 0, events)
-	b.t.Transfers = make([]Transfer, 0, events/2)
-	b.t.OldSizes = make([]int64, 0, events/2)
+// transfer appends a transfer and the op that replays it.
+func (b *TapeBuilder) transfer(kind OpKind, tr Transfer) {
+	b.ops.Append(Op{Kind: kind, Time: tr.Time, Xfer: int32(b.transfers.Len())})
+	b.transfers.Append(tr)
+	b.oldSizes.Append(b.sc.knownSize(tr.File))
 }
 
 // Add appends one event's tape operations. Events must arrive in time
 // order.
 func (b *TapeBuilder) Add(e trace.Event) {
-	t := b.t
-	n := len(t.Ops)
+	n := b.ops.Len()
 	switch e.Kind {
 	case trace.KindCreate:
 		// Overwrite: the file's previous blocks are dead.
-		t.Ops = append(t.Ops, Op{Kind: OpPurge, Time: e.Time, File: e.File})
+		b.ops.Append(Op{Kind: OpPurge, Time: e.Time, File: e.File})
 	case trace.KindTruncate:
-		t.Ops = append(t.Ops, Op{Kind: OpPurge, Time: e.Time, File: e.File, Size: e.Size})
+		b.ops.Append(Op{Kind: OpPurge, Time: e.Time, File: e.File, Size: e.Size})
 	case trace.KindUnlink:
-		t.Ops = append(t.Ops, Op{Kind: OpPurge, Time: e.Time, File: e.File})
+		b.ops.Append(Op{Kind: OpPurge, Time: e.Time, File: e.File})
 	case trace.KindExec:
 		if e.Size > 0 {
-			t.Ops = append(t.Ops, Op{Kind: OpExec, Time: e.Time, Xfer: int32(len(t.Transfers))})
-			t.Transfers = append(t.Transfers, Transfer{
+			b.transfer(OpExec, Transfer{
 				Time: e.Time, Start: e.Time,
 				File: e.File, User: e.User,
 				Offset: 0, Length: e.Size,
 				Mode: trace.ReadOnly,
 			})
-			t.OldSizes = append(t.OldSizes, b.sc.knownSize(e.File))
 		}
 	}
 	b.sc.Feed(e)
-	if len(t.Ops) == n {
+	if b.ops.Len() == n {
 		// The event produced nothing; keep its clock motion.
-		if n > 0 && t.Ops[n-1].Kind == OpAdvance {
-			t.Ops[n-1].Time = e.Time
+		if n > 0 && b.ops.Last().Kind == OpAdvance {
+			b.ops.Last().Time = e.Time
 		} else {
-			t.Ops = append(t.Ops, Op{Kind: OpAdvance, Time: e.Time})
+			b.ops.Append(Op{Kind: OpAdvance, Time: e.Time})
 		}
 	}
 }
@@ -172,9 +168,11 @@ func (b *TapeBuilder) Add(e trace.Event) {
 // complaint as an error, exactly as scanning would. Add calls after
 // Finish are invalid; calling Finish again returns the same tape.
 func (b *TapeBuilder) Finish() (*Tape, error) {
-	if !b.done {
-		b.done = true
-		b.t.Unclosed = b.sc.Finish()
+	if b.t == nil {
+		// The scanner's Finish emits the transfers of unclosed opens.
+		unclosed := b.sc.Finish()
+		b.t = &Tape{Ops: b.ops.Flat(), Transfers: b.transfers.Flat(), OldSizes: b.oldSizes.Flat(), Unclosed: unclosed}
+		b.ops, b.transfers, b.oldSizes = nil, nil, nil
 	}
 	if errs := b.sc.Errs(); len(errs) > 0 {
 		return nil, errs[0]
@@ -187,7 +185,6 @@ func (b *TapeBuilder) Finish() (*Tape, error) {
 // scanning would.
 func NewTape(events []trace.Event) (*Tape, error) {
 	b := NewTapeBuilder()
-	b.grow(len(events))
 	for _, e := range events {
 		b.Add(e)
 	}
@@ -227,10 +224,10 @@ func BuildTape(src trace.Source) (*Tape, error) {
 func MergeTapes(tapes []*Tape) *Tape {
 	n := len(tapes)
 	out := &Tape{}
-	lists := make([][]Op, n)
+	lists := make([][][]Op, n)
 	var ops, xfers int
 	for m, t := range tapes {
-		lists[m] = t.Ops
+		lists[m] = [][]Op{t.Ops}
 		ops += len(t.Ops)
 		xfers += len(t.Transfers)
 		out.Unclosed += t.Unclosed

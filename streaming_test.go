@@ -13,6 +13,8 @@ import (
 	"testing"
 
 	"bsdtrace/internal/analyzer"
+	"bsdtrace/internal/cachesim"
+	"bsdtrace/internal/ffs"
 	"bsdtrace/internal/trace"
 	"bsdtrace/internal/workload"
 	"bsdtrace/internal/xfer"
@@ -185,6 +187,117 @@ func TestStreamAnalyzeMemoryGuard(t *testing.T) {
 		t.Errorf("streaming analyzer allocated %.1f B/event over %d events (%d bytes total); "+
 			"the guard allows 16, about three times the 5.3 measured",
 			perEvent, len(events), delta)
+	}
+}
+
+// TestTapeBuildMemoryGuard: building the 8-hour A5 tape through a
+// TapeBuilder allocates at most 2.5 times the finished tape's bytes.
+// The builder keeps each list in fixed-size chunks and Finish copies
+// each once into an exactly sized slice, so the tape is stored twice;
+// regrowing one slice per list instead cost about five times the tape.
+func TestTapeBuildMemoryGuard(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation inflates allocation; guard calibrated for the plain allocator")
+	}
+	if testing.Short() {
+		t.Skip("the guard needs the 8-hour trace; fixed costs dominate short fixtures")
+	}
+	events := equivTrace(t)
+	var tape *xfer.Tape
+	delta := allocDelta(func() {
+		b := xfer.NewTapeBuilder()
+		for _, e := range events {
+			b.Add(e)
+		}
+		var err error
+		if tape, err = b.Finish(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	size := uint64(len(tape.Ops))*uint64(reflect.TypeOf(xfer.Op{}).Size()) +
+		uint64(len(tape.Transfers))*uint64(reflect.TypeOf(xfer.Transfer{}).Size()) +
+		uint64(len(tape.OldSizes))*8
+	ratio := float64(delta) / float64(size)
+	if ratio > 2.5 {
+		t.Errorf("building the tape allocated %d bytes, %.2f times the finished tape's %d; the guard allows 2.5",
+			delta, ratio, size)
+	}
+}
+
+// TestNewDiskMemoryGuard: an empty disk of the fragmentation sweep's
+// largest geometry (1 GB of 1-kbyte blocks with 512-byte fragments, in
+// 16 cylinder groups) allocates at most 8 MB: its fragment bitmap and
+// per-block counters, with no list of its free blocks.
+func TestNewDiskMemoryGuard(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation inflates allocation; guard calibrated for the plain allocator")
+	}
+	if testing.Short() {
+		t.Skip("a guard on allocation size, run with the other memory guards")
+	}
+	geo := ffs.Geometry{BlockSize: 1 << 10, FragSize: 512, Groups: 16, BlocksPerGroup: 64 << 10}
+	var d *ffs.Disk
+	delta := allocDelta(func() {
+		var err error
+		if d, err = ffs.NewDisk(geo); err != nil {
+			t.Fatal(err)
+		}
+	})
+	runtime.KeepAlive(d)
+	if delta > 8<<20 {
+		t.Errorf("NewDisk(%+v) allocated %.1f MB; the guard allows 8", geo, float64(delta)/(1<<20))
+	}
+}
+
+// TestHierarchyMemoryGuard: one diskless-network simulation (a 128-kbyte
+// write-through client cache on each machine over an 8-Mbyte
+// delayed-write server) over the three 8-hour machine tapes allocates at
+// most 25 MB, once a first run has memoized the tapes' 4-kbyte
+// resolutions, as fsreport's four diskless runs share them. The
+// machines' tier-0 traffic is stored once, in chunks the server reads
+// through the k-way merge, with no merged copy; appending to one slice
+// per machine and merging into another cost about 60 MB.
+func TestHierarchyMemoryGuard(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation inflates allocation; guard calibrated for the plain allocator")
+	}
+	if testing.Short() {
+		t.Skip("the guard needs the 8-hour traces; fixed costs dominate short fixtures")
+	}
+	tapes := make([]*xfer.Tape, 3)
+	for i, profile := range []string{"A5", "E3", "C4"} {
+		events := equivTrace(t)
+		if profile != "A5" {
+			res, err := workload.Generate(workload.Config{Profile: profile, Seed: 1, Duration: equivDuration(t)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			events = res.Events
+		}
+		tape, err := xfer.NewTape(events)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tapes[i] = tape
+	}
+	cfg := cachesim.HierarchyConfig{BlockSize: 4096, Tiers: []cachesim.Tier{
+		{Name: "client", Size: 128 << 10, Write: cachesim.WriteThrough},
+		{Name: "server", Size: 8 << 20, Write: cachesim.DelayedWrite},
+		{Name: "disk"},
+	}}
+	res, err := cachesim.HierarchySimulateTapes(tapes, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	delta := allocDelta(func() {
+		if res, err = cachesim.HierarchySimulateTapes(tapes, cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	runtime.KeepAlive(res)
+	if delta > 25<<20 {
+		t.Errorf("one diskless hierarchy over three 8-hour tapes allocated %.1f MB; the guard allows 25",
+			float64(delta)/(1<<20))
 	}
 }
 
